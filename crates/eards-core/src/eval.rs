@@ -121,10 +121,9 @@ impl<'a> Eval<'a> {
         vms: Vec<VmId>,
         buf: &mut crate::matrix::EngineBuffers,
     ) -> Self {
-        let m = cluster.num_hosts();
         let mut committed = std::mem::take(&mut buf.committed);
         committed.clear();
-        committed.extend((0..m).map(|i| cluster.committed(HostId(i as u32))));
+        committed.extend_from_slice(cluster.committed_by_host());
         let mut vm_count = std::mem::take(&mut buf.vm_count);
         vm_count.clear();
         vm_count.extend(

@@ -17,9 +17,10 @@
 //!   driver, which owns the timers).
 //!
 //! The light pass is `O(hosts + VMs)` per batch; a deep structural pass
-//! ([`Cluster::verify`]) runs periodically — or after every batch in
-//! [`AuditorMode::Strict`], which also panics on the first violation
-//! (used by the CI chaos smoke run).
+//! ([`Cluster::verify`], which also recomputes every host's cached
+//! committed resources and compares) runs periodically — or after every
+//! batch in [`AuditorMode::Strict`], which also panics on the first
+//! violation (used by the CI chaos smoke run).
 
 use std::collections::HashSet;
 

@@ -1125,13 +1125,13 @@ impl Runner {
             }
             Event::SlaCheck => {
                 let mut violated = false;
-                let mut running: Vec<VmId> = self
+                // `vms()` iterates in id order.
+                let running: Vec<VmId> = self
                     .cluster
                     .vms()
                     .filter(|v| v.state == VmState::Running)
                     .map(|v| v.id)
                     .collect();
-                running.sort_unstable(); // HashMap order is not deterministic
                 for vm in running {
                     if let Some(host) = self.cluster.vm(vm).host {
                         self.cluster.touch_host(host, now);
@@ -1200,13 +1200,13 @@ impl Runner {
                 None
             }
             Event::CheckpointTick => {
-                let mut eligible: Vec<VmId> = self
+                // `vms()` iterates in id order.
+                let eligible: Vec<VmId> = self
                     .cluster
                     .vms()
                     .filter(|v| v.state == VmState::Running)
                     .map(|v| v.id)
                     .collect();
-                eligible.sort_unstable(); // HashMap order is not deterministic
                 for vm in eligible {
                     let ends = now + self.cfg.checkpoint_duration;
                     let seq = self.cluster.start_checkpoint(vm, now, ends);
@@ -1343,10 +1343,11 @@ impl Runner {
         if !starved {
             return;
         }
-        let v = self.cluster.vm_mut(vm);
-        let ceiling = (v.job.cpu.points() * 3 / 2).min(cap.points());
-        let new_cpu = (needed as u32).clamp(v.job.cpu.points(), ceiling);
-        v.requested.cpu = eards_model::Cpu(new_cpu.max(v.requested.cpu.points()));
+        let job_cpu = self.cluster.vm(vm).job.cpu.points();
+        let ceiling = (job_cpu * 3 / 2).min(cap.points());
+        let new_cpu = (needed as u32).clamp(job_cpu, ceiling);
+        self.cluster
+            .escalate_requested_cpu(vm, eards_model::Cpu(new_cpu));
     }
 
     // ----- power management (§III-C) ----------------------------------------
@@ -1784,14 +1785,14 @@ impl Runner {
                 self.auditor.report(end, msg);
             }
         }
-        // Jobs still in flight at the horizon count as unfinished.
-        let mut unfinished: Vec<VmId> = self
+        // Jobs still in flight at the horizon count as unfinished, in id
+        // order (the order `vms()` iterates).
+        let unfinished: Vec<VmId> = self
             .cluster
             .vms()
             .filter(|v| v.state != VmState::Finished)
             .map(|v| v.id)
             .collect();
-        unfinished.sort_unstable(); // deterministic report order
         for vm in unfinished {
             if let Some(host) = self.cluster.vm(vm).host {
                 self.cluster.touch_host(host, end);

@@ -6,14 +6,19 @@
 //! abort, or a pathological allocation. The property is simply that
 //! `restore` *returns*: proptest turns any panic into a failure, and
 //! the length-bounded readers in `eards-sim::persist` keep allocations
-//! proportional to the input size.
+//! proportional to the input size. The cluster's VM table is also
+//! corrupted field by field: each inconsistency must surface as
+//! [`PersistError::Corrupt`].
 
 use proptest::prelude::*;
 
 use eards_core::{ScoreConfig, ScoreScheduler};
 use eards_datacenter::{small_datacenter, RunConfig, Runner};
-use eards_model::{HostClass, HostSpec, Policy};
-use eards_sim::SimDuration;
+use eards_model::{
+    Cluster, Cpu, Host, HostClass, HostId, HostSpec, Job, JobId, Mem, Persist, PersistError,
+    Policy, PowerState, Reader, Vm, VmId, VmState, Writer,
+};
+use eards_sim::{SimDuration, SimTime};
 use eards_workload::{generate, SynthConfig, Trace};
 
 fn world() -> (Vec<HostSpec>, Trace) {
@@ -108,4 +113,158 @@ fn empty_and_tiny_inputs_error_cleanly() {
         let (h, t) = world();
         assert!(Runner::restore(h, t, policy(), config(), bytes).is_err());
     }
+}
+
+/// 64-bit FNV-1a, to pin snapshot bytes in a constant.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The snapshot format is a contract: checkpoints written by earlier
+/// builds must restore. The mid-flight snapshot is pinned by length and
+/// hash; a deliberate format change updates both and says why.
+const PINNED_LEN: usize = 5_024;
+const PINNED_FNV: u64 = 8_849_500_989_356_930_697;
+
+#[test]
+fn snapshot_bytes_match_the_pinned_format() {
+    let bytes = baseline_snapshot();
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (PINNED_LEN, PINNED_FNV),
+        "snapshot bytes changed"
+    );
+}
+
+/// A small cluster with a finished, a running, a migrating, a creating and
+/// a queued VM.
+fn mid_flight_cluster() -> Cluster {
+    let t = SimTime::from_secs;
+    let submit = |c: &mut Cluster, id: u64| {
+        c.submit_job(Job::new(
+            JobId(id),
+            SimTime::ZERO,
+            Cpu(100),
+            Mem::gib(1),
+            SimDuration::from_secs(1000),
+            1.5,
+        ))
+    };
+    let mut c = Cluster::new(small_datacenter(3, HostClass::Medium), PowerState::On);
+    for (id, host) in [(0, 0), (1, 0), (2, 1)] {
+        let vm = submit(&mut c, id);
+        c.start_creation(vm, HostId(host), t(0), t(40));
+        c.finish_creation(vm, t(40));
+    }
+    c.finish_vm(VmId(0), t(100));
+    c.start_migration(VmId(2), HostId(2), t(100), t(160));
+    let creating = submit(&mut c, 3);
+    c.start_creation(creating, HostId(1), t(100), t(140));
+    submit(&mut c, 4);
+    c.check_invariants();
+    c
+}
+
+/// The cluster codec's layout, written field by field so each test can
+/// corrupt one of them: hosts, VM table, queue, next VM id, next
+/// operation sequence number.
+fn cluster_bytes(hosts: Vec<Host>, vms: Vec<Vm>, queue: Vec<VmId>, next_vm_id: u64) -> Vec<u8> {
+    let mut w = Writer::new();
+    hosts.persist(&mut w);
+    vms.persist(&mut w);
+    queue.persist(&mut w);
+    w.put_u64(next_vm_id);
+    w.put_u64(1_000);
+    w.into_bytes().unwrap()
+}
+
+fn parts(c: &Cluster) -> (Vec<Host>, Vec<Vm>, Vec<VmId>) {
+    (
+        c.hosts().to_vec(),
+        c.vms().cloned().collect(),
+        c.queue().to_vec(),
+    )
+}
+
+fn corrupt_message(bytes: &[u8]) -> String {
+    match Cluster::restore(&mut Reader::new(bytes)) {
+        Err(PersistError::Corrupt(msg)) => msg,
+        Err(e) => panic!("expected a Corrupt error, got {e:?}"),
+        Ok(_) => panic!("a corrupt VM table restored"),
+    }
+}
+
+#[test]
+fn hand_built_cluster_bytes_restore() {
+    let c = mid_flight_cluster();
+    let (hosts, vms, queue) = parts(&c);
+    let n = vms.len() as u64;
+    let back = Cluster::restore(&mut Reader::new(&cluster_bytes(hosts, vms, queue, n))).unwrap();
+    assert_eq!(back.committed_by_host(), c.committed_by_host());
+}
+
+#[test]
+fn vm_out_of_its_table_slot_is_corrupt() {
+    let (hosts, mut vms, queue) = parts(&mid_flight_cluster());
+    let n = vms.len() as u64;
+    vms.swap(1, 2);
+    let msg = corrupt_message(&cluster_bytes(hosts, vms, queue, n));
+    assert!(msg.contains("slot 1"), "{msg}");
+}
+
+#[test]
+fn vm_count_other_than_next_vm_id_is_corrupt() {
+    let (hosts, vms, queue) = parts(&mid_flight_cluster());
+    let n = vms.len() as u64;
+    for next in [n - 1, n + 1] {
+        let msg = corrupt_message(&cluster_bytes(
+            hosts.clone(),
+            vms.clone(),
+            queue.clone(),
+            next,
+        ));
+        assert!(msg.contains("next_vm_id"), "{msg}");
+    }
+    // A table cut short of the ids the hosts name.
+    let mut short = vms.clone();
+    short.truncate(2);
+    let msg = corrupt_message(&cluster_bytes(hosts, short, queue, 2));
+    assert!(msg.contains("not in the VM table"), "{msg}");
+}
+
+#[test]
+fn residency_naming_unknown_vms_is_corrupt() {
+    let (hosts, vms, queue) = parts(&mid_flight_cluster());
+    let n = vms.len() as u64;
+    let beyond = VmId(n + 7);
+    for incoming in [false, true] {
+        let mut hosts = hosts.clone();
+        let h = &mut hosts[0];
+        let list = if incoming {
+            &mut h.incoming
+        } else {
+            &mut h.resident
+        };
+        list.push(beyond);
+        let msg = corrupt_message(&cluster_bytes(hosts, vms.clone(), queue.clone(), n));
+        assert!(
+            msg.contains("not in the VM table"),
+            "incoming {incoming}: {msg}"
+        );
+    }
+    let mut queue = queue;
+    queue.push(beyond);
+    let msg = corrupt_message(&cluster_bytes(hosts, vms, queue, n));
+    assert!(msg.contains("not in the VM table"), "queue: {msg}");
+}
+
+#[test]
+fn migration_to_a_host_not_expecting_it_is_corrupt() {
+    let (hosts, mut vms, queue) = parts(&mid_flight_cluster());
+    let n = vms.len() as u64;
+    vms[1].state = VmState::Migrating { to: HostId(99) };
+    let msg = corrupt_message(&cluster_bytes(hosts, vms, queue, n));
+    assert!(msg.contains("not incoming anywhere"), "{msg}");
 }

@@ -6,16 +6,15 @@
 //! preconditions — an illegal transition is a simulator bug, not a
 //! recoverable condition.
 
-use std::collections::HashMap;
-
 use eards_sim::{Persist, PersistError, Reader, SimTime, Writer};
 
 use crate::host::{HostSpec, InFlightOp, OpKind, PowerState};
 use crate::ids::{HostId, VmId};
 use crate::job::Job;
 use crate::power::PowerModel;
-use crate::units::{Cpu, Resources};
+use crate::units::{Cpu, Mem, Resources};
 use crate::vm::{Vm, VmState};
+use crate::vm_table::VmTable;
 use crate::xen::{self, CpuContender};
 
 /// CPU consumed on a host by one in-flight VM creation (dom0 image
@@ -111,14 +110,18 @@ impl Host {
 /// ```
 pub struct Cluster {
     hosts: Vec<Host>,
-    // Keyed VmId lookups; the only iterations are the documented-unordered
-    // vms() accessor and order-insensitive verify().
-    // lint:allow(D001): keyed lookups; iteration sites carry their own reasons
-    vms: HashMap<VmId, Vm>,
+    /// Every VM ever admitted, indexed by [`VmId`]; the next id is
+    /// `vms.len()`.
+    vms: VmTable,
+    /// Per-host committed resources (the requested bundles of resident
+    /// plus incoming VMs), indexed by [`HostId`]. Every transition that
+    /// changes residency or a request updates it; [`Cluster::verify`]
+    /// recomputes it from the residency lists.
+    // lint:allow(SNAP001): derived from the residency lists; rebuilt on restore
+    committed: Vec<Resources>,
     /// The paper's *virtual host* (§III-A): VMs awaiting allocation, in
     /// arrival order. Holds new arrivals and VMs displaced by failures.
     queue: Vec<VmId>,
-    next_vm_id: u64,
     /// Monotonic identity for in-flight operations. Timestamps cannot
     /// serve as identity: an abort scheduled for the same tick as a later
     /// operation's completion would collide on `ends`.
@@ -136,13 +139,13 @@ impl Cluster {
             );
         }
         Cluster {
+            committed: vec![Resources::ZERO; specs.len()],
             hosts: specs
                 .into_iter()
                 .map(|s| Host::new(s, initial_power))
                 .collect(),
-            vms: HashMap::new(),
+            vms: VmTable::default(),
             queue: Vec::new(),
-            next_vm_id: 0,
             next_op_seq: 0,
         }
     }
@@ -152,6 +155,30 @@ impl Cluster {
         let seq = self.next_op_seq;
         self.next_op_seq += 1;
         seq
+    }
+
+    /// Adds `r` to the committed cache of `host`.
+    fn charge(&mut self, host: HostId, r: Resources) {
+        let c = &mut self.committed[host.raw() as usize];
+        *c = c.plus(r);
+    }
+
+    /// Removes `r` from the committed cache of `host`.
+    fn release(&mut self, host: HostId, r: Resources) {
+        let c = &mut self.committed[host.raw() as usize];
+        c.cpu -= r.cpu;
+        c.mem -= r.mem;
+    }
+
+    /// Committed resources of `host` recomputed from its residency lists —
+    /// the value the cache must hold. Ids missing from the VM table count
+    /// nothing ([`Cluster::verify`] reports them separately).
+    fn fold_committed(&self, host: &Host) -> Resources {
+        host.resident
+            .iter()
+            .chain(&host.incoming)
+            .filter_map(|&id| self.vms.get(id))
+            .fold(Resources::ZERO, |acc, v| acc.plus(v.requested))
     }
 
     // ----- read access ---------------------------------------------------
@@ -173,19 +200,12 @@ impl Cluster {
 
     /// A VM by id. Panics on unknown ids (ids are never invented).
     pub fn vm(&self, id: VmId) -> &Vm {
-        &self.vms[&id]
+        &self.vms[id]
     }
 
-    /// Mutable VM access (used by the driver for progress bookkeeping).
-    pub fn vm_mut(&mut self, id: VmId) -> &mut Vm {
-        self.vms.get_mut(&id).expect("unknown VmId")
-    }
-
-    /// All VMs (unordered).
+    /// All VMs ever admitted, in id order.
     pub fn vms(&self) -> impl Iterator<Item = &Vm> {
-        // Documented unordered: callers needing a stable order sort by VmId.
-        // lint:allow(D001): accessor is documented unordered
-        self.vms.values()
+        self.vms.iter()
     }
 
     /// Total VMs ever admitted (including finished ones).
@@ -225,13 +245,14 @@ impl Cluster {
     // ----- resource accounting -------------------------------------------
 
     /// Resources committed on a host: requested bundles of resident plus
-    /// incoming VMs.
+    /// incoming VMs. Read from the cache, O(1).
     pub fn committed(&self, host: HostId) -> Resources {
-        let h = self.host(host);
-        h.resident
-            .iter()
-            .chain(h.incoming.iter())
-            .fold(Resources::ZERO, |acc, id| acc.plus(self.vms[id].requested))
+        self.committed[host.raw() as usize]
+    }
+
+    /// [`Cluster::committed`] for every host, indexed by [`HostId`].
+    pub fn committed_by_host(&self) -> &[Resources] {
+        &self.committed
     }
 
     /// The paper's host occupation `O(h)`: utilization of the most used
@@ -249,7 +270,7 @@ impl Cluster {
         let already = h.resident.contains(&vm) || h.incoming.contains(&vm);
         let mut used = self.committed(host);
         if !already {
-            used = used.plus(self.vms[&vm].requested);
+            used = used.plus(self.vm(vm).requested);
         }
         used.occupation_in(h.spec.capacity())
     }
@@ -269,16 +290,17 @@ impl Cluster {
     /// post 300–475% delays in Table II.
     pub fn can_place_overcommitted(&self, host: HostId, vm: VmId) -> bool {
         let h = self.host(host);
+        let v = self.vm(vm);
         h.power.is_ready()
-            && h.spec.satisfies(&self.vms[&vm].job.requirements)
-            && self.committed(host).mem + self.vms[&vm].requested.mem <= h.spec.capacity().mem
+            && h.spec.satisfies(&v.job.requirements)
+            && self.committed(host).mem + v.requested.mem <= h.spec.capacity().mem
     }
 
     /// CPU in use on a host: current VM allocations plus operation
     /// overheads. This is what the power model sees.
     pub fn cpu_used(&self, host: HostId) -> f64 {
         let h = self.host(host);
-        let vm_cpu: f64 = h.resident.iter().map(|id| self.vms[id].alloc).sum();
+        let vm_cpu: f64 = h.resident.iter().map(|&id| self.vm(id).alloc).sum();
         vm_cpu + h.op_cpu_overhead().as_f64()
     }
 
@@ -302,11 +324,28 @@ impl Cluster {
 
     /// Admits a job: wraps it in a queued VM on the virtual host.
     pub fn submit_job(&mut self, job: Job) -> VmId {
-        let id = VmId(self.next_vm_id);
-        self.next_vm_id += 1;
-        self.vms.insert(id, Vm::for_job(id, job));
+        let id = VmId(self.vms.len() as u64);
+        self.vms.push(Vm::for_job(id, job));
         self.queue.push(id);
         id
+    }
+
+    /// Raises a VM's requested CPU to `cpu` (the dynamic-SLA escalation of
+    /// §III-A.5) and charges the increase to every host accounting the
+    /// VM. Requests only grow: a `cpu` at or below the current request
+    /// changes nothing.
+    pub fn escalate_requested_cpu(&mut self, vm: VmId, cpu: Cpu) {
+        let v = &mut self.vms[vm];
+        let grown = cpu.saturating_sub(v.requested.cpu);
+        v.requested.cpu += grown;
+        let incoming_on = match v.state {
+            VmState::Migrating { to } => Some(to),
+            _ => None,
+        };
+        let delta = Resources::new(grown, Mem::ZERO);
+        for h in v.host.into_iter().chain(incoming_on) {
+            self.charge(h, delta);
+        }
     }
 
     /// Starts creating `vm` on `host`. The VM leaves the queue; its
@@ -319,11 +358,13 @@ impl Cluster {
             "start_creation on infeasible host (off, unsatisfied requirements, or out of memory)"
         );
         let seq = self.alloc_op_seq();
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = &mut self.vms[vm];
         assert_eq!(v.state, VmState::Queued, "only queued VMs can be created");
         v.state = VmState::Creating;
         v.host = Some(host);
         v.last_update = now;
+        let requested = v.requested;
+        self.charge(host, requested);
         self.queue.retain(|&q| q != vm);
         let h = &mut self.hosts[host.raw() as usize];
         h.resident.push(vm);
@@ -340,7 +381,7 @@ impl Cluster {
 
     /// Completes a creation: the VM starts executing its job.
     pub fn finish_creation(&mut self, vm: VmId, now: SimTime) {
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = &mut self.vms[vm];
         assert_eq!(v.state, VmState::Creating);
         v.state = VmState::Running;
         v.started_at = Some(now);
@@ -354,12 +395,14 @@ impl Cluster {
     /// Aborts an in-flight creation (dom0 failure): the VM returns to the
     /// virtual-host queue as if never placed, ready to be retried.
     pub fn abort_creation(&mut self, vm: VmId, now: SimTime) {
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = &mut self.vms[vm];
         assert_eq!(v.state, VmState::Creating, "only creating VMs abort");
         let host = v.host.take().expect("creating VM must have a host");
         v.state = VmState::Queued;
         v.alloc = 0.0;
         v.last_update = now;
+        let requested = v.requested;
+        self.release(host, requested);
         let h = &mut self.hosts[host.raw() as usize];
         h.resident.retain(|&r| r != vm);
         h.ops.retain(|o| !(o.vm == vm && o.kind == OpKind::Create));
@@ -377,11 +420,13 @@ impl Cluster {
             "migration target must be on, satisfy requirements, and have memory"
         );
         let seq = self.alloc_op_seq();
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = &mut self.vms[vm];
         assert_eq!(v.state, VmState::Running, "only running VMs migrate");
         let from = v.host.expect("running VM must have a host");
         assert_ne!(from, to, "migration to the current host");
         v.state = VmState::Migrating { to };
+        let requested = v.requested;
+        self.charge(to, requested);
         self.hosts[to.raw() as usize].incoming.push(vm);
         self.hosts[to.raw() as usize].ops.push(InFlightOp {
             vm,
@@ -404,7 +449,7 @@ impl Cluster {
 
     /// Completes a migration: the VM now runs on the destination.
     pub fn finish_migration(&mut self, vm: VmId, now: SimTime) {
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = &mut self.vms[vm];
         let to = match v.state {
             VmState::Migrating { to } => to,
             // lint:allow(P001): state-machine misuse is a caller bug; failing loud beats silently corrupting placement
@@ -415,6 +460,9 @@ impl Cluster {
         v.host = Some(to);
         v.migrations += 1;
         v.last_update = now;
+        // The destination already holds the reservation.
+        let requested = v.requested;
+        self.release(from, requested);
         let fh = &mut self.hosts[from.raw() as usize];
         fh.resident.retain(|&r| r != vm);
         fh.ops
@@ -430,7 +478,7 @@ impl Cluster {
     /// on the destination is released and the VM keeps running on the
     /// source, where it executed all along.
     pub fn abort_migration(&mut self, vm: VmId, now: SimTime) {
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = &mut self.vms[vm];
         let to = match v.state {
             VmState::Migrating { to } => to,
             // lint:allow(P001): state-machine misuse is a caller bug; failing loud beats silently corrupting placement
@@ -440,6 +488,8 @@ impl Cluster {
         // The VM executed on the source throughout: bank that progress.
         v.advance_progress(now);
         v.state = VmState::Running;
+        let requested = v.requested;
+        self.release(to, requested);
         let th = &mut self.hosts[to.raw() as usize];
         th.incoming.retain(|&r| r != vm);
         th.ops
@@ -453,7 +503,7 @@ impl Cluster {
     /// sequence number.
     pub fn start_checkpoint(&mut self, vm: VmId, now: SimTime, ends: SimTime) -> u64 {
         let seq = self.alloc_op_seq();
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = &mut self.vms[vm];
         assert_eq!(v.state, VmState::Running, "only running VMs checkpoint");
         v.state = VmState::Checkpointing;
         let host = v.host.expect("running VM must have a host");
@@ -470,7 +520,7 @@ impl Cluster {
 
     /// Completes a checkpoint, storing the VM's progress at `now`.
     pub fn finish_checkpoint(&mut self, vm: VmId, now: SimTime) {
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = &mut self.vms[vm];
         assert_eq!(v.state, VmState::Checkpointing);
         v.advance_progress(now);
         v.checkpoint = Some(v.progress);
@@ -483,7 +533,7 @@ impl Cluster {
 
     /// Completes a job: the VM is destroyed and its resources released.
     pub fn finish_vm(&mut self, vm: VmId, now: SimTime) {
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = &mut self.vms[vm];
         assert!(
             matches!(v.state, VmState::Running),
             "only running VMs finish (state {:?})",
@@ -494,6 +544,8 @@ impl Cluster {
         v.completed_at = Some(now);
         v.alloc = 0.0;
         let host = v.host.take().expect("running VM must have a host");
+        let requested = v.requested;
+        self.release(host, requested);
         self.hosts[host.raw() as usize]
             .resident
             .retain(|&r| r != vm);
@@ -549,6 +601,7 @@ impl Cluster {
         let displaced: Vec<VmId> = h.resident.drain(..).chain(h.incoming.drain(..)).collect();
         let ops: Vec<InFlightOp> = h.ops.drain(..).collect();
         h.power = PowerState::Failed;
+        self.committed[host.raw() as usize] = Resources::ZERO;
 
         // Migrations in flight also leave residue on the peer host.
         for op in ops {
@@ -562,12 +615,13 @@ impl Cluster {
                 ph.resident.retain(|&r| r != op.vm);
                 ph.incoming.retain(|&r| r != op.vm);
                 ph.ops.retain(|o| o.vm != op.vm);
+                self.committed[p.raw() as usize] = self.fold_committed(self.host(p));
             }
         }
 
         let mut requeued = Vec::new();
         for vm in displaced {
-            let v = self.vms.get_mut(&vm).expect("unknown VmId");
+            let v = &mut self.vms[vm];
             if v.state == VmState::Finished {
                 continue;
             }
@@ -631,23 +685,18 @@ impl Cluster {
     /// grants new ones. Must be called whenever the host's VM set or op
     /// set changes.
     pub fn reallocate_host(&mut self, host: HostId, now: SimTime) {
-        let resident = self.hosts[host.raw() as usize].resident.clone();
         // Progress first — under the allocations that held until `now`.
-        for &id in &resident {
-            self.vms
-                .get_mut(&id)
-                .expect("unknown VmId")
-                .advance_progress(now);
-        }
+        self.touch_host(host, now);
         let h = &self.hosts[host.raw() as usize];
         // `cpu_factor` is exactly 1.0 outside slowdown episodes, and
         // `x * 1.0 == x` bit-for-bit, so the fault layer costs nothing here
         // when disabled.
         let capacity = (h.spec.cpu.as_f64() * h.cpu_factor - h.op_cpu_overhead().as_f64()).max(0.0);
-        let contenders: Vec<CpuContender> = resident
+        let contenders: Vec<CpuContender> = h
+            .resident
             .iter()
-            .map(|id| {
-                let v = &self.vms[id];
+            .map(|&id| {
+                let v = self.vm(id);
                 if v.state.is_executing() {
                     CpuContender {
                         demand: v.job.cpu.as_f64(),
@@ -665,20 +714,16 @@ impl Cluster {
             })
             .collect();
         let allocs = xen::allocate(capacity, &contenders);
-        for (id, alloc) in resident.iter().zip(allocs) {
-            self.vms.get_mut(id).expect("unknown VmId").alloc = alloc;
+        for (&id, alloc) in h.resident.iter().zip(allocs) {
+            self.vms[id].alloc = alloc;
         }
     }
 
     /// Advances progress of every VM on a host without changing
     /// allocations (used before reading progress-sensitive state).
     pub fn touch_host(&mut self, host: HostId, now: SimTime) {
-        let resident = self.hosts[host.raw() as usize].resident.clone();
-        for id in resident {
-            self.vms
-                .get_mut(&id)
-                .expect("unknown VmId")
-                .advance_progress(now);
+        for &id in &self.hosts[host.raw() as usize].resident {
+            self.vms[id].advance_progress(now);
         }
     }
 
@@ -694,39 +739,50 @@ impl Cluster {
     }
 
     /// Deep structural verification, the auditor's workhorse: every VM's
-    /// `host` field agrees with the hosts' resident/incoming lists, no VM
-    /// is accounted twice, queued VMs are exactly the queue, committed
-    /// memory never exceeds capacity, and non-ready hosts carry no VMs.
-    /// Returns the first violation found.
+    /// `host` field and state agree with the hosts' resident/incoming
+    /// lists, no VM is accounted twice, queued VMs are exactly the queue,
+    /// every host's committed cache equals the fold over its VMs'
+    /// requests, committed memory never exceeds capacity, and non-ready
+    /// hosts carry no VMs. Returns the first violation found.
+    ///
+    /// Every id is range-checked before it is looked up: `verify` also
+    /// gates snapshot restore, where corrupt bytes can name VMs absent
+    /// from the table — that must be a reported violation, not a panic.
     pub fn verify(&self) -> Result<(), String> {
-        let mut seen_resident: HashMap<VmId, HostId> = HashMap::new();
-        for h in &self.hosts {
+        // Where each VM is accounted, gathered from the hosts and queue:
+        // one byte of flags per VM.
+        const RESIDENT: u8 = 1;
+        const INCOMING: u8 = 2;
+        const QUEUED: u8 = 4;
+
+        let mut seen = vec![0u8; self.vms.len()];
+        for (h, &cached) in self.hosts.iter().zip(&self.committed) {
             let id = h.spec.id;
             for &vm in &h.resident {
-                if seen_resident.insert(vm, id).is_some() {
+                let Some(s) = seen.get_mut(vm.raw() as usize) else {
+                    return Err(format!("{vm} resident on {id} but not in the VM table"));
+                };
+                if *s & RESIDENT != 0 {
                     return Err(format!("{vm} resident on two hosts"));
                 }
-                // `.get`, not indexing: `verify` also gates snapshot
-                // restore, where corrupt bytes can produce residency
-                // lists naming VMs absent from the table — that must be
-                // a reported violation, not a panic.
-                match self.vms.get(&vm) {
-                    None => return Err(format!("{vm} resident on {id} but not in the VM table")),
-                    Some(v) if v.host != Some(id) => {
-                        return Err(format!("{vm} host field disagrees with {id} residency"))
-                    }
-                    Some(_) => {}
+                *s |= RESIDENT;
+                if self.vm(vm).host != Some(id) {
+                    return Err(format!("{vm} host field disagrees with {id} residency"));
                 }
             }
             for &vm in &h.incoming {
-                match self.vms.get(&vm).map(|v| v.state) {
-                    Some(VmState::Migrating { to }) if to == id => {}
-                    None => return Err(format!("incoming {vm} on {id} not in the VM table")),
-                    s => {
-                        return Err(format!(
-                            "incoming {vm} on {id} not migrating there (state {s:?})"
-                        ))
-                    }
+                let Some(s) = seen.get_mut(vm.raw() as usize) else {
+                    return Err(format!("incoming {vm} on {id} not in the VM table"));
+                };
+                if *s & INCOMING != 0 {
+                    return Err(format!("{vm} incoming on two hosts"));
+                }
+                *s |= INCOMING;
+                let state = self.vm(vm).state;
+                if state != (VmState::Migrating { to: id }) {
+                    return Err(format!(
+                        "incoming {vm} on {id} not migrating there (state {state:?})"
+                    ));
                 }
             }
             match h.power {
@@ -740,11 +796,16 @@ impl Cluster {
                     }
                 }
             }
-            let committed = self.committed(id);
-            if committed.mem > h.spec.capacity().mem {
+            let folded = self.fold_committed(h);
+            if cached != folded {
+                return Err(format!(
+                    "{id} committed cache {cached} disagrees with its VMs' requests {folded}"
+                ));
+            }
+            if folded.mem > h.spec.capacity().mem {
                 return Err(format!(
                     "{id} memory oversubscribed: {:?} committed on {:?}",
-                    committed.mem,
+                    folded.mem,
                     h.spec.capacity().mem
                 ));
             }
@@ -753,39 +814,51 @@ impl Cluster {
             }
         }
         for &vm in &self.queue {
-            let Some(v) = self.vms.get(&vm) else {
+            let Some(s) = seen.get_mut(vm.raw() as usize) else {
                 return Err(format!("queued {vm} not in the VM table"));
             };
+            if *s & QUEUED != 0 {
+                return Err(format!("{vm} queued twice"));
+            }
+            *s |= QUEUED;
+            let v = self.vm(vm);
             if v.state != VmState::Queued {
                 return Err(format!("{vm} in queue but in state {:?}", v.state));
             }
             if v.host.is_some() {
                 return Err(format!("queued {vm} has a host"));
             }
-            if seen_resident.contains_key(&vm) {
+            if *s & RESIDENT != 0 {
                 return Err(format!("queued {vm} also resident"));
             }
         }
-        // Each VM is checked independently; visit order only picks which
-        // violation's message surfaces first.
-        // lint:allow(D001): order-insensitive per-VM checks
-        for v in self.vms.values() {
+        for (v, &s) in self.vms.iter().zip(&seen) {
             match v.state {
                 VmState::Queued => {
-                    if !self.queue.contains(&v.id) {
+                    if s & QUEUED == 0 {
                         return Err(format!("{} Queued but missing from the queue", v.id));
                     }
                 }
                 VmState::Finished => {
-                    if v.host.is_some() || seen_resident.contains_key(&v.id) {
+                    if v.host.is_some() || s & RESIDENT != 0 {
                         return Err(format!("finished {} still placed", v.id));
                     }
                 }
                 _ => {
-                    if !seen_resident.contains_key(&v.id) {
+                    if s & RESIDENT == 0 {
                         return Err(format!("{} active but not resident anywhere", v.id));
                     }
                 }
+            }
+            // Incoming entries were checked to name the destination above.
+            let migrating = matches!(v.state, VmState::Migrating { .. });
+            if migrating != (s & INCOMING != 0) {
+                return Err(format!(
+                    "{} in state {:?} but {}incoming anywhere",
+                    v.id,
+                    v.state,
+                    if migrating { "not " } else { "" }
+                ));
             }
         }
         Ok(())
@@ -818,24 +891,19 @@ impl Persist for Host {
     }
 }
 
-/// The VM map is serialized as a vector sorted by [`VmId`] so the byte
-/// stream is independent of `HashMap` iteration order. Restore re-keys it
-/// and then runs the full structural [`Cluster::verify`] pass, so a
-/// corrupt or hand-edited snapshot cannot smuggle in an inconsistent
-/// world state.
+/// The VM table is serialized in table order, which is id order, followed
+/// by the queue, the next VM id (the table length) and the next operation
+/// sequence number. Restore rejects a table whose ids are not their
+/// positions or whose length is not the next id, rebuilds the committed
+/// cache from the residency lists, and then runs the full structural
+/// [`Cluster::verify`] pass, so a corrupt or hand-edited snapshot cannot
+/// smuggle in an inconsistent world state.
 impl Persist for Cluster {
     fn persist(&self, w: &mut Writer) {
         self.hosts.persist(w);
-        // lint:allow(D001): collected then id-sorted before serializing
-        let mut vms: Vec<&Vm> = self.vms.values().collect();
-        vms.sort_by_key(|v| v.id);
-        w.put_len(vms.len());
-        // lint:allow(D001): iterates the sorted Vec above, not the map
-        for v in vms {
-            v.persist(w);
-        }
+        self.vms.persist(w);
         self.queue.persist(w);
-        w.put_u64(self.next_vm_id);
+        w.put_u64(self.vms.len() as u64);
         w.put_u64(self.next_op_seq);
     }
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
@@ -848,31 +916,24 @@ impl Persist for Cluster {
                 )));
             }
         }
-        let n = r.get_len()?;
-        let mut vms = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let v = Vm::restore(r)?;
-            let id = v.id;
-            if vms.insert(id, v).is_some() {
-                return Err(PersistError::Corrupt(format!("duplicate {id} in snapshot")));
-            }
-        }
+        let vms = VmTable::restore(r)?;
         let queue: Vec<VmId> = Vec::restore(r)?;
         let next_vm_id = r.get_u64()?;
-        let next_op_seq = r.get_u64()?;
-        // lint:allow(D001): existence check; any match fails regardless of order
-        if let Some(v) = vms.keys().find(|v| v.raw() >= next_vm_id) {
+        if next_vm_id != vms.len() as u64 {
             return Err(PersistError::Corrupt(format!(
-                "{v} at or beyond next_vm_id {next_vm_id}"
+                "VM table holds {} VMs but next_vm_id is {next_vm_id}",
+                vms.len()
             )));
         }
-        let c = Cluster {
+        let next_op_seq = r.get_u64()?;
+        let mut c = Cluster {
             hosts,
             vms,
+            committed: Vec::new(),
             queue,
-            next_vm_id,
             next_op_seq,
         };
+        c.committed = c.hosts.iter().map(|h| c.fold_committed(h)).collect();
         c.verify().map_err(PersistError::Corrupt)?;
         Ok(c)
     }
@@ -883,7 +944,6 @@ mod tests {
     use super::*;
     use crate::host::HostClass;
     use crate::ids::JobId;
-    use crate::units::Mem;
     use eards_sim::SimDuration;
 
     fn cluster(n: u32) -> Cluster {
@@ -1386,6 +1446,38 @@ mod tests {
         c.hosts[1].resident.push(vm);
         let err = c.verify().unwrap_err();
         assert!(err.contains("two hosts"), "got: {err}");
+    }
+
+    #[test]
+    fn verify_reports_a_corrupted_committed_cache() {
+        let mut c = cluster(2);
+        let vm = c.submit_job(job(1, 100, 100));
+        c.start_creation(vm, HostId(1), t(0), t(40));
+        assert!(c.verify().is_ok());
+        c.committed[1].cpu += Cpu(1);
+        let err = c.verify().unwrap_err();
+        assert!(err.contains("h1 committed cache"), "got: {err}");
+    }
+
+    #[test]
+    fn escalation_charges_both_ends_of_a_migration() {
+        let mut c = cluster(2);
+        let vm = c.submit_job(job(1, 100, 1000));
+        c.start_creation(vm, HostId(0), t(0), t(40));
+        c.finish_creation(vm, t(40));
+        c.start_migration(vm, HostId(1), t(50), t(110));
+        c.escalate_requested_cpu(vm, Cpu(150));
+        assert_eq!(c.vm(vm).req_cpu(), Cpu(150));
+        assert_eq!(c.committed(HostId(0)).cpu, Cpu(150));
+        assert_eq!(c.committed(HostId(1)).cpu, Cpu(150));
+        // Requests only grow.
+        c.escalate_requested_cpu(vm, Cpu(120));
+        assert_eq!(c.vm(vm).req_cpu(), Cpu(150));
+        c.check_invariants();
+        c.finish_migration(vm, t(110));
+        assert_eq!(c.committed(HostId(0)), Resources::ZERO);
+        assert_eq!(c.committed(HostId(1)).cpu, Cpu(150));
+        c.check_invariants();
     }
 
     #[test]

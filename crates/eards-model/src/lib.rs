@@ -31,6 +31,7 @@ mod power;
 mod shard;
 mod units;
 mod vm;
+mod vm_table;
 pub mod xen;
 
 pub use cluster::{

@@ -151,6 +151,22 @@ impl Resources {
         }
     }
 
+    /// Component-wise `self − rhs`, clamped at zero.
+    pub fn saturating_sub(self, rhs: Resources) -> Resources {
+        Resources {
+            cpu: self.cpu.saturating_sub(rhs.cpu),
+            mem: Mem(self.mem.0.saturating_sub(rhs.mem.0)),
+        }
+    }
+
+    /// Component-wise maximum.
+    pub fn max(self, rhs: Resources) -> Resources {
+        Resources {
+            cpu: self.cpu.max(rhs.cpu),
+            mem: self.mem.max(rhs.mem),
+        }
+    }
+
     /// True if every component of `self` fits inside `capacity`.
     pub fn fits_in(self, capacity: Resources) -> bool {
         self.cpu <= capacity.cpu && self.mem <= capacity.mem

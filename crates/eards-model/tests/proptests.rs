@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use eards_model::xen::{allocate, CpuContender};
 use eards_model::{
     CalibratedPowerModel, Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, PowerModel,
-    PowerState, Resources, ShardMap, VmState,
+    PowerState, Resources, ShardMap, VmId, VmState,
 };
 use eards_sim::{Persist, Reader, SimDuration, SimTime, Writer};
 
@@ -130,29 +130,48 @@ proptest! {
 }
 
 /// Random-operation state machine over the cluster: any legal sequence of
-/// submit / create / finish-create / migrate / finish-migrate / complete /
-/// fail preserves the structural invariants.
+/// submit / create / abort-create / finish-create / migrate /
+/// abort-migrate / finish-migrate / complete / fail / escalate / snapshot
+/// round trip preserves the structural invariants, and keeps every host's
+/// committed cache equal to the fold over its VMs' requests.
 #[derive(Debug, Clone)]
 enum ClusterOp {
     Submit { cpu_idx: u8, host_bias: u8 },
+    AbortCreation(u8),
     FinishCreation(u8),
     StartMigration { vm: u8, to: u8 },
+    AbortMigration(u8),
     FinishMigration(u8),
     CompleteJob(u8),
     FailHost(u8),
     RepairAndBoot(u8),
+    Escalate { vm: u8, cpu: u8 },
+    RoundTrip,
 }
 
 fn cluster_op_strategy() -> impl Strategy<Value = ClusterOp> {
     prop_oneof![
         4 => (any::<u8>(), any::<u8>()).prop_map(|(c, h)| ClusterOp::Submit { cpu_idx: c, host_bias: h }),
+        1 => any::<u8>().prop_map(ClusterOp::AbortCreation),
         3 => any::<u8>().prop_map(ClusterOp::FinishCreation),
         2 => (any::<u8>(), any::<u8>()).prop_map(|(vm, to)| ClusterOp::StartMigration { vm, to }),
+        1 => any::<u8>().prop_map(ClusterOp::AbortMigration),
         2 => any::<u8>().prop_map(ClusterOp::FinishMigration),
         2 => any::<u8>().prop_map(ClusterOp::CompleteJob),
         1 => any::<u8>().prop_map(ClusterOp::FailHost),
         1 => any::<u8>().prop_map(ClusterOp::RepairAndBoot),
+        2 => (any::<u8>(), any::<u8>()).prop_map(|(vm, cpu)| ClusterOp::Escalate { vm, cpu }),
+        1 => Just(ClusterOp::RoundTrip),
     ]
+}
+
+/// The VMs whose state satisfies `pred`, in id order.
+fn in_state(cluster: &Cluster, pred: impl Fn(VmState) -> bool) -> Vec<VmId> {
+    cluster
+        .vms()
+        .filter(|v| pred(v.state))
+        .map(|v| v.id)
+        .collect()
 }
 
 proptest! {
@@ -190,11 +209,14 @@ proptest! {
                         }
                     }
                 }
+                ClusterOp::AbortCreation(pick) => {
+                    let creating = in_state(&cluster, |s| s == VmState::Creating);
+                    if !creating.is_empty() {
+                        cluster.abort_creation(creating[usize::from(pick) % creating.len()], now);
+                    }
+                }
                 ClusterOp::FinishCreation(pick) => {
-                    let creating: Vec<_> = cluster.vms()
-                        .filter(|v| v.state == VmState::Creating)
-                        .map(|v| v.id)
-                        .collect();
+                    let creating = in_state(&cluster, |s| s == VmState::Creating);
                     if !creating.is_empty() {
                         let vm = creating[usize::from(pick) % creating.len()];
                         cluster.finish_creation(vm, now);
@@ -203,10 +225,7 @@ proptest! {
                     }
                 }
                 ClusterOp::StartMigration { vm, to } => {
-                    let running: Vec<_> = cluster.vms()
-                        .filter(|v| v.state == VmState::Running)
-                        .map(|v| v.id)
-                        .collect();
+                    let running = in_state(&cluster, |s| s == VmState::Running);
                     if running.is_empty() { continue; }
                     let vm = running[usize::from(vm) % running.len()];
                     let target = HostId(u32::from(to) % N);
@@ -216,21 +235,22 @@ proptest! {
                         cluster.start_migration(vm, target, now, later);
                     }
                 }
+                ClusterOp::AbortMigration(pick) => {
+                    let migrating =
+                        in_state(&cluster, |s| matches!(s, VmState::Migrating { .. }));
+                    if !migrating.is_empty() {
+                        cluster.abort_migration(migrating[usize::from(pick) % migrating.len()], now);
+                    }
+                }
                 ClusterOp::FinishMigration(pick) => {
-                    let migrating: Vec<_> = cluster.vms()
-                        .filter(|v| matches!(v.state, VmState::Migrating { .. }))
-                        .map(|v| v.id)
-                        .collect();
+                    let migrating = in_state(&cluster, |s| matches!(s, VmState::Migrating { .. }));
                     if !migrating.is_empty() {
                         let vm = migrating[usize::from(pick) % migrating.len()];
                         cluster.finish_migration(vm, now);
                     }
                 }
                 ClusterOp::CompleteJob(pick) => {
-                    let running: Vec<_> = cluster.vms()
-                        .filter(|v| v.state == VmState::Running)
-                        .map(|v| v.id)
-                        .collect();
+                    let running = in_state(&cluster, |s| s == VmState::Running);
                     if !running.is_empty() {
                         let vm = running[usize::from(pick) % running.len()];
                         cluster.finish_vm(vm, now);
@@ -250,8 +270,36 @@ proptest! {
                         cluster.complete_power_on(h);
                     }
                 }
+                ClusterOp::Escalate { vm, cpu } => {
+                    // Any placed or queued VM, any request up to 5 cores.
+                    let live = in_state(&cluster, |s| s != VmState::Finished);
+                    if !live.is_empty() {
+                        let vm = live[usize::from(vm) % live.len()];
+                        cluster.escalate_requested_cpu(vm, Cpu(2 * u32::from(cpu)));
+                    }
+                }
+                ClusterOp::RoundTrip => {
+                    let mut w = Writer::default();
+                    cluster.persist(&mut w);
+                    let bytes = w.into_bytes().expect("small cluster fits the budget");
+                    let mut r = Reader::new(&bytes);
+                    let back = Cluster::restore(&mut r).expect("round trip");
+                    r.finish().expect("fully consumed");
+                    let mut again = Writer::default();
+                    back.persist(&mut again);
+                    prop_assert_eq!(again.into_bytes().expect("same size"), bytes);
+                    cluster = back;
+                }
             }
             cluster.check_invariants();
+
+            // The committed cache equals the fold over each host's
+            // resident and incoming VMs.
+            for h in cluster.hosts() {
+                let fold = h.resident.iter().chain(&h.incoming)
+                    .fold(Resources::ZERO, |acc, &vm| acc.plus(cluster.vm(vm).requested));
+                prop_assert_eq!(cluster.committed(h.spec.id), fold, "cache of {}", h.spec.id);
+            }
 
             // Memory is never overcommitted, whatever the sequence did.
             for i in 0..N {

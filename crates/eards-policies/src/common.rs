@@ -4,20 +4,16 @@
 //! tentative placement consumes capacity the next one must see. [`Planner`]
 //! overlays those in-round reservations on the immutable [`Cluster`] view.
 
-use std::collections::HashMap;
-
 use eards_model::{Cluster, HostId, Resources, VmId};
 
 /// A cluster view that accumulates tentative placements made during the
 /// current scheduling round.
 pub struct Planner<'a> {
     cluster: &'a Cluster,
-    // lint:allow(D001): keyed get/entry accumulation only, never iterated
-    planned: HashMap<HostId, Resources>,
-    /// VMs this round already decided to move away from their host
-    /// (their resources no longer count there for *strict* checks).
-    // lint:allow(D001): keyed get/entry accumulation only, never iterated
-    vacated: HashMap<HostId, Resources>,
+    /// Committed plus planned resources per host, indexed by [`HostId`]:
+    /// seeded from the cluster's committed cache once per round, then
+    /// grown by every [`Planner::commit`].
+    committed: Vec<Resources>,
 }
 
 impl<'a> Planner<'a> {
@@ -25,30 +21,18 @@ impl<'a> Planner<'a> {
     pub fn new(cluster: &'a Cluster) -> Self {
         Planner {
             cluster,
-            planned: HashMap::new(),
-            vacated: HashMap::new(),
+            committed: cluster.committed_by_host().to_vec(),
         }
     }
 
     /// The underlying cluster.
-    pub fn cluster(&self) -> &Cluster {
+    pub fn cluster(&self) -> &'a Cluster {
         self.cluster
     }
 
-    /// Committed + planned − vacated resources on a host.
+    /// Committed + planned resources on a host.
     pub fn effective_committed(&self, host: HostId) -> Resources {
-        let mut r = self.cluster.committed(host);
-        if let Some(&p) = self.planned.get(&host) {
-            r = r.plus(p);
-        }
-        if let Some(&v) = self.vacated.get(&host) {
-            // Saturating component-wise subtraction.
-            r = Resources::new(r.cpu.saturating_sub(v.cpu), {
-                let m = r.mem.mib().saturating_sub(v.mem.mib());
-                eards_model::Mem(m)
-            });
-        }
-        r
+        self.committed[host.raw() as usize]
     }
 
     /// Occupation a host would have after also hosting `vm`, counting the
@@ -72,25 +56,28 @@ impl<'a> Planner<'a> {
     /// Relaxed feasibility including the plan (memory only).
     pub fn can_place_overcommitted(&self, host: HostId, vm: VmId) -> bool {
         let h = self.cluster.host(host);
-        if !h.power.is_ready() || !h.spec.satisfies(&self.cluster.vm(vm).job.requirements) {
+        let v = self.cluster.vm(vm);
+        if !h.power.is_ready() || !h.spec.satisfies(&v.job.requirements) {
             return false;
         }
-        let used = self.effective_committed(host);
-        used.mem + self.cluster.vm(vm).requested.mem <= h.spec.capacity().mem
+        self.effective_committed(host).mem + v.requested.mem <= h.spec.capacity().mem
     }
 
     /// Records a tentative placement of `vm` onto `host`.
     pub fn commit(&mut self, host: HostId, vm: VmId) {
-        let r = self.cluster.vm(vm).requested;
-        let e = self.planned.entry(host).or_insert(Resources::ZERO);
-        *e = e.plus(r);
+        let c = &mut self.committed[host.raw() as usize];
+        *c = c.plus(self.cluster.vm(vm).requested);
     }
 
-    /// Records that `vm` will leave `from` (for migration planning).
-    pub fn vacate(&mut self, from: HostId, vm: VmId) {
-        let r = self.cluster.vm(vm).requested;
-        let e = self.vacated.entry(from).or_insert(Resources::ZERO);
-        *e = e.plus(r);
+    /// Component-wise maximum free capacity over `hosts` under the plan so
+    /// far. Commits only shrink free capacity, so a request that does not
+    /// fit inside this bound fits strictly on none of `hosts` for the rest
+    /// of the round.
+    pub fn max_free(&self, hosts: &[HostId]) -> Resources {
+        hosts.iter().fold(Resources::ZERO, |acc, &h| {
+            let cap = self.cluster.host(h).spec.capacity();
+            acc.max(cap.saturating_sub(self.effective_committed(h)))
+        })
     }
 }
 
@@ -179,17 +166,19 @@ mod tests {
     }
 
     #[test]
-    fn vacate_frees_capacity_for_planning() {
+    fn max_free_is_the_componentwise_maximum_under_the_plan() {
         let (mut c, a, b) = setup();
-        let t0 = SimTime::ZERO;
-        c.start_creation(a, HostId(0), t0, SimTime::from_secs(40));
-        c.finish_creation(a, SimTime::from_secs(40));
+        c.start_creation(a, HostId(0), SimTime::ZERO, SimTime::from_secs(40));
         let mut p = Planner::new(&c);
-        // Host 0 holds a (300). b (200) does not fit strictly...
-        assert!(!p.can_place(HostId(0), b));
-        // ...until the plan moves a away.
-        p.vacate(HostId(0), a);
-        assert!(p.can_place(HostId(0), b));
+        let both = [HostId(0), HostId(1)];
+        assert_eq!(
+            p.max_free(&[HostId(0)]),
+            Resources::new(Cpu(100), Mem::gib(14))
+        );
+        assert_eq!(p.max_free(&both), Resources::new(Cpu(400), Mem::gib(16)));
+        // Host 1 now has 200 CPU free: the bound shrinks with the plan.
+        p.commit(HostId(1), b);
+        assert_eq!(p.max_free(&both), Resources::new(Cpu(200), Mem::gib(14)));
     }
 
     #[test]

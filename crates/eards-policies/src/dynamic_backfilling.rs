@@ -14,7 +14,7 @@ use eards_model::{
     Action, Cluster, HostId, Policy, ScheduleContext, ScheduleReason, VmId, VmState,
 };
 
-use crate::backfilling::best_fit;
+use crate::backfilling::{best_fit, place_queue};
 use crate::common::{ready_hosts, Planner};
 
 /// The Dynamic Backfilling policy (BF + consolidation migrations).
@@ -46,29 +46,19 @@ impl DynamicBackfillingPolicy {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl Policy for DynamicBackfillingPolicy {
-    fn name(&self) -> String {
-        "DBF".into()
-    }
-
-    fn uses_migration(&self) -> bool {
-        true
-    }
-
-    fn schedule(&mut self, cluster: &Cluster, ctx: &ScheduleContext) -> Vec<Action> {
-        let mut actions = Vec::new();
+    /// One round; `quick_reject` as in [`place_queue`].
+    pub(crate) fn plan(
+        &self,
+        cluster: &Cluster,
+        ctx: &ScheduleContext,
+        quick_reject: bool,
+    ) -> Vec<Action> {
         let mut planner = Planner::new(cluster);
         let ready = ready_hosts(cluster);
 
         // Phase 1: place the queue exactly like BF.
-        for &vm in cluster.queue() {
-            if let Some(host) = best_fit(&planner, &ready, vm) {
-                planner.commit(host, vm);
-                actions.push(Action::Create { vm, host });
-            }
-        }
+        let mut actions = place_queue(&mut planner, &ready, quick_reject);
 
         // Phase 2: consolidation — only on periodic rounds (the same
         // cadence on which the score-based policy re-evaluates moves).
@@ -163,6 +153,20 @@ impl Policy for DynamicBackfillingPolicy {
             actions.extend(trial);
         }
         actions
+    }
+}
+
+impl Policy for DynamicBackfillingPolicy {
+    fn name(&self) -> String {
+        "DBF".into()
+    }
+
+    fn uses_migration(&self) -> bool {
+        true
+    }
+
+    fn schedule(&mut self, cluster: &Cluster, ctx: &ScheduleContext) -> Vec<Action> {
+        self.plan(cluster, ctx, true)
     }
 }
 
