@@ -16,15 +16,14 @@
 //! * fault timers only target hosts that are actually up (reported by the
 //!   driver, which owns the timers).
 //!
-//! The light pass is `O(hosts + VMs)` per batch; a deep structural pass
+//! The light pass is `O(hosts + placed VMs)` per batch and hashes
+//! nothing; a deep structural pass
 //! ([`Cluster::verify`], which also recomputes every host's cached
 //! committed resources and compares) runs periodically — or after every
 //! batch in [`AuditorMode::Strict`], which also panics on the first
 //! violation (used by the CI chaos smoke run).
 
-use std::collections::HashSet;
-
-use eards_model::{Cluster, ShardMap, VmId};
+use eards_model::{Cluster, ShardMap};
 use eards_sim::{Persist, PersistError, Reader, SimTime, Writer};
 
 use crate::config::AuditorMode;
@@ -41,8 +40,16 @@ pub struct InvariantAuditor {
     checks: u64,
     violations: u64,
     messages: Vec<String>,
-    // lint:allow(D001): duplicate-detection via insert() only, never iterated. lint:allow(SNAP001): per-pass scratch, cleared before every use
-    seen: HashSet<VmId>,
+    /// Duplicate detection without hashing: `stamps[vm]` holds the epoch
+    /// of the last light pass that saw `vm` resident, so a VM whose stamp
+    /// already equals the current epoch is resident on two hosts. Grown
+    /// to the VM table on every pass.
+    // lint:allow(SNAP001): per-pass scratch; a restored auditor starts a fresh table
+    stamps: Vec<u32>,
+    /// The current pass's stamp; bumped every light pass, and the table
+    /// is zeroed when it wraps so no stale stamp can match.
+    // lint:allow(SNAP001): per-pass scratch, meaningful only together with `stamps`
+    epoch: u32,
     /// Rack-aligned partition to validate when the policy runs the
     /// sharded solver: the light pass additionally checks that the map
     /// still partitions the live cluster and that per-shard resident
@@ -64,7 +71,8 @@ impl InvariantAuditor {
             checks: 0,
             violations: 0,
             messages: Vec::new(),
-            seen: HashSet::new(),
+            stamps: Vec::new(),
+            epoch: 0,
             shard_map: None,
             shard_scratch: Vec::new(),
         }
@@ -131,14 +139,25 @@ impl InvariantAuditor {
     }
 
     fn light_pass(&mut self, cluster: &Cluster, finished: u64) -> Result<(), String> {
-        self.seen.clear();
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        if self.stamps.len() < cluster.num_vms() {
+            self.stamps.resize(cluster.num_vms(), 0);
+        }
         let mut placed = 0u64;
         for h in cluster.hosts() {
             let id = h.spec.id;
             for &vm in &h.resident {
-                if !self.seen.insert(vm) {
+                let Some(stamp) = self.stamps.get_mut(vm.raw() as usize) else {
+                    return Err(format!("{id} hosts {vm}, beyond the VM table"));
+                };
+                if *stamp == self.epoch {
                     return Err(format!("{vm} resident on two hosts"));
                 }
+                *stamp = self.epoch;
                 placed += 1;
             }
             if !h.power.is_ready() && !h.is_idle() {
@@ -187,8 +206,8 @@ impl InvariantAuditor {
     }
 }
 
-/// Canonical state: mode and counters. The `seen` set is per-pass scratch
-/// (cleared at the top of every light pass) and is rebuilt empty.
+/// Canonical state: mode and counters. The duplicate-detection stamps
+/// are per-pass scratch and are rebuilt empty.
 impl Persist for InvariantAuditor {
     fn persist(&self, w: &mut Writer) {
         self.mode.persist(w);
@@ -202,7 +221,8 @@ impl Persist for InvariantAuditor {
             checks: r.get_u64()?,
             violations: r.get_u64()?,
             messages: Vec::restore(r)?,
-            seen: HashSet::new(),
+            stamps: Vec::new(),
+            epoch: 0,
             shard_map: None,
             shard_scratch: Vec::new(),
         })
@@ -212,7 +232,9 @@ impl Persist for InvariantAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eards_model::{Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, PowerState};
+    use eards_model::{
+        Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, PowerState, VmId,
+    };
     use eards_sim::SimDuration;
 
     fn cluster(n: u32) -> Cluster {
@@ -294,6 +316,71 @@ mod tests {
         a.set_shard_map(Some(ShardMap::build(3, 2, 2)));
         a.check(&c, 0, SimTime::ZERO);
         assert_eq!(a.violations(), 1);
+    }
+
+    /// Places `n` fresh VMs round-robin on the cluster's hosts.
+    fn place(c: &mut Cluster, first_id: u64, n: u64) {
+        for id in first_id..first_id + n {
+            let vm = submit(c, id);
+            let host = HostId((id % c.num_hosts() as u64) as u32);
+            c.start_creation(vm, host, SimTime::ZERO, SimTime::from_secs(40));
+        }
+    }
+
+    #[test]
+    fn epoch_wrap_reports_no_false_duplicates() {
+        let mut c = cluster(2);
+        place(&mut c, 0, 2);
+        let mut a = InvariantAuditor::new(AuditorMode::On);
+        // A first pass stamps both VMs with epoch 1; a third VM then
+        // arrives with a zero stamp.
+        a.check(&c, 0, SimTime::ZERO);
+        place(&mut c, 2, 1);
+        // The next pass wraps the epoch: neither the stale stamp 1 nor
+        // the fresh zero may read as "seen this pass".
+        a.epoch = u32::MAX;
+        a.check(&c, 0, SimTime::ZERO);
+        a.check(&c, 0, SimTime::ZERO);
+        assert_eq!(a.violations(), 0, "{:?}", a.messages());
+        assert_eq!(a.epoch, 2);
+    }
+
+    #[test]
+    fn stamp_table_grows_with_admissions() {
+        let mut c = cluster(3);
+        place(&mut c, 0, 1);
+        let mut a = InvariantAuditor::new(AuditorMode::On);
+        a.check(&c, 0, SimTime::ZERO);
+        assert_eq!(a.stamps.len(), 1);
+        place(&mut c, 1, 5);
+        a.check(&c, 0, SimTime::ZERO);
+        assert_eq!(a.stamps.len(), 6);
+        assert_eq!(a.violations(), 0, "{:?}", a.messages());
+    }
+
+    #[test]
+    fn strict_auditing_of_a_clean_run_finds_nothing() {
+        use crate::{small_datacenter, RunConfig, Runner};
+        use eards_policies::BackfillingPolicy;
+        use eards_workload::{generate, SynthConfig};
+
+        let trace = generate(
+            &SynthConfig {
+                span: SimDuration::from_hours(3),
+                ..SynthConfig::grid5000_week()
+            },
+            7,
+        );
+        let cfg = RunConfig::default().with_auditor(AuditorMode::Strict);
+        let report = Runner::new(
+            small_datacenter(4, HostClass::Medium),
+            trace,
+            Box::new(BackfillingPolicy::new()),
+            cfg,
+        )
+        .run();
+        assert!(report.faults.invariant_checks > 0);
+        assert_eq!(report.faults.invariant_violations, 0);
     }
 
     #[test]

@@ -28,8 +28,8 @@ use eards_model::{
 };
 use eards_obs::{FaultKind, HistId, Obs, ObsEvent, PowerFlipKind, RecoveryKind};
 use eards_sim::{
-    read_header, write_header, EventHandle, Persist, PersistError, Reader, SimDuration, SimRng,
-    SimTime, Simulator, Writer,
+    read_header, write_header, EventHandle, IntBuildHasher, Persist, PersistError, Reader,
+    SimDuration, SimRng, SimTime, Simulator, Writer,
 };
 use eards_workload::Trace;
 
@@ -219,7 +219,7 @@ pub struct Runner {
     sim: Simulator<Event>,
     rng: SimRng,
     // lint:allow(D001): keyed removal/insertion only, never iterated
-    completion: HashMap<VmId, EventHandle>,
+    completion: HashMap<VmId, EventHandle, IntBuildHasher>,
     // BTreeMap, not HashMap: the invariant auditor iterates both timer
     // maps, and audit order must not depend on hasher state (lint D001).
     failure_timer: BTreeMap<HostId, EventHandle>,
@@ -270,6 +270,8 @@ pub struct Runner {
     /// (the set is rebuilt every `adjust_power` pass; the allocation
     /// is not).
     power_scratch: Vec<HostId>,
+    /// Scratch for one host's Running residents during the SLA sweep.
+    sla_scratch: Vec<VmId>,
     /// Observability handle (cloned from the config; disabled = no-ops).
     obs: Obs,
     /// Pre-registered histogram of queue length entering each round.
@@ -363,7 +365,7 @@ impl Runner {
             label,
             sim: Simulator::new(),
             rng,
-            completion: HashMap::new(),
+            completion: HashMap::default(),
             failure_timer: BTreeMap::new(),
             slowdown_timer: BTreeMap::new(),
             faults,
@@ -389,6 +391,7 @@ impl Runner {
             audit: Vec::new(),
             sat_window: eards_metrics::Summary::new(),
             power_scratch: Vec::new(),
+            sla_scratch: Vec::new(),
             obs,
             queue_hist,
             retry_hist,
@@ -568,8 +571,8 @@ impl Runner {
     // accumulated metric, and a policy-private block. Rebuilt on restore
     // from the constructor arguments: the power model, the job list (from
     // the trace), the obs handle and its histogram registrations, the
-    // report label, and the `power_scratch` buffer. The drain horizon
-    // (`hard_cap`) is derived from the trace and recomputed.
+    // report label, and the `power_scratch` and `sla_scratch` buffers. The
+    // drain horizon (`hard_cap`) is derived from the trace and recomputed.
 
     /// Serializes the full mid-flight run state. Call at a batch boundary
     /// (between [`Runner::step_batch`] calls); the driver loop never
@@ -1124,26 +1127,38 @@ impl Runner {
                 (self.cluster.vm(vm).state == VmState::Queued).then_some(ScheduleReason::VmArrived)
             }
             Event::SlaCheck => {
+                // Walk the hosts' resident lists, not every VM ever
+                // admitted (DESIGN.md §18). A host is touched once, and
+                // only if it has a Running resident: touching any other
+                // host would split the progress accrual of a VM migrating
+                // away or checkpointing there, and move its f64 bits.
                 let mut violated = false;
-                // `vms()` iterates in id order.
-                let running: Vec<VmId> = self
-                    .cluster
-                    .vms()
-                    .filter(|v| v.state == VmState::Running)
-                    .map(|v| v.id)
-                    .collect();
-                for vm in running {
-                    if let Some(host) = self.cluster.vm(vm).host {
-                        self.cluster.touch_host(host, now);
+                let mut running = std::mem::take(&mut self.sla_scratch);
+                for i in 0..self.cluster.num_hosts() {
+                    let host = HostId(i as u32);
+                    running.clear();
+                    running.extend(
+                        self.cluster
+                            .host(host)
+                            .resident
+                            .iter()
+                            .copied()
+                            .filter(|&vm| self.cluster.vm(vm).state == VmState::Running),
+                    );
+                    if running.is_empty() {
+                        continue;
                     }
-                    let f = self.cluster.vm(vm).sla_fulfillment(now);
-                    if f < 1.0 {
-                        violated = true;
-                        if self.cfg.dynamic_sla {
-                            self.escalate_request(vm, now);
+                    self.cluster.touch_host(host, now);
+                    for &vm in &running {
+                        if self.cluster.vm(vm).sla_fulfillment(now) < 1.0 {
+                            violated = true;
+                            if self.cfg.dynamic_sla {
+                                self.escalate_request(vm, host, now);
+                            }
                         }
                     }
                 }
+                self.sla_scratch = running;
                 if !self.finished() {
                     self.sim
                         .schedule_after(self.cfg.sla_check_period, Event::SlaCheck);
@@ -1200,18 +1215,20 @@ impl Runner {
                 None
             }
             Event::CheckpointTick => {
-                // `vms()` iterates in id order.
-                let eligible: Vec<VmId> = self
+                // Id order: checkpoint op seqs and event seqs are handed
+                // out in this loop.
+                let mut eligible: Vec<(VmId, HostId)> = self
                     .cluster
-                    .vms()
-                    .filter(|v| v.state == VmState::Running)
-                    .map(|v| v.id)
+                    .hosts()
+                    .iter()
+                    .flat_map(|h| h.resident.iter().map(move |&vm| (vm, h.spec.id)))
+                    .filter(|&(vm, _)| self.cluster.vm(vm).state == VmState::Running)
                     .collect();
-                for vm in eligible {
+                eligible.sort_unstable_by_key(|&(vm, _)| vm);
+                for (vm, host) in eligible {
                     let ends = now + self.cfg.checkpoint_duration;
                     let seq = self.cluster.start_checkpoint(vm, now, ends);
                     self.sim.schedule_at(ends, Event::CheckpointDone(vm, seq));
-                    let host = self.cluster.vm(vm).host.expect("running VM has a host");
                     self.touch(host, now);
                 }
                 if let (Some(p), false) = (self.cfg.checkpoint_period, self.finished()) {
@@ -1322,11 +1339,11 @@ impl Runner {
     /// overheads) — a VM already running at full demand cannot be sped up,
     /// and inflating its reservation would only block queued VMs. The
     /// escalation is also capped at 1.5× the demand: reserving a whole
-    /// node for one late job starves the rest of the queue.
-    fn escalate_request(&mut self, vm: VmId, now: SimTime) {
+    /// node for one late job starves the rest of the queue. `host` is the
+    /// host the VM runs on.
+    fn escalate_request(&mut self, vm: VmId, host: HostId, now: SimTime) {
         let (needed, cap, starved) = {
             let v = self.cluster.vm(vm);
-            let host = v.host.expect("running VM has a host");
             let cap = self.cluster.host(host).spec.cpu;
             let left = v
                 .job

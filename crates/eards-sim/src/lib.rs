@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 mod engine;
+mod int_hash;
 mod persist;
 mod queue;
 mod rng;
@@ -53,6 +54,7 @@ mod time;
 mod wheel;
 
 pub use engine::{run, Simulator};
+pub use int_hash::{IntBuildHasher, IntHasher};
 pub use persist::{
     read_header, write_atomic, write_header, Persist, PersistError, Reader, Writer, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,

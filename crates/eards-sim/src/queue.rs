@@ -9,6 +9,7 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
+use crate::int_hash::IntBuildHasher;
 use crate::persist::{Persist, PersistError, Reader, Writer};
 use crate::time::SimTime;
 
@@ -62,10 +63,10 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     /// Sequence numbers that are scheduled and not cancelled.
     // lint:allow(D001): membership tests and counts only, never iterated
-    pending: HashSet<u64>,
+    pending: HashSet<u64, IntBuildHasher>,
     /// Tombstones: cancelled entries still physically in the heap.
     // lint:allow(D001): membership tests only, never iterated. lint:allow(SNAP001): tombstones are compacted away at snapshot time; restore starts clean
-    cancelled: HashSet<u64>,
+    cancelled: HashSet<u64, IntBuildHasher>,
     next_seq: u64,
 }
 
@@ -80,8 +81,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: HashSet::new(),
-            cancelled: HashSet::new(),
+            pending: HashSet::default(),
+            cancelled: HashSet::default(),
             next_seq: 0,
         }
     }
@@ -179,7 +180,7 @@ impl<E: Persist> Persist for EventQueue<E> {
         let next_seq = r.get_u64()?;
         let n = r.get_len()?;
         let mut heap = BinaryHeap::with_capacity(n);
-        let mut pending = HashSet::with_capacity(n);
+        let mut pending = HashSet::with_capacity_and_hasher(n, IntBuildHasher::default());
         for _ in 0..n {
             let time = SimTime::restore(r)?;
             let seq = r.get_u64()?;
@@ -197,7 +198,7 @@ impl<E: Persist> Persist for EventQueue<E> {
         Ok(EventQueue {
             heap,
             pending,
-            cancelled: HashSet::new(),
+            cancelled: HashSet::default(),
             next_seq,
         })
     }
