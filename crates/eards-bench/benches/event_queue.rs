@@ -3,7 +3,7 @@
 //! completion-event rescheduling, same-timestamp bursts).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eards_sim::{EventQueue, SimRng, SimTime, Simulator, WheelQueue};
+use eards_sim::{EventQueue, SimRng, SimTime, Simulator};
 
 fn bench_schedule_pop(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue/schedule_pop");
@@ -74,46 +74,10 @@ fn bench_simulator_loop(c: &mut Criterion) {
     });
 }
 
-fn bench_wheel_vs_heap(c: &mut Criterion) {
-    // Dense near-horizon workload: the regime where the O(1) wheel should
-    // beat the O(log n) heap.
-    let mut group = c.benchmark_group("event_queue/wheel_vs_heap_dense");
-    let mut rng = SimRng::seed_from_u64(5);
-    let times: Vec<u64> = (0..50_000).map(|_| rng.next_u64() % 3_600_000).collect();
-    group.bench_function("heap", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_millis(t), i);
-            }
-            let mut n = 0usize;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            n
-        })
-    });
-    group.bench_function("wheel", |b| {
-        b.iter(|| {
-            let mut q = WheelQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_millis(t), i);
-            }
-            let mut n = 0usize;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            n
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_schedule_pop,
     bench_cancel_heavy,
-    bench_simulator_loop,
-    bench_wheel_vs_heap
+    bench_simulator_loop
 );
 criterion_main!(benches);

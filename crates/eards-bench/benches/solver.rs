@@ -6,8 +6,7 @@
 //! Benchmarks the full scheduling round (matrix build + solve) over
 //! increasing datacenter sizes, over the iteration cap, over the penalty
 //! sets, and — the `cold_vs_incremental` group — the full-rescan
-//! reference solver against the incremental score-matrix engine (cold
-//! allocations and warm recycled [`EngineBuffers`]).
+//! reference solver against the incremental hill-climb engine.
 //!
 //! Besides the per-benchmark stdout lines, the run writes every mean to
 //! `BENCH_solver.json` at the workspace root: a machine-readable baseline
@@ -15,9 +14,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use eards_bench::common::{merge_solver_baseline, solver_case};
-use eards_core::{
-    solve, solve_matrix, solve_reference, EngineBuffers, Eval, ScoreConfig, ScoreMatrix,
-};
+use eards_core::{solve, solve_reference, Eval, ScoreConfig};
 use eards_sim::SimTime;
 
 fn bench_matrix_scaling(c: &mut Criterion) {
@@ -77,9 +74,8 @@ fn bench_penalty_sets(c: &mut Criterion) {
     group.finish();
 }
 
-/// The acceptance case of the incremental-engine refactor: one 100-host /
-/// 200-VM hill-climbing round, full-rescan reference vs the cached
-/// engine. `reference` and `incremental` must stay ≥ 3× apart (the
+/// The acceptance case of the incremental engine: one 100-host / 200-VM
+/// hill-climbing round, full-rescan reference vs the cached engine. `reference` and `incremental` must stay ≥ 3× apart (the
 /// `run_all` solver-timing section shape-checks this; here the two means
 /// land side by side in `BENCH_solver.json`).
 fn bench_cold_vs_incremental(c: &mut Criterion) {
@@ -105,28 +101,6 @@ fn bench_cold_vs_incremental(c: &mut Criterion) {
             b.iter(|| {
                 let mut eval = Eval::new(&cluster, &cfg, SimTime::from_secs(100), cols.clone());
                 solve(&mut eval, cap)
-            })
-        },
-    );
-    // The scheduler's steady state: engine storage recycled across rounds.
-    let mut buf = EngineBuffers::new();
-    group.bench_with_input(
-        BenchmarkId::from_parameter("incremental_warm_100h_200v"),
-        &(),
-        |b, ()| {
-            b.iter(|| {
-                let mut eval = Eval::new_in(
-                    &cluster,
-                    &cfg,
-                    SimTime::from_secs(100),
-                    cols.clone(),
-                    &mut buf,
-                );
-                let mut matrix = ScoreMatrix::new_in(&mut eval, &mut buf);
-                let sol = solve_matrix(&mut matrix, cap);
-                matrix.recycle(&mut buf);
-                eval.recycle(&mut buf);
-                sol
             })
         },
     );

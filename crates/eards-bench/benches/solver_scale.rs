@@ -1,22 +1,22 @@
 //! Sharded hierarchical solver at datacenter scale.
 //!
-//! The dense matrix engine is `O(M·N)` per round — a non-starter at ten
+//! A whole-cluster matrix is `O(M·N)` per round — a non-starter at ten
 //! thousand hosts (10⁹ cells). This bench times one full scheduling
 //! round of `solve_sharded` on big direct-placement cases
 //! ([`scale_case`]), headline point **10 000 hosts / 100 000 VMs**, and
 //! merges the means into the workspace-root `BENCH_solver.json` next to
-//! the dense solver's points (the acceptance bar for the sharded engine
-//! is < 250 ms per round on the headline point).
+//! the `solver` bench's points (the acceptance bar is < 250 ms per round
+//! on the headline point).
 //!
 //! `--smoke` runs in seconds for the CI test job: a shard-count grid on
 //! a 400-host case plus the single-shard differential oracle (sharded
-//! must be move-for-move identical to the dense climb), and does NOT
-//! touch `BENCH_solver.json`.
+//! must be move-for-move identical to the full-rescan reference climb),
+//! and does NOT touch `BENCH_solver.json`.
 
 use std::time::Instant;
 
 use eards_bench::common::{merge_solver_baseline, scale_case};
-use eards_core::{solve, solve_sharded, DegradeLevel, Eval, ScoreConfig};
+use eards_core::{solve_reference, solve_sharded, DegradeLevel, Eval, ScoreConfig};
 use eards_model::ShardMap;
 use eards_sim::SimTime;
 
@@ -67,22 +67,22 @@ fn report(label: &str, secs: f64, moves: usize, results: &mut Vec<(String, f64)>
 
 /// The single-shard differential oracle, cheap enough to run every CI
 /// cycle: on a small instance the sharded solver over the trivial map
-/// must reproduce the dense climb move for move.
+/// must reproduce the full-rescan reference climb move for move.
 fn smoke_oracle() {
     let (cluster, cols) = scale_case(16, 2, 12);
     let cfg = ScoreConfig::sb();
     let expected = {
         let mut eval = Eval::new(&cluster, &cfg, SimTime::from_secs(NOW_SECS), cols.clone());
-        solve(&mut eval, cfg.max_moves)
+        solve_reference(&mut eval, cfg.max_moves)
     };
     let map = ShardMap::single(16);
     let out = sharded_round(&cluster, &cols, &cfg, &map);
     assert_eq!(
         out.solution.moves, expected.moves,
-        "single-shard oracle: sharded diverged from the dense climb"
+        "single-shard oracle: sharded diverged from the reference climb"
     );
     println!(
-        "oracle: single-shard == dense on 16h/44v ({} moves) — ok",
+        "oracle: single-shard == reference on 16h/44v ({} moves) — ok",
         expected.moves.len()
     );
 }
@@ -105,9 +105,9 @@ fn shard_grid(results: &mut Vec<(String, f64)>) {
     }
 }
 
-/// The headline points. The dense engine is deliberately absent: at
-/// these sizes its initial fill alone is two orders of magnitude past
-/// the budget — that asymmetry is the point of the sharded solver.
+/// The headline points. A single shard is deliberately absent: at these
+/// sizes its initial fill alone is two orders of magnitude past the
+/// budget — that asymmetry is the point of sharding.
 fn scale_points(results: &mut Vec<(String, f64)>) {
     for (hosts, per_host, queued, shards) in [
         (2_000u32, 3u32, 14_000u64, 250u32),

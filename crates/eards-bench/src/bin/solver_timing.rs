@@ -1,4 +1,4 @@
-//! Times the incremental score-matrix engine against the full-rescan
+//! Times the incremental hill-climb engine against the full-rescan
 //! reference solver.
 fn main() {
     eards_bench::emit(&eards_bench::exp_solver_timing::run());

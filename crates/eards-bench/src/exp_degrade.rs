@@ -49,10 +49,12 @@ const QUALITY_HOSTS: u32 = 32;
 const LADDER_BUDGET: u64 = 25_000;
 
 /// One sweep's worth of budget overshoot: the solver checks the meter
-/// between sweeps, so a round can overshoot by at most the initial lazy
-/// fill (`m·n` cell scores) plus the first column-best scan (another
-/// `m·n`), one argmin scan (`n`), one queued-column challenge (`n`) and
-/// one column recompute (`m`).
+/// before every sweep, so a round can overshoot by at most one sweep. The
+/// first sweep costs the engine fill (`m·n` cell scores), plus the
+/// candidate-list build (another `m·n`), plus an argmin (`n`); a later
+/// sweep costs at most `m·n + 5n` (an argmin `n`, column rescans of at
+/// most `m·n`, two dirty rows `2n` and their list upkeep `2n`). The
+/// formula covers both.
 pub fn slack(hosts: u64, vms: u64) -> u64 {
     2 * hosts * vms + 2 * vms + hosts
 }

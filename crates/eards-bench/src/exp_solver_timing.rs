@@ -1,26 +1,22 @@
 //! Solver timing — full-rescan reference vs the incremental engine.
 //!
 //! Not a paper table: this section tracks the performance contract of the
-//! incremental score-matrix engine (`eards_core::ScoreMatrix`). It times
-//! one hill-climbing round on growing ⟨hosts, VMs⟩ cases three ways —
+//! incremental hill-climb engine (`eards_core::solve`, the single-shard
+//! form of `solve_sharded`). It times one hill-climbing round on growing
+//! ⟨hosts, VMs⟩ cases two ways —
 //!
 //! * **reference** — `solve_reference`, the original `O(M·N)`-per-sweep
 //!   full rescan,
-//! * **incremental** — `solve`, cached cells + dirty-row invalidation,
-//!   allocating its matrix fresh,
-//! * **warm** — `solve_matrix` over recycled [`EngineBuffers`], the way
-//!   `ScoreScheduler` runs it round after round —
+//! * **incremental** — `solve`, cached cells + dirty-row invalidation —
 //!
-//! verifies all three produce the identical move sequence (the
-//! differential contract the `matrix_oracle` proptests pin down), and
-//! shape-checks that the incremental engine is ≥ 3× faster than the
-//! reference on the 100-host/200-VM case.
+//! verifies both produce the identical solution (the differential
+//! contract the `shard_oracle` proptests pin down), and shape-checks that
+//! the incremental engine is ≥ 3× faster than the reference on the
+//! 100-host/200-VM case.
 
 use std::time::Instant;
 
-use eards_core::{
-    solve, solve_matrix, solve_reference, EngineBuffers, Eval, ScoreConfig, ScoreMatrix, Solution,
-};
+use eards_core::{solve, solve_reference, Eval, ScoreConfig, Solution};
 use eards_metrics::Table;
 use eards_model::{Cluster, VmId};
 use eards_sim::SimTime;
@@ -60,26 +56,6 @@ fn run_incremental(cluster: &Cluster, cols: &[VmId], cfg: &ScoreConfig) -> Solut
     solve(&mut eval, CAP)
 }
 
-fn run_warm(
-    cluster: &Cluster,
-    cols: &[VmId],
-    cfg: &ScoreConfig,
-    buf: &mut EngineBuffers,
-) -> Solution {
-    let mut eval = Eval::new_in(
-        cluster,
-        cfg,
-        SimTime::from_secs(NOW_SECS),
-        cols.to_vec(),
-        buf,
-    );
-    let mut matrix = ScoreMatrix::new_in(&mut eval, buf);
-    let sol = solve_matrix(&mut matrix, CAP);
-    matrix.recycle(buf);
-    eval.recycle(buf);
-    sol
-}
-
 /// Regenerates the solver-timing section.
 pub fn run() -> ExperimentResult {
     let mut result = ExperimentResult::new(
@@ -95,15 +71,13 @@ pub fn run() -> ExperimentResult {
         "case",
         "reference (ms)",
         "incremental (ms)",
-        "warm (ms)",
         "speedup",
         "moves",
         "sweeps",
     ]);
-    let mut csv = String::from("case,reference_ms,incremental_ms,warm_ms,speedup,moves,sweeps\n");
+    let mut csv = String::from("case,reference_ms,incremental_ms,speedup,moves,sweeps\n");
     let mut headline_speedup = 0.0;
     let mut all_identical = true;
-    let mut buf = EngineBuffers::new();
 
     for &(hosts, running, queued) in &[(25u32, 25u64, 25u64), (50, 50, 50), (100, 100, 100)] {
         let vms = running + queued;
@@ -116,11 +90,8 @@ pub fn run() -> ExperimentResult {
         let (t_ref, sol_ref) = time_min(5, || run_reference(&cluster, &cols, &cfg));
         run_incremental(&cluster, &cols, &cfg);
         let (t_inc, sol_inc) = time_min(5, || run_incremental(&cluster, &cols, &cfg));
-        run_warm(&cluster, &cols, &cfg, &mut buf);
-        let (t_warm, sol_warm) = time_min(5, || run_warm(&cluster, &cols, &cfg, &mut buf));
 
-        let identical = sol_ref == sol_inc && sol_ref == sol_warm;
-        all_identical &= identical;
+        all_identical &= sol_ref == sol_inc;
         let speedup = t_ref / t_inc;
         if hosts == 100 {
             headline_speedup = speedup;
@@ -129,7 +100,6 @@ pub fn run() -> ExperimentResult {
             label.clone(),
             format!("{:.3}", t_ref * 1e3),
             format!("{:.3}", t_inc * 1e3),
-            format!("{:.3}", t_warm * 1e3),
             format!("{speedup:.1}x"),
             sol_ref.moves.len().to_string(),
             sol_ref.sweeps.to_string(),
@@ -137,10 +107,9 @@ pub fn run() -> ExperimentResult {
         use std::fmt::Write as _;
         let _ = writeln!(
             csv,
-            "{label},{:.4},{:.4},{:.4},{speedup:.2},{},{}",
+            "{label},{:.4},{:.4},{speedup:.2},{},{}",
             t_ref * 1e3,
             t_inc * 1e3,
-            t_warm * 1e3,
             sol_ref.moves.len(),
             sol_ref.sweeps,
         );
@@ -153,9 +122,9 @@ pub fn run() -> ExperimentResult {
     result.artifacts.push(("solver_timing.csv".into(), csv));
 
     result.notes.push(if all_identical {
-        "Shape check: all three paths return identical move sequences — holds.".into()
+        "Shape check: both paths return identical move sequences — holds.".into()
     } else {
-        "Shape check: all three paths return identical move sequences — VIOLATED.".into()
+        "Shape check: both paths return identical move sequences — VIOLATED.".into()
     });
     result.notes.push(
         "Noise bounds: best-of-5 wall clock on a shared machine is stable to \
@@ -186,15 +155,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_paths_agree_on_a_small_case() {
+    fn both_paths_agree_on_a_small_case() {
         let cfg = ScoreConfig::sb();
         let (cluster, cols) = solver_case(10, 10, 10);
         let a = run_reference(&cluster, &cols, &cfg);
         let b = run_incremental(&cluster, &cols, &cfg);
-        let mut buf = EngineBuffers::new();
-        let c = run_warm(&cluster, &cols, &cfg, &mut buf);
         assert_eq!(a, b);
-        assert_eq!(a, c);
         assert!(!a.moves.is_empty(), "queued VMs must be placed");
     }
 }

@@ -17,7 +17,7 @@
 //! | [`exp_degrade`] | engine: work-budget boundedness + ladder quality loss |
 //! | [`exp_ablation_sla`] | extension: overload + dynamic SLA enforcement |
 //! | [`exp_ablation_adaptive`] | extension: dynamic λ thresholds (future work of §V-A) |
-//! | [`exp_solver_timing`] | engine: incremental score matrix vs full-rescan reference |
+//! | [`exp_solver_timing`] | engine: incremental hill climb vs full-rescan reference |
 //! | [`exp_obs`] | engine: observability overhead + bit-identity gate |
 //!
 //! Binaries under `src/bin/` wrap these one-to-one; `run_all` regenerates

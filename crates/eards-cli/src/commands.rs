@@ -67,7 +67,7 @@ COMMON FLAGS:
   --shards N                  partition the cluster into N rack-aligned shards and
                               run the hierarchical solver (local hill climbs + a
                               cross-shard balancer) on score policies; absent or 1 =
-                              the dense single-matrix solver, bit-identical to before
+                              one shard over the whole cluster, bit-identical to before
   --seed S                    simulation seed (operation jitter, failures)
   --economics                 additionally print revenue/energy-cost/profit
   --power-series FILE.csv     write the datacenter power trace

@@ -113,7 +113,8 @@ pub fn overload_from(cfg: &RunConfig) -> Option<OverloadControl> {
 /// as the runner's events (a disabled handle keeps every hook a no-op),
 /// `ctl` arms their work budget + degradation ladder (`None` leaves the
 /// solver unbounded), and `shards` arms the sharded hierarchical solver
-/// (`None` keeps the dense matrix path; non-score policies ignore both).
+/// (`None` climbs one shard over the whole cluster; non-score policies
+/// ignore both).
 pub fn make_policy(
     name: &str,
     seed: u64,
@@ -350,7 +351,7 @@ mod tests {
         let spec = cfg.shard_spec().unwrap();
         assert_eq!((spec.count, spec.rack_size), (4, 8));
 
-        // A single shard is the dense path: no spec to arm.
+        // A single shard is the unsharded round: no spec to arm.
         let cfg = build_run_config(&parse("--shards 1")).unwrap();
         assert!(cfg.shard_spec().is_none());
 

@@ -10,8 +10,8 @@
 //!
 //! with each term exactly as §III-A defines it.
 //!
-//! To support the incremental engine in [`crate::matrix`], each cell is
-//! split into a *round-static* part ([`CellStatic`]: `P_req` feasibility,
+//! To support the incremental climb engine in [`crate::shard`], each cell
+//! is split into a *round-static* part ([`CellStatic`]: `P_req` feasibility,
 //! the move-in `P_virt`/`P_conc`, `P_fault` — all functions of the
 //! immutable `&Cluster` snapshot only) and a *dynamic* part
 //! ([`Eval::score_with_static`]: `P_res`, `P_pwr`, `P_SLA` and the
@@ -25,6 +25,23 @@ use eards_sim::SimTime;
 
 use crate::config::ScoreConfig;
 use crate::score::Score;
+
+/// Reusable allocations for [`Eval`].
+///
+/// A long simulation runs thousands of scheduling rounds, each needing
+/// several `O(M)` / `O(N)` overlay vectors. The buffers outlive the
+/// per-round `&Cluster` borrow that [`Eval`] is tied to, so
+/// [`ScoreScheduler`](crate::ScoreScheduler) keeps one `EvalBuffers`
+/// alive across rounds and recycles every vector through it instead of
+/// reallocating.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct EvalBuffers {
+    pub(crate) vms: Vec<VmId>,
+    original: Vec<Option<usize>>,
+    placement: Vec<Option<usize>>,
+    committed: Vec<Resources>,
+    vm_count: Vec<usize>,
+}
 
 /// The round-static part of one score-matrix cell `(h, v)`.
 ///
@@ -102,24 +119,18 @@ impl<'a> Eval<'a> {
     /// Builds an evaluator for the given matrix VMs, starting from their
     /// real placements.
     pub fn new(cluster: &'a Cluster, cfg: &'a ScoreConfig, now: SimTime, vms: Vec<VmId>) -> Self {
-        Self::new_in(
-            cluster,
-            cfg,
-            now,
-            vms,
-            &mut crate::matrix::EngineBuffers::default(),
-        )
+        Self::new_in(cluster, cfg, now, vms, &mut EvalBuffers::default())
     }
 
     /// Like [`Eval::new`], but recycling the vectors held in `buf` instead
     /// of allocating. Pair with [`Eval::recycle`] at the end of the round
     /// to hand them back.
-    pub fn new_in(
+    pub(crate) fn new_in(
         cluster: &'a Cluster,
         cfg: &'a ScoreConfig,
         now: SimTime,
         vms: Vec<VmId>,
-        buf: &mut crate::matrix::EngineBuffers,
+        buf: &mut EvalBuffers,
     ) -> Self {
         let mut committed = std::mem::take(&mut buf.committed);
         committed.clear();
@@ -156,7 +167,7 @@ impl<'a> Eval<'a> {
 
     /// Hands the evaluator's allocations (including the VM column vector)
     /// back for reuse in a later round.
-    pub fn recycle(self, buf: &mut crate::matrix::EngineBuffers) {
+    pub(crate) fn recycle(self, buf: &mut EvalBuffers) {
         buf.vms = self.vms;
         buf.original = self.original;
         buf.placement = self.placement;

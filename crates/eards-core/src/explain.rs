@@ -6,18 +6,11 @@
 //! current-host cost. [`render_matrix`] and [`render_delta_matrix`]
 //! reproduce those two views for any [`Eval`], which makes scheduler
 //! decisions inspectable (see the `scheduler_explain` example).
-//!
-//! [`render_matrix_cached`] and [`render_delta_matrix_cached`] are the
-//! same views over a live [`ScoreMatrix`]: they read the engine's cached
-//! cells (rescoring only stale rows), so printing a mid-hill-climb state
-//! costs the dirtied rows rather than a full `M×N` recompute — and doubles
-//! as a visual check that the cache agrees with the overlay.
 
 use eards_metrics::Table;
 use eards_model::HostId;
 
 use crate::eval::Eval;
-use crate::matrix::ScoreMatrix;
 use crate::score::Score;
 
 fn vm_headers(eval: &Eval<'_>) -> Vec<String> {
@@ -26,48 +19,41 @@ fn vm_headers(eval: &Eval<'_>) -> Vec<String> {
     header
 }
 
-/// The raw matrix over any cell source (shared by the [`Eval`] and
-/// [`ScoreMatrix`] fronts — one rendering path, two cell backends).
-fn raw_table(
-    header: Vec<String>,
-    m: usize,
-    n: usize,
-    mut cell: impl FnMut(usize, usize) -> Score,
-) -> Table {
-    let mut table = Table::new(header);
-    for h in 0..m {
+/// The raw score matrix: one row per host plus the virtual-host row `HV`,
+/// one column per matrix VM — the first matrix of §III-B.
+pub fn render_matrix(eval: &Eval<'_>) -> Table {
+    let mut table = Table::new(vm_headers(eval));
+    for h in 0..eval.num_hosts() {
         let mut row = vec![HostId(h as u32).to_string()];
-        for v in 0..n {
-            row.push(cell(h, v).to_string());
+        for v in 0..eval.num_vms() {
+            row.push(eval.score(h, v).to_string());
         }
         table.row(row);
     }
     // The virtual host holds unallocated VMs at infinite cost.
     let mut hv = vec!["HV".to_string()];
-    for _ in 0..n {
+    for _ in 0..eval.num_vms() {
         hv.push("∞".into());
     }
     table.row(hv);
     table
 }
 
-/// The delta-normalized matrix over any cell source: each cell minus the
-/// VM's current-host cost, `0.0` on the current placement itself.
-fn delta_table(
-    header: Vec<String>,
-    m: usize,
-    placements: &[Option<usize>],
-    from: &[Score],
-    mut cell: impl FnMut(usize, usize) -> Score,
-) -> Table {
-    let mut table = Table::new(header);
-    for h in 0..m {
+/// The delta-normalized matrix: each cell minus the VM's current-host
+/// cost — "positive scores mean degradation and negative scores mean
+/// improvement" — the second matrix of §III-B. The current placement
+/// itself renders as `0.0`; cells that are not candidates (target
+/// infeasible) render as `∞`; a queued VM's feasible cells render as
+/// `−∞` (maximum benefit).
+pub fn render_delta_matrix(eval: &Eval<'_>) -> Table {
+    let mut table = Table::new(vm_headers(eval));
+    for h in 0..eval.num_hosts() {
         let mut row = vec![HostId(h as u32).to_string()];
-        for (v, &placement) in placements.iter().enumerate() {
-            let text = if placement == Some(h) {
+        for v in 0..eval.num_vms() {
+            let text = if eval.placement_of(v) == Some(h) {
                 "0.0".to_string()
             } else {
-                match Score::delta(cell(h, v), from[v]) {
+                match Score::delta(eval.score(h, v), eval.current_cost(v)) {
                     None => "∞".into(),
                     Some(d) if d == f64::NEG_INFINITY => "-∞".into(),
                     Some(d) => format!("{d:.1}"),
@@ -78,51 +64,6 @@ fn delta_table(
         table.row(row);
     }
     table
-}
-
-/// The raw score matrix: one row per host plus the virtual-host row `HV`,
-/// one column per matrix VM — the first matrix of §III-B.
-pub fn render_matrix(eval: &Eval<'_>) -> Table {
-    raw_table(
-        vm_headers(eval),
-        eval.num_hosts(),
-        eval.num_vms(),
-        |h, v| eval.score(h, v),
-    )
-}
-
-/// [`render_matrix`] over the incremental engine's cached cells.
-pub fn render_matrix_cached(matrix: &mut ScoreMatrix<'_, '_>) -> Table {
-    let header = vm_headers(matrix.eval());
-    let (m, n) = (matrix.num_hosts(), matrix.num_vms());
-    raw_table(header, m, n, |h, v| matrix.score(h, v))
-}
-
-/// The delta-normalized matrix: each cell minus the VM's current-host
-/// cost — "positive scores mean degradation and negative scores mean
-/// improvement" — the second matrix of §III-B. Cells that are not
-/// candidates (target infeasible) render as `∞`; a queued VM's feasible
-/// cells render as `−∞` (maximum benefit).
-pub fn render_delta_matrix(eval: &Eval<'_>) -> Table {
-    let n = eval.num_vms();
-    let placements: Vec<Option<usize>> = (0..n).map(|v| eval.placement_of(v)).collect();
-    let from: Vec<Score> = (0..n).map(|v| eval.current_cost(v)).collect();
-    delta_table(
-        vm_headers(eval),
-        eval.num_hosts(),
-        &placements,
-        &from,
-        |h, v| eval.score(h, v),
-    )
-}
-
-/// [`render_delta_matrix`] over the incremental engine's cached cells.
-pub fn render_delta_matrix_cached(matrix: &mut ScoreMatrix<'_, '_>) -> Table {
-    let header = vm_headers(matrix.eval());
-    let (m, n) = (matrix.num_hosts(), matrix.num_vms());
-    let placements: Vec<Option<usize>> = (0..n).map(|v| matrix.eval().placement_of(v)).collect();
-    let from: Vec<Score> = (0..n).map(|v| matrix.current_cost(v)).collect();
-    delta_table(header, m, &placements, &from, |h, v| matrix.score(h, v))
 }
 
 #[cfg(test)]
@@ -190,21 +131,5 @@ mod tests {
         );
         // Row h1: vm1 queued and feasible ⇒ −∞ (maximum allocation benefit).
         assert!(rows[3].contains("-∞"), "{}", rows[3]);
-    }
-
-    #[test]
-    fn cached_renders_match_eval_renders_mid_climb() {
-        let (c, vms) = setup();
-        let cfg = ScoreConfig::sb();
-        let mut eval = Eval::new(&c, &cfg, SimTime::from_secs(60), vms.clone());
-        let mut matrix = ScoreMatrix::new(&mut eval);
-        // Place the queued VM mid-"climb", then compare both fronts.
-        matrix.apply_move(1, 1);
-        let raw_cached = render_matrix_cached(&mut matrix).to_markdown();
-        let delta_cached = render_delta_matrix_cached(&mut matrix).to_markdown();
-        let mut shadow = Eval::new(&c, &cfg, SimTime::from_secs(60), vms);
-        shadow.apply_move(1, 1);
-        assert_eq!(raw_cached, render_matrix(&shadow).to_markdown());
-        assert_eq!(delta_cached, render_delta_matrix(&shadow).to_markdown());
     }
 }

@@ -16,11 +16,12 @@
 //! then hill-climbs the `(M+1)×N` matrix (Algorithm 1) applying the most
 //! beneficial move until convergence or an iteration cap.
 //!
-//! The hill climb runs on an *incremental* engine ([`ScoreMatrix`]): cells
-//! are cached, a move invalidates exactly the two affected host rows, and
-//! per-column argmins are maintained instead of rescanned — see
-//! [`matrix`]'s module docs. [`solve_reference`] keeps the original
-//! full-rescan algorithm as a differential-testing oracle.
+//! The hill climb runs on one *incremental* engine ([`solve_sharded`]; a
+//! plain [`solve`] is its single-shard form): cells are cached in
+//! struct-of-arrays form, a move invalidates exactly the two affected
+//! host rows, and per-column candidate lists are maintained instead of
+//! rescanned — see [`shard`]'s module docs. [`solve_reference`] keeps the
+//! original full-rescan algorithm as a differential-testing oracle.
 //!
 //! [`ScoreScheduler`] implements [`eards_model::Policy`] and is
 //! instantiated via [`ScoreConfig`] as the paper's SB0 / SB1 / SB2 / SB
@@ -32,7 +33,6 @@ pub mod budget;
 mod config;
 mod eval;
 mod explain;
-pub mod matrix;
 mod scheduler;
 mod score;
 pub mod shard;
@@ -41,11 +41,8 @@ mod solver;
 pub use budget::{DegradeLevel, OverloadControl, WorkMeter};
 pub use config::ScoreConfig;
 pub use eval::{CellStatic, Eval, ScoreBreakdown};
-pub use explain::{
-    render_delta_matrix, render_delta_matrix_cached, render_matrix, render_matrix_cached,
-};
-pub use matrix::{EngineBuffers, ScoreMatrix};
+pub use explain::{render_delta_matrix, render_matrix};
 pub use scheduler::{row_score, ScoreScheduler};
 pub use score::Score;
 pub use shard::{solve_sharded, ShardedOutcome};
-pub use solver::{solve, solve_matrix, solve_matrix_at, solve_reference, Move, Solution};
+pub use solver::{solve, solve_reference, Move, Solution};

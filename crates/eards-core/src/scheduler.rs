@@ -4,11 +4,11 @@
 //! Each scheduling round (§III-A): collect the candidate VMs (the
 //! virtual-host queue, plus every running VM when migration is enabled;
 //! VMs with in-flight operations are pinned and excluded), build the
-//! incremental score matrix ([`Eval`] overlay + [`ScoreMatrix`] cell
-//! cache, recycling one [`EngineBuffers`] allocation across rounds),
-//! hill-climb it with [`solve_matrix`], and emit the resulting
-//! create/migrate actions. Power on/off candidate ranking (§III-C) is
-//! driven by lazily aggregated matrix rows.
+//! [`Eval`] overlay (recycling its allocations across rounds), hill-climb
+//! the score matrix with [`solve_sharded`] — over a single shard unless
+//! sharding is armed — and emit the resulting create/migrate actions.
+//! Power-off candidate ranking (§III-C) aggregates the candidates' matrix
+//! rows with [`row_score`].
 
 use eards_model::{
     Action, Cluster, DegradeStats, HostId, Policy, ScheduleContext, ScheduleReason, ShardMap,
@@ -19,10 +19,9 @@ use eards_sim::{Persist, PersistError, Reader, Writer};
 
 use crate::budget::{DegradeLevel, OverloadControl, WorkMeter};
 use crate::config::ScoreConfig;
-use crate::eval::Eval;
-use crate::matrix::{EngineBuffers, ScoreMatrix};
+use crate::eval::{Eval, EvalBuffers};
 use crate::shard::solve_sharded;
-use crate::solver::{solve_matrix_at, Solution};
+use crate::solver::Solution;
 
 /// Stable tag for a [`ScheduleReason`], used in trace events.
 fn reason_str(reason: ScheduleReason) -> &'static str {
@@ -67,10 +66,10 @@ fn reason_str(reason: ScheduleReason) -> &'static str {
 pub struct ScoreScheduler {
     /// Penalty switches and cost parameters.
     pub cfg: ScoreConfig,
-    /// Engine allocations recycled across rounds: the scheduler outlives
-    /// each round's `&Cluster` borrow, so the `O(M·N)` matrix storage is
-    /// set up once and reused instead of reallocated every round.
-    buffers: EngineBuffers,
+    /// Evaluator allocations recycled across rounds: the scheduler
+    /// outlives each round's `&Cluster` borrow, so the overlay vectors
+    /// are set up once and reused instead of reallocated every round.
+    buffers: EvalBuffers,
     /// Observability handle; disabled by default (every call is a no-op).
     obs: Obs,
     /// Overload control (work budget + degradation ladder). `None` keeps
@@ -79,9 +78,10 @@ pub struct ScoreScheduler {
     /// Ladder driver state, persisted so a restored run replays the same
     /// rung sequence bit-for-bit.
     state: DegradeState,
-    /// Sharding request for the hierarchical solver (`None` = the dense
-    /// single-matrix path). The realized [`ShardMap`] is re-derived from
-    /// the live cluster size every round, so it tracks cluster growth.
+    /// Sharding request for the hierarchical solver (`None` = one shard
+    /// over the whole cluster). The realized [`ShardMap`] is re-derived
+    /// from the live cluster size every round, so it tracks cluster
+    /// growth.
     shards: Option<ShardSpec>,
     /// Round-robin cursor for dealing queue columns to shards. Persisted:
     /// a restored run must deal the same columns to the same shards.
@@ -144,7 +144,7 @@ impl ScoreScheduler {
     pub fn with_obs(cfg: ScoreConfig, obs: Obs) -> Self {
         ScoreScheduler {
             cfg,
-            buffers: EngineBuffers::new(),
+            buffers: EvalBuffers::default(),
             obs,
             ctl: None,
             state: DegradeState::default(),
@@ -171,8 +171,8 @@ impl ScoreScheduler {
     /// partition the cluster into rack-aligned shards that hill-climb
     /// locally, with a cross-shard balancer re-homing stranded queue
     /// columns between passes (see [`crate::shard`]). A spec that
-    /// realizes a single shard (small cluster, or `count <= 1`) keeps the
-    /// dense path, which the sharded solver matches bit-for-bit anyway.
+    /// realizes a single shard (small cluster, or `count <= 1`) runs
+    /// exactly the unsharded round.
     pub fn with_shards(mut self, spec: ShardSpec) -> Self {
         self.shards = Some(spec);
         self
@@ -183,15 +183,13 @@ impl ScoreScheduler {
         self.shards
     }
 
-    /// The shard map the scheduler would use this round, if sharding is
-    /// armed and realizes more than one shard for `num_hosts`.
-    fn shard_map_for(&self, num_hosts: usize) -> Option<ShardMap> {
-        let spec = self.shards.filter(|s| s.count >= 2)?;
-        if num_hosts == 0 {
-            return None;
+    /// The shard map for this round over `num_hosts > 0` hosts: the
+    /// armed spec's partition, or one shard when sharding is off.
+    fn shard_map_for(&self, num_hosts: usize) -> ShardMap {
+        match self.shards.filter(|s| s.count >= 2) {
+            Some(spec) => ShardMap::build(num_hosts, spec.rack_size, spec.count),
+            None => ShardMap::single(num_hosts),
         }
-        let map = ShardMap::build(num_hosts, spec.rack_size, spec.count);
-        (map.num_shards() >= 2).then_some(map)
     }
 
     /// Picks this round's ladder rung from the persisted driver state.
@@ -370,7 +368,8 @@ impl Policy for ScoreScheduler {
         let effective_migrate = migrate_now && rung == DegradeLevel::L0Full;
         let mut cols = std::mem::take(&mut self.buffers.vms);
         self.candidate_vms_into(cluster, effective_migrate, &mut cols);
-        if cols.is_empty() {
+        // No columns, or no host rows to place them on: nothing to do.
+        if cols.is_empty() || cluster.num_hosts() == 0 {
             self.buffers.vms = cols;
             return Vec::new();
         }
@@ -388,7 +387,8 @@ impl Policy for ScoreScheduler {
             if rung == DegradeLevel::L2Greedy {
                 let (sol, spent) = Self::greedy_first_feasible(&mut eval, budget, rung);
                 (sol, 0, spent)
-            } else if let Some(map) = self.shard_map_for(cluster.num_hosts()) {
+            } else {
+                let map = self.shard_map_for(cluster.num_hosts());
                 let out = solve_sharded(
                     &mut eval,
                     &map,
@@ -399,18 +399,13 @@ impl Policy for ScoreScheduler {
                 );
                 // Advance the deal cursor so consecutive rounds rotate the
                 // queue across shards instead of always loading shard 0.
-                self.shard_cursor = self.shard_cursor.wrapping_add(out.creations_assigned);
-                (out.solution, out.rows_rescored, out.work_spent)
-            } else {
-                let mut matrix = ScoreMatrix::new_in(&mut eval, &mut self.buffers);
-                if budget != u64::MAX {
-                    matrix.set_work_budget(budget);
+                // A single shard has nothing to rotate; the cursor is
+                // persisted, so it stays put and unsharded snapshots keep
+                // their bytes.
+                if map.num_shards() >= 2 {
+                    self.shard_cursor = self.shard_cursor.wrapping_add(out.creations_assigned);
                 }
-                let sol = solve_matrix_at(&mut matrix, self.cfg.max_moves, rung);
-                let rows = matrix.rows_rescored();
-                let spent = matrix.work_spent();
-                matrix.recycle(&mut self.buffers);
-                (sol, rows, spent)
+                (out.solution, out.rows_rescored, out.work_spent)
             }
         };
         if self.obs.is_enabled() {
@@ -503,15 +498,13 @@ impl Policy for ScoreScheduler {
     ) -> Vec<HostId> {
         let mut cols = Vec::new();
         self.candidate_vms_into(cluster, false, &mut cols);
-        let mut eval = Eval::new(cluster, &self.cfg, now, cols);
-        // Rows are scored lazily, so aggregating only the candidate rows
-        // of the matrix stays O(|candidates|·N) — the rest of the matrix
-        // is never materialized.
-        let mut matrix = ScoreMatrix::new(&mut eval);
+        let eval = Eval::new(cluster, &self.cfg, now, cols);
+        // Only the candidate rows are aggregated: O(|candidates|·N), the
+        // rest of the matrix is never scored.
         let mut scored: Vec<(usize, f64, HostId)> = candidates
             .iter()
             .map(|&h| {
-                let (infs, sum) = matrix.row_aggregate(h.raw() as usize);
+                let (infs, sum) = row_score(&eval, h.raw() as usize);
                 (infs, sum, h)
             })
             .collect();
@@ -548,8 +541,8 @@ impl Policy for ScoreScheduler {
     }
 }
 
-/// Convenience: the aggregate score a host row would contribute, exposed
-/// for diagnostics and tests.
+/// The §III-C power-off aggregate of host row `host`: the number of
+/// infinite cells and the sum of the finite ones, in column order.
 pub fn row_score(eval: &Eval<'_>, host: usize) -> (usize, f64) {
     let mut infs = 0;
     let mut sum = 0.0;
@@ -782,12 +775,11 @@ mod tests {
 
             let mut cols = Vec::new();
             sched.candidate_vms_into(&c, false, &mut cols);
-            let mut eval = Eval::new(&c, &sched.cfg, SimTime::ZERO, cols);
-            let mut matrix = ScoreMatrix::new(&mut eval);
+            let eval = Eval::new(&c, &sched.cfg, SimTime::ZERO, cols);
             let mut scored: Vec<(usize, f64, HostId)> = candidates
                 .iter()
                 .map(|&h| {
-                    let (infs, sum) = matrix.row_aggregate(h.raw() as usize);
+                    let (infs, sum) = row_score(&eval, h.raw() as usize);
                     (infs, sum, h)
                 })
                 .collect();
@@ -799,6 +791,24 @@ mod tests {
             });
             let reference: Vec<HostId> = scored.into_iter().map(|(_, _, h)| h).collect();
             assert_eq!(ranked, reference, "shape {shape:?}");
+        }
+    }
+
+    #[test]
+    fn zero_host_cluster_with_a_queue_yields_no_actions() {
+        // No rows to place on (and no shard map over an empty cluster):
+        // both entry points must return empty instead of panicking.
+        let mut c = cluster(&[]);
+        let vm = c.submit_job(job(1, 100, 600));
+        for cfg in [ScoreConfig::sb0(), ScoreConfig::sb()] {
+            let mut eval = Eval::new(&c, &cfg, SimTime::ZERO, vec![vm]);
+            assert!(crate::solver::solve(&mut eval, 8).moves.is_empty());
+            let mut sched = ScoreScheduler::new(cfg.clone());
+            assert!(sched.schedule(&c, &ctx(0)).is_empty());
+            assert!(sched.rank_power_off(&c, SimTime::ZERO, &[]).is_empty());
+            let mut sharded = ScoreScheduler::new(cfg).with_shards(ShardSpec::with_count(4));
+            assert!(sharded.schedule(&c, &ctx(0)).is_empty());
+            assert_eq!(sharded.shard_cursor, 0);
         }
     }
 
@@ -1030,10 +1040,11 @@ mod tests {
     }
 
     #[test]
-    fn sharding_on_a_single_rack_cluster_keeps_the_dense_path() {
+    fn sharding_on_a_single_rack_cluster_matches_the_unsharded_round() {
         // Three hosts under the default rack size of 8 realize one shard:
         // the spec is armed but the round must be bit-identical to an
-        // unsharded scheduler (dense path, cursor untouched).
+        // unsharded scheduler, cursor untouched (it is persisted, so
+        // moving it would change snapshot bytes).
         let mut c = cluster(&[HostClass::Medium, HostClass::Fast, HostClass::Slow]);
         for i in 0..4 {
             let _ = c.submit_job(job(i, 120, 900));

@@ -1,10 +1,12 @@
-//! The sharded hierarchical solver.
+//! The hill-climb engine and the sharded hierarchical solver built on it.
 //!
-//! The dense [`ScoreMatrix`](crate::matrix::ScoreMatrix) engine pays
-//! `O(M·N)` for the initial fill and `O(N)` per dirty row, which is fine
-//! at hundreds of hosts and prohibitive at ten thousand. This module
-//! trades a bounded amount of solution quality for locality: the cluster
-//! is partitioned into rack-aligned shards ([`ShardMap`]), each shard
+//! Every full-quality round runs here. Over [`ShardMap::single`] it is
+//! the plain §III-B climb ([`solve`](crate::solver::solve) is exactly
+//! that call). A whole-cluster matrix pays `O(M·N)` for the initial fill
+//! and `O(N)` per dirty row, which is fine at hundreds of hosts and
+//! prohibitive at ten thousand, so with more shards this module trades a
+//! bounded amount of solution quality for locality: the cluster is
+//! partitioned into rack-aligned shards ([`ShardMap`]), each shard
 //! hill-climbs its own small matrix, and a cheap global balancer re-homes
 //! VMs that their shard could not place before a second local pass.
 //!
@@ -27,10 +29,20 @@
 //!
 //! ## Per-shard engine
 //!
+//! A move `⟨v → h⟩` only changes the overlay state (`committed`,
+//! `vm_count`, `placement[v]`) of the VM's old host row and its new row
+//! `h`; every other cell — including the rest of column `v`, whose
+//! residency checks are false on those rows before and after — is
+//! provably unchanged. So a move dirties exactly two rows, and a sweep
+//! rescores `2·N` cells instead of `M·N`.
+//!
 //! Cells live in struct-of-arrays form: the three round-static halves
 //! ([`Eval::static_cell`]) and the current full score are parallel flat
 //! arrays, so a dirty-row rescore touches contiguous memory instead of
-//! hopping across an array of structs. Per column the engine maintains a
+//! hopping across an array of structs. A rescore re-runs only
+//! [`Eval::score_with_static`], composing the halves in the same
+//! floating-point order as [`Eval::score`], so a cached cell is always
+//! bit-identical to a fresh recompute. Per column the engine maintains a
 //! sorted **top-k candidate list** `(to, row)` plus a *bound*: every
 //! feasible cell of the column **not** in the list compares strictly
 //! greater than the bound under the `(to, row)` order. The argmin of the
@@ -42,10 +54,21 @@
 //! Within a shard, candidates are ordered by the documented global
 //! contract `(Δ, to, column, row)` — with *global* column and row
 //! indices, not shard-local ones. A single-shard map therefore reproduces
-//! the exact move sequence of [`solve_matrix`](crate::solver::solve_matrix)
-//! (the differential oracle in `tests/shard_oracle.rs` pins this
-//! bit-identically); multiple shards restrict each argmin to the shard's
-//! rows but never reorder equal candidates.
+//! the exact move sequence of the full-rescan
+//! [`solve_reference`](crate::solver::solve_reference) (the differential
+//! oracle in `tests/shard_oracle.rs` pins this bit-identically); multiple
+//! shards restrict each argmin to the shard's rows but never reorder
+//! equal candidates.
+//!
+//! ## Work accounting
+//!
+//! One [`WorkMeter`] unit is one cell touched. The engine build charges
+//! `m·n` for the fill plus `m·n` for the candidate lists; every sweep
+//! charges `n` for the argmin, `m` per drained list it rescans, and after
+//! a move at most `2n` for the two dirty rows plus `2n` for list
+//! maintenance. The meter is checked before every sweep, so a round
+//! overshoots its budget by at most the build or by one later sweep
+//! (`m·n + 5n`).
 
 use eards_model::ShardMap;
 
@@ -72,7 +95,7 @@ pub struct ShardedOutcome {
     /// Work units charged across every shard, balancer probe included.
     pub work_spent: u64,
     /// Host rows scored or re-scored across all shard engines (the
-    /// counterpart of `ScoreMatrix::rows_rescored`).
+    /// scheduler's `matrix_rows_rescored` counter).
     pub rows_rescored: u64,
     /// Queue columns dealt by the round-robin assignment this round; the
     /// caller advances its persistent cursor by this much.
@@ -116,9 +139,9 @@ struct ShardEngine {
 }
 
 impl ShardEngine {
-    /// Builds the engine: scores every cell (charging the meter per row,
-    /// like the dense engine's lazy fill) and builds each column's
-    /// candidate list (charging per column scan).
+    /// Builds the engine: scores every cell (charging the meter per row)
+    /// and builds each column's candidate list (charging per column
+    /// scan).
     fn build(
         eval: &Eval<'_>,
         rows: std::ops::Range<usize>,
@@ -171,7 +194,7 @@ impl ShardEngine {
     }
 
     /// Re-scores local row `r` reusing the cached static halves — the
-    /// same two-half composition the dense engine uses, so values stay
+    /// same two-half composition [`Eval::score`] uses, so values stay
     /// bit-identical to a fresh `eval.score`. Frozen columns are skipped:
     /// a moved column never moves again this round, and its cells are
     /// never read (not by `best_move`, which skips it, nor by
@@ -412,7 +435,8 @@ fn climb_shard(
 /// `budget == u64::MAX` leaves the work meter unarmed.
 ///
 /// With a single-shard map this is move-for-move identical to
-/// [`solve_matrix`](crate::solver::solve_matrix) on the same evaluator.
+/// [`solve_reference`](crate::solver::solve_reference) on the same
+/// evaluator.
 pub fn solve_sharded(
     eval: &mut Eval<'_>,
     map: &ShardMap,
@@ -596,7 +620,7 @@ pub fn solve_sharded(
 mod tests {
     use super::*;
     use crate::config::ScoreConfig;
-    use crate::solver::{solve, solve_reference};
+    use crate::solver::solve_reference;
     use eards_model::{Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, PowerState};
     use eards_sim::{SimDuration, SimTime};
 
@@ -625,39 +649,24 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_matches_dense_solver_bit_identically() {
-        for (hosts, vms, cpu) in [(4u32, 6u64, 150u32), (6, 10, 120), (3, 2, 100)] {
+    fn single_shard_matches_reference_oracle() {
+        for (hosts, vms, cpu) in [(4u32, 6u64, 150u32), (6, 10, 120), (3, 2, 100), (5, 8, 120)] {
             let mut c = cluster(hosts);
             let ids: Vec<_> = (0..vms).map(|i| c.submit_job(job(i, cpu))).collect();
             let cfg = ScoreConfig::sb();
             let expected = {
                 let mut eval = Eval::new(&c, &cfg, t(0), ids.clone());
-                solve(&mut eval, 32)
+                solve_reference(&mut eval, 32)
             };
             let mut eval = Eval::new(&c, &cfg, t(0), ids);
             let map = ShardMap::single(hosts as usize);
             let out = solve_sharded(&mut eval, &map, 0, 32, u64::MAX, DegradeLevel::L0Full);
             assert_eq!(
                 out.solution.moves, expected.moves,
-                "{hosts}h/{vms}v: sharded(1) diverged from the dense climb"
+                "{hosts}h/{vms}v: sharded(1) diverged from the full-rescan climb"
             );
             assert!(!out.solution.budget_exhausted);
         }
-    }
-
-    #[test]
-    fn single_shard_matches_reference_oracle() {
-        let mut c = cluster(5);
-        let ids: Vec<_> = (0..8).map(|i| c.submit_job(job(i, 120))).collect();
-        let cfg = ScoreConfig::sb();
-        let expected = {
-            let mut eval = Eval::new(&c, &cfg, t(0), ids.clone());
-            solve_reference(&mut eval, 100)
-        };
-        let mut eval = Eval::new(&c, &cfg, t(0), ids);
-        let map = ShardMap::single(5);
-        let out = solve_sharded(&mut eval, &map, 0, 100, u64::MAX, DegradeLevel::L0Full);
-        assert_eq!(out.solution.moves, expected.moves);
     }
 
     #[test]
@@ -704,28 +713,33 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_deterministic_and_prefix_stable() {
+        // The anytime property: stopping on budget exhaustion must yield
+        // exactly the first k moves of the full climb, for every budget,
+        // on one shard and on a real partition.
         let mut c = cluster(6);
         let ids: Vec<_> = (0..10).map(|i| c.submit_job(job(i, 150))).collect();
         let cfg = ScoreConfig::sb();
-        let map = ShardMap::build(6, 2, 3);
-        let full = {
-            let mut eval = Eval::new(&c, &cfg, t(0), ids.clone());
-            solve_sharded(&mut eval, &map, 0, 100, u64::MAX, DegradeLevel::L0Full)
-        };
-        assert!(!full.solution.budget_exhausted);
-        let mut last_len = 0usize;
-        for budget in [1u64, 20, 100, 400, 2000, full.work_spent] {
-            let mut eval = Eval::new(&c, &cfg, t(0), ids.clone());
-            let out = solve_sharded(&mut eval, &map, 0, 100, budget, DegradeLevel::L0Full);
-            assert_eq!(
-                out.solution.moves,
-                full.solution.moves[..out.solution.moves.len()],
-                "budget {budget}: not a prefix of the unbudgeted climb"
-            );
-            assert!(out.solution.moves.len() >= last_len, "budget not monotone");
-            last_len = out.solution.moves.len();
-            if !out.solution.budget_exhausted {
-                assert_eq!(out.solution.moves, full.solution.moves);
+        for map in [ShardMap::single(6), ShardMap::build(6, 2, 3)] {
+            let full = {
+                let mut eval = Eval::new(&c, &cfg, t(0), ids.clone());
+                solve_sharded(&mut eval, &map, 0, 100, u64::MAX, DegradeLevel::L0Full)
+            };
+            assert!(full.solution.moves.len() >= 2, "{:?}", full.solution);
+            assert!(!full.solution.budget_exhausted);
+            let mut last_len = 0usize;
+            for budget in [1u64, 20, 100, 200, 400, 1000, 2000, full.work_spent] {
+                let mut eval = Eval::new(&c, &cfg, t(0), ids.clone());
+                let out = solve_sharded(&mut eval, &map, 0, 100, budget, DegradeLevel::L0Full);
+                assert_eq!(
+                    out.solution.moves,
+                    full.solution.moves[..out.solution.moves.len()],
+                    "budget {budget}: not a prefix of the unbudgeted climb"
+                );
+                assert!(out.solution.moves.len() >= last_len, "budget not monotone");
+                last_len = out.solution.moves.len();
+                if !out.solution.budget_exhausted {
+                    assert_eq!(out.solution.moves, full.solution.moves);
+                }
             }
         }
     }
@@ -746,5 +760,127 @@ mod tests {
         // deal: cursor 0 gives it column 0, cursor 1 gives it column 1.
         assert_eq!(a.solution.moves.first().map(|&(v, _)| v), Some(0));
         assert_eq!(b.solution.moves.first().map(|&(v, _)| v), Some(1));
+    }
+
+    /// After every move of an arbitrary sequence, the engine's cached cell
+    /// must equal a from-scratch recompute bit for bit, and each column's
+    /// candidate head must be the column's true `(to, row)` argmin.
+    fn check_engine_against_recompute(
+        hosts: u32,
+        placed: &[(u8, u8)],
+        queued: &[u8],
+        moves: &[(u8, u8)],
+    ) {
+        let classes = [HostClass::Fast, HostClass::Medium, HostClass::Slow];
+        let specs = (0..hosts)
+            .map(|i| HostSpec::standard(HostId(i), classes[i as usize % 3]))
+            .collect();
+        let mut c = Cluster::new(specs, PowerState::On);
+        let mut ids = Vec::new();
+        for (i, &(cpu, bias)) in placed.iter().enumerate() {
+            let vm = c.submit_job(job(i as u64, 100 * (1 + u32::from(cpu % 4))));
+            let fits = (0..hosts)
+                .map(|k| HostId((u32::from(bias) + k) % hosts))
+                .find(|&h| c.can_place(h, vm));
+            if let Some(h) = fits {
+                c.start_creation(vm, h, t(0), t(40));
+                c.finish_creation(vm, t(40));
+                ids.push(vm);
+            }
+        }
+        for (i, &cpu) in queued.iter().enumerate() {
+            let id = (placed.len() + i) as u64;
+            ids.push(c.submit_job(job(id, 100 * (1 + u32::from(cpu % 4)))));
+        }
+        let (m, n) = (hosts as usize, ids.len());
+        for cfg in [ScoreConfig::sb0(), ScoreConfig::sb(), ScoreConfig::full()] {
+            let mut eval = Eval::new(&c, &cfg, t(120), ids.clone());
+            let mut meter = WorkMeter::unlimited();
+            let mut rows = 0u64;
+            let cols = (0..n as u32).collect();
+            let mut eng = ShardEngine::build(&eval, 0..m, cols, &mut meter, &mut rows);
+            let frozen = vec![false; n];
+            for &(vs, hs) in moves {
+                let (v, h) = (usize::from(vs) % n, usize::from(hs) % m);
+                let old = eval.placement_of(v);
+                if old == Some(h) {
+                    continue; // the solver never emits a self-move
+                }
+                eval.apply_move(v, h);
+                let dirty: Vec<usize> = old.into_iter().chain([h]).collect();
+                eng.invalidate_rows(&eval, &dirty, &frozen, &mut meter, &mut rows);
+                for v in 0..n {
+                    let mut argmin: Option<(f64, u32)> = None;
+                    for r in 0..m {
+                        let fresh = eval.score(r, v).value();
+                        let cached = eng.value[r * n + v];
+                        assert_eq!(cached.to_bits(), fresh.to_bits(), "cell ({r}, {v})");
+                        let cand = (fresh, r as u32);
+                        if eval.placement_of(v) != Some(r)
+                            && fresh.is_finite()
+                            && argmin.is_none_or(|b| cand < b)
+                        {
+                            argmin = Some(cand);
+                        }
+                    }
+                    assert_eq!(eng.col_best(&eval, v, &mut meter), argmin, "column {v}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn engine_cells_and_heads_match_recompute(
+            hosts in 2u32..24,
+            placed in proptest::collection::vec((0u8..=255, 0u8..=255), 0..10),
+            queued in proptest::collection::vec(0u8..=255, 1..8),
+            moves in proptest::collection::vec((0u8..=255, 0u8..=255), 1..12),
+        ) {
+            check_engine_against_recompute(hosts, &placed, &queued, &moves);
+        }
+    }
+
+    /// The overshoot bound `exp_degrade::slack` in `eards-bench` asserts at
+    /// bench scale (kept as the same formula): the meter is checked before
+    /// every sweep, so a round spends past its budget at most the engine
+    /// build (`2·m·n`) or one later sweep (`m·n + 5n`).
+    fn slack(m: u64, n: u64) -> u64 {
+        2 * m * n + 2 * n + m
+    }
+
+    #[test]
+    fn budget_overshoot_stays_within_one_sweep() {
+        // More hosts than TOP_K, running VMs to migrate, and a queue.
+        let (m, n_running, n_queued) = (24u32, 12u64, 20u64);
+        let mut c = cluster(m);
+        let mut ids = Vec::new();
+        for i in 0..n_running {
+            let vm = c.submit_job(job(i, 100));
+            c.start_creation(vm, HostId(i as u32 * 2), t(0), t(40));
+            c.finish_creation(vm, t(40));
+            ids.push(vm);
+        }
+        ids.extend((0..n_queued).map(|i| c.submit_job(job(n_running + i, 150))));
+        let n = ids.len() as u64;
+        let cfg = ScoreConfig::sb();
+        let map = ShardMap::single(m as usize);
+        let run = |budget: u64| {
+            let mut eval = Eval::new(&c, &cfg, t(100), ids.clone());
+            solve_sharded(&mut eval, &map, 0, 256, budget, DegradeLevel::L0Full)
+        };
+        let full = run(u64::MAX);
+        assert!(full.solution.moves.len() > 2, "{:?}", full.solution);
+        let build = 2 * u64::from(m) * n;
+        for budget in [1, 100, build, build + 7, full.work_spent / 2] {
+            let out = run(budget);
+            assert!(out.solution.budget_exhausted, "budget {budget} must bind");
+            assert!(
+                out.work_spent <= budget + slack(u64::from(m), n),
+                "budget {budget}: spent {} past budget + slack",
+                out.work_spent
+            );
+        }
     }
 }

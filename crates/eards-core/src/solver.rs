@@ -25,20 +25,22 @@
 //! benefit, the one landing in the more negative (more consolidated)
 //! cell wins. Remaining ties fall to the lower column index, then the
 //! lower host row. This exact tuple is a compatibility contract: the
-//! incremental engine ([`crate::matrix::ScoreMatrix`]) relies on `from`
-//! being constant per column to reduce the within-column order to
-//! `(to, row)`, and `tie_breaks_follow_documented_order` pins it.
+//! incremental engine ([`crate::shard`]) relies on `from` being constant
+//! per column to reduce the within-column order to `(to, row)`, and
+//! `tie_breaks_follow_documented_order` pins it.
 //!
-//! [`solve`] runs the hill climb through the incremental engine;
-//! [`solve_reference`] is the original full-rescan implementation, kept
-//! as the differential-testing oracle (`tests/matrix_oracle.rs` asserts
-//! move-for-move equality) and as the baseline the solver benchmarks
-//! compare against.
+//! [`solve`] runs the hill climb through the incremental engine as a
+//! single-shard [`solve_sharded`] call; [`solve_reference`] is the
+//! original full-rescan implementation, kept as the differential-testing
+//! oracle (`tests/shard_oracle.rs` asserts move-for-move equality) and as
+//! the baseline the solver benchmarks compare against.
+
+use eards_model::ShardMap;
 
 use crate::budget::DegradeLevel;
 use crate::eval::Eval;
-use crate::matrix::ScoreMatrix;
 use crate::score::Score;
+use crate::shard::solve_sharded;
 
 /// One applied move: `(matrix column, host row)`.
 pub type Move = (usize, usize);
@@ -54,81 +56,29 @@ pub struct Solution {
     /// convergence.
     pub hit_move_limit: bool,
     /// The degradation-ladder rung this solve executed at (caller-
-    /// supplied context; plain [`solve`]/[`solve_matrix`] runs are L0).
+    /// supplied context; plain [`solve`] runs are L0).
     pub degrade: DegradeLevel,
-    /// Whether the matrix's armed work budget ran out mid-climb: the
-    /// moves are the best found so far, not a local optimum.
+    /// Whether the armed work budget ran out mid-climb: the moves are
+    /// the best found so far, not a local optimum.
     pub budget_exhausted: bool,
 }
 
 /// Runs hill climbing until convergence or `max_moves`, using the
-/// incremental [`ScoreMatrix`] engine (identical output to
-/// [`solve_reference`], asymptotically cheaper per sweep).
+/// incremental engine over a single shard (identical output to
+/// [`solve_reference`], asymptotically cheaper per sweep). An evaluator
+/// without hosts has nowhere to place anything: no moves.
 pub fn solve(eval: &mut Eval<'_>, max_moves: usize) -> Solution {
-    let mut matrix = ScoreMatrix::new(eval);
-    solve_matrix(&mut matrix, max_moves)
-}
-
-/// Hill climbs an already-built [`ScoreMatrix`] (lets callers reuse the
-/// engine's allocations across rounds; see
-/// [`EngineBuffers`](crate::matrix::EngineBuffers)).
-pub fn solve_matrix(matrix: &mut ScoreMatrix<'_, '_>, max_moves: usize) -> Solution {
-    solve_matrix_at(matrix, max_moves, DegradeLevel::L0Full)
-}
-
-/// [`solve_matrix`] with an explicit degradation rung tagged into the
-/// returned [`Solution`], honoring the matrix's armed work budget: the
-/// budget is checked at the top of every sweep, so on exhaustion the
-/// climb stops and returns the best-so-far moves with
-/// `budget_exhausted` set. Overshoot past the budget is bounded by one
-/// sweep's work — at worst the initial lazy fill plus the first
-/// column-best scan (`2·m·n`), one argmin and one challenge (`2n`), and
-/// one column recompute (`m`).
-pub fn solve_matrix_at(
-    matrix: &mut ScoreMatrix<'_, '_>,
-    max_moves: usize,
-    degrade: DegradeLevel,
-) -> Solution {
-    let n = matrix.num_vms();
-    let mut frozen = vec![false; n];
-    let mut moves = Vec::new();
-    let mut sweeps = 0;
-
-    while moves.len() < max_moves {
-        if matrix.work_exhausted() {
-            return Solution {
-                moves,
-                sweeps,
-                hit_move_limit: false,
-                degrade,
-                budget_exhausted: true,
-            };
-        }
-        sweeps += 1;
-        match matrix.best_move(&frozen) {
-            Some((v, h)) => {
-                matrix.apply_move(v, h);
-                frozen[v] = true;
-                moves.push((v, h));
-            }
-            None => {
-                return Solution {
-                    moves,
-                    sweeps,
-                    hit_move_limit: false,
-                    degrade,
-                    budget_exhausted: false,
-                };
-            }
-        }
+    if eval.num_hosts() == 0 {
+        return Solution {
+            moves: Vec::new(),
+            sweeps: 0,
+            hit_move_limit: false,
+            degrade: DegradeLevel::L0Full,
+            budget_exhausted: false,
+        };
     }
-    Solution {
-        moves,
-        sweeps,
-        hit_move_limit: true,
-        degrade,
-        budget_exhausted: false,
-    }
+    let map = ShardMap::single(eval.num_hosts());
+    solve_sharded(eval, &map, 0, max_moves, u64::MAX, DegradeLevel::L0Full).solution
 }
 
 /// The original full-rescan hill climb: every sweep re-scores the entire
@@ -326,10 +276,9 @@ mod tests {
         let vms: Vec<VmId> = (0..2).map(|i| c.submit_job(job(i, 100))).collect();
         let cfg = ScoreConfig::sb0();
         let mut eval = crate::eval::Eval::new(&c, &cfg, t(0), vms.clone());
-        let mut matrix = crate::matrix::ScoreMatrix::new(&mut eval);
         assert_eq!(
-            matrix.best_move(&[false, false]),
-            Some((0, 0)),
+            solve(&mut eval, 1).moves,
+            vec![(0, 0)],
             "full tie must fall to lowest column, then lowest row"
         );
 
@@ -342,10 +291,9 @@ mod tests {
         let big = c.submit_job(job(11, 200)); // to = 20 − 0.50·40 = 0
         let cfg = ScoreConfig::sb0();
         let mut eval = crate::eval::Eval::new(&c, &cfg, t(0), vec![small, big]);
-        let mut matrix = crate::matrix::ScoreMatrix::new(&mut eval);
         assert_eq!(
-            matrix.best_move(&[false, false]),
-            Some((1, 0)),
+            solve(&mut eval, 1).moves,
+            vec![(1, 0)],
             "more negative raw score beats lower column index"
         );
 
@@ -366,38 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_solve_is_a_prefix_of_the_unbudgeted_climb() {
-        // The anytime property: stopping on budget exhaustion must yield
-        // exactly the first k moves of the full climb, for every budget.
-        let mut c = cluster(6);
-        let vms: Vec<VmId> = (0..10).map(|i| c.submit_job(job(i, 150))).collect();
-        let cfg = ScoreConfig::sb();
-        let full = {
-            let mut eval = crate::eval::Eval::new(&c, &cfg, t(0), vms.clone());
-            solve(&mut eval, 100)
-        };
-        assert!(full.moves.len() >= 2, "need a multi-move case: {full:?}");
-        for budget in [1u64, 50, 200, 1000, 5000] {
-            let mut eval = crate::eval::Eval::new(&c, &cfg, t(0), vms.clone());
-            let mut matrix = crate::matrix::ScoreMatrix::new(&mut eval);
-            matrix.set_work_budget(budget);
-            let sol = crate::solver::solve_matrix_at(
-                &mut matrix,
-                100,
-                crate::budget::DegradeLevel::L0Full,
-            );
-            assert_eq!(
-                sol.moves,
-                full.moves[..sol.moves.len()],
-                "budget {budget}: not a prefix"
-            );
-            if !sol.budget_exhausted {
-                assert_eq!(sol.moves, full.moves, "unexhausted run must be complete");
-            }
-        }
-    }
-
-    #[test]
     fn unarmed_budget_is_bit_identical_to_legacy() {
         let mut c = cluster(5);
         let vms: Vec<VmId> = (0..8).map(|i| c.submit_job(job(i, 120))).collect();
@@ -408,7 +324,7 @@ mod tests {
         let sol = solve(&mut eval, 100);
         assert_eq!(sol.moves, legacy.moves);
         assert!(!sol.budget_exhausted);
-        assert_eq!(sol.degrade, crate::budget::DegradeLevel::L0Full);
+        assert_eq!(sol.degrade, DegradeLevel::L0Full);
     }
 
     #[test]
@@ -417,15 +333,20 @@ mod tests {
         let vms: Vec<VmId> = (0..10).map(|i| c.submit_job(job(i, 150))).collect();
         let cfg = ScoreConfig::sb();
         let mut eval = crate::eval::Eval::new(&c, &cfg, t(0), vms);
-        let mut matrix = crate::matrix::ScoreMatrix::new(&mut eval);
-        matrix.set_work_budget(1);
-        let sol =
-            crate::solver::solve_matrix_at(&mut matrix, 100, crate::budget::DegradeLevel::L0Full);
-        // Budget 1 allows the first sweep (check happens before work is
-        // spent), then stops: at most one move, flagged exhausted.
-        assert!(sol.budget_exhausted);
-        assert!(sol.moves.len() <= 1, "{sol:?}");
-        assert!(matrix.work_spent() >= 1);
+        let out = solve_sharded(
+            &mut eval,
+            &ShardMap::single(6),
+            0,
+            100,
+            1,
+            DegradeLevel::L0Full,
+        );
+        // The budget is checked before every sweep, after the engine
+        // build has been charged: budget 1 stops the climb before its
+        // first move, flagged exhausted.
+        assert!(out.solution.budget_exhausted);
+        assert!(out.solution.moves.is_empty(), "{:?}", out.solution);
+        assert!(out.work_spent >= 1);
     }
 
     #[test]

@@ -118,7 +118,7 @@ pub struct RunConfig {
     /// (see `eards_core::ScoreScheduler::with_overload`).
     pub solver_budget: Option<u64>,
     /// Shard count requested for the hierarchical solver (`None` or
-    /// `Some(1)` = the dense single-matrix path). Like `solver_budget`
+    /// `Some(1)` = one shard over the whole cluster). Like `solver_budget`
     /// this field documents the run — the spec itself is armed on the
     /// policy (see `eards_core::ScoreScheduler::with_shards`) — but the
     /// runner also reads it to arm the auditor's cross-shard

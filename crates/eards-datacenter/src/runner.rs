@@ -9,9 +9,8 @@
 //! overheads, power — is simulated here.
 //!
 //! Per-round state is recycled, not rebuilt: the runner owns its policy
-//! for the whole simulation, so a [`ScoreScheduler`]'s incremental
-//! score-matrix engine (`eards_core::EngineBuffers`) carries its `O(M·N)`
-//! allocations from one consolidation tick to the next, and the
+//! for the whole simulation, so a [`ScoreScheduler`]'s evaluator
+//! allocations carry from one consolidation tick to the next, and the
 //! power-adjustment candidate sets reuse one scratch vector across
 //! rounds.
 //!

@@ -103,9 +103,9 @@ fn without_degrade_mode_nothing_is_parked() {
 }
 
 /// The one-sweep slack bound on budget overshoot: the solver checks the
-/// meter between sweeps, so a round can overshoot by at most the initial
-/// lazy fill (m·n) plus the first column-best scan (m·n), one argmin (n),
-/// one challenge (n) and one column recompute (m).
+/// meter between sweeps, so a round can overshoot by at most the engine
+/// build (fill m·n plus candidate lists m·n) or one later sweep (at most
+/// m·n + 5n).
 fn slack(hosts: usize, vms: usize) -> u64 {
     (2 * hosts * vms + 2 * vms + hosts) as u64
 }

@@ -384,7 +384,7 @@ mod tests {
     #[test]
     fn test_paths() {
         assert!(is_test_path("tests/chaos.rs"));
-        assert!(is_test_path("crates/eards-core/tests/matrix_oracle.rs"));
+        assert!(is_test_path("crates/eards-core/tests/shard_oracle.rs"));
         assert!(!is_test_path("crates/eards-core/src/solver.rs"));
     }
 

@@ -51,7 +51,6 @@ mod persist;
 mod queue;
 mod rng;
 mod time;
-mod wheel;
 
 pub use engine::{run, Simulator};
 pub use int_hash::{IntBuildHasher, IntHasher};
@@ -65,4 +64,3 @@ pub use time::{
     SimDuration, SimTime, MILLIS_PER_DAY, MILLIS_PER_HOUR, MILLIS_PER_MIN, MILLIS_PER_SEC,
     MILLIS_PER_WEEK,
 };
-pub use wheel::WheelQueue;

@@ -17,19 +17,6 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventHandle(u64);
 
-impl EventHandle {
-    /// Builds a handle from a raw sequence number (crate-internal: the
-    /// alternative queue implementations share the handle type).
-    pub(crate) fn from_raw(seq: u64) -> Self {
-        EventHandle(seq)
-    }
-
-    /// The raw sequence number.
-    pub(crate) fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 struct Entry<E> {
     time: SimTime,
     seq: u64,

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use eards_sim::{EventQueue, SimDuration, SimTime, WheelQueue};
+use eards_sim::{EventQueue, SimDuration, SimTime};
 
 /// Operations to drive the queue model.
 #[derive(Debug, Clone)]
@@ -23,65 +23,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    /// The timing wheel and the binary heap behave identically under any
-    /// interleaving of schedule / cancel / pop: drive both with the same
-    /// operations and require identical observable behaviour.
-    #[test]
-    fn wheel_matches_heap(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let mut heap = EventQueue::new();
-        let mut wheel = WheelQueue::new();
-        let mut handles: Vec<(eards_sim::EventHandle, eards_sim::EventHandle)> = Vec::new();
-        // The wheel clamps past-times to its cursor, so generate monotone
-        // non-decreasing times to keep the two queues comparable.
-        let mut floor = 0u64;
-        for op in ops {
-            match op {
-                Op::Schedule(ms) => {
-                    let at = SimTime::from_millis(floor + ms);
-                    let hh = heap.schedule(at, floor + ms);
-                    let hw = wheel.schedule(at, floor + ms);
-                    handles.push((hh, hw));
-                }
-                Op::Cancel(i) => {
-                    if handles.is_empty() {
-                        continue;
-                    }
-                    let idx = i % handles.len();
-                    let (hh, hw) = handles[idx];
-                    prop_assert_eq!(heap.cancel(hh), wheel.cancel(hw));
-                }
-                Op::Pop => {
-                    prop_assert_eq!(heap.peek_time(), wheel.peek_time());
-                    let a = heap.pop();
-                    let b = wheel.pop();
-                    match (a, b) {
-                        (None, None) => {}
-                        (Some((ta, _, pa)), Some((tb, _, pb))) => {
-                            prop_assert_eq!(ta, tb);
-                            prop_assert_eq!(pa, pb);
-                            floor = ta.as_millis();
-                        }
-                        (a, b) => prop_assert!(false, "heap {a:?} vs wheel {b:?}"),
-                    }
-                }
-            }
-            prop_assert_eq!(heap.len(), wheel.len());
-        }
-        // Drain both; they must agree to the end.
-        loop {
-            let a = heap.pop();
-            let b = wheel.pop();
-            match (&a, &b) {
-                (None, None) => break,
-                (Some((ta, _, pa)), Some((tb, _, pb))) => {
-                    prop_assert_eq!(ta, tb);
-                    prop_assert_eq!(pa, pb);
-                }
-                _ => prop_assert!(false, "heap {a:?} vs wheel {b:?}"),
-            }
-        }
-    }
-
     /// The queue behaves exactly like a sorted reference list under any
     /// interleaving of schedule / cancel / pop.
     #[test]
