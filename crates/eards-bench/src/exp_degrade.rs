@@ -45,8 +45,11 @@ const CHAOS: f64 = 2.0;
 /// Fleet size of the quality-loss runs.
 const QUALITY_HOSTS: u32 = 32;
 
-/// The adaptive-ladder row's per-round budget (work units).
-const LADDER_BUDGET: u64 = 25_000;
+/// The adaptive-ladder row's per-round budget (work units). It must sit
+/// below the rounds' full-quality work or the row merely repeats
+/// `forced l0_full`. At about 23% of the ∞-budget run's max round work
+/// (17 664) it binds on busy rounds, so the ladder steps down.
+const LADDER_BUDGET: u64 = 4_000;
 
 /// One sweep's worth of budget overshoot: the solver checks the meter
 /// before every sweep, so a round can overshoot by at most one sweep. The

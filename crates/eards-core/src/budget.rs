@@ -136,6 +136,7 @@ impl DegradeLevel {
 }
 
 impl Persist for DegradeLevel {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u8(match self {
             DegradeLevel::L0Full => 0,
@@ -145,6 +146,7 @@ impl Persist for DegradeLevel {
         });
     }
 
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         match r.get_u8()? {
             0 => Ok(DegradeLevel::L0Full),

@@ -117,12 +117,14 @@ impl Default for DegradeState {
 }
 
 impl Persist for DegradeState {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.rung.persist(w);
         w.put_f64(self.work_ewma);
         w.put_bool(self.last_exhausted);
     }
 
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(DegradeState {
             rung: DegradeLevel::restore(r)?,

@@ -220,6 +220,7 @@ impl AuditEvent {
 }
 
 impl Persist for AuditKind {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         match self {
             AuditKind::JobArrived { vm } => {
@@ -330,6 +331,7 @@ impl Persist for AuditKind {
             }
         }
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(match r.get_u8()? {
             0 => AuditKind::JobArrived {
@@ -421,10 +423,12 @@ impl Persist for AuditKind {
 }
 
 impl Persist for AuditEvent {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.at.persist(w);
         self.kind.persist(w);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(AuditEvent {
             at: SimTime::restore(r)?,

@@ -229,6 +229,7 @@ impl RunConfig {
 }
 
 impl Persist for AuditorMode {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u8(match self {
             AuditorMode::Off => 0,
@@ -236,6 +237,7 @@ impl Persist for AuditorMode {
             AuditorMode::Strict => 2,
         });
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         match r.get_u8()? {
             0 => Ok(AuditorMode::Off),

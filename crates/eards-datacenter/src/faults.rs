@@ -185,6 +185,7 @@ impl FaultEngine {
 /// would rewind them to the start of the run and replay already-consumed
 /// fault decisions; the stream states themselves must travel.
 impl Persist for FaultEngine {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.plan.persist(w);
         self.crash.persist(w);
@@ -194,6 +195,7 @@ impl Persist for FaultEngine {
         self.slowdown.persist(w);
         self.rack.persist(w);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let e = FaultEngine {
             plan: FaultPlan::restore(r)?,

@@ -209,12 +209,14 @@ impl InvariantAuditor {
 /// Canonical state: mode and counters. The duplicate-detection stamps
 /// are per-pass scratch and are rebuilt empty.
 impl Persist for InvariantAuditor {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.mode.persist(w);
         w.put_u64(self.checks);
         w.put_u64(self.violations);
         self.messages.persist(w);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(InvariantAuditor {
             mode: AuditorMode::restore(r)?,

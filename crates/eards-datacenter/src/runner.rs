@@ -93,6 +93,7 @@ enum Event {
 /// variant gets a stable tag byte; adding a variant appends a tag (and
 /// bumps [`eards_sim::SNAPSHOT_VERSION`] if an existing tag moves).
 impl Persist for Event {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         match *self {
             Event::JobArrival(idx) => {
@@ -167,6 +168,7 @@ impl Persist for Event {
         }
     }
 
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(match r.get_u8()? {
             0 => Event::JobArrival(r.get_usize()?),
@@ -294,10 +296,12 @@ struct RetryState {
 }
 
 impl Persist for RetryState {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u32(self.attempts);
         self.eligible.persist(w);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(RetryState {
             attempts: r.get_u32()?,

@@ -138,6 +138,31 @@ fn snapshot_bytes_match_the_pinned_format() {
     );
 }
 
+/// Truncation at *every* offset of the pinned snapshot, not a sample: each
+/// strict prefix must come back as an error, without a panic. A cut can
+/// land inside any field of any layer, so this walks the fast
+/// fixed-width reads through every short read the format can produce.
+#[test]
+fn every_prefix_of_the_pinned_snapshot_errors_cleanly() {
+    let bytes = baseline_snapshot();
+    assert_eq!(
+        bytes.len(),
+        PINNED_LEN,
+        "the pinned snapshot is the one cut"
+    );
+    let (hosts, trace) = world();
+    for cut in 0..bytes.len() {
+        let restored = Runner::restore(
+            hosts.clone(),
+            trace.clone(),
+            policy(),
+            config(),
+            &bytes[..cut],
+        );
+        assert!(restored.is_err(), "prefix of {cut} bytes restored");
+    }
+}
+
 /// A small cluster with a finished, a running, a migrating, a creating and
 /// a queued VM.
 fn mid_flight_cluster() -> Cluster {

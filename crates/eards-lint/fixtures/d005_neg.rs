@@ -2,10 +2,12 @@
 // wall-clock read *outside* any Persist impl, which in this allowlisted
 // crate (eards-obs) is D002-clean and out of D005's scope.
 impl Persist for Span {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u64(self.started.as_millis());
     }
 
+    #[inline]
     fn restore(r: &mut Reader) -> Result<Self, PersistError> {
         Ok(Span {
             started: SimTime::from_millis(r.get_u64()?),

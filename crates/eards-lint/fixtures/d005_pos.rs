@@ -2,6 +2,7 @@
 // `impl Persist` block. Linted under an eards-obs path, where D002's
 // allowlist would otherwise let the wall clock through — D005 still fires.
 impl Persist for Span {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         let t0 = std::time::Instant::now();
         let wall = std::time::SystemTime::now();
@@ -10,6 +11,7 @@ impl Persist for Span {
         w.put_u64(self.id);
     }
 
+    #[inline]
     fn restore(r: &mut Reader) -> Result<Self, PersistError> {
         Ok(Span {
             id: r.get_u64()?,

@@ -3,6 +3,7 @@
 // rule is scoped to sim-affecting crates, so only codec bodies count
 // here.
 impl Persist for Counters {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_len(self.values.len());
         for v in &self.values {
@@ -10,6 +11,7 @@ impl Persist for Counters {
         }
     }
 
+    #[inline]
     fn restore(r: &mut Reader) -> Result<Self, PersistError> {
         let n = r.get_len()?;
         let mut values = Vec::with_capacity(n);

@@ -7,10 +7,12 @@ pub struct Gauge {
 }
 
 impl Persist for Gauge {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u64(self.total);
     }
 
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(Gauge {
             total: r.get_u64()?,
@@ -23,10 +25,12 @@ impl Persist for Gauge {
 pub struct Seq(pub u64);
 
 impl Persist for Seq {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u64(self.0);
     }
 
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(Seq(r.get_u64()?))
     }
@@ -34,8 +38,10 @@ impl Persist for Seq {
 
 // Target type defined nowhere the analyzer can see: skipped, not guessed.
 impl Persist for External {
+    #[inline]
     fn persist(&self, _w: &mut Writer) {}
 
+    #[inline]
     fn restore(_r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(External)
     }

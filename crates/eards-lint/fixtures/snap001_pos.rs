@@ -10,11 +10,13 @@ pub struct Meter {
 }
 
 impl Persist for Meter {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u64(self.ticks);
         w.put_u64(self.skew);
     }
 
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(Meter {
             ticks: r.get_u64()?,

@@ -7,6 +7,7 @@ pub enum Mode {
 }
 
 impl Persist for Mode {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u8(match self {
             Mode::Off => 0,
@@ -15,6 +16,7 @@ impl Persist for Mode {
         });
     }
 
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         match r.get_u8()? {
             0 => Ok(Mode::Off),

@@ -10,6 +10,7 @@ pub enum Phase {
 }
 
 impl Persist for Phase {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u8(match self {
             Phase::Idle => 0,
@@ -18,6 +19,7 @@ impl Persist for Phase {
         });
     }
 
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         match r.get_u8()? {
             0 => Ok(Phase::Idle),

@@ -84,6 +84,19 @@ pub struct MethodDef {
     pub line: u32,
     /// Code-token index range of the body, **inclusive** of both braces.
     pub body: (usize, usize),
+    /// The outer attributes on the method, each as its tokens between
+    /// `#[` and `]` joined without spaces (`inline`, `inline(always)`,
+    /// `allow(dead_code)`), in source order.
+    pub attrs: Vec<String>,
+}
+
+impl MethodDef {
+    /// True if the method carries `#[inline]` or `#[inline(always)]`.
+    pub fn is_inline(&self) -> bool {
+        self.attrs
+            .iter()
+            .any(|a| a == "inline" || a == "inline(always)")
+    }
 }
 
 /// An `impl` block.
@@ -704,13 +717,38 @@ impl<'a> Parser<'a> {
         close + 1
     }
 
+    /// The text of the outer attribute at `i` (`#[…]`): its tokens
+    /// between the brackets joined without spaces. `None` for an inner
+    /// attribute (`#![…]`) or a stray `#`.
+    fn attr_text(&self, i: usize, end: usize) -> Option<String> {
+        if !self.punct(i + 1, '[') {
+            return None;
+        }
+        let close = self.match_brace(i + 1, end);
+        Some(
+            (i + 2..close)
+                .filter_map(|k| self.f.ct(k).map(|t| t.text.as_str()))
+                .collect(),
+        )
+    }
+
     /// Methods declared directly inside an impl body.
     fn parse_methods(&self, lo: usize, close: usize) -> Vec<MethodDef> {
         let mut methods = Vec::new();
+        // Outer attributes seen since the last item boundary; they belong
+        // to the next `fn` (visibility and qualifiers may sit between).
+        let mut attrs = Vec::new();
         let mut k = lo;
         while k < close {
             if self.punct(k, '#') {
+                attrs.extend(self.attr_text(k, close));
                 k = self.skip_attr(k, close);
+                continue;
+            }
+            if self.punct(k, ';') {
+                // End of an associated const/type: its attributes are spent.
+                attrs.clear();
+                k += 1;
                 continue;
             }
             if self.is(k, "fn") {
@@ -738,14 +776,17 @@ impl<'a> Parser<'a> {
                         name: name.to_string(),
                         line: fn_line,
                         body: (b, body_close),
+                        attrs: std::mem::take(&mut attrs),
                     });
                     k = body_close + 1;
                 } else {
+                    attrs.clear();
                     k = b + 1;
                 }
                 continue;
             }
             if self.punct(k, '{') {
+                attrs.clear();
                 k = self.skip_group(k, close);
                 continue;
             }
@@ -833,6 +874,44 @@ mod tests {
         let inh = &it.impls[1];
         assert_eq!(inh.trait_name, None);
         assert_eq!(inh.type_name.as_deref(), Some("HostSpec"));
+    }
+
+    #[test]
+    fn method_attributes_are_recorded_per_method() {
+        let it = items(
+            "impl Persist for S {\n\
+             \x20   #![allow(unused)]\n\
+             \x20   #[inline]\n\
+             \x20   fn persist(&self, w: &mut Writer) {}\n\
+             \x20   #[must_use]\n\
+             \x20   #[inline(always)]\n\
+             \x20   pub(crate) fn restore(r: &mut Reader<'_>) -> Result<Self, E> { todo!() }\n\
+             \x20   #[inline]\n\
+             \x20   const TAG: u8 = 1;\n\
+             \x20   fn tag() -> u8 { 1 }\n\
+             \x20   #[inline(never)]\n\
+             \x20   fn cold() {}\n\
+             }\n",
+        );
+        let imp = &it.impls[0];
+        let attrs = |name: &str| imp.method(name).unwrap().attrs.clone();
+        assert_eq!(
+            attrs("persist"),
+            ["inline"],
+            "inner attributes are not the method's"
+        );
+        assert_eq!(attrs("restore"), ["must_use", "inline(always)"]);
+        assert!(
+            attrs("tag").is_empty(),
+            "an associated const's attribute does not leak"
+        );
+        assert!(imp.method("persist").unwrap().is_inline());
+        assert!(imp.method("restore").unwrap().is_inline());
+        assert!(!imp.method("tag").unwrap().is_inline());
+        assert!(
+            !imp.method("cold").unwrap().is_inline(),
+            "inline(never) is not inline"
+        );
     }
 
     #[test]

@@ -50,6 +50,11 @@ pub enum RuleId {
     /// `persist` or `restore` body of `impl Persist for E` — a new
     /// variant without a tag arm in both directions corrupts snapshots.
     SNAP002,
+    /// Codec inlining: a method of an `impl Persist` without `#[inline]`.
+    /// The release profile has no LTO, so a codec method without the
+    /// attribute cannot inline into a caller in another crate and every
+    /// field read or write becomes an out-of-line call.
+    SNAP003,
     /// Malformed suppression: `lint:allow` without a mandatory reason, or
     /// naming an unknown rule. Never suppressible, never baselined.
     S001,
@@ -71,6 +76,7 @@ impl RuleId {
         RuleId::C001,
         RuleId::SNAP001,
         RuleId::SNAP002,
+        RuleId::SNAP003,
         RuleId::S001,
         RuleId::S002,
     ];
@@ -87,6 +93,7 @@ impl RuleId {
             RuleId::C001 => "C001",
             RuleId::SNAP001 => "SNAP001",
             RuleId::SNAP002 => "SNAP002",
+            RuleId::SNAP003 => "SNAP003",
             RuleId::S001 => "S001",
             RuleId::S002 => "S002",
         }
@@ -117,6 +124,9 @@ impl RuleId {
             RuleId::SNAP002 => {
                 "enum variant missing a tag arm in a persist/restore body \
                  of its impl Persist"
+            }
+            RuleId::SNAP003 => {
+                "impl Persist method without #[inline] (codec cannot inline across crates)"
             }
             RuleId::S001 => "lint:allow marker without the mandatory reason",
             RuleId::S002 => "stale lint:allow: its rule fires nothing on the covered lines",
@@ -163,6 +173,7 @@ pub fn check_file(f: &SourceFile, index: &ItemIndex) -> Vec<Finding> {
     c001_simtime_casts(f, &mut raw);
     snap001_field_coverage(f, index, &mut raw);
     snap002_tag_exhaustiveness(f, index, &mut raw);
+    snap003_codec_inline(f, &mut raw);
     let mut out: Vec<Finding> = raw
         .iter()
         .filter(|fd| !f.suppressed(fd.rule, fd.line))
@@ -773,6 +784,36 @@ fn snap002_tag_exhaustiveness(f: &SourceFile, index: &ItemIndex, out: &mut Vec<F
                     "variant `{name}` of `{ty}` {} in its impl Persist: add the tag \
                      arm to both directions",
                     snap_direction(in_w, in_r)
+                ),
+            );
+        }
+    }
+}
+
+/// SNAP003 — codec inlining. Every method of an `impl Persist` must carry
+/// `#[inline]` (or `#[inline(always)]`). Without LTO, a non-generic
+/// method that calls anything is not inlined into other crates, so a
+/// codec missing the attribute turns each nested field write and read of
+/// a snapshot into an out-of-line call that returns its `Result` through
+/// memory. Generic
+/// impls and impls in any crate are held to the same rule: one shape for
+/// every codec, no judgement calls. Test code is exempt.
+fn snap003_codec_inline(f: &SourceFile, out: &mut Vec<Finding>) {
+    for imp in &f.items.impls {
+        if imp.trait_name.as_deref() != Some("Persist") || f.in_test_code(imp.line) {
+            continue;
+        }
+        let ty = imp.type_name.as_deref().unwrap_or("_");
+        for m in imp.methods.iter().filter(|m| !m.is_inline()) {
+            emit(
+                f,
+                out,
+                RuleId::SNAP003,
+                m.line,
+                format!(
+                    "`{}` of `impl Persist for {ty}` lacks #[inline]: without it the \
+                     codec call cannot inline into callers in other crates",
+                    m.name
                 ),
             );
         }

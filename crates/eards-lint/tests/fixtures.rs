@@ -133,11 +133,11 @@ fn d005_positive_even_in_clock_allowed_crates() {
         "crates/eards-obs/src/fixture.rs",
         include_str!("../fixtures/d005_pos.rs"),
         &[
-            (RuleId::D005, 6),
             (RuleId::D005, 7),
-            (RuleId::D003, 8),
             (RuleId::D005, 8),
-            (RuleId::D005, 16),
+            (RuleId::D003, 9),
+            (RuleId::D005, 9),
+            (RuleId::D005, 18),
         ],
     );
 }
@@ -147,8 +147,8 @@ fn d005_overlaps_d002_in_sim_crates() {
     // In a sim crate the same source draws D002 too — fixing the impl
     // clears both, exactly like the D004/P001 overlap.
     let got = run(SIM, include_str!("../fixtures/d005_pos.rs"));
-    assert!(got.contains(&(RuleId::D005, 6)));
-    assert!(got.contains(&(RuleId::D002, 6)));
+    assert!(got.contains(&(RuleId::D005, 7)));
+    assert!(got.contains(&(RuleId::D002, 7)));
 }
 
 #[test]
@@ -201,10 +201,10 @@ fn p001_persist_bodies_fire_outside_sim_crates() {
         "crates/eards-metrics/src/fixture.rs",
         include_str!("../fixtures/p001_persist_pos.rs"),
         &[
-            (RuleId::P001, 8),
-            (RuleId::P001, 10),
-            (RuleId::P001, 14),
+            (RuleId::P001, 9),
+            (RuleId::P001, 11),
             (RuleId::P001, 16),
+            (RuleId::P001, 18),
         ],
     );
 }
@@ -217,10 +217,10 @@ fn p001_persist_positive_draws_more_in_sim_crates() {
     assert_eq!(
         got,
         &[
-            (RuleId::P001, 8),
-            (RuleId::P001, 10),
-            (RuleId::P001, 14),
+            (RuleId::P001, 9),
+            (RuleId::P001, 11),
             (RuleId::P001, 16),
+            (RuleId::P001, 18),
         ]
     );
 }
@@ -318,6 +318,46 @@ fn snap002_positive() {
 #[test]
 fn snap002_negative() {
     expect(SIM, include_str!("../fixtures/snap002_neg.rs"), &[]);
+}
+
+#[test]
+fn snap003_positive() {
+    // `Plain` lacks the attribute on both methods (lines 10, 13), `Pinned`
+    // opts out with `inline(never)` (line 24), `Pair` carries only an
+    // unrelated attribute (line 31).
+    expect(
+        SIM,
+        include_str!("../fixtures/snap003_pos.rs"),
+        &[
+            (RuleId::SNAP003, 10),
+            (RuleId::SNAP003, 13),
+            (RuleId::SNAP003, 24),
+            (RuleId::SNAP003, 31),
+        ],
+    );
+}
+
+#[test]
+fn snap003_fires_in_every_crate() {
+    // A codec anywhere can be called from another crate.
+    let got = run(
+        "crates/eards-metrics/src/fixture.rs",
+        include_str!("../fixtures/snap003_pos.rs"),
+    );
+    assert_eq!(
+        got,
+        &[
+            (RuleId::SNAP003, 10),
+            (RuleId::SNAP003, 13),
+            (RuleId::SNAP003, 24),
+            (RuleId::SNAP003, 31),
+        ]
+    );
+}
+
+#[test]
+fn snap003_negative() {
+    expect(SIM, include_str!("../fixtures/snap003_neg.rs"), &[]);
 }
 
 #[test]

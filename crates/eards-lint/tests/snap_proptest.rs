@@ -27,7 +27,7 @@ fn render(fields: &[String], omitted: Option<(usize, Omit)>) -> (String, Vec<u32
         src.push_str(&format!("    pub {name}: u64,\n"));
     }
     src.push_str("}\n\nimpl Persist for Snapshot {\n");
-    src.push_str("    fn persist(&self, w: &mut Writer) {\n");
+    src.push_str("    #[inline]\n    fn persist(&self, w: &mut Writer) {\n");
     for (i, name) in fields.iter().enumerate() {
         let drop_write = matches!(
             omitted,
@@ -38,7 +38,9 @@ fn render(fields: &[String], omitted: Option<(usize, Omit)>) -> (String, Vec<u32
         }
     }
     src.push_str("    }\n\n");
-    src.push_str("    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {\n");
+    src.push_str(
+        "    #[inline]\n    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {\n",
+    );
     src.push_str("        Ok(Snapshot {\n");
     for (i, name) in fields.iter().enumerate() {
         let drop_read = matches!(

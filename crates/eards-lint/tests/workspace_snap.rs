@@ -78,3 +78,37 @@ fn dropping_a_real_restore_read_is_caught_too() {
         snap[0].message
     );
 }
+
+#[test]
+fn real_host_codecs_are_inline() {
+    let findings = lint_source(HOST_PATH, HOST_RS);
+    assert!(
+        findings.iter().all(|f| f.rule != RuleId::SNAP003),
+        "every Persist method in host.rs carries #[inline]: {findings:?}"
+    );
+}
+
+#[test]
+fn dropping_a_real_inline_is_caught_at_the_method_line() {
+    let header = "impl Persist for HostSpec {\n    #[inline]\n    fn persist(";
+    assert!(HOST_RS.contains(header), "the attribute under test exists");
+    // Blank the attribute out in place (line numbers stay stable).
+    let broken = HOST_RS.replace(header, "impl Persist for HostSpec {\n\n    fn persist(");
+    let fn_line = HOST_RS
+        .find(header)
+        .map(|at| HOST_RS[..at].lines().count() as u32 + 3)
+        .expect("located above");
+    let snap: Vec<_> = lint_source(HOST_PATH, &broken)
+        .into_iter()
+        .filter(|f| f.rule == RuleId::SNAP003)
+        .collect();
+    assert_eq!(snap.len(), 1, "exactly the stripped method: {snap:?}");
+    assert_eq!(snap[0].line, fn_line, "anchored on the `fn` line");
+    assert!(
+        snap[0]
+            .message
+            .contains("`persist` of `impl Persist for HostSpec`"),
+        "names the method and impl: {}",
+        snap[0].message
+    );
+}

@@ -64,6 +64,7 @@ pub struct FaultStats {
 }
 
 impl Persist for JobOutcome {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u64(self.job_id);
         self.submitted.persist(w);
@@ -74,6 +75,7 @@ impl Persist for JobOutcome {
         w.put_f64(self.cpu_hours);
         w.put_f64(self.work_cpu_hours);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(JobOutcome {
             job_id: r.get_u64()?,
@@ -89,6 +91,7 @@ impl Persist for JobOutcome {
 }
 
 impl Persist for FaultStats {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u64(self.boot_failures);
         w.put_u64(self.creation_failures);
@@ -103,6 +106,7 @@ impl Persist for FaultStats {
         w.put_u64(self.invariant_checks);
         w.put_u64(self.invariant_violations);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(FaultStats {
             boot_failures: r.get_u64()?,

@@ -222,10 +222,12 @@ impl TimeWeighted {
 }
 
 impl Persist for SeriesPoint {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.at.persist(w);
         w.put_f64(self.value);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(SeriesPoint {
             at: SimTime::restore(r)?,
@@ -235,9 +237,11 @@ impl Persist for SeriesPoint {
 }
 
 impl Persist for TimeSeries {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.points.persist(w);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let points: Vec<SeriesPoint> = Vec::restore(r)?;
         let out_of_order = points
@@ -252,12 +256,14 @@ impl Persist for TimeSeries {
 }
 
 impl Persist for TimeWeighted {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_f64(self.value);
         self.last_change.persist(w);
         w.put_f64(self.integral);
         self.started.persist(w);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(TimeWeighted {
             value: r.get_f64()?,

@@ -91,6 +91,7 @@ impl Summary {
 }
 
 impl Persist for Summary {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u64(self.n);
         w.put_f64(self.mean);
@@ -98,6 +99,7 @@ impl Persist for Summary {
         w.put_f64(self.min);
         w.put_f64(self.max);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(Summary {
             n: r.get_u64()?,

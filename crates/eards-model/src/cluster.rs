@@ -869,6 +869,7 @@ impl Cluster {
 /// allocation math iterates them), in-flight ops, and the fault-layer
 /// multipliers. Everything a host owns is canonical; nothing is rebuilt.
 impl Persist for Host {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.spec.persist(w);
         self.power.persist(w);
@@ -878,6 +879,7 @@ impl Persist for Host {
         w.put_f64(self.cpu_factor);
         w.put_f64(self.reliability_penalty);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(Host {
             spec: HostSpec::restore(r)?,
@@ -899,6 +901,7 @@ impl Persist for Host {
 /// [`Cluster::verify`] pass, so a corrupt or hand-edited snapshot cannot
 /// smuggle in an inconsistent world state.
 impl Persist for Cluster {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.hosts.persist(w);
         self.vms.persist(w);
@@ -906,6 +909,7 @@ impl Persist for Cluster {
         w.put_u64(self.vms.len() as u64);
         w.put_u64(self.next_op_seq);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let hosts: Vec<Host> = Vec::restore(r)?;
         for (i, h) in hosts.iter().enumerate() {

@@ -224,11 +224,13 @@ impl FaultPlan {
 }
 
 impl Persist for SlowdownPlan {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.mtbe.persist(w);
         self.duration.persist(w);
         w.put_f64(self.factor);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(SlowdownPlan {
             mtbe: SimDuration::restore(r)?,
@@ -239,11 +241,13 @@ impl Persist for SlowdownPlan {
 }
 
 impl Persist for RackPlan {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_usize(self.rack_size);
         self.mtbf.persist(w);
         self.outage.persist(w);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(RackPlan {
             rack_size: r.get_usize()?,
@@ -254,12 +258,14 @@ impl Persist for RackPlan {
 }
 
 impl Persist for RecoveryPolicy {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.base_backoff.persist(w);
         self.max_backoff.persist(w);
         w.put_u32(self.blacklist_after);
         w.put_f64(self.blacklist_penalty);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(RecoveryPolicy {
             base_backoff: SimDuration::restore(r)?,
@@ -271,6 +277,7 @@ impl Persist for RecoveryPolicy {
 }
 
 impl Persist for FaultPlan {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_bool(self.host_crashes);
         w.put_opt(&self.crash_mttf);
@@ -283,6 +290,7 @@ impl Persist for FaultPlan {
         self.recovery.persist(w);
         w.put_opt(&self.seed);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(FaultPlan {
             host_crashes: r.get_bool()?,

@@ -192,6 +192,7 @@ impl InFlightOp {
 }
 
 impl Persist for HostClass {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u8(match self {
             HostClass::Fast => 0,
@@ -199,6 +200,7 @@ impl Persist for HostClass {
             HostClass::Slow => 2,
         });
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         match r.get_u8()? {
             0 => Ok(HostClass::Fast),
@@ -210,6 +212,7 @@ impl Persist for HostClass {
 }
 
 impl Persist for HostSpec {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.id.persist(w);
         self.class.persist(w);
@@ -219,6 +222,7 @@ impl Persist for HostSpec {
         self.hypervisor.persist(w);
         w.put_f64(self.reliability);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(HostSpec {
             id: HostId::restore(r)?,
@@ -233,6 +237,7 @@ impl Persist for HostSpec {
 }
 
 impl Persist for PowerState {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         match self {
             PowerState::Off => w.put_u8(0),
@@ -248,6 +253,7 @@ impl Persist for PowerState {
             PowerState::Failed => w.put_u8(4),
         }
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         match r.get_u8()? {
             0 => Ok(PowerState::Off),
@@ -265,6 +271,7 @@ impl Persist for PowerState {
 }
 
 impl Persist for OpKind {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         match self {
             OpKind::Create => w.put_u8(0),
@@ -279,6 +286,7 @@ impl Persist for OpKind {
             OpKind::Checkpoint => w.put_u8(3),
         }
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         match r.get_u8()? {
             0 => Ok(OpKind::Create),
@@ -295,6 +303,7 @@ impl Persist for OpKind {
 }
 
 impl Persist for InFlightOp {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.vm.persist(w);
         self.kind.persist(w);
@@ -303,6 +312,7 @@ impl Persist for InFlightOp {
         self.cpu_overhead.persist(w);
         w.put_u64(self.seq);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(InFlightOp {
             vm: VmId::restore(r)?,

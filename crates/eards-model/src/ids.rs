@@ -45,27 +45,33 @@ id_type!(
 );
 
 impl Persist for HostId {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u32(self.0);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(HostId(r.get_u32()?))
     }
 }
 
 impl Persist for VmId {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u64(self.0);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(VmId(r.get_u64()?))
     }
 }
 
 impl Persist for JobId {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u64(self.0);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(JobId(r.get_u64()?))
     }

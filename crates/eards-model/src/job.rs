@@ -139,6 +139,7 @@ impl Job {
 }
 
 impl Persist for Arch {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u8(match self {
             Arch::X86_64 => 0,
@@ -146,6 +147,7 @@ impl Persist for Arch {
             Arch::Ppc64 => 2,
         });
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         match r.get_u8()? {
             0 => Ok(Arch::X86_64),
@@ -157,12 +159,14 @@ impl Persist for Arch {
 }
 
 impl Persist for Hypervisor {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u8(match self {
             Hypervisor::Xen => 0,
             Hypervisor::Kvm => 1,
         });
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         match r.get_u8()? {
             0 => Ok(Hypervisor::Xen),
@@ -173,11 +177,13 @@ impl Persist for Hypervisor {
 }
 
 impl Persist for Requirements {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_opt(&self.arch);
         w.put_opt(&self.hypervisor);
         w.put_u32(self.min_host_cpus);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(Requirements {
             arch: r.get_opt()?,
@@ -188,6 +194,7 @@ impl Persist for Requirements {
 }
 
 impl Persist for Job {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.id.persist(w);
         self.submit.persist(w);
@@ -199,6 +206,7 @@ impl Persist for Job {
         self.requirements.persist(w);
         w.put_f64(self.fault_tolerance);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(Job {
             id: JobId::restore(r)?,

@@ -40,10 +40,12 @@ impl ShardSpec {
 }
 
 impl Persist for ShardSpec {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u32(self.count);
         w.put_u32(self.rack_size);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(ShardSpec {
             count: r.get_u32()?,
@@ -154,9 +156,11 @@ impl ShardMap {
 }
 
 impl Persist for ShardMap {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_seq(&self.starts);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let starts = r.get_seq::<u32>()?;
         if starts.len() < 2 {

@@ -202,28 +202,34 @@ impl fmt::Display for Resources {
 }
 
 impl Persist for Cpu {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u32(self.0);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(Cpu(r.get_u32()?))
     }
 }
 
 impl Persist for Mem {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u32(self.0);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(Mem(r.get_u32()?))
     }
 }
 
 impl Persist for Resources {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.cpu.persist(w);
         self.mem.persist(w);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(Resources {
             cpu: Cpu::restore(r)?,

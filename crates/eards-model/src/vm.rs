@@ -208,6 +208,7 @@ impl Vm {
 }
 
 impl Persist for VmState {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         match self {
             VmState::Queued => w.put_u8(0),
@@ -221,6 +222,7 @@ impl Persist for VmState {
             VmState::Finished => w.put_u8(5),
         }
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         match r.get_u8()? {
             0 => Ok(VmState::Queued),
@@ -237,6 +239,7 @@ impl Persist for VmState {
 }
 
 impl Persist for Vm {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.id.persist(w);
         self.job.persist(w);
@@ -251,6 +254,7 @@ impl Persist for Vm {
         w.put_u32(self.migrations);
         w.put_opt(&self.checkpoint);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(Vm {
             id: VmId::restore(r)?,

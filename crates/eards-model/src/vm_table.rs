@@ -82,12 +82,14 @@ impl IndexMut<VmId> for VmTable {
 /// The same bytes as a `Vec<Vm>`: a length, then the VMs in id order.
 /// Restore rejects a VM whose id is not its position.
 impl Persist for VmTable {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_len(self.len());
         for vm in self.chunks.iter().flatten() {
             vm.persist(w);
         }
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let n = r.get_len()?;
         let mut chunks = Vec::with_capacity(n.div_ceil(CHUNK));

@@ -119,12 +119,14 @@ impl<E> Simulator<E> {
 /// Canonical state: the clock (`SimClock` role of the engine), the
 /// processed-event counter, and the future-event list.
 impl<E: Persist> Persist for Simulator<E> {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.now.persist(w);
         w.put_u64(self.processed);
         self.queue.persist(w);
     }
 
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(Simulator {
             now: SimTime::restore(r)?,

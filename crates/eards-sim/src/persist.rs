@@ -18,6 +18,13 @@
 //!   followed by a version byte ([`SNAPSHOT_VERSION`]); readers reject
 //!   unknown versions instead of guessing.
 //!
+//! The codec is built to run at memory speed without LTO: every `Writer`
+//! and `Reader` primitive and every `impl Persist` method is `#[inline]`
+//! (lint rule `SNAP003`), so a snapshot compiles into straight-line code
+//! in the crate that takes it instead of one call per field; fixed-width
+//! reads take an array with one bounds check, and their end-of-input
+//! error is built out of line.
+//!
 //! Only **canonical** state is serialized. Transient state — recycled
 //! scratch buffers, observability sinks, derived caches — is rebuilt on
 //! restore; each implementer documents its split. Snapshot code must be
@@ -159,36 +166,43 @@ impl Writer {
     }
 
     /// Writes one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Writes a little-endian `u32`.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a little-endian `u64`.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `usize` as a `u64`.
+    #[inline]
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
     }
 
     /// Writes an `f64` as its exact IEEE-754 bit pattern.
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
     /// Writes a bool as one byte (0 or 1).
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.put_u8(u8::from(v));
     }
 
     /// Writes a length-prefixed UTF-8 string.
+    #[inline]
     pub fn put_str(&mut self, s: &str) {
         self.put_len(s.len());
         self.buf.extend_from_slice(s.as_bytes());
@@ -200,6 +214,7 @@ impl Writer {
     /// [`PersistError::SequenceTooLong`] (first error wins) and encodes a
     /// zero prefix; [`Writer::into_bytes`] will then return the error
     /// instead of the bytes, so the malformed snapshot never escapes.
+    #[inline]
     pub fn put_len(&mut self, n: usize) {
         match u32::try_from(n) {
             Ok(n) => self.put_u32(n),
@@ -215,6 +230,7 @@ impl Writer {
     }
 
     /// Writes a length-prefixed sequence of [`Persist`] values.
+    #[inline]
     pub fn put_seq<T: Persist>(&mut self, items: &[T]) {
         self.put_len(items.len());
         for item in items {
@@ -223,6 +239,7 @@ impl Writer {
     }
 
     /// Writes an `Option` as a presence byte plus the value.
+    #[inline]
     pub fn put_opt<T: Persist>(&mut self, v: &Option<T>) {
         match v {
             None => self.put_bool(false),
@@ -262,6 +279,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
@@ -274,47 +292,76 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// The `n` bytes at the cursor, advancing past them.
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
         if self.remaining() < n {
-            return Err(PersistError::UnexpectedEof {
-                offset: self.pos,
-                needed: n - self.remaining(),
-            });
+            return Err(self.eof(n));
         }
         let slice = &self.data[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
     }
 
+    /// The `N` bytes at the cursor as an array, advancing past them. The
+    /// fixed width lets every primitive read compile to one bounds check
+    /// and one load.
+    #[inline]
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], PersistError> {
+        match self.data.get(self.pos..).and_then(<[u8]>::first_chunk::<N>) {
+            Some(bytes) => {
+                self.pos += N;
+                Ok(*bytes)
+            }
+            None => Err(self.eof(N)),
+        }
+    }
+
+    /// The error for a read of `n` bytes that runs past the input. Kept
+    /// out of line so the successful read path stays small.
+    #[cold]
+    #[inline(never)]
+    fn eof(&self, n: usize) -> PersistError {
+        PersistError::UnexpectedEof {
+            offset: self.pos,
+            needed: n - self.remaining(),
+        }
+    }
+
     /// Reads one byte.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.take(1)?[0])
+        let [b] = self.take_array::<1>()?;
+        Ok(b)
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, PersistError> {
-        // lint:allow(P001): take(4) returned exactly 4 bytes; infallible
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.take_array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, PersistError> {
-        // lint:allow(P001): take(8) returned exactly 8 bytes; infallible
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.take_array().map(u64::from_le_bytes)
     }
 
     /// Reads a `usize` encoded as `u64`.
+    #[inline]
     pub fn get_usize(&mut self) -> Result<usize, PersistError> {
         usize::try_from(self.get_u64()?)
             .map_err(|_| PersistError::Corrupt("usize field exceeds platform width".into()))
     }
 
     /// Reads an `f64` from its bit pattern.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64, PersistError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Reads a bool; any byte other than 0/1 is corruption.
+    #[inline]
     pub fn get_bool(&mut self) -> Result<bool, PersistError> {
         match self.get_u8()? {
             0 => Ok(false),
@@ -324,6 +371,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a length-prefixed UTF-8 string.
+    #[inline]
     pub fn get_str(&mut self) -> Result<String, PersistError> {
         let n = self.get_len()?;
         let bytes = self.take(n)?;
@@ -333,6 +381,7 @@ impl<'a> Reader<'a> {
 
     /// Reads a sequence length prefix, bounded by the remaining input so a
     /// corrupt count cannot trigger a huge allocation.
+    #[inline]
     pub fn get_len(&mut self) -> Result<usize, PersistError> {
         let n = self.get_u32()? as usize;
         if n > self.remaining() {
@@ -345,6 +394,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a length-prefixed sequence of [`Persist`] values.
+    #[inline]
     pub fn get_seq<T: Persist>(&mut self) -> Result<Vec<T>, PersistError> {
         let n = self.get_len()?;
         let mut items = Vec::with_capacity(n);
@@ -355,6 +405,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads an `Option` written by [`Writer::put_opt`].
+    #[inline]
     pub fn get_opt<T: Persist>(&mut self) -> Result<Option<T>, PersistError> {
         if self.get_bool()? {
             Ok(Some(T::restore(self)?))
@@ -438,9 +489,11 @@ pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()>
 macro_rules! persist_via {
     ($t:ty, $put:ident, $get:ident) => {
         impl Persist for $t {
+            #[inline]
             fn persist(&self, w: &mut Writer) {
                 w.$put(*self);
             }
+            #[inline]
             fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
                 r.$get()
             }
@@ -456,55 +509,67 @@ persist_via!(f64, put_f64, get_f64);
 persist_via!(bool, put_bool, get_bool);
 
 impl Persist for String {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_str(self);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         r.get_str()
     }
 }
 
 impl<T: Persist> Persist for Vec<T> {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_seq(self);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         r.get_seq()
     }
 }
 
 impl<T: Persist> Persist for Option<T> {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_opt(self);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         r.get_opt()
     }
 }
 
 impl<A: Persist, B: Persist> Persist for (A, B) {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         self.0.persist(w);
         self.1.persist(w);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok((A::restore(r)?, B::restore(r)?))
     }
 }
 
 impl Persist for SimTime {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u64(self.as_millis());
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(SimTime::from_millis(r.get_u64()?))
     }
 }
 
 impl Persist for SimDuration {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u64(self.as_millis());
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(SimDuration::from_millis(r.get_u64()?))
     }
@@ -601,6 +666,37 @@ mod tests {
         let mut long = Reader::new(&bytes);
         long.get_u32().unwrap();
         assert_eq!(long.finish(), Err(PersistError::TrailingBytes(4)));
+    }
+
+    #[test]
+    fn a_short_fixed_width_read_reports_the_gap_and_keeps_the_cursor() {
+        let mut w = Writer::new();
+        w.put_u32(7);
+        w.put_u64(42);
+        let bytes = w.into_bytes().unwrap();
+        // Cut the u64 three bytes short.
+        let mut r = Reader::new(&bytes[..bytes.len() - 3]);
+        assert_eq!(r.get_u32(), Ok(7));
+        assert_eq!(
+            r.get_u64(),
+            Err(PersistError::UnexpectedEof {
+                offset: 4,
+                needed: 3
+            })
+        );
+        assert_eq!(r.pos, 4, "a failed read consumes nothing");
+        assert_eq!(r.remaining(), 5);
+        // The bytes still there remain readable.
+        assert_eq!(r.get_u32(), Ok(42));
+        assert_eq!(r.get_u8(), Ok(0));
+        assert_eq!(
+            r.get_u8(),
+            Err(PersistError::UnexpectedEof {
+                offset: 9,
+                needed: 1
+            })
+        );
+        r.finish().unwrap();
     }
 
     #[test]

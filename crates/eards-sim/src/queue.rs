@@ -133,9 +133,11 @@ impl<E> EventQueue<E> {
 }
 
 impl Persist for EventHandle {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u64(self.0);
     }
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(EventHandle(r.get_u64()?))
     }
@@ -147,6 +149,7 @@ impl Persist for EventHandle {
 /// sequence numbers are preserved so [`EventHandle`]s held by callers
 /// remain valid across a snapshot.
 impl<E: Persist> Persist for EventQueue<E> {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         w.put_u64(self.next_seq);
         let mut live: Vec<&Entry<E>> = self
@@ -154,7 +157,8 @@ impl<E: Persist> Persist for EventQueue<E> {
             .iter()
             .filter(|e| self.pending.contains(&e.seq))
             .collect();
-        live.sort_by_key(|e| (e.time, e.seq));
+        // `(time, seq)` is unique per entry, so the unstable sort is exact.
+        live.sort_unstable_by_key(|e| (e.time, e.seq));
         w.put_len(live.len());
         for entry in live {
             entry.time.persist(w);
@@ -163,10 +167,11 @@ impl<E: Persist> Persist for EventQueue<E> {
         }
     }
 
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let next_seq = r.get_u64()?;
         let n = r.get_len()?;
-        let mut heap = BinaryHeap::with_capacity(n);
+        let mut entries = Vec::with_capacity(n);
         let mut pending = HashSet::with_capacity_and_hasher(n, IntBuildHasher::default());
         for _ in 0..n {
             let time = SimTime::restore(r)?;
@@ -180,10 +185,12 @@ impl<E: Persist> Persist for EventQueue<E> {
             if !pending.insert(seq) {
                 return Err(PersistError::Corrupt(format!("duplicate event seq {seq}")));
             }
-            heap.push(Entry { time, seq, payload });
+            entries.push(Entry { time, seq, payload });
         }
         Ok(EventQueue {
-            heap,
+            // One O(n) heapify. Pop order is fixed by the unique
+            // `(time, seq)` keys, not by the heap's layout.
+            heap: BinaryHeap::from(entries),
             pending,
             cancelled: HashSet::default(),
             next_seq,

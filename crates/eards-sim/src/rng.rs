@@ -193,6 +193,7 @@ impl SimRng {
 /// spare, so a restored generator continues the exact stream — including a
 /// pending second normal draw.
 impl Persist for SimRng {
+    #[inline]
     fn persist(&self, w: &mut Writer) {
         for word in self.inner.state() {
             w.put_u64(word);
@@ -200,6 +201,7 @@ impl Persist for SimRng {
         w.put_opt(&self.gauss_spare);
     }
 
+    #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let mut state = [0u64; 4];
         for word in &mut state {
