@@ -20,7 +20,7 @@
 //! the two, so cached and from-scratch evaluation share one code path and
 //! one floating-point addition order — scores are bit-identical either way.
 
-use eards_model::{Cluster, HostId, PowerState, Resources, Vm, VmId};
+use eards_model::{Cluster, Host, HostId, PowerState, Resources, Vm, VmId};
 use eards_sim::SimTime;
 
 use crate::config::ScoreConfig;
@@ -271,14 +271,14 @@ impl<'a> Eval<'a> {
     }
 
     /// Occupation host `h` would have with VM `v` placed there (the
-    /// paper's `O(h, vm)`), under the current hypothesis.
-    fn occupation_with(&self, h: usize, v: usize) -> f64 {
-        let cap = self.cluster.host(HostId(h as u32)).spec.capacity();
+    /// paper's `O(h, vm)`), under the current hypothesis; `None` when it
+    /// exceeds 1 (see [`occupation_within`]).
+    fn occupation_with(&self, h: usize, v: usize) -> Option<f64> {
         let mut used = self.committed[h];
         if self.placement[v] != Some(h) {
             used = used.plus(self.vm_refs[v].requested);
         }
-        used.occupation_in(cap)
+        occupation_within(used, self.cluster.host(HostId(h as u32)))
     }
 
     /// VM count host `h` would have with `v` placed there.
@@ -304,9 +304,7 @@ impl<'a> Eval<'a> {
         let host = self.cluster.host(HostId(h as u32));
         let vm = self.vm_refs[v];
 
-        // P_req (§III-A.1) — plus the basic physical precondition that the
-        // host is actually up (an off host "cannot fulfil" anything).
-        let feasible = host.power == PowerState::On && host.spec.satisfies(&vm.job.requirements);
+        let feasible = admits(host, vm);
 
         let mut movein = Score::ZERO;
         // P_virt (§III-A.3).
@@ -345,10 +343,9 @@ impl<'a> Eval<'a> {
         }
 
         // P_res (§III-A.2).
-        let occupation = self.occupation_with(h, v);
-        if occupation > 1.0 {
+        let Some(occupation) = self.occupation_with(h, v) else {
             return Score::INFINITE;
-        }
+        };
 
         // P_virt and P_conc are both ZERO for the host the VM already
         // (hypothetically) sits on, so the placed branch starts from ZERO.
@@ -388,8 +385,7 @@ impl<'a> Eval<'a> {
     /// placed VM is exactly the state its decision score evaluated.
     pub fn score_breakdown(&self, h: usize, v: usize) -> ScoreBreakdown {
         let cell = self.static_cell(h, v);
-        let occupation = self.occupation_with(h, v);
-        if !cell.feasible || occupation > 1.0 {
+        let (true, Some(occupation)) = (cell.feasible, self.occupation_with(h, v)) else {
             return ScoreBreakdown {
                 movein: f64::INFINITY,
                 pwr: f64::INFINITY,
@@ -397,7 +393,7 @@ impl<'a> Eval<'a> {
                 fault: f64::INFINITY,
                 total: f64::INFINITY,
             };
-        }
+        };
         let movein = cell.movein.value();
         let pwr = self.p_pwr(h, v, occupation).value();
         let sla = if self.cfg.sla_penalty {
@@ -491,6 +487,59 @@ impl<'a> Eval<'a> {
             Score::INFINITE
         }
     }
+}
+
+/// `P_req` (§III-A.1) plus the basic physical precondition that the host
+/// is actually up (an off host "cannot fulfil" anything): the
+/// placement-independent half of a cell's feasibility.
+#[inline]
+fn admits(host: &Host, vm: &Vm) -> bool {
+    host.power == PowerState::On && host.spec.satisfies(&vm.job.requirements)
+}
+
+/// `P_res` (§III-A.2): the occupation `host` reaches with `used`
+/// committed, or `None` when it exceeds 1 and the cell is `∞`.
+#[inline]
+fn occupation_within(used: Resources, host: &Host) -> Option<f64> {
+    let occupation = used.occupation_in(host.spec.capacity());
+    if occupation > 1.0 {
+        None
+    } else {
+        Some(occupation)
+    }
+}
+
+/// Whether some queued VM has a finite cell on some host: the exact
+/// condition for a round whose columns are just the queue to emit any
+/// move (DESIGN.md §17).
+///
+/// A queued VM sits on the virtual host at cost `∞`, so any finite cell
+/// is an improving move. `P_virt`, `P_conc`, `P_pwr` and `P_fault` are
+/// finite and `P_SLA` is never `∞` for a queued VM, so a cell is finite
+/// exactly when the host is On and meets the VM's requirements (`P_req`)
+/// and the occupation with the VM added is within 1 (`P_res`) — the same
+/// two tests [`Eval::static_cell`] and [`Eval::score_with_static`] apply,
+/// whatever the [`ScoreConfig`].
+///
+/// The componentwise [`Cluster::max_free_on`] bound rejects most VMs in
+/// O(1); the rest get an early-exit scan over the hosts.
+pub fn queue_has_feasible_cell(cluster: &Cluster) -> bool {
+    let room = cluster.max_free_on();
+    cluster
+        .queue()
+        .iter()
+        .map(|&id| cluster.vm(id))
+        .filter(|vm| vm.requested.fits_in(room))
+        .any(|vm| {
+            cluster
+                .hosts()
+                .iter()
+                .zip(cluster.committed_by_host())
+                .any(|(host, &committed)| {
+                    admits(host, vm)
+                        && occupation_within(committed.plus(vm.requested), host).is_some()
+                })
+        })
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ mod solver;
 
 pub use budget::{DegradeLevel, OverloadControl, WorkMeter};
 pub use config::ScoreConfig;
-pub use eval::{CellStatic, Eval, ScoreBreakdown};
+pub use eval::{queue_has_feasible_cell, CellStatic, Eval, ScoreBreakdown};
 pub use explain::{render_delta_matrix, render_matrix};
 pub use scheduler::{row_score, ScoreScheduler};
 pub use score::Score;

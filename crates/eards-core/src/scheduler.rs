@@ -7,6 +7,9 @@
 //! [`Eval`] overlay (recycling its allocations across rounds), hill-climb
 //! the score matrix with [`solve_sharded`] — over a single shard unless
 //! sharding is armed — and emit the resulting create/migrate actions.
+//! A round whose columns are just the queue, with no queued VM feasible
+//! on any host, is skipped before any of that: it could emit nothing
+//! ([`queue_has_feasible_cell`]).
 //! Power-off candidate ranking (§III-C) aggregates the candidates' matrix
 //! rows with [`row_score`].
 
@@ -19,9 +22,19 @@ use eards_sim::{Persist, PersistError, Reader, Writer};
 
 use crate::budget::{DegradeLevel, OverloadControl, WorkMeter};
 use crate::config::ScoreConfig;
-use crate::eval::{Eval, EvalBuffers};
-use crate::shard::solve_sharded;
+use crate::eval::{queue_has_feasible_cell, Eval, EvalBuffers};
+use crate::shard::{solve_sharded, ShardedOutcome};
 use crate::solver::Solution;
+
+/// Advances the deal `cursor` past `dealt` queue columns, so consecutive
+/// rounds rotate the queue across shards instead of always loading shard
+/// 0. A single shard has nothing to rotate; the cursor is persisted, so it
+/// stays put and unsharded snapshots keep their bytes.
+fn advance_cursor(cursor: &mut u64, map: &ShardMap, dealt: u64) {
+    if map.num_shards() >= 2 {
+        *cursor = cursor.wrapping_add(dealt);
+    }
+}
 
 /// Stable tag for a [`ScheduleReason`], used in trace events.
 fn reason_str(reason: ScheduleReason) -> &'static str {
@@ -272,7 +285,7 @@ impl ScoreScheduler {
         eval: &mut Eval<'_>,
         budget: u64,
         rung: DegradeLevel,
-    ) -> (Solution, u64) {
+    ) -> ShardedOutcome {
         let n = eval.num_vms();
         let m = eval.num_hosts();
         let mut meter = WorkMeter::with_budget(budget);
@@ -292,16 +305,92 @@ impl ScoreScheduler {
                 }
             }
         }
-        (
-            Solution {
+        ShardedOutcome {
+            solution: Solution {
                 moves,
                 sweeps: 1,
                 hit_move_limit: false,
                 degrade: rung,
                 budget_exhausted: exhausted,
             },
-            meter.spent(),
-        )
+            work_spent: meter.spent(),
+            rows_rescored: 0,
+            creations_assigned: 0,
+            balanced: 0,
+        }
+    }
+
+    /// Solves one round at `rung` from the current deal cursor: greedy
+    /// first-feasible on L2, the sharded climb otherwise. The caller
+    /// advances the cursor ([`advance_cursor`]).
+    fn solve_round(
+        &self,
+        eval: &mut Eval<'_>,
+        map: &ShardMap,
+        rung: DegradeLevel,
+    ) -> ShardedOutcome {
+        let budget = self.ctl.map_or(u64::MAX, |c| c.budget);
+        if rung == DegradeLevel::L2Greedy {
+            Self::greedy_first_feasible(eval, budget, rung)
+        } else {
+            solve_sharded(
+                eval,
+                map,
+                self.shard_cursor,
+                self.cfg.max_moves,
+                budget,
+                rung,
+            )
+        }
+    }
+
+    /// Books a round the quick-reject skipped (DESIGN.md §17): its columns
+    /// are exactly the queue and no queued VM has a feasible cell, so the
+    /// solve would emit nothing. No `Eval` is built and 0 work is charged.
+    /// The cursor moves as the solve would have moved it (the climb deals
+    /// every queue column before scoring; greedy deals none), and the
+    /// `ScheduleRound` event is still recorded.
+    fn skip_round(
+        &mut self,
+        cluster: &Cluster,
+        ctx: &ScheduleContext,
+        rung: DegradeLevel,
+        map: &ShardMap,
+        cols: Vec<VmId>,
+    ) {
+        let queued = cluster.queue().len();
+        let dealt = if rung == DegradeLevel::L2Greedy {
+            0
+        } else {
+            queued as u64
+        };
+        // The verified-skip cross-check: debug builds run the skipped
+        // solve anyway and assert it agrees.
+        #[cfg(debug_assertions)]
+        {
+            let mut eval = Eval::new(cluster, &self.cfg, ctx.now, cols.clone());
+            let out = self.solve_round(&mut eval, map, rung);
+            debug_assert!(
+                out.solution.moves.is_empty(),
+                "quick-reject skipped a round with moves {:?}",
+                out.solution.moves
+            );
+            debug_assert_eq!(out.creations_assigned, dealt, "cursor advance");
+        }
+        self.buffers.vms = cols;
+        advance_cursor(&mut self.shard_cursor, map, dealt);
+        if self.obs.is_enabled() {
+            self.obs.inc(self.obs.counter("quick_rejected_rounds"), 1);
+            self.obs.record(
+                ctx.now,
+                ObsEvent::ScheduleRound {
+                    reason: reason_str(ctx.reason),
+                    actions: 0,
+                    queued: queued as u32,
+                },
+            );
+        }
+        self.finish_round(ctx, rung, 0, false);
     }
 
     /// The matrix columns for the current round: the queue, plus — when
@@ -375,10 +464,16 @@ impl Policy for ScoreScheduler {
             self.buffers.vms = cols;
             return Vec::new();
         }
+        let map = self.shard_map_for(cluster.num_hosts());
+        // Quick-reject: a round whose columns are just the queue emits a
+        // move exactly when some queued VM has a feasible cell.
+        if cols.len() == cluster.queue().len() && !queue_has_feasible_cell(cluster) {
+            self.skip_round(cluster, ctx, rung, &map, cols);
+            return Vec::new();
+        }
         let queued = cluster.queue().len() as u32;
-        let budget = self.ctl.map_or(u64::MAX, |c| c.budget);
         let mut eval = Eval::new_in(cluster, &self.cfg, ctx.now, cols, &mut self.buffers);
-        let (sol, rows_rescored, work_spent) = {
+        let out = {
             // Sweep latency in µs: sub-ms buckets resolve the common case,
             // the tail buckets catch pathological rounds.
             let hist = self.obs.histogram(
@@ -386,30 +481,10 @@ impl Policy for ScoreScheduler {
                 &[50.0, 200.0, 1000.0, 5000.0, 25000.0, 100000.0],
             );
             let _span = self.obs.span("solve", ctx.now).with_hist(hist);
-            if rung == DegradeLevel::L2Greedy {
-                let (sol, spent) = Self::greedy_first_feasible(&mut eval, budget, rung);
-                (sol, 0, spent)
-            } else {
-                let map = self.shard_map_for(cluster.num_hosts());
-                let out = solve_sharded(
-                    &mut eval,
-                    &map,
-                    self.shard_cursor,
-                    self.cfg.max_moves,
-                    budget,
-                    rung,
-                );
-                // Advance the deal cursor so consecutive rounds rotate the
-                // queue across shards instead of always loading shard 0.
-                // A single shard has nothing to rotate; the cursor is
-                // persisted, so it stays put and unsharded snapshots keep
-                // their bytes.
-                if map.num_shards() >= 2 {
-                    self.shard_cursor = self.shard_cursor.wrapping_add(out.creations_assigned);
-                }
-                (out.solution, out.rows_rescored, out.work_spent)
-            }
+            self.solve_round(&mut eval, &map, rung)
         };
+        advance_cursor(&mut self.shard_cursor, &map, out.creations_assigned);
+        let (sol, rows_rescored, work_spent) = (out.solution, out.rows_rescored, out.work_spent);
         if self.obs.is_enabled() {
             self.obs.inc(self.obs.counter("solver_rounds"), 1);
             self.obs
@@ -712,6 +787,86 @@ mod tests {
         let mut sb = ScoreScheduler::new(ScoreConfig::sb());
         let actions = sb.schedule(&c, &ctx(50));
         assert!(actions.is_empty(), "full datacenter: nothing placeable");
+    }
+
+    /// `hosts` Medium hosts, each filled by a running 400% VM, plus
+    /// `queued` 100% VMs waiting: no queued VM fits anywhere.
+    fn full_cluster(hosts: usize, queued: u64) -> Cluster {
+        let mut c = cluster(&vec![HostClass::Medium; hosts]);
+        for h in 0..hosts {
+            let vm = c.submit_job(job(h as u64, 400, 6000));
+            c.start_creation(vm, HostId(h as u32), SimTime::ZERO, SimTime::from_secs(40));
+            c.finish_creation(vm, SimTime::from_secs(40));
+        }
+        for i in 0..queued {
+            let _ = c.submit_job(job(100 + i, 100, 600));
+        }
+        c
+    }
+
+    #[test]
+    fn quick_rejected_round_records_its_event_but_no_solver_round() {
+        let c = full_cluster(2, 2);
+        let obs = Obs::enabled(64);
+        let mut sched = ScoreScheduler::with_obs(ScoreConfig::sb(), obs.clone());
+        let arrived = ScheduleContext {
+            now: SimTime::from_secs(50),
+            reason: ScheduleReason::VmArrived,
+        };
+        assert!(sched.schedule(&c, &arrived).is_empty());
+        let rounds: Vec<String> = obs
+            .export_jsonl()
+            .lines()
+            .filter(|l| l.contains("\"schedule_round\""))
+            .map(String::from)
+            .collect();
+        assert_eq!(rounds.len(), 1, "{rounds:?}");
+        assert!(
+            rounds[0].contains("\"actions\":0,\"queued\":2"),
+            "{}",
+            rounds[0]
+        );
+        let counters = obs.counters_snapshot();
+        let count = |name: &str| {
+            counters
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |&(_, v)| v)
+        };
+        assert_eq!(count("quick_rejected_rounds"), 1);
+        assert_eq!(count("solver_rounds"), 0);
+        assert_eq!(obs.spans_recorded(), 0, "no solve span");
+    }
+
+    #[test]
+    fn quick_rejected_round_books_zero_work_and_deals_the_queue() {
+        // Two shards of two hosts, all four full: the skipped round moves
+        // the cursor by the queue length, as the climb's deal would, and
+        // books a round of 0 work into the ladder.
+        let c = full_cluster(4, 3);
+        let mut s = ScoreScheduler::new(ScoreConfig::sb())
+            .with_overload(OverloadControl::with_budget(u64::MAX))
+            .with_shards(ShardSpec {
+                count: 2,
+                rack_size: 2,
+            });
+        let arrived = ScheduleContext {
+            now: SimTime::from_secs(50),
+            reason: ScheduleReason::VmArrived,
+        };
+        assert!(s.schedule(&c, &arrived).is_empty());
+        assert_eq!(s.shard_cursor, 3);
+        let stats = s.degrade_stats().expect("armed");
+        assert_eq!((stats.rounds, stats.total_work), (1, 0));
+        // Greedy deals nothing, so its skipped rounds leave the cursor.
+        let mut greedy = ScoreScheduler::new(ScoreConfig::sb())
+            .with_overload(OverloadControl::forced(1000, DegradeLevel::L2Greedy))
+            .with_shards(ShardSpec {
+                count: 2,
+                rack_size: 2,
+            });
+        assert!(greedy.schedule(&c, &arrived).is_empty());
+        assert_eq!(greedy.shard_cursor, 0);
     }
 
     #[test]

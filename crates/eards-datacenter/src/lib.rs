@@ -15,7 +15,7 @@
 //! * [`FaultEngine`] / [`InvariantAuditor`] — the chaos layer: pluggable
 //!   fault injection ([`eards_model::FaultPlan`]) with per-host, per-class
 //!   RNG streams, and an always-on conservation auditor.
-//! * [`run_sweep`] / [`lambda_grid`] — crossbeam-parallel parameter
+//! * [`run_sweep`] / [`lambda_grid`] — thread-parallel parameter
 //!   sweeps for the Figure 2/3 threshold surfaces.
 
 #![warn(missing_docs)]

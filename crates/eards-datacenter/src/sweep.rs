@@ -2,13 +2,14 @@
 //!
 //! Figures 2 and 3 of the paper sweep the (λ_min, λ_max) threshold grid —
 //! dozens of independent week-long simulations. Runs are embarrassingly
-//! parallel, so they are fanned out over scoped `crossbeam` threads, one
-//! queue of work items drained by `num_cpus` workers.
+//! parallel, so they are fanned out over scoped `std` threads, one queue
+//! of work items drained by `num_cpus` workers.
+
+use std::sync::{Mutex, PoisonError};
 
 use eards_metrics::RunReport;
 use eards_model::{HostSpec, Policy};
 use eards_workload::Trace;
-use parking_lot::Mutex;
 
 use crate::config::RunConfig;
 use crate::runner::Runner;
@@ -34,36 +35,36 @@ where
     F: Fn() -> Box<dyn Policy> + Sync,
 {
     let n = points.len();
-    let mut slots: Vec<Option<RunReport>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let results = Mutex::new(slots);
     let work = Mutex::new(points.into_iter().enumerate().collect::<Vec<_>>());
+    let results = Mutex::new(Vec::with_capacity(n));
 
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)
         .min(n.max(1));
 
-    crossbeam::scope(|scope| {
+    // A worker panic propagates out of `scope`; a poisoned lock can only
+    // follow one, so taking the guard regardless is sound.
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let item = work.lock().pop();
+            scope.spawn(|| loop {
+                let item = work.lock().unwrap_or_else(PoisonError::into_inner).pop();
                 let Some((idx, point)) = item else { break };
                 let runner =
                     Runner::new(hosts.to_vec(), trace.clone(), make_policy(), point.config)
                         .labeled(point.label);
                 let report = runner.run();
-                results.lock()[idx] = Some(report);
+                results
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push((idx, report));
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
 
-    results
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("every sweep point produces a report"))
-        .collect()
+    let mut results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
+    results.sort_unstable_by_key(|&(idx, _)| idx);
+    results.into_iter().map(|(_, report)| report).collect()
 }
 
 /// Builds the λ grid of Figures 2–3: `lambda_min` from `min_range`,

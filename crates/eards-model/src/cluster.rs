@@ -255,6 +255,21 @@ impl Cluster {
         &self.committed
     }
 
+    /// Component-wise maximum free capacity (capacity minus committed,
+    /// clamped at zero) over the hosts that are [`PowerState::On`], read
+    /// from the committed cache. A request that does not fit inside it
+    /// fits strictly (occupation ≤ 1) on no powered-on host: on each of
+    /// them some component of committed plus request exceeds capacity.
+    pub fn max_free_on(&self) -> Resources {
+        self.hosts
+            .iter()
+            .zip(&self.committed)
+            .filter(|(h, _)| h.power.is_ready())
+            .fold(Resources::ZERO, |acc, (h, &c)| {
+                acc.max(h.spec.capacity().saturating_sub(c))
+            })
+    }
+
     /// The paper's host occupation `O(h)`: utilization of the most used
     /// resource (§III-A.2).
     pub fn occupation(&self, host: HostId) -> f64 {
@@ -1461,6 +1476,43 @@ mod tests {
         c.committed[1].cpu += Cpu(1);
         let err = c.verify().unwrap_err();
         assert!(err.contains("h1 committed cache"), "got: {err}");
+    }
+
+    #[test]
+    fn max_free_on_is_the_componentwise_maximum_over_on_hosts() {
+        let mut c = cluster(3);
+        let gib2 = |id: u64, cpu: u32| {
+            Job::new(
+                JobId(id),
+                SimTime::ZERO,
+                Cpu(cpu),
+                Mem::gib(2),
+                SimDuration::from_secs(100),
+                1.5,
+            )
+        };
+        let a = c.submit_job(gib2(1, 300));
+        let b = c.submit_job(gib2(2, 200));
+        c.start_creation(a, HostId(0), t(0), t(40));
+        // Host 2 is empty but shutting down: only On hosts count.
+        c.begin_power_off(HostId(2), t(0));
+        assert_eq!(c.max_free_on(), Resources::new(Cpu(400), Mem::gib(16)));
+        // Host 1 takes b: 200 CPU left there, 14 GiB left on both.
+        c.start_creation(b, HostId(1), t(0), t(40));
+        assert_eq!(c.max_free_on(), Resources::new(Cpu(200), Mem::gib(14)));
+        // An escalated request overcommits host 0's CPU; its free CPU
+        // clamps at zero. With host 1 failed, host 0 alone is the bound.
+        c.finish_creation(a, t(40));
+        c.escalate_requested_cpu(a, Cpu(500));
+        let _ = c.fail_host(HostId(1), t(50));
+        assert_eq!(c.max_free_on(), Resources::new(Cpu(0), Mem::gib(14)));
+        c.check_invariants();
+        // No host On: nothing fits.
+        let off = Cluster::new(
+            vec![HostSpec::standard(HostId(0), HostClass::Fast)],
+            PowerState::Off,
+        );
+        assert_eq!(off.max_free_on(), Resources::ZERO);
     }
 
     #[test]

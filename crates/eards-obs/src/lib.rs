@@ -25,11 +25,10 @@
 
 #![warn(missing_docs)]
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use eards_sim::SimTime;
-use parking_lot::Mutex;
 
 mod event;
 mod export;
@@ -63,6 +62,13 @@ struct Inner {
     events: EventRing<(SimTime, ObsEvent)>,
     spans: EventRing<ProfileSpan>,
     registry: MetricsRegistry,
+}
+
+/// Locks the recorder. Every critical section is a few field updates, so
+/// a panic inside one (the mutex is then poisoned) leaves at worst one
+/// event, span or counter half-recorded; the guard is taken regardless.
+fn lock(inner: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
+    inner.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A cheaply-cloneable observability handle.
@@ -116,7 +122,7 @@ impl Obs {
     /// Records a typed event at simulated time `at`.
     pub fn record(&self, at: SimTime, event: ObsEvent) {
         if let Some(inner) = &self.inner {
-            inner.lock().events.push((at, event));
+            lock(inner).events.push((at, event));
         }
     }
 
@@ -126,7 +132,7 @@ impl Obs {
     /// is a no-op, so call sites can register unconditionally.
     pub fn counter(&self, name: &'static str) -> CounterId {
         match &self.inner {
-            Some(inner) => inner.lock().registry.counter(name),
+            Some(inner) => lock(inner).registry.counter(name),
             None => CounterId::INERT,
         }
     }
@@ -134,7 +140,7 @@ impl Obs {
     /// Adds `by` to a counter.
     pub fn inc(&self, id: CounterId, by: u64) {
         if let Some(inner) = &self.inner {
-            inner.lock().registry.inc(id, by);
+            lock(inner).registry.inc(id, by);
         }
     }
 
@@ -142,7 +148,7 @@ impl Obs {
     /// ascending upper bucket bounds; an overflow bucket is implicit.
     pub fn histogram(&self, name: &'static str, bounds: &[f64]) -> HistId {
         match &self.inner {
-            Some(inner) => inner.lock().registry.histogram(name, bounds),
+            Some(inner) => lock(inner).registry.histogram(name, bounds),
             None => HistId::INERT,
         }
     }
@@ -150,7 +156,7 @@ impl Obs {
     /// Records one observation into a histogram.
     pub fn observe(&self, id: HistId, value: f64) {
         if let Some(inner) = &self.inner {
-            inner.lock().registry.observe(id, value);
+            lock(inner).registry.observe(id, value);
         }
     }
 
@@ -171,7 +177,7 @@ impl Obs {
     pub fn events_recorded(&self) -> u64 {
         match &self.inner {
             Some(inner) => {
-                let g = inner.lock();
+                let g = lock(inner);
                 g.events.len() as u64 + g.events.dropped()
             }
             None => 0,
@@ -183,7 +189,7 @@ impl Obs {
     /// capacity, exposed so tests can prove it never grows.
     pub fn ring_stats(&self) -> Option<(usize, usize, u64)> {
         self.inner.as_ref().map(|inner| {
-            let g = inner.lock();
+            let g = lock(inner);
             (g.events.len(), g.events.allocated(), g.events.dropped())
         })
     }
@@ -191,7 +197,7 @@ impl Obs {
     /// Snapshot of all counters as `(name, value)`, registration order.
     pub fn counters_snapshot(&self) -> Vec<(String, u64)> {
         match &self.inner {
-            Some(inner) => inner.lock().registry.counters_snapshot(),
+            Some(inner) => lock(inner).registry.counters_snapshot(),
             None => Vec::new(),
         }
     }
@@ -200,7 +206,7 @@ impl Obs {
     pub fn spans_recorded(&self) -> u64 {
         match &self.inner {
             Some(inner) => {
-                let g = inner.lock();
+                let g = lock(inner);
                 g.spans.len() as u64 + g.spans.dropped()
             }
             None => 0,
@@ -211,7 +217,7 @@ impl Obs {
     /// Empty string when disabled.
     pub fn export_jsonl(&self) -> String {
         match &self.inner {
-            Some(inner) => export::jsonl(&inner.lock()),
+            Some(inner) => export::jsonl(&lock(inner)),
             None => String::new(),
         }
     }
@@ -222,7 +228,7 @@ impl Obs {
     /// when disabled.
     pub fn export_chrome(&self) -> String {
         match &self.inner {
-            Some(inner) => export::chrome(&inner.lock()),
+            Some(inner) => export::chrome(&lock(inner)),
             None => String::from("{\"traceEvents\":[]}\n"),
         }
     }
@@ -230,7 +236,7 @@ impl Obs {
     /// Counters and histograms as a JSON document.
     pub fn export_metrics(&self) -> String {
         match &self.inner {
-            Some(inner) => export::metrics(&inner.lock().registry),
+            Some(inner) => export::metrics(&lock(inner).registry),
             None => String::from("{\"counters\":{},\"histograms\":{}}\n"),
         }
     }
@@ -260,7 +266,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let (Some(inner), Some(started)) = (self.inner.take(), self.started) {
             let dur_us = started.elapsed().as_micros() as u64;
-            let mut g = inner.lock();
+            let mut g = lock(&inner);
             let start_us = started.duration_since(g.epoch).as_micros() as u64;
             g.spans.push(ProfileSpan {
                 name: self.name,

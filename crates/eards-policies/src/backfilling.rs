@@ -49,17 +49,18 @@ pub(crate) fn best_fit(planner: &Planner<'_>, ready: &[HostId], vm: VmId) -> Opt
 /// and DBF phase 1.
 ///
 /// With `quick_reject`, a VM whose request exceeds the round's
-/// [`Planner::max_free`] bound is skipped without probing any host. The
-/// bound is taken once, before the first commit, and stays valid all
-/// round because commits only shrink free capacity, so the actions are
-/// the same either way (a differential test checks this).
+/// [`Cluster::max_free_on`] bound is skipped without probing any host.
+/// The bound is taken once, before the first commit, over the On hosts
+/// (exactly the `ready` set, as `is_ready()` is `== On`), and stays
+/// valid all round because commits only shrink free capacity, so the
+/// actions are the same either way (a differential test checks this).
 pub(crate) fn place_queue(
     planner: &mut Planner<'_>,
     ready: &[HostId],
     quick_reject: bool,
 ) -> Vec<Action> {
-    let room = quick_reject.then(|| planner.max_free(ready));
     let cluster = planner.cluster();
+    let room = quick_reject.then(|| cluster.max_free_on());
     let mut actions = Vec::new();
     for &vm in cluster.queue() {
         if room.is_some_and(|room| !cluster.vm(vm).requested.fits_in(room)) {

@@ -68,17 +68,6 @@ impl<'a> Planner<'a> {
         let c = &mut self.committed[host.raw() as usize];
         *c = c.plus(self.cluster.vm(vm).requested);
     }
-
-    /// Component-wise maximum free capacity over `hosts` under the plan so
-    /// far. Commits only shrink free capacity, so a request that does not
-    /// fit inside this bound fits strictly on none of `hosts` for the rest
-    /// of the round.
-    pub fn max_free(&self, hosts: &[HostId]) -> Resources {
-        hosts.iter().fold(Resources::ZERO, |acc, &h| {
-            let cap = self.cluster.host(h).spec.capacity();
-            acc.max(cap.saturating_sub(self.effective_committed(h)))
-        })
-    }
 }
 
 /// Hosts currently able to accept work (powered on), in id order.
@@ -163,22 +152,6 @@ mod tests {
         p.commit(HostId(0), ids[1]);
         // 7+7+7 = 21 GiB > 16 GiB.
         assert!(!p.can_place_overcommitted(HostId(0), ids[2]));
-    }
-
-    #[test]
-    fn max_free_is_the_componentwise_maximum_under_the_plan() {
-        let (mut c, a, b) = setup();
-        c.start_creation(a, HostId(0), SimTime::ZERO, SimTime::from_secs(40));
-        let mut p = Planner::new(&c);
-        let both = [HostId(0), HostId(1)];
-        assert_eq!(
-            p.max_free(&[HostId(0)]),
-            Resources::new(Cpu(100), Mem::gib(14))
-        );
-        assert_eq!(p.max_free(&both), Resources::new(Cpu(400), Mem::gib(16)));
-        // Host 1 now has 200 CPU free: the bound shrinks with the plan.
-        p.commit(HostId(1), b);
-        assert_eq!(p.max_free(&both), Resources::new(Cpu(200), Mem::gib(14)));
     }
 
     #[test]
