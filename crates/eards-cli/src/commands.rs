@@ -37,8 +37,7 @@ USAGE:
   eards trace info <FILE.swf>                      summarize an SWF trace
   eards trace check [--jsonl F] [--chrome F] [--metrics F]
                                                    validate exported observability files
-  eards lint     [--baseline F] [--format text|json] [--write-baseline]
-                                                   determinism/safety lints over the sources
+  eards lint     [--format text|json]              determinism/safety lints over the sources
   eards help                                       this text
 
 COMMON FLAGS:

@@ -3,25 +3,20 @@
 
 use std::path::PathBuf;
 
-use eards_lint::{find_workspace_root, lint_workspace, report, Baseline};
+use eards_lint::{find_workspace_root, lint_workspace, report};
 
 use crate::args::ArgSpec;
 use crate::setup::CliError;
 
-/// Default baseline location, workspace-relative.
-pub const DEFAULT_BASELINE: &str = "lint-baseline.toml";
-
 /// Runs the lint gate.
 ///
-/// `eards lint [--baseline FILE] [--format text|json] [--write-baseline]
-/// [--root DIR]`
+/// `eards lint [--format text|json] [--root DIR]`
 ///
-/// Exit behavior: clean runs return the report as normal output;
-/// new findings return [`CliError::Lint`] so the binary exits 1 with
-/// the report on stdout.
+/// Exit behavior: clean runs return the report as normal output; any
+/// finding returns [`CliError::Lint`] so the binary exits 1 with the
+/// report on stdout.
 pub fn lint_cmd(tokens: &[String]) -> Result<String, CliError> {
-    let args = ArgSpec::new(&["baseline", "format", "root"], &["write-baseline"])
-        .parse(tokens.to_vec())?;
+    let args = ArgSpec::new(&["format", "root"], &[]).parse(tokens.to_vec())?;
     let format = args.value("format").unwrap_or("text");
     if !matches!(format, "text" | "json") {
         return Err(CliError::Usage(format!(
@@ -42,31 +37,11 @@ pub fn lint_cmd(tokens: &[String]) -> Result<String, CliError> {
         }
     };
     let run = lint_workspace(&root)?;
-
-    let baseline_path = root.join(args.value("baseline").unwrap_or(DEFAULT_BASELINE));
-    if args.switch("write-baseline") {
-        let text = Baseline::render(&run.findings);
-        std::fs::write(&baseline_path, &text)?;
-        return Ok(format!(
-            "lint: {} files scanned; baseline with {} finding(s) written to {}\n",
-            run.files,
-            run.findings.len(),
-            baseline_path.display()
-        ));
-    }
-
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => Baseline::parse(&text).map_err(CliError::Usage)?,
-        // No baseline file is fine: everything is "new".
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
-        Err(e) => return Err(CliError::Io(e)),
-    };
-    let outcome = baseline.apply(run.findings);
     let rendered = match format {
-        "json" => report::render_json(run.files, &outcome),
-        _ => report::render_text(run.files, &outcome),
+        "json" => report::render_json(run.files, &run.findings),
+        _ => report::render_text(run.files, &run.findings),
     };
-    if outcome.new.is_empty() {
+    if run.findings.is_empty() {
         Ok(rendered)
     } else {
         Err(CliError::Lint(rendered))
@@ -99,33 +74,40 @@ mod tests {
             "pub fn f(x: f64, y: f64) -> std::cmp::Ordering { x.total_cmp(&y) }\n",
         );
         let out = lint_cmd(&toks(&format!("--root {}", root.display()))).unwrap();
-        assert!(out.contains("0 new"), "{out}");
+        assert!(out.contains("0 finding(s)"), "{out}");
         let json = lint_cmd(&toks(&format!("--root {} --format json", root.display()))).unwrap();
         assert!(json.contains("\"new\":[]"), "{json}");
         std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
-    fn findings_fail_until_baselined() {
+    fn any_finding_fails() {
         let root = scratch(
             "dirty",
             "crates/eards-model/src/bad.rs",
             "pub fn f(v: &mut [f64]) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n",
         );
-        let err = lint_cmd(&toks(&format!("--root {}", root.display()))).unwrap_err();
-        match err {
-            CliError::Lint(report) => assert!(report.contains("D004"), "{report}"),
-            other => panic!("expected lint failure, got {other:?}"),
-        }
-        // Grandfather it, then the same tree passes.
-        let wrote = lint_cmd(&toks(&format!(
-            "--root {} --write-baseline",
-            root.display()
-        )))
+        // A stray baseline file from an older checkout changes nothing.
+        std::fs::write(
+            root.join("lint-baseline.toml"),
+            "[[allow]]\nrule = \"D004\"\npath = \"crates/eards-model/src/bad.rs\"\ncount = 1\n",
+        )
         .unwrap();
-        assert!(wrote.contains("baseline"), "{wrote}");
-        let out = lint_cmd(&toks(&format!("--root {}", root.display()))).unwrap();
-        assert!(out.contains("grandfathered"), "{out}");
+        for format in ["text", "json"] {
+            let args = format!("--root {} --format {format}", root.display());
+            match lint_cmd(&toks(&args)).unwrap_err() {
+                CliError::Lint(report) => assert!(report.contains("D004"), "{report}"),
+                other => panic!("expected lint failure, got {other:?}"),
+            }
+        }
+        // The retired baseline flags are unknown now.
+        for flag in ["--write-baseline", "--baseline lint-baseline.toml"] {
+            let args = format!("--root {} {flag}", root.display());
+            assert!(
+                matches!(lint_cmd(&toks(&args)), Err(CliError::Args(_))),
+                "{flag}"
+            );
+        }
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -334,8 +334,7 @@ mod tests {
         assert_eq!(cfg.solver_budget, Some(50_000));
         assert!(cfg.degrade);
         let ctl = overload_from(&cfg).unwrap();
-        assert_eq!(ctl.budget, 50_000);
-        assert!(ctl.ladder);
+        assert_eq!(ctl, OverloadControl::with_budget(50_000));
 
         assert!(build_run_config(&parse("--solver-budget 0")).is_err());
     }

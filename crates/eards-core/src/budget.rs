@@ -160,19 +160,15 @@ impl Persist for DegradeLevel {
 
 /// Overload-control knobs for `ScoreScheduler`.
 ///
-/// `budget` bounds each round's solver work; with `ladder` set the
-/// scheduler also walks the [`DegradeLevel`] ladder, escalating when
-/// rounds exhaust their budget and relaxing when the work EWMA recovers.
-/// `force` pins the rung (bench/diagnostic use — the quality-loss curve
-/// in `BENCH_degrade.json` is measured this way).
+/// `budget` bounds each round's solver work, and the scheduler walks the
+/// [`DegradeLevel`] ladder, escalating when rounds exhaust their budget
+/// and relaxing when the work EWMA recovers. `force` pins the rung
+/// (bench/diagnostic use — the quality-loss curve in
+/// `BENCH_degrade.json` is measured this way).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadControl {
     /// Per-round solver work budget in work units (`u64::MAX` = none).
     pub budget: u64,
-    /// Walk the degradation ladder instead of always running L0.
-    pub ladder: bool,
-    /// EWMA smoothing factor for the per-round work spend estimate.
-    pub alpha: f64,
     /// Pin the ladder to one rung (overrides the EWMA driver).
     pub force: Option<DegradeLevel>,
 }
@@ -182,25 +178,15 @@ impl OverloadControl {
     pub fn with_budget(budget: u64) -> Self {
         OverloadControl {
             budget,
-            ladder: true,
-            alpha: 0.25,
             force: None,
-        }
-    }
-
-    /// Budget only — the ladder stays pinned at L0 (anytime hill-climb).
-    pub fn budget_only(budget: u64) -> Self {
-        OverloadControl {
-            ladder: false,
-            ..Self::with_budget(budget)
         }
     }
 
     /// Pins the ladder to `rung` (diagnostics and the quality-loss bench).
     pub fn forced(budget: u64, rung: DegradeLevel) -> Self {
         OverloadControl {
+            budget,
             force: Some(rung),
-            ..Self::with_budget(budget)
         }
     }
 }

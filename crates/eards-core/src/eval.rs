@@ -148,7 +148,11 @@ impl<'a> Eval<'a> {
         let vm_refs: Vec<&'a Vm> = vms.iter().map(|&v| cluster.vm(v)).collect();
         let mut original = std::mem::take(&mut buf.original);
         original.clear();
-        original.extend(vm_refs.iter().map(|vm| vm.host.map(|h| h.raw() as usize)));
+        original.extend(
+            vm_refs
+                .iter()
+                .map(|vm| Some(vm.state.host()?.raw() as usize)),
+        );
         let mut placement = std::mem::take(&mut buf.placement);
         placement.clear();
         placement.extend_from_slice(&original);

@@ -105,6 +105,9 @@ pub struct ScoreScheduler {
     stats: DegradeStats,
 }
 
+/// Smoothing factor of the ladder's per-round work EWMA.
+const WORK_EWMA_ALPHA: f64 = 0.25;
+
 /// The ladder driver's persisted state.
 ///
 /// `work_ewma` smooths recent rounds' deterministic work spend. Because
@@ -169,9 +172,9 @@ impl ScoreScheduler {
         }
     }
 
-    /// Arms overload control: a per-round solver work budget and (when
-    /// `ctl.ladder`) the L0→L3 degradation ladder. Without this the
-    /// scheduler always runs the full-quality legacy path.
+    /// Arms overload control: a per-round solver work budget and the
+    /// L0→L3 degradation ladder. Without this the scheduler always runs
+    /// the full-quality legacy path.
     pub fn with_overload(mut self, ctl: OverloadControl) -> Self {
         self.ctl = Some(ctl);
         self
@@ -217,7 +220,7 @@ impl ScoreScheduler {
             self.state.rung = forced;
             return forced;
         }
-        if !ctl.ladder || ctl.budget == u64::MAX {
+        if ctl.budget == u64::MAX {
             return DegradeLevel::L0Full;
         }
         let budget = ctl.budget as f64;
@@ -241,7 +244,8 @@ impl ScoreScheduler {
         exhausted: bool,
     ) {
         let Some(ctl) = self.ctl else { return };
-        self.state.work_ewma = ctl.alpha * spent as f64 + (1.0 - ctl.alpha) * self.state.work_ewma;
+        self.state.work_ewma =
+            WORK_EWMA_ALPHA * spent as f64 + (1.0 - WORK_EWMA_ALPHA) * self.state.work_ewma;
         self.state.last_exhausted = exhausted;
         self.stats.rounds += 1;
         self.stats.rounds_at[rung.index()] += 1;
@@ -423,7 +427,7 @@ impl ScoreScheduler {
                             || cluster.occupation(h.spec.id) < occ_bar
                     })
                     .flat_map(|h| h.resident.iter().copied())
-                    .filter(|&v| cluster.vm(v).state == VmState::Running),
+                    .filter(|&v| matches!(cluster.vm(v).state, VmState::Running { .. })),
             );
             cols[queue_len..].sort_unstable(); // deterministic column order
         }

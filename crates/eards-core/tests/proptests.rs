@@ -136,7 +136,7 @@ proptest! {
                         "create action infeasible: {vm} on {host}");
                 }
                 Action::Migrate { vm, to } => {
-                    prop_assert!(cluster.vm(vm).host != Some(to));
+                    prop_assert!(cluster.vm(vm).state.host() != Some(to));
                     prop_assert!(cluster.can_place(to, vm) ||
                         cluster.can_place_overcommitted(to, vm),
                         "migrate target infeasible");

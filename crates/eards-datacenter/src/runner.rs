@@ -777,14 +777,13 @@ impl Runner {
                 Some(ScheduleReason::VmArrived)
             }
             Event::CreationDone(vm, seq) => {
-                if self.cluster.vm(vm).state != VmState::Creating {
+                let VmState::Creating { host } = self.cluster.vm(vm).state else {
                     return None; // host failed mid-creation; VM re-queued
-                }
+                };
                 // Guard against a *stale* event: if the original creation
                 // was aborted by a host failure and the VM is now being
                 // re-created elsewhere, only the event carrying the live
                 // operation's sequence number may complete it.
-                let host = self.cluster.vm(vm).host.expect("creating VM has a host");
                 let live =
                     self.cluster.host(host).ops.iter().any(|o| {
                         o.vm == vm && o.kind == eards_model::OpKind::Create && o.seq == seq
@@ -793,7 +792,6 @@ impl Runner {
                     return None;
                 }
                 self.cluster.finish_creation(vm, now);
-                let host = self.cluster.vm(vm).host.expect("created VM has a host");
                 self.note(now, AuditKind::VmStarted { vm, host });
                 self.obs.record(
                     now,
@@ -809,12 +807,8 @@ impl Runner {
                 Some(ScheduleReason::VmFinished)
             }
             Event::MigrationDone(vm, seq) => {
-                let (from, to) = match self.cluster.vm(vm).state {
-                    VmState::Migrating { to } => (
-                        self.cluster.vm(vm).host.expect("migrating VM has a host"),
-                        to,
-                    ),
-                    _ => return None, // an endpoint failed mid-migration
+                let VmState::Migrating { from, to } = self.cluster.vm(vm).state else {
+                    return None; // an endpoint failed mid-migration
                 };
                 // Stale-event guard (see CreationDone): only the event
                 // carrying the live migration's sequence number may
@@ -830,7 +824,6 @@ impl Runner {
                 // Progress accrued on the source up to this instant.
                 self.cluster.touch_host(from, now);
                 self.cluster.finish_migration(vm, now);
-                let to = self.cluster.vm(vm).host.expect("migrated VM has a host");
                 self.note(now, AuditKind::MigrationFinished { vm, to });
                 self.obs.record(
                     now,
@@ -847,14 +840,9 @@ impl Runner {
                 Some(ScheduleReason::HostStateChanged)
             }
             Event::CheckpointDone(vm, seq) => {
-                if self.cluster.vm(vm).state != VmState::Checkpointing {
+                let VmState::Checkpointing { host } = self.cluster.vm(vm).state else {
                     return None;
-                }
-                let host = self
-                    .cluster
-                    .vm(vm)
-                    .host
-                    .expect("checkpointing VM has a host");
+                };
                 let live = self.cluster.host(host).ops.iter().any(|o| {
                     o.vm == vm && o.kind == eards_model::OpKind::Checkpoint && o.seq == seq
                 });
@@ -863,23 +851,17 @@ impl Runner {
                 }
                 self.cluster.finish_checkpoint(vm, now);
                 self.note(now, AuditKind::CheckpointTaken { vm });
-                let host = self
-                    .cluster
-                    .vm(vm)
-                    .host
-                    .expect("checkpointing VM has a host");
                 self.touch(host, now);
                 self.complete_if_done(vm, now);
                 None
             }
             Event::JobCompletion(vm) => {
                 self.completion.remove(&vm);
-                if self.cluster.vm(vm).state != VmState::Running {
+                let VmState::Running { host } = self.cluster.vm(vm).state else {
                     // Migrating/checkpointing: their completion handlers
                     // re-check; a queued VM (failure) restarts later.
                     return None;
-                }
-                let host = self.cluster.vm(vm).host.expect("running VM has a host");
+                };
                 self.cluster.touch_host(host, now);
                 if self.complete_if_done(vm, now) {
                     Some(ScheduleReason::VmFinished)
@@ -968,12 +950,11 @@ impl Runner {
                 Some(ScheduleReason::HostStateChanged)
             }
             Event::CreationAborted(vm, seq) => {
-                if self.cluster.vm(vm).state != VmState::Creating {
+                let VmState::Creating { host } = self.cluster.vm(vm).state else {
                     return None; // the host failed first; already re-queued
-                }
+                };
                 // Stale-event guard: only the abort belonging to the live
                 // operation (matching sequence number) may kill it.
-                let host = self.cluster.vm(vm).host.expect("creating VM has a host");
                 let live =
                     self.cluster.host(host).ops.iter().any(|o| {
                         o.vm == vm && o.kind == eards_model::OpKind::Create && o.seq == seq
@@ -999,11 +980,9 @@ impl Runner {
                 Some(ScheduleReason::VmArrived)
             }
             Event::MigrationAborted(vm, seq) => {
-                let to = match self.cluster.vm(vm).state {
-                    VmState::Migrating { to } => to,
-                    _ => return None, // an endpoint failed first
+                let VmState::Migrating { from, to } = self.cluster.vm(vm).state else {
+                    return None; // an endpoint failed first
                 };
-                let from = self.cluster.vm(vm).host.expect("migrating VM has a host");
                 let live = self.cluster.host(to).ops.iter().any(|o| {
                     o.vm == vm
                         && matches!(o.kind, eards_model::OpKind::MigrateIn { .. })
@@ -1032,20 +1011,11 @@ impl Runner {
                 if self.cluster.host(h).power != PowerState::On {
                     return None; // episode cancelled with the host
                 }
-                let sp = self
-                    .faults
-                    .plan()
-                    .slowdown
-                    .clone()
-                    .expect("event only scheduled with a slowdown plan");
-                self.cluster.set_cpu_factor(h, sp.factor);
-                self.note(
-                    now,
-                    AuditKind::SlowdownStarted {
-                        host: h,
-                        factor: sp.factor,
-                    },
-                );
+                // Only scheduled with a slowdown plan.
+                let sp = self.faults.plan().slowdown.as_ref()?;
+                let (factor, duration) = (sp.factor, sp.duration);
+                self.cluster.set_cpu_factor(h, factor);
+                self.note(now, AuditKind::SlowdownStarted { host: h, factor });
                 self.obs.record(
                     now,
                     ObsEvent::Fault {
@@ -1054,7 +1024,7 @@ impl Runner {
                     },
                 );
                 self.fstats.slowdown_episodes += 1;
-                let handle = self.sim.schedule_after(sp.duration, Event::SlowdownEnd(h));
+                let handle = self.sim.schedule_after(duration, Event::SlowdownEnd(h));
                 self.slowdown_timer.insert(h, handle);
                 self.touch(h, now);
                 Some(ScheduleReason::HostStateChanged)
@@ -1078,15 +1048,9 @@ impl Runner {
                 Some(ScheduleReason::HostStateChanged)
             }
             Event::RackOutage(r) => {
-                let (size, outage) = {
-                    let rp = self
-                        .faults
-                        .plan()
-                        .rack
-                        .as_ref()
-                        .expect("event only scheduled with a rack plan");
-                    (rp.rack_size, rp.outage)
-                };
+                // Only scheduled with a rack plan.
+                let rp = self.faults.plan().rack.as_ref()?;
+                let (size, outage) = (rp.rack_size, rp.outage);
                 let lo = r * size;
                 let hi = (lo + size).min(self.cluster.num_hosts());
                 let failed = (lo..hi)
@@ -1140,14 +1104,9 @@ impl Runner {
                 for i in 0..self.cluster.num_hosts() {
                     let host = HostId(i as u32);
                     running.clear();
-                    running.extend(
-                        self.cluster
-                            .host(host)
-                            .resident
-                            .iter()
-                            .copied()
-                            .filter(|&vm| self.cluster.vm(vm).state == VmState::Running),
-                    );
+                    running.extend(self.cluster.host(host).resident.iter().copied().filter(
+                        |&vm| matches!(self.cluster.vm(vm).state, VmState::Running { .. }),
+                    ));
                     if running.is_empty() {
                         continue;
                     }
@@ -1185,11 +1144,9 @@ impl Runner {
                     .or(released)
             }
             Event::LambdaAdjust => {
-                let al = self
-                    .cfg
-                    .adaptive_lambda
-                    .clone()
-                    .expect("event only scheduled when configured");
+                // A run restored without adaptive λ drops the pending
+                // adjustment instead of rescheduling it.
+                let al = self.cfg.adaptive_lambda.clone()?;
                 if self.sat_window.count() >= al.min_window_jobs {
                     let recent = self.sat_window.mean();
                     if recent < al.target_satisfaction {
@@ -1225,7 +1182,7 @@ impl Runner {
                     .hosts()
                     .iter()
                     .flat_map(|h| h.resident.iter().map(move |&vm| (vm, h.spec.id)))
-                    .filter(|&(vm, _)| self.cluster.vm(vm).state == VmState::Running)
+                    .filter(|&(vm, _)| matches!(self.cluster.vm(vm).state, VmState::Running { .. }))
                     .collect();
                 eligible.sort_unstable_by_key(|&(vm, _)| vm);
                 for (vm, host) in eligible {
@@ -1292,10 +1249,11 @@ impl Runner {
                     self.creations += 1;
                 }
                 Action::Migrate { vm, to } => {
-                    let v = self.cluster.vm(vm);
+                    let VmState::Running { host: from } = self.cluster.vm(vm).state else {
+                        continue;
+                    };
                     if !self.policy.uses_migration()
-                        || v.state != VmState::Running
-                        || v.host == Some(to)
+                        || from == to
                         || !self.cluster.can_place_overcommitted(to, vm)
                     {
                         continue;
@@ -1305,7 +1263,6 @@ impl Runner {
                             continue; // backing off after an aborted attempt
                         }
                     }
-                    let from = v.host.expect("running VM has a host");
                     // Migration cost is the destination's (§V: C_m by class).
                     let mean = self.cluster.host(to).spec.class.migration_cost();
                     let dur = self.op_duration(mean, self.cfg.migration_jitter_std);
@@ -1399,7 +1356,13 @@ impl Runner {
             if candidates.is_empty() {
                 break;
             }
-            let pick = self.policy.rank_power_on(&self.cluster, &candidates)[0];
+            let Some(&pick) = self
+                .policy
+                .rank_power_on(&self.cluster, &candidates)
+                .first()
+            else {
+                break;
+            };
             let ready_at = self.cluster.begin_power_on(pick, now);
             self.note(now, AuditKind::HostPoweringOn { host: pick });
             self.obs.record(
@@ -1443,7 +1406,13 @@ impl Runner {
             if candidates.is_empty() {
                 break;
             }
-            let pick = self.policy.rank_power_off(&self.cluster, now, &candidates)[0];
+            let Some(&pick) = self
+                .policy
+                .rank_power_off(&self.cluster, now, &candidates)
+                .first()
+            else {
+                break;
+            };
             // Disarm crash/slowdown timers with the host: a failure must
             // never fire on a host that is no longer up.
             self.cancel_fault_timers(pick);
@@ -1579,14 +1548,12 @@ impl Runner {
     /// `Queued`, never lost) until [`Runner::try_release_parked`] lets it
     /// back into admission.
     fn apply_backoff(&mut self, vm: VmId, now: SimTime) {
-        let attempts = {
-            let entry = self.retry.entry(vm).or_insert(RetryState {
-                attempts: 0,
-                eligible: now,
-            });
-            entry.attempts += 1;
-            entry.attempts
-        };
+        let entry = self.retry.entry(vm).or_insert(RetryState {
+            attempts: 0,
+            eligible: now,
+        });
+        entry.attempts += 1;
+        let attempts = entry.attempts;
         if self.cfg.degrade
             && attempts > self.cfg.park_after
             && self.cluster.vm(vm).state == VmState::Queued
@@ -1613,7 +1580,7 @@ impl Runner {
             attempts
         };
         let backoff = self.faults.plan().recovery.backoff(eff);
-        self.retry.get_mut(&vm).expect("just inserted").eligible = now + backoff;
+        entry.eligible = now + backoff;
         self.fstats.retries_delayed += 1;
         self.obs.observe(self.retry_hist, f64::from(attempts));
         self.sim.schedule_after(backoff, Event::RetryRelease(vm));
@@ -1733,13 +1700,16 @@ impl Runner {
     /// Completes the VM's job if its work is done. Returns true on
     /// completion.
     fn complete_if_done(&mut self, vm: VmId, now: SimTime) -> bool {
-        if self.cluster.vm(vm).state != VmState::Running || !self.cluster.vm(vm).work_complete() {
+        let v = self.cluster.vm(vm);
+        let VmState::Running { host } = v.state else {
+            return false;
+        };
+        if !v.work_complete() {
             return false;
         }
         if let Some(handle) = self.completion.remove(&vm) {
             self.sim.cancel(handle);
         }
-        let host = self.cluster.vm(vm).host.expect("running VM has a host");
         self.cluster.finish_vm(vm, now);
         let outcome = self.outcome_of(vm, Some(now));
         self.note(
@@ -1814,7 +1784,7 @@ impl Runner {
             .map(|v| v.id)
             .collect();
         for vm in unfinished {
-            if let Some(host) = self.cluster.vm(vm).host {
+            if let Some(host) = self.cluster.vm(vm).state.host() {
                 self.cluster.touch_host(host, end);
             }
             let outcome = self.outcome_of(vm, None);
@@ -1908,14 +1878,14 @@ mod seq_guard_tests {
         // The stale abort lands on the live operation's completion tick
         // and must be ignored.
         assert!(r.handle(t(60), Event::CreationAborted(vm, seq1)).is_none());
-        assert_eq!(r.cluster.vm(vm).state, VmState::Creating);
-        assert_eq!(r.cluster.vm(vm).host, Some(HostId(1)));
+        let on_1 = VmState::Creating { host: HostId(1) };
+        assert_eq!(r.cluster.vm(vm).state, on_1);
         // A stale completion with the dead sequence number is equally inert.
         assert!(r.handle(t(60), Event::CreationDone(vm, seq1)).is_none());
-        assert_eq!(r.cluster.vm(vm).state, VmState::Creating);
+        assert_eq!(r.cluster.vm(vm).state, on_1);
         // The live completion goes through.
         assert!(r.handle(t(60), Event::CreationDone(vm, seq2)).is_some());
-        assert_eq!(r.cluster.vm(vm).state, VmState::Running);
+        assert_eq!(r.cluster.vm(vm).state, VmState::Running { host: HostId(1) });
     }
 
     /// Same collision for migrations: the stale abort of a dead migration
@@ -1933,7 +1903,7 @@ mod seq_guard_tests {
         assert!(r
             .handle(t(50), Event::MigrationAborted(vm, mseq1))
             .is_some());
-        assert_eq!(r.cluster.vm(vm).host, Some(HostId(0)));
+        assert_eq!(r.cluster.vm(vm).state, VmState::Running { host: HostId(0) });
         // Second attempt with the same end time as the first.
         let mseq2 = r.cluster.start_migration(vm, HostId(1), t(51), t(101));
         assert_ne!(mseq1, mseq2);
@@ -1942,7 +1912,6 @@ mod seq_guard_tests {
         assert!(r.handle(t(101), Event::MigrationDone(vm, mseq1)).is_none());
         assert!(matches!(r.cluster.vm(vm).state, VmState::Migrating { .. }));
         assert!(r.handle(t(101), Event::MigrationDone(vm, mseq2)).is_some());
-        assert_eq!(r.cluster.vm(vm).host, Some(HostId(1)));
-        assert_eq!(r.cluster.vm(vm).state, VmState::Running);
+        assert_eq!(r.cluster.vm(vm).state, VmState::Running { host: HostId(1) });
     }
 }

@@ -289,7 +289,49 @@ fn residency_naming_unknown_vms_is_corrupt() {
 fn migration_to_a_host_not_expecting_it_is_corrupt() {
     let (hosts, mut vms, queue) = parts(&mid_flight_cluster());
     let n = vms.len() as u64;
-    vms[1].state = VmState::Migrating { to: HostId(99) };
+    vms[1].state = VmState::Migrating {
+        from: HostId(0),
+        to: HostId(99),
+    };
     let msg = corrupt_message(&cluster_bytes(hosts, vms, queue, n));
     assert!(msg.contains("not incoming anywhere"), "{msg}");
+}
+
+#[test]
+fn running_tag_without_a_host_is_corrupt() {
+    // VM 1 runs on host 0. Its record is the id, job and request, then
+    // the state tag and the host as an `Option`; forge `Running` with
+    // `None` in place of the host.
+    let (hosts, vms, queue) = parts(&mid_flight_cluster());
+    let n = vms.len() as u64;
+    let vm = &vms[1];
+    assert_eq!(vm.state, VmState::Running { host: HostId(0) });
+    let encode = |f: &dyn Fn(&mut Writer)| {
+        let mut w = Writer::new();
+        f(&mut w);
+        w.into_bytes().unwrap()
+    };
+    let head = encode(&|w| {
+        vm.id.persist(w);
+        vm.job.persist(w);
+        vm.requested.persist(w);
+    });
+    let record = encode(&|w| vm.persist(w));
+    let state = encode(&|w| vm.state.persist(w));
+    let forged_state = encode(&|w| {
+        w.put_u8(2);
+        w.put_opt(&None::<HostId>);
+    });
+    let tail = head.len() + state.len();
+    assert_eq!(&record[head.len()..tail], &state[..]);
+    let forged = [&head[..], &forged_state[..], &record[tail..]].concat();
+
+    let mut bytes = cluster_bytes(hosts, vms.clone(), queue, n);
+    let at = bytes
+        .windows(record.len())
+        .position(|w| w == &record[..])
+        .unwrap();
+    bytes.splice(at..at + record.len(), forged);
+    let msg = corrupt_message(&bytes);
+    assert!(msg.contains("tag 2 with host None"), "{msg}");
 }

@@ -20,16 +20,14 @@
 //!
 //! Suppression is inline and *reasoned*:
 //! `// lint:allow(D001): key-lookup only, never iterated` — covering the
-//! comment's line and the line below it. Pre-existing findings live in the
-//! checked-in [`Baseline`] (`lint-baseline.toml`), so the gate blocks new
-//! findings from day one without a big-bang cleanup.
+//! comment's line and the line below it. There is no baseline: any
+//! unsuppressed finding fails the gate.
 //!
-//! Surfaces: `eards lint [--baseline F --format text|json --write-baseline]`,
-//! a blocking CI step, and the fixture self-tests under `tests/`.
+//! Surfaces: `eards lint [--format text|json]`, a blocking CI step, and
+//! the fixture self-tests under `tests/`.
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod items;
 pub mod lexer;
 pub mod report;
@@ -38,7 +36,6 @@ pub mod source;
 
 use std::path::{Path, PathBuf};
 
-pub use baseline::{Baseline, BaselineOutcome};
 pub use items::{ItemIndex, Items, TypeShape};
 pub use rules::{Finding, RuleId};
 pub use source::SourceFile;

@@ -1,13 +1,12 @@
 //! Rendering: human text and machine JSON.
 
-use crate::baseline::BaselineOutcome;
 use crate::rules::Finding;
 
-/// Renders the gate outcome as human-oriented text. `files` is how many
+/// Renders the findings as human-oriented text. `files` is how many
 /// files were scanned.
-pub fn render_text(files: usize, outcome: &BaselineOutcome) -> String {
+pub fn render_text(files: usize, findings: &[Finding]) -> String {
     let mut out = String::new();
-    for f in &outcome.new {
+    for f in findings {
         out.push_str(&format!(
             "{}:{}: {} {}\n",
             f.path,
@@ -16,32 +15,24 @@ pub fn render_text(files: usize, outcome: &BaselineOutcome) -> String {
             f.message
         ));
     }
-    if !outcome.new.is_empty() {
+    if !findings.is_empty() {
         out.push('\n');
     }
-    for s in &outcome.stale {
-        out.push_str(&format!(
-            "note: baseline entry exceeds current findings: {s} — shrink it with \
-             `eards lint --write-baseline`\n"
-        ));
-    }
     out.push_str(&format!(
-        "lint: {} files scanned, {} finding(s) grandfathered, {} new\n",
+        "lint: {} files scanned, {} finding(s)\n",
         files,
-        outcome.grandfathered,
-        outcome.new.len()
+        findings.len()
     ));
     out
 }
 
-/// Renders the gate outcome as a single JSON object (stable keys; findings
+/// Renders the findings as a single JSON object (stable keys; findings
 /// sorted by path/line/rule upstream).
-pub fn render_json(files: usize, outcome: &BaselineOutcome) -> String {
+pub fn render_json(files: usize, findings: &[Finding]) -> String {
     let mut out = String::from("{");
     out.push_str(&format!("\"files\":{},", files));
-    out.push_str(&format!("\"grandfathered\":{},", outcome.grandfathered));
     out.push_str("\"new\":[");
-    for (i, f) in outcome.new.iter().enumerate() {
+    for (i, f) in findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -52,13 +43,6 @@ pub fn render_json(files: usize, outcome: &BaselineOutcome) -> String {
             f.line,
             json_escape(&f.message)
         ));
-    }
-    out.push_str("],\"stale\":[");
-    for (i, s) in outcome.stale.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\"", json_escape(s)));
     }
     out.push_str("]}");
     out.push('\n');
@@ -94,34 +78,26 @@ mod tests {
 
     #[test]
     fn json_is_escaped_and_shaped() {
-        let outcome = BaselineOutcome {
-            new: vec![Finding {
-                rule: RuleId::D004,
-                path: "a \"b\".rs".into(),
-                line: 7,
-                message: "line1\nline2".into(),
-            }],
-            grandfathered: 3,
-            stale: vec![],
-        };
-        let j = render_json(10, &outcome);
-        assert!(j.contains("\"files\":10"));
+        let findings = [Finding {
+            rule: RuleId::D004,
+            path: "a \"b\".rs".into(),
+            line: 7,
+            message: "line1\nline2".into(),
+        }];
+        let j = render_json(10, &findings);
+        assert!(
+            j.starts_with("{\"files\":10,\"new\":[{\"rule\":\"D004\","),
+            "{j}"
+        );
+        assert!(j.ends_with("}]}\n"), "{j}");
         assert!(j.contains("\\\"b\\\""));
         assert!(j.contains("line1\\nline2"));
-        assert!(j.contains("\"rule\":\"D004\""));
+        assert_eq!(render_json(3, &[]), "{\"files\":3,\"new\":[]}\n");
     }
 
     #[test]
     fn text_summarizes() {
-        let outcome = BaselineOutcome {
-            new: vec![],
-            grandfathered: 5,
-            stale: vec!["P001 x.rs (baseline 3, now 2)".into()],
-        };
-        let t = render_text(12, &outcome);
-        assert!(t.contains("12 files"));
-        assert!(t.contains("5 finding(s) grandfathered"));
-        assert!(t.contains("0 new"));
-        assert!(t.contains("shrink it"));
+        let t = render_text(12, &[]);
+        assert_eq!(t, "lint: 12 files scanned, 0 finding(s)\n");
     }
 }

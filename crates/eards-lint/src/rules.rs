@@ -1,8 +1,8 @@
 //! The rule registry and the token-pattern matchers.
 //!
-//! Every rule has a stable ID (used in `lint:allow(...)` markers and the
-//! baseline file) and reports [`Finding`]s with exact line numbers. The
-//! rules encode *domain* knowledge clippy cannot express: which crates
+//! Every rule has a stable ID (used in `lint:allow(...)` markers) and
+//! reports [`Finding`]s with exact line numbers. The rules encode
+//! *domain* knowledge clippy cannot express: which crates
 //! feed simulation state, which are allowed to read wall clocks, and why
 //! `HashMap` iteration order or a NaN-panicking float sort would silently
 //! break the bit-identical reproduction of the paper's tables.
@@ -56,11 +56,11 @@ pub enum RuleId {
     /// field read or write becomes an out-of-line call.
     SNAP003,
     /// Malformed suppression: `lint:allow` without a mandatory reason, or
-    /// naming an unknown rule. Never suppressible, never baselined.
+    /// naming an unknown rule. Never suppressible.
     S001,
     /// Stale suppression: a well-formed `lint:allow` whose rule fires no
     /// finding on the lines it covers. Dead allows rot into false
-    /// documentation; delete them. Never suppressible, never baselined.
+    /// documentation; delete them. Never suppressible.
     S002,
 }
 
@@ -131,13 +131,6 @@ impl RuleId {
             RuleId::S001 => "lint:allow marker without the mandatory reason",
             RuleId::S002 => "stale lint:allow: its rule fires nothing on the covered lines",
         }
-    }
-
-    /// False for the suppression-hygiene rules (`S001`, `S002`): a broken
-    /// or dead marker is always a new finding — it can neither be
-    /// grandfathered in the baseline nor suppressed by another marker.
-    pub fn baselineable(self) -> bool {
-        !matches!(self, RuleId::S001 | RuleId::S002)
     }
 }
 

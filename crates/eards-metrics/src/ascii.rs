@@ -1,4 +1,4 @@
-//! Terminal visualization: sparklines, horizontal bars and heatmaps.
+//! Terminal visualization: sparklines and heatmaps.
 //!
 //! The experiment binaries and the CLI render their series and surfaces
 //! directly in the terminal — a week's power curve or the Figure 2/3
@@ -47,30 +47,6 @@ pub fn sparkline_fit(values: &[f64], width: usize) -> String {
         })
         .collect();
     sparkline(&compact)
-}
-
-/// Renders labelled horizontal bars scaled to the largest value, e.g.
-///
-/// ```text
-/// BF   ███████████████████▏ 948.6
-/// SB   ███████████████▏ 761.3
-/// ```
-pub fn bar_chart(rows: &[(String, f64)], width: usize) -> String {
-    let max = rows.iter().map(|r| r.1).fold(0.0f64, f64::max);
-    let label_w = rows.iter().map(|r| r.0.chars().count()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (label, value) in rows {
-        let filled = if max > 0.0 {
-            ((value / max) * width as f64).round().max(0.0) as usize
-        } else {
-            0
-        };
-        out.push_str(&format!(
-            "{label:<label_w$} {}▏ {value:.1}\n",
-            "█".repeat(filled.min(width)),
-        ));
-    }
-    out
 }
 
 /// Renders a 2-D grid as a shaded heatmap with row/column labels; `None`
@@ -182,25 +158,6 @@ mod tests {
         assert_eq!(sparkline_fit(&values, 0), "");
         // Short inputs pass through.
         assert_eq!(sparkline_fit(&[1.0, 2.0], 40).chars().count(), 2);
-    }
-
-    #[test]
-    fn bar_chart_scales_to_max() {
-        let rows = vec![("A".to_string(), 100.0), ("BB".to_string(), 50.0)];
-        let out = bar_chart(&rows, 10);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0].matches('█').count(), 10);
-        assert_eq!(lines[1].matches('█').count(), 5);
-        assert!(lines[0].contains("100.0"));
-        // Labels aligned.
-        assert!(lines[1].starts_with("BB"));
-    }
-
-    #[test]
-    fn bar_chart_zero_max() {
-        let out = bar_chart(&[("x".to_string(), 0.0)], 10);
-        assert_eq!(out.lines().next().unwrap().matches('█').count(), 0);
     }
 
     #[test]

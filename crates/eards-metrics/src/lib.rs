@@ -25,7 +25,7 @@ mod series;
 mod summary;
 mod table;
 
-pub use ascii::{bar_chart, heatmap, sparkline, sparkline_fit};
+pub use ascii::{heatmap, sparkline, sparkline_fit};
 pub use economics::{EconomicReport, PricingModel};
 pub use report::{pct_change, FaultStats, JobOutcome, RunReport};
 pub use satisfaction::{delay_pct, satisfaction};

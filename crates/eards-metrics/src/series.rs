@@ -30,13 +30,6 @@ impl TimeSeries {
         TimeSeries { points: Vec::new() }
     }
 
-    /// Creates a series with an initial value at `t = 0`.
-    pub fn with_initial(value: f64) -> Self {
-        let mut s = TimeSeries::new();
-        s.record(SimTime::ZERO, value);
-        s
-    }
-
     /// Records that the signal takes `value` from `at` onwards.
     ///
     /// Out-of-order times panic (the simulator only moves forward). Equal

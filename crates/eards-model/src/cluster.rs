@@ -354,11 +354,11 @@ impl Cluster {
         let grown = cpu.saturating_sub(v.requested.cpu);
         v.requested.cpu += grown;
         let incoming_on = match v.state {
-            VmState::Migrating { to } => Some(to),
+            VmState::Migrating { to, .. } => Some(to),
             _ => None,
         };
         let delta = Resources::new(grown, Mem::ZERO);
-        for h in v.host.into_iter().chain(incoming_on) {
+        for h in v.state.host().into_iter().chain(incoming_on) {
             self.charge(h, delta);
         }
     }
@@ -375,8 +375,7 @@ impl Cluster {
         let seq = self.alloc_op_seq();
         let v = &mut self.vms[vm];
         assert_eq!(v.state, VmState::Queued, "only queued VMs can be created");
-        v.state = VmState::Creating;
-        v.host = Some(host);
+        v.state = VmState::Creating { host };
         v.last_update = now;
         let requested = v.requested;
         self.charge(host, requested);
@@ -397,11 +396,14 @@ impl Cluster {
     /// Completes a creation: the VM starts executing its job.
     pub fn finish_creation(&mut self, vm: VmId, now: SimTime) {
         let v = &mut self.vms[vm];
-        assert_eq!(v.state, VmState::Creating);
-        v.state = VmState::Running;
+        let host = match v.state {
+            VmState::Creating { host } => host,
+            // lint:allow(P001): state-machine misuse is a caller bug; failing loud beats silently corrupting placement
+            s => panic!("finish_creation on VM in state {s:?}"),
+        };
+        v.state = VmState::Running { host };
         v.started_at = Some(now);
         v.last_update = now;
-        let host = v.host.expect("creating VM must have a host");
         self.hosts[host.raw() as usize]
             .ops
             .retain(|o| !(o.vm == vm && o.kind == OpKind::Create));
@@ -411,8 +413,11 @@ impl Cluster {
     /// virtual-host queue as if never placed, ready to be retried.
     pub fn abort_creation(&mut self, vm: VmId, now: SimTime) {
         let v = &mut self.vms[vm];
-        assert_eq!(v.state, VmState::Creating, "only creating VMs abort");
-        let host = v.host.take().expect("creating VM must have a host");
+        let host = match v.state {
+            VmState::Creating { host } => host,
+            // lint:allow(P001): state-machine misuse is a caller bug; failing loud beats silently corrupting placement
+            s => panic!("abort_creation on VM in state {s:?}"),
+        };
         v.state = VmState::Queued;
         v.alloc = 0.0;
         v.last_update = now;
@@ -436,10 +441,13 @@ impl Cluster {
         );
         let seq = self.alloc_op_seq();
         let v = &mut self.vms[vm];
-        assert_eq!(v.state, VmState::Running, "only running VMs migrate");
-        let from = v.host.expect("running VM must have a host");
+        let from = match v.state {
+            VmState::Running { host } => host,
+            // lint:allow(P001): state-machine misuse is a caller bug; failing loud beats silently corrupting placement
+            s => panic!("start_migration on VM in state {s:?}"),
+        };
         assert_ne!(from, to, "migration to the current host");
-        v.state = VmState::Migrating { to };
+        v.state = VmState::Migrating { from, to };
         let requested = v.requested;
         self.charge(to, requested);
         self.hosts[to.raw() as usize].incoming.push(vm);
@@ -465,14 +473,12 @@ impl Cluster {
     /// Completes a migration: the VM now runs on the destination.
     pub fn finish_migration(&mut self, vm: VmId, now: SimTime) {
         let v = &mut self.vms[vm];
-        let to = match v.state {
-            VmState::Migrating { to } => to,
+        let (from, to) = match v.state {
+            VmState::Migrating { from, to } => (from, to),
             // lint:allow(P001): state-machine misuse is a caller bug; failing loud beats silently corrupting placement
             s => panic!("finish_migration on VM in state {s:?}"),
         };
-        let from = v.host.expect("migrating VM must have a source");
-        v.state = VmState::Running;
-        v.host = Some(to);
+        v.state = VmState::Running { host: to };
         v.migrations += 1;
         v.last_update = now;
         // The destination already holds the reservation.
@@ -494,15 +500,14 @@ impl Cluster {
     /// source, where it executed all along.
     pub fn abort_migration(&mut self, vm: VmId, now: SimTime) {
         let v = &mut self.vms[vm];
-        let to = match v.state {
-            VmState::Migrating { to } => to,
+        let (from, to) = match v.state {
+            VmState::Migrating { from, to } => (from, to),
             // lint:allow(P001): state-machine misuse is a caller bug; failing loud beats silently corrupting placement
             s => panic!("abort_migration on VM in state {s:?}"),
         };
-        let from = v.host.expect("migrating VM must have a source");
         // The VM executed on the source throughout: bank that progress.
         v.advance_progress(now);
-        v.state = VmState::Running;
+        v.state = VmState::Running { host: from };
         let requested = v.requested;
         self.release(to, requested);
         let th = &mut self.hosts[to.raw() as usize];
@@ -519,9 +524,12 @@ impl Cluster {
     pub fn start_checkpoint(&mut self, vm: VmId, now: SimTime, ends: SimTime) -> u64 {
         let seq = self.alloc_op_seq();
         let v = &mut self.vms[vm];
-        assert_eq!(v.state, VmState::Running, "only running VMs checkpoint");
-        v.state = VmState::Checkpointing;
-        let host = v.host.expect("running VM must have a host");
+        let host = match v.state {
+            VmState::Running { host } => host,
+            // lint:allow(P001): state-machine misuse is a caller bug; failing loud beats silently corrupting placement
+            s => panic!("start_checkpoint on VM in state {s:?}"),
+        };
+        v.state = VmState::Checkpointing { host };
         self.hosts[host.raw() as usize].ops.push(InFlightOp {
             vm,
             kind: OpKind::Checkpoint,
@@ -536,11 +544,14 @@ impl Cluster {
     /// Completes a checkpoint, storing the VM's progress at `now`.
     pub fn finish_checkpoint(&mut self, vm: VmId, now: SimTime) {
         let v = &mut self.vms[vm];
-        assert_eq!(v.state, VmState::Checkpointing);
+        let host = match v.state {
+            VmState::Checkpointing { host } => host,
+            // lint:allow(P001): state-machine misuse is a caller bug; failing loud beats silently corrupting placement
+            s => panic!("finish_checkpoint on VM in state {s:?}"),
+        };
         v.advance_progress(now);
         v.checkpoint = Some(v.progress);
-        v.state = VmState::Running;
-        let host = v.host.expect("checkpointing VM must have a host");
+        v.state = VmState::Running { host };
         self.hosts[host.raw() as usize]
             .ops
             .retain(|o| !(o.vm == vm && o.kind == OpKind::Checkpoint));
@@ -549,16 +560,15 @@ impl Cluster {
     /// Completes a job: the VM is destroyed and its resources released.
     pub fn finish_vm(&mut self, vm: VmId, now: SimTime) {
         let v = &mut self.vms[vm];
-        assert!(
-            matches!(v.state, VmState::Running),
-            "only running VMs finish (state {:?})",
-            v.state
-        );
+        let host = match v.state {
+            VmState::Running { host } => host,
+            // lint:allow(P001): state-machine misuse is a caller bug; failing loud beats silently corrupting placement
+            s => panic!("finish_vm on VM in state {s:?}"),
+        };
         v.advance_progress(now);
         v.state = VmState::Finished;
         v.completed_at = Some(now);
         v.alloc = 0.0;
-        let host = v.host.take().expect("running VM must have a host");
         let requested = v.requested;
         self.release(host, requested);
         self.hosts[host.raw() as usize]
@@ -647,7 +657,6 @@ impl Cluster {
             // Lose uncheckpointed work.
             v.progress = v.checkpoint.unwrap_or(0.0);
             v.state = VmState::Queued;
-            v.host = None;
             v.alloc = 0.0;
             v.last_update = now;
             self.queue.push(vm);
@@ -754,7 +763,7 @@ impl Cluster {
     }
 
     /// Deep structural verification, the auditor's workhorse: every VM's
-    /// `host` field and state agree with the hosts' resident/incoming
+    /// state (and the host it names) agrees with the hosts' resident/incoming
     /// lists, no VM is accounted twice, queued VMs are exactly the queue,
     /// every host's committed cache equals the fold over its VMs'
     /// requests, committed memory never exceeds capacity, and non-ready
@@ -781,8 +790,8 @@ impl Cluster {
                     return Err(format!("{vm} resident on two hosts"));
                 }
                 *s |= RESIDENT;
-                if self.vm(vm).host != Some(id) {
-                    return Err(format!("{vm} host field disagrees with {id} residency"));
+                if self.vm(vm).state.host() != Some(id) {
+                    return Err(format!("{vm} state's host disagrees with {id} residency"));
                 }
             }
             for &vm in &h.incoming {
@@ -794,7 +803,7 @@ impl Cluster {
                 }
                 *s |= INCOMING;
                 let state = self.vm(vm).state;
-                if state != (VmState::Migrating { to: id }) {
+                if !matches!(state, VmState::Migrating { to, .. } if to == id) {
                     return Err(format!(
                         "incoming {vm} on {id} not migrating there (state {state:?})"
                     ));
@@ -840,12 +849,6 @@ impl Cluster {
             if v.state != VmState::Queued {
                 return Err(format!("{vm} in queue but in state {:?}", v.state));
             }
-            if v.host.is_some() {
-                return Err(format!("queued {vm} has a host"));
-            }
-            if *s & RESIDENT != 0 {
-                return Err(format!("queued {vm} also resident"));
-            }
         }
         for (v, &s) in self.vms.iter().zip(&seen) {
             match v.state {
@@ -854,11 +857,9 @@ impl Cluster {
                         return Err(format!("{} Queued but missing from the queue", v.id));
                     }
                 }
-                VmState::Finished => {
-                    if v.host.is_some() || s & RESIDENT != 0 {
-                        return Err(format!("finished {} still placed", v.id));
-                    }
-                }
+                // A resident VM names its host, so the residency check
+                // above already rejected a finished one.
+                VmState::Finished => {}
                 _ => {
                     if s & RESIDENT == 0 {
                         return Err(format!("{} active but not resident anywhere", v.id));
@@ -1042,7 +1043,10 @@ mod tests {
         assert_eq!(restored.vm(running).alloc, c.vm(running).alloc);
         assert_eq!(
             restored.vm(migrating).state,
-            VmState::Migrating { to: HostId(2) }
+            VmState::Migrating {
+                from: HostId(1),
+                to: HostId(2)
+            }
         );
         assert_eq!(restored.host(HostId(1)).cpu_factor, 0.5);
         assert!(restored.is_blacklisted(HostId(2)));
@@ -1096,7 +1100,7 @@ mod tests {
         let vm = c.submit_job(job(1, 200, 100));
         c.start_creation(vm, HostId(0), t(0), t(40));
         assert!(c.queue().is_empty());
-        assert_eq!(c.vm(vm).state, VmState::Creating);
+        assert_eq!(c.vm(vm).state, VmState::Creating { host: HostId(0) });
         assert_eq!(c.host(HostId(0)).op_cpu_overhead(), CREATION_CPU_OVERHEAD);
         assert!(c.host(HostId(0)).is_working());
         c.reallocate_host(HostId(0), t(0));
@@ -1107,7 +1111,7 @@ mod tests {
 
         c.finish_creation(vm, t(40));
         c.reallocate_host(HostId(0), t(40));
-        assert_eq!(c.vm(vm).state, VmState::Running);
+        assert_eq!(c.vm(vm).state, VmState::Running { host: HostId(0) });
         assert_eq!(c.vm(vm).alloc, 200.0);
         assert_eq!(c.host(HostId(0)).op_cpu_overhead(), Cpu::ZERO);
         assert_eq!(c.cpu_used(HostId(0)), 200.0);
@@ -1195,7 +1199,13 @@ mod tests {
         c.reallocate_host(HostId(0), t(40));
 
         c.start_migration(vm, HostId(1), t(100), t(160));
-        assert_eq!(c.vm(vm).state, VmState::Migrating { to: HostId(1) });
+        assert_eq!(
+            c.vm(vm).state,
+            VmState::Migrating {
+                from: HostId(0),
+                to: HostId(1)
+            }
+        );
         // Reserved on both ends.
         assert!((c.occupation(HostId(0)) - 0.75).abs() < 1e-12);
         assert!((c.occupation(HostId(1)) - 0.75).abs() < 1e-12);
@@ -1208,7 +1218,7 @@ mod tests {
         c.check_invariants();
 
         c.finish_migration(vm, t(160));
-        assert_eq!(c.vm(vm).host, Some(HostId(1)));
+        assert_eq!(c.vm(vm).state, VmState::Running { host: HostId(1) });
         assert_eq!(c.vm(vm).migrations, 1);
         assert!(c.host(HostId(0)).is_idle());
         assert_eq!(c.host(HostId(0)).op_cpu_overhead(), Cpu::ZERO);
@@ -1385,7 +1395,7 @@ mod tests {
         // The VM can be retried on another host.
         c.start_creation(vm, HostId(1), t(30), t(70));
         c.finish_creation(vm, t(70));
-        assert_eq!(c.vm(vm).state, VmState::Running);
+        assert_eq!(c.vm(vm).state, VmState::Running { host: HostId(1) });
         c.check_invariants();
     }
 
@@ -1398,8 +1408,7 @@ mod tests {
         c.reallocate_host(HostId(0), t(40));
         c.start_migration(vm, HostId(1), t(100), t(160));
         c.abort_migration(vm, t(130));
-        assert_eq!(c.vm(vm).state, VmState::Running);
-        assert_eq!(c.vm(vm).host, Some(HostId(0)));
+        assert_eq!(c.vm(vm).state, VmState::Running { host: HostId(0) });
         assert_eq!(c.vm(vm).migrations, 0, "aborted migration doesn't count");
         assert!(c.host(HostId(1)).is_idle(), "destination residue cleaned");
         assert_eq!(c.host(HostId(0)).op_cpu_overhead(), Cpu::ZERO);

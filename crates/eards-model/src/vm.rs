@@ -9,7 +9,7 @@ use eards_sim::{Persist, PersistError, Reader, SimTime, Writer};
 
 use crate::ids::{HostId, VmId};
 use crate::job::Job;
-use crate::units::{Cpu, Mem, Resources};
+use crate::units::{Cpu, Resources};
 
 /// Fraction of its allocation a VM actually converts into progress while
 /// being live-migrated: page-dirtying tracking and the stop-and-copy
@@ -19,34 +19,58 @@ use crate::units::{Cpu, Mem, Resources};
 /// where over-aggressive consolidation loses both energy and SLA.
 pub const MIGRATION_SLOWDOWN: f64 = 0.5;
 
-/// Lifecycle state of a VM.
+/// Lifecycle state of a VM. A placed VM's host lives in its state, so a
+/// queued or finished VM cannot name one and a placed VM cannot lack one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VmState {
     /// Waiting in the scheduler's virtual-host queue (not yet placed, or
     /// re-queued after a host failure).
     Queued,
-    /// Being created on its host; the job has not started.
-    Creating,
-    /// Executing its job on its host.
-    Running,
-    /// Live-migrating to another host (still executing on the source).
+    /// Being created on `host`; the job has not started.
+    Creating {
+        /// Host the VM is being created on.
+        host: HostId,
+    },
+    /// Executing its job on `host`.
+    Running {
+        /// Host the VM executes on.
+        host: HostId,
+    },
+    /// Live-migrating from `from` to `to` (still executing on the source).
     Migrating {
+        /// Source host (accounts the VM and carries its execution).
+        from: HostId,
         /// Destination host (resources there are reserved).
         to: HostId,
     },
-    /// Periodic checkpoint in progress (still executing).
-    Checkpointing,
+    /// Periodic checkpoint in progress on `host` (still executing).
+    Checkpointing {
+        /// Host the VM executes on.
+        host: HostId,
+    },
     /// Job finished; the VM has been destroyed.
     Finished,
 }
 
 impl VmState {
+    /// Host currently accounting this VM's resources (the source while
+    /// migrating); `None` iff queued or finished.
+    pub fn host(self) -> Option<HostId> {
+        match self {
+            VmState::Queued | VmState::Finished => None,
+            VmState::Creating { host }
+            | VmState::Running { host }
+            | VmState::Checkpointing { host }
+            | VmState::Migrating { from: host, .. } => Some(host),
+        }
+    }
+
     /// True while any virtualization operation is in flight — the condition
     /// under which `P_virt = ∞` (§III-A.3).
     pub fn operation_in_progress(self) -> bool {
         matches!(
             self,
-            VmState::Creating | VmState::Migrating { .. } | VmState::Checkpointing
+            VmState::Creating { .. } | VmState::Migrating { .. } | VmState::Checkpointing { .. }
         )
     }
 
@@ -54,7 +78,7 @@ impl VmState {
     pub fn is_executing(self) -> bool {
         matches!(
             self,
-            VmState::Running | VmState::Migrating { .. } | VmState::Checkpointing
+            VmState::Running { .. } | VmState::Migrating { .. } | VmState::Checkpointing { .. }
         )
     }
 }
@@ -70,11 +94,8 @@ pub struct Vm {
     /// dynamic-SLA-enforcement extension (§III-A.5) escalates it when the
     /// SLA is being violated, so rescheduling finds the VM more room.
     pub requested: Resources,
-    /// Lifecycle state.
+    /// Lifecycle state, including the host the VM is placed on.
     pub state: VmState,
-    /// Host currently accounting this VM's resources (source host while
-    /// migrating). `None` iff queued or finished.
-    pub host: Option<HostId>,
     /// Work completed so far, in cpu%·seconds.
     pub progress: f64,
     /// Current CPU allocation granted by the host's credit scheduler
@@ -103,7 +124,6 @@ impl Vm {
             job,
             requested,
             state: VmState::Queued,
-            host: None,
             progress: 0.0,
             alloc: 0.0,
             last_update: submit,
@@ -117,11 +137,6 @@ impl Vm {
     /// Requested CPU (possibly escalated above the job demand).
     pub fn req_cpu(&self) -> Cpu {
         self.requested.cpu
-    }
-
-    /// Requested memory.
-    pub fn req_mem(&self) -> Mem {
-        self.requested.mem
     }
 
     /// The rate at which the VM converts CPU into progress right now:
@@ -207,33 +222,43 @@ impl Vm {
     }
 }
 
+/// The tag, the destination for `Migrating`, then the host as an
+/// `Option`: the layout snapshot version 3 pins. Restore rejects a host
+/// that disagrees with the tag.
 impl Persist for VmState {
     #[inline]
     fn persist(&self, w: &mut Writer) {
         match self {
             VmState::Queued => w.put_u8(0),
-            VmState::Creating => w.put_u8(1),
-            VmState::Running => w.put_u8(2),
-            VmState::Migrating { to } => {
+            VmState::Creating { .. } => w.put_u8(1),
+            VmState::Running { .. } => w.put_u8(2),
+            VmState::Migrating { to, .. } => {
                 w.put_u8(3);
                 to.persist(w);
             }
-            VmState::Checkpointing => w.put_u8(4),
+            VmState::Checkpointing { .. } => w.put_u8(4),
             VmState::Finished => w.put_u8(5),
         }
+        w.put_opt(&self.host());
     }
     #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        match r.get_u8()? {
-            0 => Ok(VmState::Queued),
-            1 => Ok(VmState::Creating),
-            2 => Ok(VmState::Running),
-            3 => Ok(VmState::Migrating {
-                to: HostId::restore(r)?,
-            }),
-            4 => Ok(VmState::Checkpointing),
-            5 => Ok(VmState::Finished),
-            t => Err(PersistError::Corrupt(format!("bad VmState tag {t}"))),
+        let tag = r.get_u8()?;
+        let to = match tag {
+            3 => Some(HostId::restore(r)?),
+            0..=5 => None,
+            t => return Err(PersistError::Corrupt(format!("bad VmState tag {t}"))),
+        };
+        match (tag, r.get_opt()?, to) {
+            (0, None, _) => Ok(VmState::Queued),
+            (1, Some(host), _) => Ok(VmState::Creating { host }),
+            (2, Some(host), _) => Ok(VmState::Running { host }),
+            (3, Some(from), Some(to)) => Ok(VmState::Migrating { from, to }),
+            (4, Some(host), _) => Ok(VmState::Checkpointing { host }),
+            (5, None, _) => Ok(VmState::Finished),
+            (_, host, _) => Err(PersistError::Corrupt(format!(
+                "VmState tag {tag} with host {host:?}"
+            ))),
         }
     }
 }
@@ -245,7 +270,6 @@ impl Persist for Vm {
         self.job.persist(w);
         self.requested.persist(w);
         self.state.persist(w);
-        w.put_opt(&self.host);
         w.put_f64(self.progress);
         w.put_f64(self.alloc);
         self.last_update.persist(w);
@@ -261,7 +285,6 @@ impl Persist for Vm {
             job: Job::restore(r)?,
             requested: Resources::restore(r)?,
             state: VmState::restore(r)?,
-            host: r.get_opt()?,
             progress: r.get_f64()?,
             alloc: r.get_f64()?,
             last_update: SimTime::restore(r)?,
@@ -277,6 +300,7 @@ impl Persist for Vm {
 mod tests {
     use super::*;
     use crate::ids::JobId;
+    use crate::units::Mem;
     use eards_sim::SimDuration;
 
     fn vm() -> Vm {
@@ -303,7 +327,7 @@ mod tests {
     #[test]
     fn progress_accrues_at_alloc_rate() {
         let mut v = vm();
-        v.state = VmState::Running;
+        v.state = VmState::Running { host: HostId(1) };
         v.alloc = 50.0; // contended: half demand
         v.advance_progress(SimTime::from_secs(100));
         assert_eq!(v.progress, 5_000.0);
@@ -314,7 +338,7 @@ mod tests {
     #[test]
     fn progress_rate_caps_at_job_demand() {
         let mut v = vm();
-        v.state = VmState::Running;
+        v.state = VmState::Running { host: HostId(1) };
         v.alloc = 400.0; // host granted more than the job can use
         v.advance_progress(SimTime::from_secs(10));
         assert_eq!(v.progress, 1_000.0);
@@ -326,11 +350,11 @@ mod tests {
         v.alloc = 100.0;
         v.advance_progress(SimTime::from_secs(50));
         assert_eq!(v.progress, 0.0);
-        v.state = VmState::Creating;
+        v.state = VmState::Creating { host: HostId(1) };
         v.advance_progress(SimTime::from_secs(80));
         assert_eq!(v.progress, 0.0);
         // ...but the clock is tracked so later accrual starts from here.
-        v.state = VmState::Running;
+        v.state = VmState::Running { host: HostId(1) };
         v.advance_progress(SimTime::from_secs(90));
         assert_eq!(v.progress, 1_000.0);
     }
@@ -338,7 +362,10 @@ mod tests {
     #[test]
     fn progress_continues_degraded_during_migration() {
         let mut v = vm();
-        v.state = VmState::Migrating { to: HostId(2) };
+        v.state = VmState::Migrating {
+            from: HostId(1),
+            to: HostId(2),
+        };
         assert!(v.state.operation_in_progress());
         assert!(v.state.is_executing());
         v.alloc = 100.0;
@@ -357,7 +384,7 @@ mod tests {
     #[test]
     fn work_completes_and_clamps() {
         let mut v = vm();
-        v.state = VmState::Running;
+        v.state = VmState::Running { host: HostId(1) };
         v.alloc = 100.0;
         v.advance_progress(SimTime::from_secs(2000)); // double the needed time
         assert!(v.work_complete());
@@ -368,7 +395,7 @@ mod tests {
     #[test]
     fn user_remaining_follows_estimate_not_truth() {
         let mut v = vm();
-        v.state = VmState::Running;
+        v.state = VmState::Running { host: HostId(1) };
         v.alloc = 0.0; // no actual progress
         assert_eq!(v.user_remaining_secs(SimTime::from_secs(400)), 600.0);
         assert_eq!(v.user_remaining_secs(SimTime::from_secs(5000)), 0.0);
@@ -382,7 +409,7 @@ mod tests {
 
         // Running at full demand from t=0: projection = 1000 s < 1500 s
         // deadline ⇒ fulfilment 1.
-        v.state = VmState::Running;
+        v.state = VmState::Running { host: HostId(1) };
         v.alloc = 100.0;
         assert_eq!(v.sla_fulfillment(SimTime::ZERO), 1.0);
 
@@ -394,7 +421,7 @@ mod tests {
     #[test]
     fn eta_none_when_starved() {
         let mut v = vm();
-        v.state = VmState::Running;
+        v.state = VmState::Running { host: HostId(1) };
         v.alloc = 0.0;
         assert_eq!(v.eta_secs(), None);
     }

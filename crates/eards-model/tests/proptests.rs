@@ -210,26 +210,28 @@ proptest! {
                     }
                 }
                 ClusterOp::AbortCreation(pick) => {
-                    let creating = in_state(&cluster, |s| s == VmState::Creating);
+                    let creating = in_state(&cluster, |s| matches!(s, VmState::Creating { .. }));
                     if !creating.is_empty() {
                         cluster.abort_creation(creating[usize::from(pick) % creating.len()], now);
                     }
                 }
                 ClusterOp::FinishCreation(pick) => {
-                    let creating = in_state(&cluster, |s| s == VmState::Creating);
+                    let creating = in_state(&cluster, |s| matches!(s, VmState::Creating { .. }));
                     if !creating.is_empty() {
                         let vm = creating[usize::from(pick) % creating.len()];
                         cluster.finish_creation(vm, now);
-                        let host = cluster.vm(vm).host.unwrap();
+                        let VmState::Running { host } = cluster.vm(vm).state else {
+                            panic!("a finished creation runs");
+                        };
                         cluster.reallocate_host(host, now);
                     }
                 }
                 ClusterOp::StartMigration { vm, to } => {
-                    let running = in_state(&cluster, |s| s == VmState::Running);
+                    let running = in_state(&cluster, |s| matches!(s, VmState::Running { .. }));
                     if running.is_empty() { continue; }
                     let vm = running[usize::from(vm) % running.len()];
                     let target = HostId(u32::from(to) % N);
-                    if cluster.vm(vm).host != Some(target)
+                    if cluster.vm(vm).state.host() != Some(target)
                         && cluster.can_place_overcommitted(target, vm)
                     {
                         cluster.start_migration(vm, target, now, later);
@@ -250,7 +252,7 @@ proptest! {
                     }
                 }
                 ClusterOp::CompleteJob(pick) => {
-                    let running = in_state(&cluster, |s| s == VmState::Running);
+                    let running = in_state(&cluster, |s| matches!(s, VmState::Running { .. }));
                     if !running.is_empty() {
                         let vm = running[usize::from(pick) % running.len()];
                         cluster.finish_vm(vm, now);

@@ -41,7 +41,7 @@ impl<'a> Planner<'a> {
         let spec_cap = self.cluster.host(host).spec.capacity();
         let mut used = self.effective_committed(host);
         let v = self.cluster.vm(vm);
-        let already = v.host == Some(host);
+        let already = v.state.host() == Some(host);
         if !already {
             used = used.plus(v.requested);
         }

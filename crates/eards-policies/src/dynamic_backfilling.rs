@@ -105,7 +105,7 @@ impl DynamicBackfillingPolicy {
                 .resident
                 .iter()
                 .copied()
-                .filter(|&vm| cluster.vm(vm).state == VmState::Running)
+                .filter(|&vm| matches!(cluster.vm(vm).state, VmState::Running { .. }))
                 .collect();
             if movable.is_empty() || movable.len() != host.resident.len() {
                 continue; // something unmovable lives here

@@ -34,12 +34,12 @@ pub struct TraceAnalysis {
 /// jobs (no arrival process to speak of).
 pub fn analyze(trace: &Trace) -> Option<TraceAnalysis> {
     let jobs = trace.jobs();
-    if jobs.len() < 2 {
+    let [_, .., last] = jobs else {
         return None;
-    }
+    };
 
     // Hourly histogram.
-    let span_ms = jobs.last().expect("non-empty").submit.as_millis();
+    let span_ms = last.submit.as_millis();
     let hours = (span_ms / MILLIS_PER_HOUR + 1) as usize;
     let mut hourly = vec![0usize; hours];
     for j in jobs {
@@ -50,8 +50,9 @@ pub fn analyze(trace: &Trace) -> Option<TraceAnalysis> {
     let mut instants: Vec<SimTime> = jobs.iter().map(|j| j.submit).collect();
     instants.dedup();
     let gaps: Vec<f64> = instants
-        .windows(2)
-        .map(|w| w[1].saturating_since(w[0]).as_secs_f64())
+        .iter()
+        .zip(instants.iter().skip(1))
+        .map(|(a, b)| b.saturating_since(*a).as_secs_f64())
         .collect();
     let cv = if gaps.len() >= 2 {
         let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
@@ -68,8 +69,8 @@ pub fn analyze(trace: &Trace) -> Option<TraceAnalysis> {
     // Largest same-instant batch.
     let mut max_batch = 1;
     let mut run = 1;
-    for w in jobs.windows(2) {
-        if w[0].submit == w[1].submit {
+    for (a, b) in jobs.iter().zip(jobs.iter().skip(1)) {
+        if a.submit == b.submit {
             run += 1;
             max_batch = max_batch.max(run);
         } else {

@@ -55,9 +55,11 @@ impl JobClass {
                     100
                 }
             }
-            JobClass::LongCompute => *[200u32, 300, 400]
-                .get(rng.weighted_index(&[0.5, 0.3, 0.2]))
-                .expect("weighted_index in range"),
+            JobClass::LongCompute => match rng.weighted_index(&[0.5, 0.3, 0.2]) {
+                0 => 200,
+                1 => 300,
+                _ => 400,
+            },
             JobClass::BagOfTasks => 100,
         }
     }

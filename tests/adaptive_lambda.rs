@@ -83,3 +83,36 @@ fn adaptive_lambda_never_crosses_lambda_max() {
     let report = run_with_target(10.0);
     assert_eq!(report.jobs_completed, report.jobs_total);
 }
+
+#[test]
+fn restoring_without_adaptive_lambda_drops_the_pending_adjustment() {
+    // A snapshot taken mid-run carries a pending `LambdaAdjust`. Restored
+    // into a config without the controller, that event must be dropped
+    // rather than bring the run down.
+    let hosts = eards::datacenter::small_datacenter(16, HostClass::Medium);
+    let trace = eards::workload::generate(
+        &SynthConfig {
+            span: SimDuration::from_hours(6),
+            ..SynthConfig::grid5000_week()
+        },
+        17,
+    );
+    let adaptive = RunConfig {
+        adaptive_lambda: Some(AdaptiveLambda::default()),
+        ..RunConfig::default()
+    };
+    let policy = || Box::new(ScoreScheduler::new(ScoreConfig::sb()));
+    let mut run = Runner::new(hosts.clone(), trace.clone(), policy(), adaptive.clone());
+    for _ in 0..50 {
+        assert!(run.step_batch(), "the run must still be going");
+    }
+    let bytes = run.snapshot().unwrap();
+    let plain = RunConfig {
+        adaptive_lambda: None,
+        ..adaptive
+    };
+    let report = Runner::restore(hosts, trace, policy(), plain, &bytes)
+        .unwrap()
+        .run();
+    assert_eq!(report.jobs_completed, report.jobs_total);
+}
