@@ -114,8 +114,7 @@ fn quality_config(degrade: bool) -> RunConfig {
     }
     .with_faults(FaultPlan::chaos(CHAOS))
     .with_auditor(AuditorMode::Strict);
-    cfg.degrade = degrade;
-    cfg.park_after = 4;
+    cfg.park_after = degrade.then_some(4);
     cfg
 }
 
@@ -377,7 +376,7 @@ pub fn smoke() -> (DegradeStats, u64, RunReport) {
     let policy = ScoreScheduler::new(ScoreConfig::full())
         .with_overload(OverloadControl::with_budget(BUDGET));
     let mut cfg = quality_config(true);
-    cfg.park_after = 2;
+    cfg.park_after = Some(2);
     let mut runner = Runner::new(hosts, trace, Box::new(policy), cfg);
     while runner.step_batch() {}
     let stats = runner

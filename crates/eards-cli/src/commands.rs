@@ -8,8 +8,8 @@ use eards_workload::{analyze, generate, parse_swf, write_swf, SwfOptions, SynthC
 
 use crate::args::{ArgSpec, Args};
 use crate::setup::{
-    build_hosts, build_run_config, build_trace, make_policy, obs_requested, overload_from,
-    CliError, COMMON_SWITCHES, COMMON_VALUED, OBS_FLAGS,
+    build_hosts, build_run_config, build_trace, make_policy, obs_requested, CliError, World,
+    COMMON_SWITCHES, COMMON_VALUED, OBS_FLAGS,
 };
 
 /// Usage text.
@@ -206,19 +206,9 @@ fn reject_obs_flags(args: &Args, cmd: &str) -> Result<(), CliError> {
 
 fn run_cmd(tokens: &[String]) -> Result<String, CliError> {
     let args = parse_common(tokens)?;
-    let policy_name = args.value("policy").unwrap_or("sb").to_string();
-    let hosts = build_hosts(&args)?;
-    let trace = build_trace(&args)?;
-    let cfg = build_run_config(&args)?;
-    let obs = cfg.obs.clone();
-    let policy = make_policy(
-        &policy_name,
-        cfg.seed,
-        &obs,
-        overload_from(&cfg),
-        cfg.shard_spec(),
-    )?;
-    let runner = Runner::new(hosts, trace, policy, cfg);
+    let world = World::build(&args, args.value("policy").unwrap_or("sb"), |_| {})?;
+    let obs = world.obs().clone();
+    let runner = world.runner();
     let mut ckpt_note = String::new();
     let report = match args.get_opt::<u64>("checkpoint-every")? {
         None => {
@@ -283,19 +273,10 @@ fn resume_cmd(tokens: &[String]) -> Result<String, CliError> {
     let (argv, snap) = crate::checkpoint::decode_checkpoint(&data)
         .map_err(|e| CliError::Snapshot(format!("{path}: {e}")))?;
     let args = parse_common(&argv)?;
-    let policy_name = args.value("policy").unwrap_or("sb").to_string();
-    let hosts = build_hosts(&args)?;
-    let trace = build_trace(&args)?;
-    let cfg = build_run_config(&args)?;
-    let obs = cfg.obs.clone();
-    let policy = make_policy(
-        &policy_name,
-        cfg.seed,
-        &obs,
-        overload_from(&cfg),
-        cfg.shard_spec(),
-    )?;
-    let mut runner = Runner::restore(hosts, trace, policy, cfg, snap)
+    let world = World::build(&args, args.value("policy").unwrap_or("sb"), |_| {})?;
+    let obs = world.obs().clone();
+    let mut runner = world
+        .restore(snap)
         .map_err(|e| CliError::Snapshot(format!("{path}: {e}")))?;
     while runner.step_batch() {}
     let (report, _) = runner.finish();
@@ -319,13 +300,7 @@ fn compare_cmd(tokens: &[String]) -> Result<String, CliError> {
     let cfg = build_run_config(&args)?;
     let mut reports = Vec::new();
     for name in &names {
-        let policy = make_policy(
-            name,
-            cfg.seed,
-            &cfg.obs,
-            overload_from(&cfg),
-            cfg.shard_spec(),
-        )?;
+        let policy = make_policy(name, &args, &cfg)?;
         let report = Runner::new(hosts.clone(), trace.clone(), policy, cfg.clone()).run();
         reports.push(report);
     }
@@ -352,6 +327,8 @@ fn sweep_cmd(tokens: &[String]) -> Result<String, CliError> {
     let hosts = build_hosts(&args)?;
     let trace = build_trace(&args)?;
     let base = build_run_config(&args)?;
+    // Reject a bad policy name or solver flag here, not in a sweep thread.
+    make_policy(&policy_name, &args, &base)?;
     let min_grid = parse_grid(&args, "lambda-min-grid", &[10, 30, 50, 70])?;
     let max_grid = parse_grid(&args, "lambda-max-grid", &[50, 70, 90])?;
     let points = lambda_grid(&base, &min_grid, &max_grid);
@@ -360,14 +337,11 @@ fn sweep_cmd(tokens: &[String]) -> Result<String, CliError> {
             "the λ grids produced no valid (min < max) pairs".into(),
         ));
     }
-    let seed = base.seed;
-    let ctl = overload_from(&base);
-    let shards = base.shard_spec();
     let labels: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
     let reports = run_sweep(
         &hosts,
         &trace,
-        || make_policy(&policy_name, seed, &Obs::disabled(), ctl, shards).expect("validated above"),
+        || make_policy(&policy_name, &args, &base).expect("validated above"),
         points,
     );
     let mut t = Table::new(["setting", "Pwr (kWh)", "S (%)", "delay (%)", "Mig"]);

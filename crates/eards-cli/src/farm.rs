@@ -17,7 +17,6 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use eards_datacenter::Runner;
 use eards_model::FaultPlan;
 use eards_obs::Obs;
 use eards_sim::SimDuration;
@@ -28,8 +27,8 @@ use eards_sweep::{
 
 use crate::args::{ArgSpec, Args};
 use crate::setup::{
-    build_hosts, build_run_config, build_trace, make_policy, obs_requested, overload_from,
-    CliError, COMMON_SWITCHES, COMMON_VALUED, OBS_CAPACITY, OBS_FLAGS,
+    build_run_config, make_policy, obs_requested, CliError, World, COMMON_SWITCHES, COMMON_VALUED,
+    OBS_CAPACITY, OBS_FLAGS,
 };
 
 /// Farm-only valued flags. Flags in [`FORWARDED_VALUED`] are passed on
@@ -152,8 +151,9 @@ fn build_grid(args: &Args) -> Result<SweepGrid, CliError> {
         if names.is_empty() {
             names = vec![args.value("policy").unwrap_or("sb").to_string()];
         }
+        let cfg = build_run_config(args)?;
         for name in &names {
-            make_policy(name, 0, &Obs::disabled(), None, None)?;
+            make_policy(name, args, &cfg)?;
         }
         names
     };
@@ -179,30 +179,22 @@ fn build_grid(args: &Args) -> Result<SweepGrid, CliError> {
     })
 }
 
-/// Builds one shard's world. Both the serial path and the worker call
-/// this — one source of truth for how a grid cell becomes a simulation,
-/// which is what the byte-identity guarantee rests on.
+/// Builds one shard's world. The serial path and the worker (fresh or
+/// resuming a checkpoint) all build through this — one source of truth
+/// for how a grid cell becomes a simulation, which is what the
+/// byte-identity guarantee rests on.
 ///
 /// A chaos intensity of 0 keeps the base fault configuration from the
 /// common flags (`--failures`/`--chaos`); a positive intensity replaces
 /// it with `FaultPlan::chaos(x)`.
-fn shard_runner(args: &Args, spec: &ShardSpec, obs: &Obs) -> Result<Runner, CliError> {
-    let hosts = build_hosts(args)?;
-    let trace = build_trace(args)?;
-    let mut cfg = build_run_config(args)?;
-    cfg.seed = spec.seed;
-    if spec.chaos > 0.0 {
-        cfg = cfg.with_faults(FaultPlan::chaos(spec.chaos));
-    }
-    cfg = cfg.with_obs(obs.clone());
-    let policy = make_policy(
-        &spec.policy,
-        cfg.seed,
-        &cfg.obs,
-        overload_from(&cfg),
-        cfg.shard_spec(),
-    )?;
-    Ok(Runner::new(hosts, trace, policy, cfg))
+fn shard_world(args: &Args, spec: &ShardSpec, obs: &Obs) -> Result<World, CliError> {
+    World::build(args, &spec.policy, |cfg| {
+        cfg.seed = spec.seed;
+        if spec.chaos > 0.0 {
+            cfg.faults = FaultPlan::chaos(spec.chaos);
+        }
+        cfg.obs = obs.clone();
+    })
 }
 
 fn shard_obs(args: &Args) -> Obs {
@@ -232,7 +224,7 @@ fn run_serial(
     let mut entries = Vec::with_capacity(shards.len());
     for spec in shards {
         let obs = shard_obs(args);
-        let report = shard_runner(args, spec, &obs)?.run();
+        let report = shard_world(args, spec, &obs)?.runner().run();
         write_shard_metrics(workdir, &spec.key(), &obs)?;
         entries.push(MergeEntry {
             spec: spec.clone(),
@@ -426,23 +418,8 @@ pub fn worker_cmd(tokens: &[String]) -> Result<String, CliError> {
         let restored = std::fs::read(ckpt)
             .map_err(|e| e.to_string())
             .and_then(|bytes| {
-                let hosts = build_hosts(&args).map_err(|e| e.to_string())?;
-                let trace = build_trace(&args).map_err(|e| e.to_string())?;
-                let mut cfg = build_run_config(&args).map_err(|e| e.to_string())?;
-                cfg.seed = spec.seed;
-                if spec.chaos > 0.0 {
-                    cfg = cfg.with_faults(FaultPlan::chaos(spec.chaos));
-                }
-                cfg = cfg.with_obs(obs.clone());
-                let policy = make_policy(
-                    &spec.policy,
-                    cfg.seed,
-                    &cfg.obs,
-                    overload_from(&cfg),
-                    cfg.shard_spec(),
-                )
-                .map_err(|e| e.to_string())?;
-                Runner::restore(hosts, trace, policy, cfg, &bytes).map_err(|e| e.to_string())
+                let world = shard_world(&args, &spec, &obs).map_err(|e| e.to_string())?;
+                world.restore(&bytes).map_err(|e| e.to_string())
             });
         match restored {
             Ok(r) => runner = Some(r),
@@ -453,7 +430,7 @@ pub fn worker_cmd(tokens: &[String]) -> Result<String, CliError> {
     }
     let mut runner = match runner {
         Some(r) => r,
-        None => shard_runner(&args, &spec, &obs)?,
+        None => shard_world(&args, &spec, &obs)?.runner(),
     };
 
     let ckpt_period = args

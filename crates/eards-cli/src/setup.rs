@@ -2,11 +2,11 @@
 //! configuration from common flags.
 
 use eards_core::{OverloadControl, ScoreConfig, ScoreScheduler};
-use eards_datacenter::{paper_datacenter, small_datacenter, AdaptiveLambda, RunConfig};
+use eards_datacenter::{paper_datacenter, small_datacenter, AdaptiveLambda, RunConfig, Runner};
 use eards_model::{FaultPlan, HostClass, HostSpec, Policy, ShardSpec};
 use eards_obs::Obs;
 use eards_policies::{BackfillingPolicy, DynamicBackfillingPolicy, RandomPolicy, RoundRobinPolicy};
-use eards_sim::SimDuration;
+use eards_sim::{PersistError, SimDuration};
 use eards_workload::{generate, parse_swf, SwfOptions, SynthConfig, Trace};
 
 use crate::args::{ArgError, Args};
@@ -101,29 +101,48 @@ pub fn obs_requested(args: &Args) -> bool {
 /// The boolean switches shared by the simulation commands.
 pub const COMMON_SWITCHES: &[&str] = &["paper-dc", "failures", "economics", "csv", "degrade"];
 
-/// The overload control the score-based policies should run under, as
-/// configured by `--solver-budget` (`None` = unlimited, bit-identical to
-/// a build without the overload layer).
-pub fn overload_from(cfg: &RunConfig) -> Option<OverloadControl> {
-    cfg.solver_budget.map(OverloadControl::with_budget)
+/// The solver arming score-based policies take from the command line:
+/// `--solver-budget W` arms the work budget and the L0–L3 degradation
+/// ladder; `--shards N` (N ≥ 2) arms the sharded solver over rack-aligned
+/// shards, racks sized as in the fault plan (8 when it has none) so shard
+/// boundaries follow the fault domains. Absent flags leave the solver
+/// unbounded over one shard.
+fn solver_arming(
+    args: &Args,
+    cfg: &RunConfig,
+) -> Result<(Option<OverloadControl>, Option<ShardSpec>), CliError> {
+    let budget = args.get_opt::<u64>("solver-budget")?;
+    if budget == Some(0) {
+        return Err(CliError::Usage(
+            "--solver-budget must be a positive work-unit count".into(),
+        ));
+    }
+    let count = args.get_opt::<u32>("shards")?;
+    if count == Some(0) {
+        return Err(CliError::Usage(
+            "--shards must be a positive shard count".into(),
+        ));
+    }
+    let rack_size = cfg
+        .faults
+        .rack
+        .as_ref()
+        .map_or(8, |r| r.rack_size.max(1) as u32);
+    let shards = count
+        .filter(|&n| n >= 2)
+        .map(|count| ShardSpec { count, rack_size });
+    Ok((budget.map(OverloadControl::with_budget), shards))
 }
 
-/// Builds a policy by CLI name. Score-based policies are handed a clone
-/// of `obs` so solver spans and score attributions land in the same trace
-/// as the runner's events (a disabled handle keeps every hook a no-op),
-/// `ctl` arms their work budget + degradation ladder (`None` leaves the
-/// solver unbounded), and `shards` arms the sharded hierarchical solver
-/// (`None` climbs one shard over the whole cluster; non-score policies
-/// ignore both).
-pub fn make_policy(
-    name: &str,
-    seed: u64,
-    obs: &Obs,
-    ctl: Option<OverloadControl>,
-    shards: Option<ShardSpec>,
-) -> Result<Box<dyn Policy>, CliError> {
-    let score = |cfg: ScoreConfig| -> Box<dyn Policy> {
-        let mut sched = ScoreScheduler::with_obs(cfg, obs.clone());
+/// Builds a policy by CLI name for a run under `cfg`. Score-based
+/// policies are handed a clone of `cfg.obs`, so solver spans and score
+/// attributions land in the same trace as the runner's events (a disabled
+/// handle keeps every hook a no-op), and are armed by `solver_arming`;
+/// non-score policies ignore its flags.
+pub fn make_policy(name: &str, args: &Args, cfg: &RunConfig) -> Result<Box<dyn Policy>, CliError> {
+    let (ctl, shards) = solver_arming(args, cfg)?;
+    let score = |score: ScoreConfig| -> Box<dyn Policy> {
+        let mut sched = ScoreScheduler::with_obs(score, cfg.obs.clone());
         if let Some(c) = ctl {
             sched = sched.with_overload(c);
         }
@@ -133,7 +152,7 @@ pub fn make_policy(
         Box::new(sched)
     };
     Ok(match name.to_ascii_lowercase().as_str() {
-        "rd" | "random" => Box::new(RandomPolicy::new(seed)),
+        "rd" | "random" => Box::new(RandomPolicy::new(cfg.seed)),
         "rr" | "round-robin" => Box::new(RoundRobinPolicy::new()),
         "bf" | "backfilling" => Box::new(BackfillingPolicy::new()),
         "dbf" => Box::new(DynamicBackfillingPolicy::new()),
@@ -148,6 +167,53 @@ pub fn make_policy(
             )))
         }
     })
+}
+
+/// One simulation's inputs as the command line describes them. Every
+/// command that starts and resumes the same simulation builds it here,
+/// so a checkpoint always restores into the world that wrote it.
+pub(crate) struct World {
+    hosts: Vec<HostSpec>,
+    trace: Trace,
+    policy: Box<dyn Policy>,
+    cfg: RunConfig,
+}
+
+impl World {
+    /// Builds the hosts, workload and run configuration from `args`, lets
+    /// `adjust` override the configuration, then builds `policy` for it.
+    pub fn build(
+        args: &Args,
+        policy: &str,
+        adjust: impl FnOnce(&mut RunConfig),
+    ) -> Result<World, CliError> {
+        let hosts = build_hosts(args)?;
+        let trace = build_trace(args)?;
+        let mut cfg = build_run_config(args)?;
+        adjust(&mut cfg);
+        let policy = make_policy(policy, args, &cfg)?;
+        Ok(World {
+            hosts,
+            trace,
+            policy,
+            cfg,
+        })
+    }
+
+    /// The run's observability handle.
+    pub fn obs(&self) -> &Obs {
+        &self.cfg.obs
+    }
+
+    /// A fresh run from t = 0.
+    pub fn runner(self) -> Runner {
+        Runner::new(self.hosts, self.trace, self.policy, self.cfg)
+    }
+
+    /// The run `snapshot` captured, restored into this world.
+    pub fn restore(self, snapshot: &[u8]) -> Result<Runner, PersistError> {
+        Runner::restore(self.hosts, self.trace, self.policy, self.cfg, snapshot)
+    }
 }
 
 /// Builds the host list from `--hosts N` / `--paper-dc`.
@@ -220,24 +286,8 @@ pub fn build_run_config(args: &Args) -> Result<RunConfig, CliError> {
         });
     }
     cfg.record_power_series = args.value("power-series").is_some();
-    if let Some(b) = args.get_opt::<u64>("solver-budget")? {
-        if b == 0 {
-            return Err(CliError::Usage(
-                "--solver-budget must be a positive work-unit count".into(),
-            ));
-        }
-        cfg.solver_budget = Some(b);
-    }
-    if let Some(n) = args.get_opt::<u32>("shards")? {
-        if n == 0 {
-            return Err(CliError::Usage(
-                "--shards must be a positive shard count".into(),
-            ));
-        }
-        cfg.shards = Some(n);
-    }
     if args.switch("degrade") {
-        cfg.degrade = true;
+        cfg.park_after = Some(6);
     }
     if obs_requested(args) {
         cfg = cfg.with_obs(Obs::enabled(OBS_CAPACITY));
@@ -300,66 +350,70 @@ mod tests {
         assert_eq!(cfg.adaptive_lambda.unwrap().target_satisfaction, 98.5);
     }
 
+    fn policy(flags: &str, name: &str) -> Result<Box<dyn Policy>, CliError> {
+        let args = parse(flags);
+        make_policy(name, &args, &build_run_config(&args)?)
+    }
+
     #[test]
     fn rejects_bad_inputs() {
         assert!(build_run_config(&parse("--lambda-min 90 --lambda-max 30")).is_err());
         assert!(build_hosts(&parse("--hosts 0")).is_err());
         assert!(build_trace(&parse("--load-factor -1")).is_err());
-        assert!(make_policy("quantum", 0, &Obs::disabled(), None, None).is_err());
+        assert!(policy("", "quantum").is_err());
     }
 
     #[test]
     fn all_policies_constructible() {
         for p in ["rd", "rr", "bf", "dbf", "sb0", "sb1", "sb2", "sb", "sb-ext"] {
+            assert!(policy("", p).is_ok(), "{p}");
             assert!(
-                make_policy(p, 1, &Obs::disabled(), None, None).is_ok(),
-                "{p}"
-            );
-            let ctl = Some(OverloadControl::with_budget(10_000));
-            assert!(
-                make_policy(p, 1, &Obs::disabled(), ctl, Some(ShardSpec::with_count(4))).is_ok(),
+                policy("--solver-budget 10000 --shards 4", p).is_ok(),
                 "{p} armed"
             );
         }
     }
 
+    fn arming(flags: &str) -> Result<(Option<OverloadControl>, Option<ShardSpec>), CliError> {
+        let args = parse(flags);
+        solver_arming(&args, &build_run_config(&args)?)
+    }
+
     #[test]
     fn overload_flags() {
         let cfg = build_run_config(&parse("")).unwrap();
-        assert_eq!(cfg.solver_budget, None);
-        assert!(!cfg.degrade);
-        assert!(overload_from(&cfg).is_none());
+        assert_eq!(cfg.park_after, None, "legacy unbounded backoff");
+        assert_eq!(arming("").unwrap().0, None);
 
         let cfg = build_run_config(&parse("--solver-budget 50000 --degrade")).unwrap();
-        assert_eq!(cfg.solver_budget, Some(50_000));
-        assert!(cfg.degrade);
-        let ctl = overload_from(&cfg).unwrap();
-        assert_eq!(ctl, OverloadControl::with_budget(50_000));
+        assert_eq!(cfg.park_after, Some(6), "--degrade parks after 6 retries");
+        let (ctl, _) = arming("--solver-budget 50000 --degrade").unwrap();
+        assert_eq!(ctl, Some(OverloadControl::with_budget(50_000)));
 
-        assert!(build_run_config(&parse("--solver-budget 0")).is_err());
+        assert!(arming("--solver-budget 0").is_err());
+        assert!(policy("--solver-budget 0", "sb").is_err());
     }
 
     #[test]
     fn shards_flag() {
-        let cfg = build_run_config(&parse("")).unwrap();
-        assert_eq!(cfg.shards, None);
-        assert!(cfg.shard_spec().is_none());
+        assert_eq!(arming("").unwrap().1, None);
 
-        let cfg = build_run_config(&parse("--shards 4")).unwrap();
-        assert_eq!(cfg.shards, Some(4));
-        let spec = cfg.shard_spec().unwrap();
+        let spec = arming("--shards 4").unwrap().1.unwrap();
         assert_eq!((spec.count, spec.rack_size), (4, 8));
 
         // A single shard is the unsharded round: no spec to arm.
-        let cfg = build_run_config(&parse("--shards 1")).unwrap();
-        assert!(cfg.shard_spec().is_none());
+        assert_eq!(arming("--shards 1").unwrap().1, None);
 
         // With a rack fault plan, shard boundaries follow its rack size.
-        let cfg = build_run_config(&parse("--shards 4 --chaos 1.0")).unwrap();
-        let spec = cfg.shard_spec().unwrap();
-        assert_eq!(spec.rack_size, 8, "chaos rack plan uses the default size");
+        let spec = arming("--shards 4 --chaos 1.0").unwrap().1.unwrap();
+        assert_eq!(
+            (spec.count, spec.rack_size),
+            (4, 8),
+            "chaos rack plan uses the default size"
+        );
 
-        assert!(build_run_config(&parse("--shards 0")).is_err());
+        assert!(arming("--shards 0").is_err());
+        assert!(policy("--shards 0", "bf").is_err());
     }
 
     #[test]

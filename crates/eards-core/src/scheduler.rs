@@ -92,9 +92,8 @@ pub struct ScoreScheduler {
     /// rung sequence bit-for-bit.
     state: DegradeState,
     /// Sharding request for the hierarchical solver (`None` = one shard
-    /// over the whole cluster). The realized [`ShardMap`] is re-derived
-    /// from the live cluster size every round, so it tracks cluster
-    /// growth.
+    /// over the whole cluster). The realized [`ShardMap`] is derived from
+    /// the cluster's host count each round.
     shards: Option<ShardSpec>,
     /// Round-robin cursor for dealing queue columns to shards. Persisted:
     /// a restored run must deal the same columns to the same shards.
@@ -180,11 +179,6 @@ impl ScoreScheduler {
         self
     }
 
-    /// The armed overload control, if any.
-    pub fn overload(&self) -> Option<OverloadControl> {
-        self.ctl
-    }
-
     /// Arms the sharded hierarchical solver: full-quality rounds
     /// partition the cluster into rack-aligned shards that hill-climb
     /// locally, with a cross-shard balancer re-homing stranded queue
@@ -194,11 +188,6 @@ impl ScoreScheduler {
     pub fn with_shards(mut self, spec: ShardSpec) -> Self {
         self.shards = Some(spec);
         self
-    }
-
-    /// The armed sharding request, if any.
-    pub fn shard_spec(&self) -> Option<ShardSpec> {
-        self.shards
     }
 
     /// The shard map for this round over `num_hosts > 0` hosts: the
@@ -967,7 +956,10 @@ mod tests {
             let mut sched = ScoreScheduler::new(cfg.clone());
             assert!(sched.schedule(&c, &ctx(0)).is_empty());
             assert!(sched.rank_power_off(&c, SimTime::ZERO, &[]).is_empty());
-            let mut sharded = ScoreScheduler::new(cfg).with_shards(ShardSpec::with_count(4));
+            let mut sharded = ScoreScheduler::new(cfg).with_shards(ShardSpec {
+                count: 4,
+                rack_size: 8,
+            });
             assert!(sharded.schedule(&c, &ctx(0)).is_empty());
             assert_eq!(sharded.shard_cursor, 0);
         }
@@ -1211,8 +1203,10 @@ mod tests {
             let _ = c.submit_job(job(i, 120, 900));
         }
         let mut plain = ScoreScheduler::new(ScoreConfig::full());
-        let mut sharded =
-            ScoreScheduler::new(ScoreConfig::full()).with_shards(ShardSpec::with_count(4));
+        let mut sharded = ScoreScheduler::new(ScoreConfig::full()).with_shards(ShardSpec {
+            count: 4,
+            rack_size: 8,
+        });
         assert_eq!(plain.schedule(&c, &ctx(0)), sharded.schedule(&c, &ctx(0)));
         assert_eq!(sharded.shard_cursor, 0);
     }

@@ -1,6 +1,6 @@
 //! Run configuration and the paper's reference datacenter.
 
-use eards_model::{FaultPlan, HostClass, HostId, HostSpec, ShardSpec};
+use eards_model::{FaultPlan, HostClass, HostId, HostSpec};
 use eards_obs::Obs;
 use eards_sim::{Persist, PersistError, Reader, SimDuration, Writer};
 
@@ -92,8 +92,6 @@ pub struct RunConfig {
     pub faults: FaultPlan,
     /// Invariant-auditor mode (always on by default).
     pub auditor: AuditorMode,
-    /// Time from failure to the host becoming bootable again.
-    pub repair_time: SimDuration,
     /// Keep simulating after the last arrival until every job finishes,
     /// up to this long.
     pub drain_limit: SimDuration,
@@ -111,27 +109,11 @@ pub struct RunConfig {
     /// Disabled by default: every hook is a no-op and the run is
     /// bit-identical to an unobserved one.
     pub obs: Obs,
-    /// Per-round solver work budget in deterministic work units (cell
-    /// rescores + argmin scans). `None` = unlimited: the run is
-    /// bit-identical to one without the overload-control layer. This
-    /// field documents the run; the budget itself is armed on the policy
-    /// (see `eards_core::ScoreScheduler::with_overload`).
-    pub solver_budget: Option<u64>,
-    /// Shard count requested for the hierarchical solver (`None` or
-    /// `Some(1)` = one shard over the whole cluster). Like `solver_budget`
-    /// this field documents the run — the spec itself is armed on the
-    /// policy (see `eards_core::ScoreScheduler::with_shards`) — but the
-    /// runner also reads it to arm the auditor's cross-shard
-    /// conservation check, at construction and again after a restore.
-    pub shards: Option<u32>,
-    /// Enable runner backpressure: cap retry backoff growth at
-    /// [`RunConfig::park_after`] attempts and park VMs past the cap in a
-    /// deterministic queue that re-enters admission when the flapping
-    /// blacklist clears. Off by default (legacy unbounded backoff).
-    pub degrade: bool,
-    /// Retry attempts after which a still-queued VM is parked rather than
-    /// re-entering the backoff ladder (only when [`RunConfig::degrade`]).
-    pub park_after: u32,
+    /// Runner backpressure: `Some(n)` caps retry backoff growth at `n`
+    /// attempts and parks VMs past the cap in a deterministic queue that
+    /// re-enters admission when the flapping blacklist clears. `None`
+    /// (the default) keeps the legacy unbounded backoff.
+    pub park_after: Option<u32>,
 }
 
 impl Default for RunConfig {
@@ -151,16 +133,12 @@ impl Default for RunConfig {
             checkpoint_duration: SimDuration::from_secs(10),
             faults: FaultPlan::none(),
             auditor: AuditorMode::On,
-            repair_time: SimDuration::from_mins(30),
             drain_limit: SimDuration::from_days(2),
             record_power_series: false,
             audit: false,
             seed: 0x0EA2D5,
             obs: Obs::disabled(),
-            solver_budget: None,
-            shards: None,
-            degrade: false,
-            park_after: 6,
+            park_after: None,
         }
     }
 }
@@ -188,43 +166,11 @@ impl RunConfig {
     }
 
     /// Attaches an observability handle. Pass a clone of the same handle
-    /// to [`eards_core::ScoreScheduler::with_obs`] to capture solver
+    /// to `eards_core::ScoreScheduler::with_obs` to capture solver
     /// spans and score attributions in the same trace.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
-    }
-
-    /// Enables overload control: records the per-round solver work budget
-    /// and switches on runner backpressure (retry cap + parked queue).
-    pub fn with_overload(mut self, budget: u64) -> Self {
-        self.solver_budget = Some(budget);
-        self.degrade = true;
-        self
-    }
-
-    /// Records the sharding request for the hierarchical solver. Arm the
-    /// matching spec on the policy with
-    /// `eards_core::ScoreScheduler::with_shards` — the runner uses this
-    /// field to keep the auditor's cross-shard check in step.
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
-    /// The shard spec this configuration implies: `Some` only when the
-    /// requested count is ≥ 2, with the rack size taken from the fault
-    /// plan's rack layout (default 8 when no racks are configured) so
-    /// shard boundaries respect the same fault domains the injector
-    /// correlates.
-    pub fn shard_spec(&self) -> Option<ShardSpec> {
-        let count = self.shards.filter(|&n| n >= 2)?;
-        let rack_size = self
-            .faults
-            .rack
-            .as_ref()
-            .map_or(8, |r| r.rack_size.max(1) as u32);
-        Some(ShardSpec { count, rack_size })
     }
 }
 

@@ -23,7 +23,7 @@
 //! batch in [`AuditorMode::Strict`], which also panics on the first
 //! violation (used by the CI chaos smoke run).
 
-use eards_model::{Cluster, ShardMap};
+use eards_model::Cluster;
 use eards_sim::{Persist, PersistError, Reader, SimTime, Writer};
 
 use crate::config::AuditorMode;
@@ -50,17 +50,6 @@ pub struct InvariantAuditor {
     /// is zeroed when it wraps so no stale stamp can match.
     // lint:allow(SNAP001): per-pass scratch, meaningful only together with `stamps`
     epoch: u32,
-    /// Rack-aligned partition to validate when the policy runs the
-    /// sharded solver: the light pass additionally checks that the map
-    /// still partitions the live cluster and that per-shard resident
-    /// counts sum to the global placed count (no VM slips between
-    /// shards). Not persisted — the runner re-derives it from the run
-    /// configuration after a restore.
-    // lint:allow(SNAP001): re-armed by the runner via set_shard_map after restore
-    shard_map: Option<ShardMap>,
-    /// Per-shard resident counters, recycled across light passes.
-    // lint:allow(SNAP001): scratch buffer, resized on first use after restore
-    shard_scratch: Vec<u64>,
 }
 
 impl InvariantAuditor {
@@ -73,21 +62,12 @@ impl InvariantAuditor {
             messages: Vec::new(),
             stamps: Vec::new(),
             epoch: 0,
-            shard_map: None,
-            shard_scratch: Vec::new(),
         }
     }
 
     /// True unless the auditor is [`AuditorMode::Off`].
     pub fn enabled(&self) -> bool {
         self.mode != AuditorMode::Off
-    }
-
-    /// Arms (or disarms) the cross-shard conservation check. The runner
-    /// calls this at construction and again after a snapshot restore,
-    /// passing the same map the sharded solver partitions by.
-    pub fn set_shard_map(&mut self, map: Option<ShardMap>) {
-        self.shard_map = map;
     }
 
     /// Audit passes executed so far.
@@ -177,22 +157,6 @@ impl InvariantAuditor {
                 return Err(format!("{id} memory oversubscribed"));
             }
         }
-        if let Some(map) = &self.shard_map {
-            map.verify(cluster.num_hosts())?;
-            self.shard_scratch.clear();
-            self.shard_scratch.resize(map.num_shards(), 0);
-            for h in cluster.hosts() {
-                let s = map.shard_of(h.spec.id.raw() as usize);
-                self.shard_scratch[s] += h.resident.len() as u64;
-            }
-            let by_shard: u64 = self.shard_scratch.iter().sum();
-            if by_shard != placed {
-                return Err(format!(
-                    "shard conservation broken: per-shard residents sum to {by_shard}, \
-                     global placed is {placed}"
-                ));
-            }
-        }
         let admitted = cluster.num_vms() as u64;
         let accounted = cluster.queue().len() as u64 + placed + finished;
         if accounted != admitted {
@@ -225,8 +189,6 @@ impl Persist for InvariantAuditor {
             messages: Vec::restore(r)?,
             stamps: Vec::new(),
             epoch: 0,
-            shard_map: None,
-            shard_scratch: Vec::new(),
         })
     }
 }
@@ -302,22 +264,6 @@ mod tests {
             a.check(&c, 3, SimTime::ZERO)
         }));
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn shard_conservation_checks_the_partition() {
-        let mut c = cluster(4);
-        let vm = submit(&mut c, 1);
-        c.start_creation(vm, HostId(0), SimTime::ZERO, SimTime::from_secs(40));
-        let mut a = InvariantAuditor::new(AuditorMode::On);
-        a.set_shard_map(Some(ShardMap::build(4, 2, 2)));
-        a.check(&c, 0, SimTime::ZERO);
-        assert_eq!(a.violations(), 0, "{:?}", a.messages());
-        // A map built for a different cluster size is not a partition of
-        // this one: the light pass must flag it.
-        a.set_shard_map(Some(ShardMap::build(3, 2, 2)));
-        a.check(&c, 0, SimTime::ZERO);
-        assert_eq!(a.violations(), 1);
     }
 
     /// Places `n` fresh VMs round-robin on the cluster's hosts.

@@ -9,12 +9,10 @@
 //! overheads, power — is simulated here.
 //!
 //! Per-round state is recycled, not rebuilt: the runner owns its policy
-//! for the whole simulation, so a [`ScoreScheduler`]'s evaluator
-//! allocations carry from one consolidation tick to the next, and the
-//! power-adjustment candidate sets reuse one scratch vector across
-//! rounds.
-//!
-//! [`ScoreScheduler`]: eards_core::ScoreScheduler
+//! for the whole simulation, so a `eards_core::ScoreScheduler`'s
+//! evaluator allocations carry from one consolidation tick to the next,
+//! and the power-adjustment candidate sets reuse one scratch vector
+//! across rounds.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -23,7 +21,7 @@ use eards_metrics::{
 };
 use eards_model::{
     Action, CalibratedPowerModel, Cluster, HostId, HostSpec, Job, Policy, PowerModel, PowerState,
-    ScheduleContext, ScheduleReason, ShardMap, VmId, VmState,
+    ScheduleContext, ScheduleReason, VmId, VmState,
 };
 use eards_obs::{FaultKind, HistId, Obs, ObsEvent, PowerFlipKind, RecoveryKind};
 use eards_sim::{
@@ -237,7 +235,7 @@ pub struct Runner {
     /// Backpressure: VMs whose retry ladder passed `cfg.park_after`
     /// attempts, parked (still `Queued`) until the flapping blacklist
     /// clears. BTreeMap so release order is deterministic. Empty unless
-    /// `cfg.degrade`.
+    /// `cfg.park_after` is set (degrade mode).
     parked: BTreeMap<VmId, SimTime>,
     /// VMs ever parked by backpressure (monotone counter).
     vms_parked: u64,
@@ -310,20 +308,6 @@ impl Persist for RetryState {
     }
 }
 
-/// The shard map the run configuration implies for a cluster of
-/// `num_hosts` — `None` unless the realized partition has at least two
-/// shards (mirrors the policy-side arming in
-/// `eards_core::ScoreScheduler`, so the auditor checks exactly the
-/// partition the solver uses).
-fn derived_shard_map(cfg: &RunConfig, num_hosts: usize) -> Option<ShardMap> {
-    let spec = cfg.shard_spec()?;
-    if num_hosts == 0 {
-        return None;
-    }
-    let map = ShardMap::build(num_hosts, spec.rack_size, spec.count);
-    (map.num_shards() >= 2).then_some(map)
-}
-
 impl Runner {
     /// Builds a run over `hosts` executing `trace` under `policy`, with
     /// the paper's Table-I power model.
@@ -353,8 +337,7 @@ impl Runner {
         let label = policy.name();
         let rng = SimRng::seed_from_u64(cfg.seed);
         let faults = FaultEngine::new(cfg.faults.clone(), hosts.len(), cfg.seed);
-        let mut auditor = InvariantAuditor::new(cfg.auditor);
-        auditor.set_shard_map(derived_shard_map(&cfg, hosts.len()));
+        let auditor = InvariantAuditor::new(cfg.auditor);
         let crash_counts = vec![0; hosts.len()];
         let obs = cfg.obs.clone();
         let queue_hist = obs.histogram("queue_len", &[1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0]);
@@ -754,11 +737,6 @@ impl Runner {
         self.parked = Vec::<(VmId, SimTime)>::restore(r)?.into_iter().collect();
         self.vms_parked = r.get_u64()?;
         self.cluster = Cluster::restore(r)?;
-        // The auditor's shard map is derived state, not snapshot payload:
-        // re-arm it from the configuration so a restored run keeps the
-        // cross-shard conservation check.
-        self.auditor
-            .set_shard_map(derived_shard_map(&self.cfg, self.cluster.num_hosts()));
         let mut block = r.get_block()?;
         self.policy.restore_state(&mut block)?;
         block.finish()?;
@@ -941,7 +919,7 @@ impl Runner {
                 // record: the blacklist lifts and the crash count resets
                 // (so renewed flapping can re-blacklist it), which in turn
                 // may let parked VMs back in.
-                if self.cfg.degrade && self.cluster.is_blacklisted(h) {
+                if self.cfg.park_after.is_some() && self.cluster.is_blacklisted(h) {
                     self.cluster.blacklist(h, 0.0);
                     self.crash_counts[h.raw() as usize] = 0;
                     self.note(now, AuditKind::BlacklistCleared { host: h });
@@ -1554,8 +1532,7 @@ impl Runner {
         });
         entry.attempts += 1;
         let attempts = entry.attempts;
-        if self.cfg.degrade
-            && attempts > self.cfg.park_after
+        if self.cfg.park_after.is_some_and(|cap| attempts > cap)
             && self.cluster.vm(vm).state == VmState::Queued
         {
             self.retry.remove(&vm);
@@ -1574,11 +1551,7 @@ impl Runner {
             return;
         }
         // Degrade mode caps backoff growth; legacy mode grows unbounded.
-        let eff = if self.cfg.degrade {
-            attempts.min(self.cfg.park_after)
-        } else {
-            attempts
-        };
+        let eff = attempts.min(self.cfg.park_after.unwrap_or(u32::MAX));
         let backoff = self.faults.plan().recovery.backoff(eff);
         entry.eligible = now + backoff;
         self.fstats.retries_delayed += 1;

@@ -185,7 +185,7 @@ fn sb_with_checkpoints_and_crashes() {
 #[test]
 fn sb_under_chaos_in_degrade_mode() {
     let cfg = RunConfig {
-        degrade: true,
+        park_after: Some(6),
         ..base()
     }
     .with_faults(FaultPlan::chaos(2.0));

@@ -65,8 +65,7 @@ fn flapping_vms_are_parked_and_never_lost() {
     );
     let mut cfg = chaos_config(7, 3.0);
     cfg.auditor = AuditorMode::Strict;
-    cfg.degrade = true;
-    cfg.park_after = 0;
+    cfg.park_after = Some(0);
     let mut runner = Runner::new(h, t, policy, cfg);
     while runner.step_batch() {}
     assert!(

@@ -60,8 +60,7 @@ fn policy(obs: &Obs) -> Box<dyn Policy> {
 fn degraded_config(sim_seed: u64, obs: &Obs) -> RunConfig {
     let mut cfg = config(sim_seed, 2.0, obs);
     cfg.auditor = AuditorMode::Strict;
-    cfg.degrade = true;
-    cfg.park_after = 3;
+    cfg.park_after = Some(3);
     cfg
 }
 

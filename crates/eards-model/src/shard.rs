@@ -8,12 +8,9 @@
 //! partition.
 //!
 //! The map is a pure function of `(num_hosts, rack_size, shards)` —
-//! integer arithmetic only, no RNG — so it is deterministic across runs
-//! and can be re-derived from the run configuration after a
-//! snapshot/restore instead of being persisted wholesale. A `Persist`
-//! impl exists anyway for callers that embed a map in their own state.
-
-use eards_sim::{Persist, PersistError, Reader, Writer};
+//! integer arithmetic only, no RNG — so it is deterministic across runs.
+//! The scheduler derives it from its [`ShardSpec`] and the cluster's host
+//! count every round; it is never persisted.
 
 /// How a policy should shard the cluster: how many shards to aim for and
 /// the rack granularity boundaries must respect.
@@ -27,31 +24,6 @@ pub struct ShardSpec {
     pub count: u32,
     /// Hosts per rack (consecutive ids; the last rack may be smaller).
     pub rack_size: u32,
-}
-
-impl ShardSpec {
-    /// A spec with the default rack size of [`RackPlan`](crate::RackPlan).
-    pub fn with_count(count: u32) -> ShardSpec {
-        ShardSpec {
-            count,
-            rack_size: 8,
-        }
-    }
-}
-
-impl Persist for ShardSpec {
-    #[inline]
-    fn persist(&self, w: &mut Writer) {
-        w.put_u32(self.count);
-        w.put_u32(self.rack_size);
-    }
-    #[inline]
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(ShardSpec {
-            count: r.get_u32()?,
-            rack_size: r.get_u32()?,
-        })
-    }
 }
 
 /// A partition of `0..num_hosts` into contiguous rack-aligned ranges.
@@ -134,8 +106,7 @@ impl ShardMap {
     /// Check the partition invariants against a cluster of `num_hosts`
     /// hosts: boundaries strictly increasing, starting at 0, ending at
     /// `num_hosts`. Returns a human-readable description of the first
-    /// violation, if any — the auditor surfaces it as a light-pass
-    /// invariant message.
+    /// violation, if any.
     pub fn verify(&self, num_hosts: usize) -> Result<(), String> {
         if self.starts.first() != Some(&0) {
             return Err("shard map does not start at host 0".into());
@@ -152,25 +123,6 @@ impl ShardMap {
             }
         }
         Ok(())
-    }
-}
-
-impl Persist for ShardMap {
-    #[inline]
-    fn persist(&self, w: &mut Writer) {
-        w.put_seq(&self.starts);
-    }
-    #[inline]
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let starts = r.get_seq::<u32>()?;
-        if starts.len() < 2 {
-            return Err(PersistError::Corrupt(
-                "shard map needs at least two boundaries".into(),
-            ));
-        }
-        let map = ShardMap { starts };
-        map.verify(map.num_hosts()).map_err(PersistError::Corrupt)?;
-        Ok(map)
     }
 }
 
@@ -224,23 +176,12 @@ mod tests {
     }
 
     #[test]
-    fn map_round_trips_through_persist() {
-        let m = ShardMap::build(1000, 8, 7);
-        let mut w = Writer::default();
-        m.persist(&mut w);
-        let bytes = w.into_bytes().expect("no sequence overflows here");
-        let mut r = Reader::new(&bytes);
-        let back = ShardMap::restore(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(m, back);
-    }
-
-    #[test]
-    fn restore_rejects_corrupt_boundaries() {
-        let mut w = Writer::default();
-        w.put_seq(&[0u32, 5, 3]);
-        let bytes = w.into_bytes().expect("no sequence overflows here");
-        let mut r = Reader::new(&bytes);
-        assert!(ShardMap::restore(&mut r).is_err());
+    fn verify_rejects_broken_partitions() {
+        let err = |starts: Vec<u32>, n: usize| ShardMap { starts }.verify(n).unwrap_err();
+        assert!(err(vec![1, 5], 5).contains("does not start at host 0"));
+        assert!(err(vec![0, 4, 8], 12).contains("covers 8 hosts, cluster has 12"));
+        assert!(err(vec![0, 5, 3], 3).contains("boundary 5 not increasing to 3"));
+        assert!(err(vec![0, 4, 4, 8], 8).contains("boundary 4 not increasing to 4"));
+        assert!(ShardMap::build(12, 4, 3).verify(8).is_err());
     }
 }

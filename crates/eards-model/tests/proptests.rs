@@ -79,9 +79,7 @@ proptest! {
 
     /// The shard map is a true partition of the host-id space, for every
     /// `(num_hosts, rack_size, shards)` triple: deterministic, every host
-    /// in exactly one shard, internal boundaries rack-aligned, and stable
-    /// through its `Persist` round trip (snapshot/restore cannot change
-    /// which shard owns a host).
+    /// in exactly one shard, and internal boundaries rack-aligned.
     #[test]
     fn shard_map_is_a_true_partition(
         num_hosts in 1usize..3000,
@@ -107,13 +105,6 @@ proptest! {
             seen.iter().all(|&c| c == 1),
             "{}h/{}rs/{}s is not a partition: {:?}", num_hosts, rack_size, shards, seen
         );
-        let mut w = Writer::default();
-        m.persist(&mut w);
-        let bytes = w.into_bytes().expect("boundary vector fits any length budget");
-        let mut r = Reader::new(&bytes);
-        let back = ShardMap::restore(&mut r).expect("round trip");
-        r.finish().expect("fully consumed");
-        prop_assert_eq!(back, m);
     }
 
     /// Occupation is the max over per-resource utilizations, scale-free.

@@ -8,33 +8,46 @@
 //! single seed, and independent subsystems can `fork` their own streams
 //! without coupling their consumption order.
 //!
-//! Distribution sampling (Normal, LogNormal, Exponential, Weibull, Pareto)
-//! is implemented here directly rather than pulling in `rand_distr`: the
-//! formulas are short, and owning them lets property tests pin their exact
-//! behaviour.
-
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+//! The generator itself is xoshiro256++ seeded through SplitMix64 (the
+//! algorithm of rand 0.8's `SmallRng` on 64-bit platforms), and
+//! distribution sampling (Normal, LogNormal, Exponential, Weibull, Pareto)
+//! is implemented here directly: the code is short, and owning it lets
+//! golden and property tests pin its exact behaviour.
 
 use crate::persist::{Persist, PersistError, Reader, Writer};
 
+/// The SplitMix64 increment (the 64-bit golden ratio).
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output mix.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A deterministic, seedable random number generator for simulations.
 ///
-/// Wraps [`SmallRng`] and adds the distribution samplers used by the
+/// A xoshiro256++ stream plus the distribution samplers used by the
 /// datacenter model. Two `SimRng`s created from equal seeds produce equal
-/// streams on every platform this crate supports.
+/// streams on every platform.
 #[derive(Debug, Clone)]
 pub struct SimRng {
-    inner: SmallRng,
+    /// The xoshiro256++ state; never all zero (a fixed point).
+    s: [u64; 4],
     /// Cached second value from the Box–Muller transform.
     gauss_spare: Option<f64>,
 }
 
 impl SimRng {
-    /// Creates a generator from a 64-bit seed.
+    /// Creates a generator from a 64-bit seed (SplitMix64 expansion).
     pub fn seed_from_u64(seed: u64) -> Self {
+        let mut state = seed;
         SimRng {
-            inner: SmallRng::seed_from_u64(seed),
+            s: [(); 4].map(|()| {
+                state = state.wrapping_add(GOLDEN);
+                mix64(state)
+            }),
             gauss_spare: None,
         }
     }
@@ -48,19 +61,13 @@ impl SimRng {
     pub fn fork(&mut self, stream: u64) -> SimRng {
         // Mix a fresh draw with the stream id through SplitMix64 so forks
         // with different ids are decorrelated even from identical parents.
-        let mut z = self
-            .inner
-            .next_u64()
-            .wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        SimRng::seed_from_u64(z)
+        let z = self.next_u64().wrapping_add(stream.wrapping_mul(GOLDEN));
+        SimRng::seed_from_u64(mix64(z))
     }
 
-    /// Uniform value in `[0, 1)`.
+    /// Uniform value in `[0, 1)`: 53 random mantissa bits.
     pub fn uniform(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform value in `[lo, hi)`. Returns `lo` when the range is empty.
@@ -74,7 +81,7 @@ impl SimRng {
     /// Uniform integer in `[0, n)`. Panics if `n == 0`.
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index() requires a non-empty range");
-        self.inner.gen_range(0..n)
+        (self.next_u64() % n as u64) as usize
     }
 
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
@@ -183,9 +190,18 @@ impl SimRng {
         weights.len() - 1
     }
 
-    /// Raw 64-bit draw, for callers that need to derive seeds.
+    /// Raw 64-bit draw (one xoshiro256++ step).
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        let [s0, s1, s2, s3] = &mut self.s;
+        let result = s0.wrapping_add(*s3).rotate_left(23).wrapping_add(*s0);
+        let t = *s1 << 17;
+        *s2 ^= *s0;
+        *s3 ^= *s1;
+        *s1 ^= *s2;
+        *s0 ^= *s3;
+        *s2 ^= t;
+        *s3 = s3.rotate_left(45);
+        result
     }
 }
 
@@ -195,7 +211,7 @@ impl SimRng {
 impl Persist for SimRng {
     #[inline]
     fn persist(&self, w: &mut Writer) {
-        for word in self.inner.state() {
+        for &word in &self.s {
             w.put_u64(word);
         }
         w.put_opt(&self.gauss_spare);
@@ -203,12 +219,13 @@ impl Persist for SimRng {
 
     #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.get_u64()?;
+        let mut s = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
+        if s == [0; 4] {
+            // Seeding never produces the all-zero fixed point; remap it.
+            s = [1, 2, 3, 4];
         }
         Ok(SimRng {
-            inner: SmallRng::from_state(state),
+            s,
             gauss_spare: r.get_opt()?,
         })
     }
