@@ -32,7 +32,6 @@
 pub mod budget;
 mod config;
 mod eval;
-mod explain;
 mod scheduler;
 mod score;
 pub mod shard;
@@ -41,7 +40,6 @@ mod solver;
 pub use budget::{DegradeLevel, OverloadControl, WorkMeter};
 pub use config::ScoreConfig;
 pub use eval::{queue_has_feasible_cell, CellStatic, Eval, ScoreBreakdown};
-pub use explain::{render_delta_matrix, render_matrix};
 pub use scheduler::{row_score, ScoreScheduler};
 pub use score::Score;
 pub use shard::{solve_sharded, ShardedOutcome};

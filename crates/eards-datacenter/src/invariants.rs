@@ -16,14 +16,19 @@
 //! * fault timers only target hosts that are actually up (reported by the
 //!   driver, which owns the timers).
 //!
-//! The light pass is `O(hosts + placed VMs)` per batch and hashes
-//! nothing; a deep structural pass
-//! ([`Cluster::verify`], which also recomputes every host's cached
-//! committed resources and compares) runs periodically — or after every
-//! batch in [`AuditorMode::Strict`], which also panics on the first
-//! violation (used by the CI chaos smoke run).
+//! The light pass walks a host list: the hosts the batch changed
+//! ([`Cluster::dirty_hosts`]) in [`AuditorMode::On`], every host in
+//! [`AuditorMode::Strict`] and on an auditor's first pass. It costs
+//! `O(dirty hosts + their residents)` per batch and hashes nothing. A
+//! host outside the list is unchanged since the pass before, which found
+//! it clean or reported it, so walking it again could report nothing new
+//! (DESIGN.md §18). A deep structural pass ([`Cluster::verify`], which
+//! also recomputes every host's cached committed resources and the
+//! working and online counts) runs periodically — or after every batch
+//! in [`AuditorMode::Strict`], which also panics on the first violation
+//! (used by the CI chaos smoke run).
 
-use eards_model::Cluster;
+use eards_model::{Cluster, HostId};
 use eards_sim::{Persist, PersistError, Reader, SimTime, Writer};
 
 use crate::config::AuditorMode;
@@ -40,16 +45,14 @@ pub struct InvariantAuditor {
     checks: u64,
     violations: u64,
     messages: Vec<String>,
-    /// Duplicate detection without hashing: `stamps[vm]` holds the epoch
-    /// of the last light pass that saw `vm` resident, so a VM whose stamp
-    /// already equals the current epoch is resident on two hosts. Grown
-    /// to the VM table on every pass.
-    // lint:allow(SNAP001): per-pass scratch; a restored auditor starts a fresh table
-    stamps: Vec<u32>,
-    /// The current pass's stamp; bumped every light pass, and the table
-    /// is zeroed when it wraps so no stale stamp can match.
-    // lint:allow(SNAP001): per-pass scratch, meaningful only together with `stamps`
-    epoch: u32,
+    /// Resident-list length of each host as of the last pass that walked
+    /// it, indexed by [`HostId`]; empty until the first pass, which walks
+    /// every host.
+    // lint:allow(SNAP001): rebuilt by the first pass after restore, which walks every host
+    resident_len: Vec<u32>,
+    /// Sum of `resident_len`: the placed-VM term of VM conservation.
+    // lint:allow(SNAP001): derived from `resident_len`
+    placed: u64,
 }
 
 impl InvariantAuditor {
@@ -60,8 +63,8 @@ impl InvariantAuditor {
             checks: 0,
             violations: 0,
             messages: Vec::new(),
-            stamps: Vec::new(),
-            epoch: 0,
+            resident_len: Vec::new(),
+            placed: 0,
         }
     }
 
@@ -99,15 +102,29 @@ impl InvariantAuditor {
         }
     }
 
-    /// Runs one audit pass after an event batch. `finished` is the number
-    /// of VMs the driver has completed (they stay in the cluster's VM
-    /// table but reside nowhere).
-    pub fn check(&mut self, cluster: &Cluster, finished: u64, at: SimTime) {
+    /// Runs one audit pass after an event batch, before the driver clears
+    /// the cluster's dirty set. `finished` is the number of VMs the driver
+    /// has completed (they stay in the cluster's VM table but reside
+    /// nowhere). Returns true if the pass was deep, so the driver can
+    /// check its own caches at the same cadence.
+    pub fn check(&mut self, cluster: &Cluster, finished: u64, at: SimTime) -> bool {
         if !self.enabled() {
-            return;
+            return false;
         }
         self.checks += 1;
-        if let Err(msg) = self.light_pass(cluster, finished) {
+        let verdict = self.light_pass(cluster, finished);
+        // Oracle: while every earlier pass was clean, the incremental
+        // verdict equals that of a fresh auditor, which walks every host.
+        #[cfg(debug_assertions)]
+        if self.violations == 0 {
+            let full = InvariantAuditor::new(self.mode).light_pass(cluster, finished);
+            assert_eq!(
+                verdict.is_ok(),
+                full.is_ok(),
+                "incremental light pass {verdict:?}, full pass {full:?}"
+            );
+        }
+        if let Err(msg) = verdict {
             self.report(at, msg);
         }
         let deep = self.mode == AuditorMode::Strict || self.checks.is_multiple_of(DEEP_PERIOD);
@@ -116,62 +133,95 @@ impl InvariantAuditor {
                 self.report(at, msg);
             }
         }
+        deep
     }
 
+    /// The light pass: walks every host on the first pass and in strict
+    /// mode, and the cluster's dirty hosts otherwise.
     fn light_pass(&mut self, cluster: &Cluster, finished: u64) -> Result<(), String> {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamps.fill(0);
-            self.epoch = 1;
+        let first = self.resident_len.len() != cluster.num_hosts();
+        if first {
+            self.resident_len = vec![0; cluster.num_hosts()];
+            self.placed = 0;
         }
-        if self.stamps.len() < cluster.num_vms() {
-            self.stamps.resize(cluster.num_vms(), 0);
+        if first || self.mode == AuditorMode::Strict {
+            self.walk(cluster, all_hosts(cluster), finished)
+        } else {
+            self.walk(cluster, cluster.dirty_hosts().iter().copied(), finished)
         }
-        let mut placed = 0u64;
-        for h in cluster.hosts() {
-            let id = h.spec.id;
-            for &vm in &h.resident {
-                let Some(stamp) = self.stamps.get_mut(vm.raw() as usize) else {
-                    return Err(format!("{id} hosts {vm}, beyond the VM table"));
-                };
-                if *stamp == self.epoch {
-                    return Err(format!("{vm} resident on two hosts"));
-                }
-                *stamp = self.epoch;
-                placed += 1;
-            }
-            if !h.power.is_ready() && !h.is_idle() {
-                return Err(format!("{id} carries VMs/ops in state {:?}", h.power));
-            }
-            if !h.power.draws_power() && cluster.cpu_used(id) != 0.0 {
-                return Err(format!("unpowered {id} accounts nonzero CPU"));
-            }
-            let alloc: f64 = h.resident.iter().map(|&vm| cluster.vm(vm).alloc).sum();
-            let capacity = h.spec.cpu.as_f64() * h.cpu_factor;
-            if alloc > capacity + 1e-6 {
-                return Err(format!(
-                    "{id} CPU oversubscribed: {alloc:.3} allocated on {capacity:.3}"
-                ));
-            }
-            if cluster.committed(id).mem > h.spec.capacity().mem {
-                return Err(format!("{id} memory oversubscribed"));
-            }
+    }
+
+    /// Walks `hosts`: first refreshes their resident lengths, then runs
+    /// the per-host checks up to the first violation, then checks VM
+    /// conservation over the whole length table.
+    fn walk(
+        &mut self,
+        cluster: &Cluster,
+        hosts: impl Iterator<Item = HostId> + Clone,
+        finished: u64,
+    ) -> Result<(), String> {
+        for id in hosts.clone() {
+            let len = cluster.host(id).resident.len() as u32;
+            let slot = &mut self.resident_len[id.raw() as usize];
+            self.placed = self.placed - u64::from(*slot) + u64::from(len);
+            *slot = len;
+        }
+        for id in hosts {
+            check_host(cluster, id)?;
         }
         let admitted = cluster.num_vms() as u64;
-        let accounted = cluster.queue().len() as u64 + placed + finished;
+        let accounted = cluster.queue().len() as u64 + self.placed + finished;
         if accounted != admitted {
             return Err(format!(
-                "VM conservation broken: {} queued + {placed} placed + {finished} finished \
+                "VM conservation broken: {} queued + {} placed + {finished} finished \
                  != {admitted} admitted",
-                cluster.queue().len()
+                cluster.queue().len(),
+                self.placed
             ));
         }
         Ok(())
     }
 }
 
-/// Canonical state: mode and counters. The duplicate-detection stamps
-/// are per-pass scratch and are rebuilt empty.
+/// Every host id, in order.
+fn all_hosts(cluster: &Cluster) -> impl Iterator<Item = HostId> + Clone {
+    (0..cluster.num_hosts()).map(|i| HostId(i as u32))
+}
+
+/// The light pass's checks of one host. A resident VM must name this host
+/// in its state, so no VM passes on two hosts.
+fn check_host(cluster: &Cluster, id: HostId) -> Result<(), String> {
+    let h = cluster.host(id);
+    for &vm in &h.resident {
+        if vm.raw() >= cluster.num_vms() as u64 {
+            return Err(format!("{id} hosts {vm}, beyond the VM table"));
+        }
+        let state = cluster.vm(vm).state;
+        if state.host() != Some(id) {
+            return Err(format!("{vm} resident on {id} in state {state:?}"));
+        }
+    }
+    if !h.power.is_ready() && !h.is_idle() {
+        return Err(format!("{id} carries VMs/ops in state {:?}", h.power));
+    }
+    if !h.power.draws_power() && cluster.cpu_used(id) != 0.0 {
+        return Err(format!("unpowered {id} accounts nonzero CPU"));
+    }
+    let alloc: f64 = h.resident.iter().map(|&vm| cluster.vm(vm).alloc).sum();
+    let capacity = h.spec.cpu.as_f64() * h.cpu_factor;
+    if alloc > capacity + 1e-6 {
+        return Err(format!(
+            "{id} CPU oversubscribed: {alloc:.3} allocated on {capacity:.3}"
+        ));
+    }
+    if cluster.committed(id).mem > h.spec.capacity().mem {
+        return Err(format!("{id} memory oversubscribed"));
+    }
+    Ok(())
+}
+
+/// Canonical state: mode and counters. The resident-length table is
+/// rebuilt by the first pass after restore, which walks every host.
 impl Persist for InvariantAuditor {
     #[inline]
     fn persist(&self, w: &mut Writer) {
@@ -187,8 +237,8 @@ impl Persist for InvariantAuditor {
             checks: r.get_u64()?,
             violations: r.get_u64()?,
             messages: Vec::restore(r)?,
-            stamps: Vec::new(),
-            epoch: 0,
+            resident_len: Vec::new(),
+            placed: 0,
         })
     }
 }
@@ -196,9 +246,7 @@ impl Persist for InvariantAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eards_model::{
-        Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, PowerState, VmId,
-    };
+    use eards_model::{Cluster, Cpu, HostClass, HostSpec, Job, JobId, Mem, PowerState, VmId};
     use eards_sim::SimDuration;
 
     fn cluster(n: u32) -> Cluster {
@@ -276,34 +324,60 @@ mod tests {
     }
 
     #[test]
-    fn epoch_wrap_reports_no_false_duplicates() {
+    fn wrong_finished_count_is_reported_with_no_dirty_host() {
         let mut c = cluster(2);
         place(&mut c, 0, 2);
+        submit(&mut c, 2);
         let mut a = InvariantAuditor::new(AuditorMode::On);
-        // A first pass stamps both VMs with epoch 1; a third VM then
-        // arrives with a zero stamp.
-        a.check(&c, 0, SimTime::ZERO);
-        place(&mut c, 2, 1);
-        // The next pass wraps the epoch: neither the stale stamp 1 nor
-        // the fresh zero may read as "seen this pass".
-        a.epoch = u32::MAX;
-        a.check(&c, 0, SimTime::ZERO);
         a.check(&c, 0, SimTime::ZERO);
         assert_eq!(a.violations(), 0, "{:?}", a.messages());
-        assert_eq!(a.epoch, 2);
+        // Nothing changed, so the next pass walks no host; conservation
+        // is still checked over the length table.
+        c.clear_dirty();
+        assert!(c.dirty_hosts().is_empty());
+        a.check(&c, 1, SimTime::ZERO);
+        assert_eq!(a.violations(), 1);
+        assert!(
+            a.messages()[0].contains("1 queued + 2 placed + 1 finished != 3 admitted"),
+            "{:?}",
+            a.messages()
+        );
     }
 
     #[test]
-    fn stamp_table_grows_with_admissions() {
+    fn restored_auditor_rebuilds_its_length_table_on_the_first_pass() {
         let mut c = cluster(3);
-        place(&mut c, 0, 1);
+        place(&mut c, 0, 4);
         let mut a = InvariantAuditor::new(AuditorMode::On);
         a.check(&c, 0, SimTime::ZERO);
-        assert_eq!(a.stamps.len(), 1);
-        place(&mut c, 1, 5);
+        let mut w = Writer::new();
+        a.persist(&mut w);
+        let bytes = w.into_bytes().unwrap();
+        let mut restored = InvariantAuditor::restore(&mut Reader::new(&bytes)).unwrap();
+        assert!(restored.resident_len.is_empty());
+        // Even with no host dirty, the first pass walks all of them.
+        c.clear_dirty();
+        restored.check(&c, 0, SimTime::ZERO);
+        assert_eq!(restored.violations(), 0, "{:?}", restored.messages());
+        assert_eq!(restored.resident_len, vec![2, 1, 1]);
+        assert_eq!(restored.placed, 4);
+        assert_eq!(restored.checks(), 2);
+    }
+
+    #[test]
+    fn strict_mode_walks_every_host() {
+        let mut c = cluster(3);
+        place(&mut c, 0, 1);
+        let mut a = InvariantAuditor::new(AuditorMode::Strict);
         a.check(&c, 0, SimTime::ZERO);
-        assert_eq!(a.stamps.len(), 6);
-        assert_eq!(a.violations(), 0, "{:?}", a.messages());
+        // Two more placements, then the dirty set is dropped unread: only
+        // a walk over every host sees them.
+        place(&mut c, 1, 2);
+        c.clear_dirty();
+        a.check(&c, 0, SimTime::ZERO);
+        assert_eq!(a.resident_len, vec![1, 1, 1]);
+        assert_eq!(a.placed, 3);
+        assert_eq!(a.violations(), 0);
     }
 
     #[test]

@@ -249,6 +249,11 @@ pub struct Runner {
     fstats: FaultStats,
     recovery_total_secs: f64,
 
+    /// Each host's draw under `model`, indexed by [`HostId`]. Refreshed
+    /// only for the cluster's dirty hosts and summed in host order, the
+    /// same f64 fold as [`Cluster::total_power`], so the total's bits
+    /// match a full recompute.
+    draws: Vec<f64>,
     power_series: TimeSeries,
     power_tw: TimeWeighted,
     working_tw: TimeWeighted,
@@ -339,6 +344,7 @@ impl Runner {
         let faults = FaultEngine::new(cfg.faults.clone(), hosts.len(), cfg.seed);
         let auditor = InvariantAuditor::new(cfg.auditor);
         let crash_counts = vec![0; hosts.len()];
+        let draws = vec![0.0; hosts.len()];
         let obs = cfg.obs.clone();
         let queue_hist = obs.histogram("queue_len", &[1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0]);
         let retry_hist = obs.histogram("retry_backoff_depth", &[1.0, 2.0, 3.0, 4.0, 6.0, 10.0]);
@@ -363,6 +369,7 @@ impl Runner {
             auditor,
             fstats: FaultStats::default(),
             recovery_total_secs: 0.0,
+            draws,
             power_series: TimeSeries::new(),
             power_tw: TimeWeighted::new(SimTime::ZERO, 0.0),
             working_tw: TimeWeighted::new(SimTime::ZERO, 0.0),
@@ -538,6 +545,7 @@ impl Runner {
         }
         self.record_metrics();
         self.audit_invariants(now);
+        self.cluster.clear_dirty();
         !self.finished()
     }
 
@@ -559,6 +567,8 @@ impl Runner {
     // the trace), the obs handle and its histogram registrations, the
     // report label, and the `power_scratch` and `sla_scratch` buffers. The
     // drain horizon (`hard_cap`) is derived from the trace and recomputed.
+    // The per-host draw cache is refilled by the next `record_metrics`: a
+    // restored cluster marks every host dirty.
 
     /// Serializes the full mid-flight run state. Call at a batch boundary
     /// (between [`Runner::step_batch`] calls); the driver loop never
@@ -1637,8 +1647,29 @@ impl Runner {
         if let Some(msg) = parked_violation {
             self.auditor.report(now, msg);
         }
-        self.auditor
+        let deep = self
+            .auditor
             .check(&self.cluster, self.jobs_done as u64, now);
+        if deep {
+            if let Err(msg) = self.verify_draws() {
+                self.auditor.report(now, msg);
+            }
+        }
+    }
+
+    /// Compares every cached host draw with a fresh call to the power
+    /// model, bit for bit.
+    fn verify_draws(&self) -> Result<(), String> {
+        for (i, &cached) in self.draws.iter().enumerate() {
+            let h = HostId(i as u32);
+            let fresh = self.cluster.host_power(h, self.model.as_ref());
+            if cached.to_bits() != fresh.to_bits() {
+                return Err(format!(
+                    "{h} cached draw {cached} W disagrees with the model's {fresh} W"
+                ));
+            }
+        }
+        Ok(())
     }
 
     // ----- execution bookkeeping --------------------------------------------
@@ -1725,9 +1756,20 @@ impl Runner {
 
     // ----- metrics -----------------------------------------------------------
 
+    /// Samples power and host counts at the current instant. Only the
+    /// hosts changed since the last batch closed are re-drawn.
     fn record_metrics(&mut self) {
         let now = self.sim.now();
-        let power = self.cluster.total_power(self.model.as_ref());
+        for &h in self.cluster.dirty_hosts() {
+            self.draws[h.raw() as usize] = self.cluster.host_power(h, self.model.as_ref());
+        }
+        let power: f64 = self.draws.iter().sum();
+        debug_assert_eq!(
+            power.to_bits(),
+            self.cluster.total_power(self.model.as_ref()).to_bits(),
+            "cached draws sum to {power} W, a full recompute differs"
+        );
+        debug_assert_eq!(self.cluster.verify_counts(), Ok(()));
         self.power_tw.set(now, power);
         if self.cfg.record_power_series {
             self.power_series.record(now, power);

@@ -126,6 +126,28 @@ pub struct Cluster {
     /// serve as identity: an abort scheduled for the same tick as a later
     /// operation's completion would collide on `ends`.
     next_op_seq: u64,
+    /// Hosts changed since the last [`Cluster::clear_dirty`], each once,
+    /// in the order they were first touched (see [`Cluster::touched`]).
+    // lint:allow(SNAP001): per-batch change set; restore marks every host dirty
+    dirty: Vec<HostId>,
+    /// Per-host flags behind `dirty` and the two cached counts, indexed
+    /// by [`HostId`].
+    // lint:allow(SNAP001): derived from the hosts; rebuilt on restore
+    marks: Vec<HostMarks>,
+    /// Hosts that are [`Host::is_working`]; [`Cluster::verify`] recounts.
+    // lint:allow(SNAP001): derived from the hosts; rebuilt on restore
+    working: usize,
+    /// Hosts whose power state is online; [`Cluster::verify`] recounts.
+    // lint:allow(SNAP001): derived from the hosts; rebuilt on restore
+    online: usize,
+}
+
+/// What [`Cluster::touched`] last recorded about one host.
+#[derive(Debug, Clone, Copy, Default)]
+struct HostMarks {
+    dirty: bool,
+    working: bool,
+    online: bool,
 }
 
 impl Cluster {
@@ -138,7 +160,7 @@ impl Cluster {
                 "host specs must be supplied in id order"
             );
         }
-        Cluster {
+        let mut c = Cluster {
             committed: vec![Resources::ZERO; specs.len()],
             hosts: specs
                 .into_iter()
@@ -147,6 +169,55 @@ impl Cluster {
             vms: VmTable::default(),
             queue: Vec::new(),
             next_op_seq: 0,
+            dirty: Vec::new(),
+            marks: Vec::new(),
+            working: 0,
+            online: 0,
+        };
+        c.touch_all();
+        c
+    }
+
+    /// Marks `host` dirty and refreshes its working and online flags and
+    /// the cached counts. Every mutator ends by calling it for each host
+    /// whose power state, residency, ops, committed resources, capacity
+    /// factor or resident VMs' states and allocations it changed, so a
+    /// host outside [`Cluster::dirty_hosts`] is exactly as it was at the
+    /// last [`Cluster::clear_dirty`] (progress accrual aside).
+    fn touched(&mut self, host: HostId) {
+        let h = &self.hosts[host.raw() as usize];
+        let (working, online) = (h.is_working(), h.power.is_online());
+        let m = &mut self.marks[host.raw() as usize];
+        if !m.dirty {
+            m.dirty = true;
+            self.dirty.push(host);
+        }
+        if m.working != working {
+            m.working = working;
+            if working {
+                self.working += 1;
+            } else {
+                self.working -= 1;
+            }
+        }
+        if m.online != online {
+            m.online = online;
+            if online {
+                self.online += 1;
+            } else {
+                self.online -= 1;
+            }
+        }
+    }
+
+    /// Rebuilds the marks and counts from scratch, leaving every host
+    /// dirty (construction and restore).
+    fn touch_all(&mut self) {
+        self.dirty.clear();
+        self.marks = vec![HostMarks::default(); self.hosts.len()];
+        (self.working, self.online) = (0, 0);
+        for i in 0..self.hosts.len() {
+            self.touched(HostId(i as u32));
         }
     }
 
@@ -218,14 +289,53 @@ impl Cluster {
         &self.queue
     }
 
-    /// Number of hosts currently *working* (executing ≥ 1 VM).
+    /// Number of hosts currently *working* (executing ≥ 1 VM). Cached,
+    /// O(1).
     pub fn working_count(&self) -> usize {
-        self.hosts.iter().filter(|h| h.is_working()).count()
+        self.working
     }
 
-    /// Number of hosts currently online (on or booting).
+    /// Number of hosts currently online (on or booting). Cached, O(1).
     pub fn online_count(&self) -> usize {
-        self.hosts.iter().filter(|h| h.power.is_online()).count()
+        self.online
+    }
+
+    /// The hosts changed since the last [`Cluster::clear_dirty`] (or since
+    /// construction or restore, which mark every host), each once, in the
+    /// order they were first changed.
+    pub fn dirty_hosts(&self) -> &[HostId] {
+        &self.dirty
+    }
+
+    /// Empties the dirty set. The driver calls it once per event batch,
+    /// after everything that reads the set has run.
+    pub fn clear_dirty(&mut self) {
+        for h in self.dirty.drain(..) {
+            self.marks[h.raw() as usize].dirty = false;
+        }
+    }
+
+    /// Checks the cached working and online flags and counts against a
+    /// recount over the hosts. O(hosts); part of [`Cluster::verify`].
+    pub fn verify_counts(&self) -> Result<(), String> {
+        for (h, m) in self.hosts.iter().zip(&self.marks) {
+            if (m.working, m.online) != (h.is_working(), h.power.is_online()) {
+                return Err(format!(
+                    "{} cached working/online flags ({}, {}) are stale",
+                    h.spec.id, m.working, m.online
+                ));
+            }
+        }
+        let working = self.hosts.iter().filter(|h| h.is_working()).count();
+        let online = self.hosts.iter().filter(|h| h.power.is_online()).count();
+        if (self.working, self.online) != (working, online) {
+            return Err(format!(
+                "cached counts {} working / {} online disagree with the hosts' \
+                 {working} / {online}",
+                self.working, self.online
+            ));
+        }
+        Ok(())
     }
 
     /// Reliability of a host as the score engine should see it: the spec
@@ -360,6 +470,7 @@ impl Cluster {
         let delta = Resources::new(grown, Mem::ZERO);
         for h in v.state.host().into_iter().chain(incoming_on) {
             self.charge(h, delta);
+            self.touched(h);
         }
     }
 
@@ -390,6 +501,7 @@ impl Cluster {
             cpu_overhead: CREATION_CPU_OVERHEAD,
             seq,
         });
+        self.touched(host);
         seq
     }
 
@@ -407,6 +519,7 @@ impl Cluster {
         self.hosts[host.raw() as usize]
             .ops
             .retain(|o| !(o.vm == vm && o.kind == OpKind::Create));
+        self.touched(host);
     }
 
     /// Aborts an in-flight creation (dom0 failure): the VM returns to the
@@ -427,6 +540,7 @@ impl Cluster {
         h.resident.retain(|&r| r != vm);
         h.ops.retain(|o| !(o.vm == vm && o.kind == OpKind::Create));
         self.queue.push(vm);
+        self.touched(host);
     }
 
     /// Starts a live migration of `vm` to `to`. Resources are reserved on
@@ -467,6 +581,8 @@ impl Cluster {
             cpu_overhead: MIGRATION_CPU_OVERHEAD,
             seq,
         });
+        self.touched(from);
+        self.touched(to);
         seq
     }
 
@@ -493,6 +609,8 @@ impl Cluster {
         th.resident.push(vm);
         th.ops
             .retain(|o| !(o.vm == vm && matches!(o.kind, OpKind::MigrateIn { .. })));
+        self.touched(from);
+        self.touched(to);
     }
 
     /// Aborts an in-flight migration (page-copy failure): the reservation
@@ -517,6 +635,8 @@ impl Cluster {
         let fh = &mut self.hosts[from.raw() as usize];
         fh.ops
             .retain(|o| !(o.vm == vm && matches!(o.kind, OpKind::MigrateOut { .. })));
+        self.touched(from);
+        self.touched(to);
     }
 
     /// Starts a checkpoint of a running VM. Returns the operation's
@@ -538,6 +658,7 @@ impl Cluster {
             cpu_overhead: CHECKPOINT_CPU_OVERHEAD,
             seq,
         });
+        self.touched(host);
         seq
     }
 
@@ -555,6 +676,7 @@ impl Cluster {
         self.hosts[host.raw() as usize]
             .ops
             .retain(|o| !(o.vm == vm && o.kind == OpKind::Checkpoint));
+        self.touched(host);
     }
 
     /// Completes a job: the VM is destroyed and its resources released.
@@ -574,6 +696,7 @@ impl Cluster {
         self.hosts[host.raw() as usize]
             .resident
             .retain(|&r| r != vm);
+        self.touched(host);
     }
 
     // ----- power transitions ----------------------------------------------
@@ -584,6 +707,7 @@ impl Cluster {
         assert_eq!(h.power, PowerState::Off, "can only boot an off host");
         let ready_at = now + h.spec.class.boot_time();
         h.power = PowerState::Booting { ready_at };
+        self.touched(host);
         ready_at
     }
 
@@ -595,6 +719,7 @@ impl Cluster {
             "complete_power_on on non-booting host"
         );
         h.power = PowerState::On;
+        self.touched(host);
     }
 
     /// Begins a graceful shutdown of an idle host; off at the returned
@@ -605,6 +730,7 @@ impl Cluster {
         assert!(h.is_idle(), "cannot shut down a host with VMs or ops");
         let off_at = now + h.spec.class.shutdown_time();
         h.power = PowerState::ShuttingDown { off_at };
+        self.touched(host);
         off_at
     }
 
@@ -616,6 +742,7 @@ impl Cluster {
             "complete_power_off on non-shutting-down host"
         );
         h.power = PowerState::Off;
+        self.touched(host);
     }
 
     /// Crashes a host: every VM touching it is torn down and re-queued on
@@ -641,8 +768,10 @@ impl Cluster {
                 ph.incoming.retain(|&r| r != op.vm);
                 ph.ops.retain(|o| o.vm != op.vm);
                 self.committed[p.raw() as usize] = self.fold_committed(self.host(p));
+                self.touched(p);
             }
         }
+        self.touched(host);
 
         let mut requeued = Vec::new();
         for vm in displaced {
@@ -676,6 +805,7 @@ impl Cluster {
         );
         assert!(h.is_idle(), "booting host cannot carry VMs");
         h.power = PowerState::Failed;
+        self.touched(host);
     }
 
     /// Repairs a failed host back to the off state.
@@ -683,6 +813,7 @@ impl Cluster {
         let h = &mut self.hosts[host.raw() as usize];
         assert_eq!(h.power, PowerState::Failed, "repair of a non-failed host");
         h.power = PowerState::Off;
+        self.touched(host);
     }
 
     /// Applies (or clears, with `0.0`) the flapping-blacklist reliability
@@ -690,6 +821,7 @@ impl Cluster {
     pub fn blacklist(&mut self, host: HostId, penalty: f64) {
         assert!((0.0..=1.0).contains(&penalty), "penalty must be in [0, 1]");
         self.hosts[host.raw() as usize].reliability_penalty = penalty;
+        self.touched(host);
     }
 
     /// Sets the host's effective-capacity multiplier (1.0 = nominal).
@@ -700,6 +832,7 @@ impl Cluster {
             "cpu factor must be in (0, 1]"
         );
         self.hosts[host.raw() as usize].cpu_factor = factor;
+        self.touched(host);
     }
 
     // ----- CPU sharing -----------------------------------------------------
@@ -741,6 +874,7 @@ impl Cluster {
         for (&id, alloc) in h.resident.iter().zip(allocs) {
             self.vms[id].alloc = alloc;
         }
+        self.touched(host);
     }
 
     /// Advances progress of every VM on a host without changing
@@ -766,8 +900,10 @@ impl Cluster {
     /// state (and the host it names) agrees with the hosts' resident/incoming
     /// lists, no VM is accounted twice, queued VMs are exactly the queue,
     /// every host's committed cache equals the fold over its VMs'
-    /// requests, committed memory never exceeds capacity, and non-ready
-    /// hosts carry no VMs. Returns the first violation found.
+    /// requests, committed memory never exceeds capacity, non-ready
+    /// hosts carry no VMs, and the cached working and online counts
+    /// equal a recount ([`Cluster::verify_counts`]). Returns the first
+    /// violation found.
     ///
     /// Every id is range-checked before it is looked up: `verify` also
     /// gates snapshot restore, where corrupt bytes can name VMs absent
@@ -837,6 +973,7 @@ impl Cluster {
                 return Err(format!("{id} cpu factor {} out of (0, 1]", h.cpu_factor));
             }
         }
+        self.verify_counts()?;
         for &vm in &self.queue {
             let Some(s) = seen.get_mut(vm.raw() as usize) else {
                 return Err(format!("queued {vm} not in the VM table"));
@@ -913,7 +1050,8 @@ impl Persist for Host {
 /// by the queue, the next VM id (the table length) and the next operation
 /// sequence number. Restore rejects a table whose ids are not their
 /// positions or whose length is not the next id, rebuilds the committed
-/// cache from the residency lists, and then runs the full structural
+/// cache, the working and online counts and an all-hosts dirty set from
+/// the hosts, and then runs the full structural
 /// [`Cluster::verify`] pass, so a corrupt or hand-edited snapshot cannot
 /// smuggle in an inconsistent world state.
 impl Persist for Cluster {
@@ -952,8 +1090,13 @@ impl Persist for Cluster {
             committed: Vec::new(),
             queue,
             next_op_seq,
+            dirty: Vec::new(),
+            marks: Vec::new(),
+            working: 0,
+            online: 0,
         };
         c.committed = c.hosts.iter().map(|h| c.fold_committed(h)).collect();
+        c.touch_all();
         c.verify().map_err(PersistError::Corrupt)?;
         Ok(c)
     }

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 
 use eards_model::xen::{allocate, CpuContender};
 use eards_model::{
-    CalibratedPowerModel, Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, PowerModel,
-    PowerState, Resources, ShardMap, VmId, VmState,
+    CalibratedPowerModel, Cluster, Cpu, HostClass, HostId, HostSpec, InFlightOp, Job, JobId, Mem,
+    PowerModel, PowerState, Resources, ShardMap, VmId, VmState,
 };
 use eards_sim::{Persist, Reader, SimDuration, SimTime, Writer};
 
@@ -303,6 +303,266 @@ proptest! {
                     "memory overcommitted on {h}"
                 );
             }
+        }
+    }
+}
+
+/// One step of the dirty-set oracle: every mutator a batch can run, with
+/// chaos-style crashes and failed boots landing mid-operation.
+#[derive(Debug, Clone)]
+enum DirtyOp {
+    Submit {
+        cpu_idx: u8,
+        host_bias: u8,
+    },
+    AbortCreation(u8),
+    FinishCreation(u8),
+    StartMigration {
+        vm: u8,
+        to: u8,
+    },
+    AbortMigration(u8),
+    FinishMigration(u8),
+    Checkpoint(u8),
+    CompleteJob(u8),
+    FailHost(u8),
+    /// Advances one host's power state machine; `fail_boot` picks between
+    /// the two exits of `Booting` (`complete_power_on` or `fail_boot`).
+    Power {
+        host: u8,
+        fail_boot: bool,
+    },
+    Slowdown {
+        host: u8,
+        factor_idx: u8,
+    },
+    Blacklist(u8),
+    Escalate {
+        vm: u8,
+        cpu: u8,
+    },
+    Touch(u8),
+    /// Closes a batch: clears the dirty set.
+    Clear,
+    RoundTrip,
+}
+
+fn dirty_op_strategy() -> impl Strategy<Value = DirtyOp> {
+    prop_oneof![
+        4 => (any::<u8>(), any::<u8>()).prop_map(|(c, h)| DirtyOp::Submit { cpu_idx: c, host_bias: h }),
+        1 => any::<u8>().prop_map(DirtyOp::AbortCreation),
+        3 => any::<u8>().prop_map(DirtyOp::FinishCreation),
+        3 => (any::<u8>(), any::<u8>()).prop_map(|(vm, to)| DirtyOp::StartMigration { vm, to }),
+        1 => any::<u8>().prop_map(DirtyOp::AbortMigration),
+        2 => any::<u8>().prop_map(DirtyOp::FinishMigration),
+        1 => any::<u8>().prop_map(DirtyOp::Checkpoint),
+        2 => any::<u8>().prop_map(DirtyOp::CompleteJob),
+        2 => any::<u8>().prop_map(DirtyOp::FailHost),
+        3 => (any::<u8>(), any::<bool>()).prop_map(|(host, fail_boot)| DirtyOp::Power { host, fail_boot }),
+        1 => (any::<u8>(), any::<u8>()).prop_map(|(host, factor_idx)| DirtyOp::Slowdown { host, factor_idx }),
+        1 => any::<u8>().prop_map(DirtyOp::Blacklist),
+        1 => (any::<u8>(), any::<u8>()).prop_map(|(vm, cpu)| DirtyOp::Escalate { vm, cpu }),
+        1 => any::<u8>().prop_map(DirtyOp::Touch),
+        3 => Just(DirtyOp::Clear),
+        1 => Just(DirtyOp::RoundTrip),
+    ]
+}
+
+/// Everything the batch close reads of one host: its power draw inputs,
+/// its light-pass inputs and its two count flags.
+#[derive(Debug, PartialEq)]
+struct HostView {
+    power: PowerState,
+    resident: Vec<VmId>,
+    incoming: Vec<VmId>,
+    ops: Vec<InFlightOp>,
+    cpu_used_bits: u64,
+    committed: Resources,
+    working: bool,
+    online: bool,
+}
+
+fn host_view(cluster: &Cluster, id: HostId) -> HostView {
+    let h = cluster.host(id);
+    HostView {
+        power: h.power,
+        resident: h.resident.clone(),
+        incoming: h.incoming.clone(),
+        ops: h.ops.clone(),
+        cpu_used_bits: cluster.cpu_used(id).to_bits(),
+        committed: cluster.committed(id),
+        working: h.is_working(),
+        online: h.power.is_online(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+    /// Every host outside `dirty_hosts()` is exactly as it was at the
+    /// last `clear_dirty`, and the cached counts equal the folds, after
+    /// every operation of a random legal sequence.
+    #[test]
+    fn hosts_outside_the_dirty_set_are_unchanged(
+        ops in proptest::collection::vec(dirty_op_strategy(), 1..160),
+    ) {
+        const N: u32 = 5;
+        let specs = (0..N)
+            .map(|i| HostSpec::standard(HostId(i), HostClass::Medium))
+            .collect();
+        let mut cluster = Cluster::new(specs, PowerState::On);
+        prop_assert_eq!(cluster.dirty_hosts().len(), N as usize, "a new cluster is all dirty");
+        let hosts: Vec<HostId> = (0..N).map(HostId).collect();
+        let mut baseline: Vec<HostView> = hosts.iter().map(|&h| host_view(&cluster, h)).collect();
+        let mut clock = 0u64;
+        let mut next_job = 0u64;
+
+        for op in ops {
+            clock += 10;
+            let now = SimTime::from_secs(clock);
+            let later = SimTime::from_secs(clock + 60);
+            let pick = |cluster: &Cluster, i: u8, pred: &dyn Fn(VmState) -> bool| {
+                let vms = in_state(cluster, pred);
+                (!vms.is_empty()).then(|| vms[usize::from(i) % vms.len()])
+            };
+            match op {
+                DirtyOp::Submit { cpu_idx, host_bias } => {
+                    let cpu = Cpu(100 * (1 + u32::from(cpu_idx % 4)));
+                    let vm = cluster.submit_job(Job::new(
+                        JobId(next_job), now, cpu, Mem::gib(1),
+                        SimDuration::from_secs(600), 1.5,
+                    ));
+                    next_job += 1;
+                    if let Some(h) = (0..N)
+                        .map(|k| HostId((u32::from(host_bias) + k) % N))
+                        .find(|&h| cluster.can_place_overcommitted(h, vm))
+                    {
+                        cluster.start_creation(vm, h, now, later);
+                    }
+                }
+                DirtyOp::AbortCreation(i) => {
+                    if let Some(vm) = pick(&cluster, i, &|s| matches!(s, VmState::Creating { .. })) {
+                        cluster.abort_creation(vm, now);
+                    }
+                }
+                DirtyOp::FinishCreation(i) => {
+                    if let Some(vm) = pick(&cluster, i, &|s| matches!(s, VmState::Creating { .. })) {
+                        cluster.finish_creation(vm, now);
+                        if let Some(host) = cluster.vm(vm).state.host() {
+                            cluster.reallocate_host(host, now);
+                        }
+                    }
+                }
+                DirtyOp::StartMigration { vm, to } => {
+                    let target = HostId(u32::from(to) % N);
+                    if let Some(vm) = pick(&cluster, vm, &|s| matches!(s, VmState::Running { .. })) {
+                        if cluster.vm(vm).state.host() != Some(target)
+                            && cluster.can_place_overcommitted(target, vm)
+                        {
+                            cluster.start_migration(vm, target, now, later);
+                        }
+                    }
+                }
+                DirtyOp::AbortMigration(i) => {
+                    if let Some(vm) = pick(&cluster, i, &|s| matches!(s, VmState::Migrating { .. })) {
+                        cluster.abort_migration(vm, now);
+                    }
+                }
+                DirtyOp::FinishMigration(i) => {
+                    if let Some(vm) = pick(&cluster, i, &|s| matches!(s, VmState::Migrating { .. })) {
+                        cluster.finish_migration(vm, now);
+                        if let Some(host) = cluster.vm(vm).state.host() {
+                            cluster.reallocate_host(host, now);
+                        }
+                    }
+                }
+                DirtyOp::Checkpoint(i) => {
+                    if let Some(vm) = pick(&cluster, i, &|s| matches!(s, VmState::Running { .. })) {
+                        cluster.start_checkpoint(vm, now, later);
+                    } else if let Some(vm) =
+                        pick(&cluster, i, &|s| matches!(s, VmState::Checkpointing { .. }))
+                    {
+                        cluster.finish_checkpoint(vm, now);
+                    }
+                }
+                DirtyOp::CompleteJob(i) => {
+                    if let Some(vm) = pick(&cluster, i, &|s| matches!(s, VmState::Running { .. })) {
+                        let host = cluster.vm(vm).state.host();
+                        cluster.finish_vm(vm, now);
+                        if let Some(host) = host {
+                            cluster.reallocate_host(host, now);
+                        }
+                    }
+                }
+                DirtyOp::FailHost(i) => {
+                    let h = HostId(u32::from(i) % N);
+                    if cluster.host(h).power == PowerState::On {
+                        cluster.fail_host(h, now);
+                    }
+                }
+                DirtyOp::Power { host, fail_boot } => {
+                    let h = HostId(u32::from(host) % N);
+                    match cluster.host(h).power {
+                        PowerState::On if cluster.host(h).is_idle() => {
+                            cluster.begin_power_off(h, now);
+                        }
+                        PowerState::On => {}
+                        PowerState::ShuttingDown { .. } => cluster.complete_power_off(h),
+                        PowerState::Off => {
+                            cluster.begin_power_on(h, now);
+                        }
+                        PowerState::Booting { .. } if fail_boot => cluster.fail_boot(h),
+                        PowerState::Booting { .. } => cluster.complete_power_on(h),
+                        PowerState::Failed => cluster.repair_host(h),
+                    }
+                }
+                DirtyOp::Slowdown { host, factor_idx } => {
+                    let h = HostId(u32::from(host) % N);
+                    cluster.set_cpu_factor(h, [1.0, 0.5, 0.75][usize::from(factor_idx % 3)]);
+                    cluster.reallocate_host(h, now);
+                }
+                DirtyOp::Blacklist(i) => {
+                    let h = HostId(u32::from(i) % N);
+                    cluster.blacklist(h, if i % 2 == 0 { 0.05 } else { 0.0 });
+                }
+                DirtyOp::Escalate { vm, cpu } => {
+                    if let Some(vm) = pick(&cluster, vm, &|s| s != VmState::Finished) {
+                        cluster.escalate_requested_cpu(vm, Cpu(2 * u32::from(cpu)));
+                    }
+                }
+                DirtyOp::Touch(i) => cluster.touch_host(HostId(u32::from(i) % N), now),
+                DirtyOp::Clear => {
+                    cluster.clear_dirty();
+                    prop_assert!(cluster.dirty_hosts().is_empty());
+                    baseline = hosts.iter().map(|&h| host_view(&cluster, h)).collect();
+                }
+                DirtyOp::RoundTrip => {
+                    let mut w = Writer::default();
+                    cluster.persist(&mut w);
+                    let bytes = w.into_bytes().expect("small cluster fits the budget");
+                    cluster = Cluster::restore(&mut Reader::new(&bytes)).expect("round trip");
+                    prop_assert_eq!(cluster.dirty_hosts().len(), N as usize, "a restored cluster is all dirty");
+                }
+            }
+
+            let dirty = cluster.dirty_hosts();
+            let mut seen = [false; N as usize];
+            for &h in dirty {
+                prop_assert!(!seen[h.raw() as usize], "{} listed twice in {:?}", h, dirty);
+                seen[h.raw() as usize] = true;
+            }
+            for &h in &hosts {
+                if !seen[h.raw() as usize] {
+                    prop_assert_eq!(
+                        &host_view(&cluster, h), &baseline[h.raw() as usize],
+                        "{} changed but is not dirty", h
+                    );
+                }
+            }
+            let working = cluster.hosts().iter().filter(|h| h.is_working()).count();
+            let online = cluster.hosts().iter().filter(|h| h.power.is_online()).count();
+            prop_assert_eq!(cluster.working_count(), working);
+            prop_assert_eq!(cluster.online_count(), online);
+            prop_assert_eq!(cluster.verify(), Ok(()));
         }
     }
 }
