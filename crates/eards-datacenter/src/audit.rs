@@ -6,8 +6,13 @@
 //! failures, λ adjustments — with its timestamp, so a run can be replayed,
 //! diffed, or rendered as a timeline (see the `datacenter_timeline`
 //! example).
+//!
+//! The log is also the runner's trace taxonomy: every runner transition
+//! the observability ring records is [`AuditKind::trace_event`] of the
+//! transition's audit entry, so the two records cannot drift apart.
 
 use eards_model::{HostId, VmId};
+use eards_obs::{FaultKind, Obs, ObsEvent, PowerFlipKind, RecoveryKind};
 use eards_sim::{Persist, PersistError, Reader, SimTime, Writer};
 
 /// What happened.
@@ -45,6 +50,8 @@ pub enum AuditKind {
     MigrationFinished {
         /// The VM.
         vm: VmId,
+        /// The host it left.
+        from: HostId,
         /// The new host.
         to: HostId,
     },
@@ -72,6 +79,11 @@ pub enum AuditKind {
     },
     /// A host began shutting down.
     HostPoweringOff {
+        /// The host.
+        host: HostId,
+    },
+    /// A host finished shutting down.
+    HostOff {
         /// The host.
         host: HostId,
     },
@@ -156,6 +168,89 @@ pub enum AuditKind {
         /// The host.
         host: HostId,
     },
+    /// A displaced or failed VM came up again; its recovery interval
+    /// closed.
+    VmRecovered {
+        /// The VM.
+        vm: VmId,
+    },
+}
+
+impl AuditKind {
+    /// Records [`AuditKind::trace_event`] into `obs` at `at`, if `obs` is
+    /// enabled and the kind has a trace event.
+    #[inline]
+    pub fn trace(&self, obs: &Obs, at: SimTime) {
+        if obs.is_enabled() {
+            if let Some(event) = self.trace_event() {
+                obs.record(at, event);
+            }
+        }
+    }
+
+    /// The trace event this transition records when observability is on,
+    /// or `None` for transitions the trace does not carry (arrivals,
+    /// operation starts, checkpoints, blacklist bookkeeping, λ moves).
+    #[inline]
+    pub fn trace_event(&self) -> Option<ObsEvent> {
+        let fault = |kind, host: HostId| ObsEvent::Fault {
+            kind,
+            host: host.raw(),
+        };
+        let flip = |host: HostId, state| ObsEvent::PowerFlip {
+            host: host.raw(),
+            state,
+        };
+        Some(match *self {
+            AuditKind::VmStarted { vm, host } => ObsEvent::Creation {
+                vm: vm.raw(),
+                host: host.raw(),
+            },
+            AuditKind::MigrationFinished { vm, from, to } => ObsEvent::Migration {
+                vm: vm.raw(),
+                from: from.raw(),
+                to: to.raw(),
+            },
+            AuditKind::HostPoweringOn { host } => flip(host, PowerFlipKind::Booting),
+            AuditKind::HostOn { host } => flip(host, PowerFlipKind::On),
+            AuditKind::HostPoweringOff { host } => flip(host, PowerFlipKind::ShuttingDown),
+            AuditKind::HostOff { host } => flip(host, PowerFlipKind::Off),
+            AuditKind::CreationFailed { host, .. } => fault(FaultKind::CreationAbort, host),
+            // An aborted migration is charged to its destination.
+            AuditKind::MigrationAborted { to, .. } => fault(FaultKind::MigrationAbort, to),
+            AuditKind::HostFailed { host, .. } => fault(FaultKind::Crash, host),
+            AuditKind::BootFailed { host } => fault(FaultKind::BootFailure, host),
+            AuditKind::SlowdownStarted { host, .. } => fault(FaultKind::SlowdownStart, host),
+            AuditKind::SlowdownEnded { host } => fault(FaultKind::SlowdownEnd, host),
+            // For rack outages the `host` field carries the rack index
+            // (the per-host crashes record themselves).
+            AuditKind::RackOutage { rack, .. } => ObsEvent::Fault {
+                kind: FaultKind::RackOutage,
+                host: rack as u32,
+            },
+            AuditKind::HostRepaired { host } => ObsEvent::Recovery {
+                kind: RecoveryKind::HostRepaired,
+                id: u64::from(host.raw()),
+            },
+            AuditKind::VmRecovered { vm } => ObsEvent::Recovery {
+                kind: RecoveryKind::VmRecovered,
+                id: vm.raw(),
+            },
+            AuditKind::VmParked { vm, attempts } => ObsEvent::VmParked {
+                vm: vm.raw(),
+                attempts,
+            },
+            AuditKind::JobArrived { .. }
+            | AuditKind::CreationStarted { .. }
+            | AuditKind::MigrationStarted { .. }
+            | AuditKind::JobCompleted { .. }
+            | AuditKind::CheckpointTaken { .. }
+            | AuditKind::HostBlacklisted { .. }
+            | AuditKind::LambdaAdjusted { .. }
+            | AuditKind::VmUnparked { .. }
+            | AuditKind::BlacklistCleared { .. } => return None,
+        })
+    }
 }
 
 /// One timestamped audit entry.
@@ -177,7 +272,9 @@ impl AuditEvent {
             AuditKind::MigrationStarted { vm, from, to } => {
                 format!("{vm} migrating {from} → {to}")
             }
-            AuditKind::MigrationFinished { vm, to } => format!("{vm} now on {to}"),
+            AuditKind::MigrationFinished { vm, from, to } => {
+                format!("{vm} moved {from} → {to}")
+            }
             AuditKind::JobCompleted { vm, satisfaction } => {
                 format!("{vm} completed (S = {satisfaction:.0}%)")
             }
@@ -185,6 +282,7 @@ impl AuditEvent {
             AuditKind::HostPoweringOn { host } => format!("{host} booting"),
             AuditKind::HostOn { host } => format!("{host} online"),
             AuditKind::HostPoweringOff { host } => format!("{host} shutting down"),
+            AuditKind::HostOff { host } => format!("{host} off"),
             AuditKind::CreationFailed { vm, host } => {
                 format!("{vm} creation FAILED on {host}")
             }
@@ -214,6 +312,7 @@ impl AuditEvent {
             }
             AuditKind::VmUnparked { vm } => format!("{vm} unparked"),
             AuditKind::BlacklistCleared { host } => format!("{host} blacklist cleared"),
+            AuditKind::VmRecovered { vm } => format!("{vm} recovered"),
         };
         format!("[{}] {}", self.at, body)
     }
@@ -241,11 +340,6 @@ impl Persist for AuditKind {
                 w.put_u8(3);
                 vm.persist(w);
                 from.persist(w);
-                to.persist(w);
-            }
-            AuditKind::MigrationFinished { vm, to } => {
-                w.put_u8(4);
-                vm.persist(w);
                 to.persist(w);
             }
             AuditKind::JobCompleted { vm, satisfaction } => {
@@ -329,6 +423,22 @@ impl Persist for AuditKind {
                 w.put_u8(22);
                 host.persist(w);
             }
+            // Tag 4 carried a `MigrationFinished` without `from`; it is
+            // retired, never reused.
+            AuditKind::MigrationFinished { vm, from, to } => {
+                w.put_u8(23);
+                vm.persist(w);
+                from.persist(w);
+                to.persist(w);
+            }
+            AuditKind::HostOff { host } => {
+                w.put_u8(24);
+                host.persist(w);
+            }
+            AuditKind::VmRecovered { vm } => {
+                w.put_u8(25);
+                vm.persist(w);
+            }
         }
     }
     #[inline]
@@ -348,10 +458,6 @@ impl Persist for AuditKind {
             3 => AuditKind::MigrationStarted {
                 vm: VmId::restore(r)?,
                 from: HostId::restore(r)?,
-                to: HostId::restore(r)?,
-            },
-            4 => AuditKind::MigrationFinished {
-                vm: VmId::restore(r)?,
                 to: HostId::restore(r)?,
             },
             5 => AuditKind::JobCompleted {
@@ -416,6 +522,18 @@ impl Persist for AuditKind {
             },
             22 => AuditKind::BlacklistCleared {
                 host: HostId::restore(r)?,
+            },
+            // Retired tag 4 falls through to the error arm below.
+            23 => AuditKind::MigrationFinished {
+                vm: VmId::restore(r)?,
+                from: HostId::restore(r)?,
+                to: HostId::restore(r)?,
+            },
+            24 => AuditKind::HostOff {
+                host: HostId::restore(r)?,
+            },
+            25 => AuditKind::VmRecovered {
+                vm: VmId::restore(r)?,
             },
             t => return Err(PersistError::Corrupt(format!("bad AuditKind tag {t}"))),
         })
@@ -498,6 +616,38 @@ mod tests {
             crashes: 3,
         })
         .contains("h9 blacklisted after 3 crashes"));
+    }
+
+    #[test]
+    fn new_kinds_round_trip_and_retired_tag_is_corrupt() {
+        let kinds = [
+            AuditKind::MigrationFinished {
+                vm: VmId(3),
+                from: HostId(1),
+                to: HostId(2),
+            },
+            AuditKind::HostOff { host: HostId(4) },
+            AuditKind::VmRecovered { vm: VmId(9) },
+        ];
+        for kind in kinds {
+            let mut w = Writer::new();
+            kind.persist(&mut w);
+            let bytes = w.into_bytes().unwrap();
+            let mut r = Reader::new(&bytes);
+            assert_eq!(AuditKind::restore(&mut r).unwrap(), kind);
+            r.finish().unwrap();
+        }
+        // Tag 4 held `MigrationFinished` without `from`: refused, not
+        // misread as the new layout.
+        let mut w = Writer::new();
+        w.put_u8(4);
+        VmId(3).persist(&mut w);
+        HostId(2).persist(&mut w);
+        let bytes = w.into_bytes().unwrap();
+        assert!(matches!(
+            AuditKind::restore(&mut Reader::new(&bytes)),
+            Err(PersistError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use eards_model::{
     Action, CalibratedPowerModel, Cluster, HostId, HostSpec, Job, Policy, PowerModel, PowerState,
     ScheduleContext, ScheduleReason, VmId, VmState,
 };
-use eards_obs::{FaultKind, HistId, Obs, ObsEvent, PowerFlipKind, RecoveryKind};
+use eards_obs::{HistId, Obs};
 use eards_sim::{
     read_header, write_header, EventHandle, IntBuildHasher, Persist, PersistError, Reader,
     SimDuration, SimRng, SimTime, Simulator, Writer,
@@ -398,8 +398,12 @@ impl Runner {
         self
     }
 
-    /// Records an audit entry (no-op unless `cfg.audit`).
+    /// Records one runner transition: its trace event (when obs is on and
+    /// the kind has one, see [`AuditKind::trace_event`]) and its audit
+    /// entry (when `cfg.audit` is set). The only place the runner records
+    /// either.
     fn note(&mut self, at: SimTime, kind: AuditKind) {
+        kind.trace(&self.obs, at);
         if self.cfg.audit {
             self.audit.push(AuditEvent { at, kind });
         }
@@ -772,22 +776,11 @@ impl Runner {
                 // was aborted by a host failure and the VM is now being
                 // re-created elsewhere, only the event carrying the live
                 // operation's sequence number may complete it.
-                let live =
-                    self.cluster.host(host).ops.iter().any(|o| {
-                        o.vm == vm && o.kind == eards_model::OpKind::Create && o.seq == seq
-                    });
-                if !live {
+                if !self.cluster.op_is_live(vm, seq) {
                     return None;
                 }
                 self.cluster.finish_creation(vm, now);
                 self.note(now, AuditKind::VmStarted { vm, host });
-                self.obs.record(
-                    now,
-                    ObsEvent::Creation {
-                        vm: vm.raw(),
-                        host: host.raw(),
-                    },
-                );
                 self.retry.remove(&vm);
                 self.record_recovery(vm, now);
                 self.touch(host, now);
@@ -798,29 +791,14 @@ impl Runner {
                 let VmState::Migrating { from, to } = self.cluster.vm(vm).state else {
                     return None; // an endpoint failed mid-migration
                 };
-                // Stale-event guard (see CreationDone): only the event
-                // carrying the live migration's sequence number may
-                // complete it.
-                let live = self.cluster.host(to).ops.iter().any(|o| {
-                    o.vm == vm
-                        && matches!(o.kind, eards_model::OpKind::MigrateIn { .. })
-                        && o.seq == seq
-                });
-                if !live {
+                // Stale-event guard (see CreationDone).
+                if !self.cluster.op_is_live(vm, seq) {
                     return None;
                 }
                 // Progress accrued on the source up to this instant.
                 self.cluster.touch_host(from, now);
                 self.cluster.finish_migration(vm, now);
-                self.note(now, AuditKind::MigrationFinished { vm, to });
-                self.obs.record(
-                    now,
-                    ObsEvent::Migration {
-                        vm: vm.raw(),
-                        from: from.raw(),
-                        to: to.raw(),
-                    },
-                );
+                self.note(now, AuditKind::MigrationFinished { vm, from, to });
                 self.retry.remove(&vm);
                 self.touch(from, now);
                 self.touch(to, now);
@@ -831,10 +809,7 @@ impl Runner {
                 let VmState::Checkpointing { host } = self.cluster.vm(vm).state else {
                     return None;
                 };
-                let live = self.cluster.host(host).ops.iter().any(|o| {
-                    o.vm == vm && o.kind == eards_model::OpKind::Checkpoint && o.seq == seq
-                });
-                if !live {
+                if !self.cluster.op_is_live(vm, seq) {
                     return None;
                 }
                 self.cluster.finish_checkpoint(vm, now);
@@ -863,28 +838,11 @@ impl Runner {
             Event::BootDone(h) => {
                 if matches!(self.cluster.host(h).power, PowerState::Booting { .. }) {
                     if self.faults.boot_fails(h.raw() as usize) {
-                        self.cluster.fail_boot(h);
-                        self.note(now, AuditKind::BootFailed { host: h });
-                        self.obs.record(
-                            now,
-                            ObsEvent::Fault {
-                                kind: FaultKind::BootFailure,
-                                host: h.raw(),
-                            },
-                        );
-                        self.fstats.boot_failures += 1;
                         let mttr = self.faults.plan().mttr;
-                        self.sim.schedule_after(mttr, Event::HostRepaired(h));
+                        self.fail_boot(h, now, mttr);
                     } else {
                         self.cluster.complete_power_on(h);
                         self.note(now, AuditKind::HostOn { host: h });
-                        self.obs.record(
-                            now,
-                            ObsEvent::PowerFlip {
-                                host: h.raw(),
-                                state: PowerFlipKind::On,
-                            },
-                        );
                         self.arm_failure(h);
                         self.arm_slowdown(h);
                     }
@@ -896,13 +854,7 @@ impl Runner {
             Event::ShutdownDone(h) => {
                 if matches!(self.cluster.host(h).power, PowerState::ShuttingDown { .. }) {
                     self.cluster.complete_power_off(h);
-                    self.obs.record(
-                        now,
-                        ObsEvent::PowerFlip {
-                            host: h.raw(),
-                            state: PowerFlipKind::Off,
-                        },
-                    );
+                    self.note(now, AuditKind::HostOff { host: h });
                 }
                 None
             }
@@ -918,13 +870,6 @@ impl Runner {
             Event::HostRepaired(h) => {
                 self.cluster.repair_host(h);
                 self.note(now, AuditKind::HostRepaired { host: h });
-                self.obs.record(
-                    now,
-                    ObsEvent::Recovery {
-                        kind: RecoveryKind::HostRepaired,
-                        id: h.raw() as u64,
-                    },
-                );
                 // In degrade mode a repair wipes the host's flapping
                 // record: the blacklist lifts and the crash count resets
                 // (so renewed flapping can re-blacklist it), which in turn
@@ -943,22 +888,11 @@ impl Runner {
                 };
                 // Stale-event guard: only the abort belonging to the live
                 // operation (matching sequence number) may kill it.
-                let live =
-                    self.cluster.host(host).ops.iter().any(|o| {
-                        o.vm == vm && o.kind == eards_model::OpKind::Create && o.seq == seq
-                    });
-                if !live {
+                if !self.cluster.op_is_live(vm, seq) {
                     return None;
                 }
                 self.cluster.abort_creation(vm, now);
                 self.note(now, AuditKind::CreationFailed { vm, host });
-                self.obs.record(
-                    now,
-                    ObsEvent::Fault {
-                        kind: FaultKind::CreationAbort,
-                        host: host.raw(),
-                    },
-                );
                 self.fstats.creation_failures += 1;
                 // The recovery clock starts at the first failure and runs
                 // until the VM finally comes up somewhere.
@@ -971,23 +905,11 @@ impl Runner {
                 let VmState::Migrating { from, to } = self.cluster.vm(vm).state else {
                     return None; // an endpoint failed first
                 };
-                let live = self.cluster.host(to).ops.iter().any(|o| {
-                    o.vm == vm
-                        && matches!(o.kind, eards_model::OpKind::MigrateIn { .. })
-                        && o.seq == seq
-                });
-                if !live {
+                if !self.cluster.op_is_live(vm, seq) {
                     return None;
                 }
                 self.cluster.abort_migration(vm, now);
                 self.note(now, AuditKind::MigrationAborted { vm, from, to });
-                self.obs.record(
-                    now,
-                    ObsEvent::Fault {
-                        kind: FaultKind::MigrationAbort,
-                        host: to.raw(),
-                    },
-                );
                 self.fstats.migration_aborts += 1;
                 self.apply_backoff(vm, now);
                 self.touch(from, now);
@@ -1004,13 +926,6 @@ impl Runner {
                 let (factor, duration) = (sp.factor, sp.duration);
                 self.cluster.set_cpu_factor(h, factor);
                 self.note(now, AuditKind::SlowdownStarted { host: h, factor });
-                self.obs.record(
-                    now,
-                    ObsEvent::Fault {
-                        kind: FaultKind::SlowdownStart,
-                        host: h.raw(),
-                    },
-                );
                 self.fstats.slowdown_episodes += 1;
                 let handle = self.sim.schedule_after(duration, Event::SlowdownEnd(h));
                 self.slowdown_timer.insert(h, handle);
@@ -1024,13 +939,6 @@ impl Runner {
                 }
                 self.cluster.set_cpu_factor(h, 1.0);
                 self.note(now, AuditKind::SlowdownEnded { host: h });
-                self.obs.record(
-                    now,
-                    ObsEvent::Fault {
-                        kind: FaultKind::SlowdownEnd,
-                        host: h.raw(),
-                    },
-                );
                 self.touch(h, now);
                 self.arm_slowdown(h);
                 Some(ScheduleReason::HostStateChanged)
@@ -1046,27 +954,12 @@ impl Runner {
                     .count();
                 self.fstats.rack_outages += 1;
                 self.note(now, AuditKind::RackOutage { rack: r, failed });
-                // For rack outages the `host` field carries the *rack*
-                // index (the per-host crashes below record themselves).
-                self.obs.record(
-                    now,
-                    ObsEvent::Fault {
-                        kind: FaultKind::RackOutage,
-                        host: r as u32,
-                    },
-                );
                 for i in lo..hi {
                     let h = HostId(i as u32);
                     match self.cluster.host(h).power {
                         PowerState::On => self.crash_host(h, now, outage),
-                        PowerState::Booting { .. } => {
-                            // The boot is struck down with the rack.
-                            self.cancel_fault_timers(h);
-                            self.cluster.fail_boot(h);
-                            self.note(now, AuditKind::BootFailed { host: h });
-                            self.fstats.boot_failures += 1;
-                            self.sim.schedule_after(outage, Event::HostRepaired(h));
-                        }
+                        // The boot is struck down with the rack.
+                        PowerState::Booting { .. } => self.fail_boot(h, now, outage),
                         _ => {} // unpowered hosts are unaffected
                     }
                 }
@@ -1353,13 +1246,6 @@ impl Runner {
             };
             let ready_at = self.cluster.begin_power_on(pick, now);
             self.note(now, AuditKind::HostPoweringOn { host: pick });
-            self.obs.record(
-                now,
-                ObsEvent::PowerFlip {
-                    host: pick.raw(),
-                    state: PowerFlipKind::Booting,
-                },
-            );
             self.sim.schedule_at(ready_at, Event::BootDone(pick));
             // A booting host counts as online, so the ratio falls and the
             // loop converges; the stuck-queue rule boots at most one.
@@ -1406,13 +1292,6 @@ impl Runner {
             self.cancel_fault_timers(pick);
             let off_at = self.cluster.begin_power_off(pick, now);
             self.note(now, AuditKind::HostPoweringOff { host: pick });
-            self.obs.record(
-                now,
-                ObsEvent::PowerFlip {
-                    host: pick.raw(),
-                    state: PowerFlipKind::ShuttingDown,
-                },
-            );
             self.sim.schedule_at(off_at, Event::ShutdownDone(pick));
         }
         self.power_scratch = candidates;
@@ -1473,17 +1352,22 @@ impl Runner {
         }
     }
 
+    /// Fails a `Booting` host's boot — a boot fault, or a rack outage
+    /// striking the host mid-boot — and schedules its repair. A booting
+    /// host has no fault timers to cancel: they are armed only while a
+    /// host is `On` (the auditor checks this every batch).
+    fn fail_boot(&mut self, h: HostId, now: SimTime, repair_after: SimDuration) {
+        self.cluster.fail_boot(h);
+        self.note(now, AuditKind::BootFailed { host: h });
+        self.fstats.boot_failures += 1;
+        self.sim
+            .schedule_after(repair_after, Event::HostRepaired(h));
+    }
+
     /// Crashes an `On` host: displaces its VMs back to the queue, counts
     /// it toward the flapping blacklist, and schedules the repair.
     fn crash_host(&mut self, h: HostId, now: SimTime, repair_after: SimDuration) {
         let _span = self.obs.span("crash_host", now);
-        self.obs.record(
-            now,
-            ObsEvent::Fault {
-                kind: FaultKind::Crash,
-                host: h.raw(),
-            },
-        );
         self.cancel_fault_timers(h);
         let displaced = self.cluster.fail_host(h, now);
         self.note(
@@ -1495,9 +1379,7 @@ impl Runner {
         );
         self.vms_displaced += displaced.len() as u64;
         for vm in displaced {
-            if let Some(handle) = self.completion.remove(&vm) {
-                self.sim.cancel(handle);
-            }
+            self.cancel_completion(vm);
             // A crash resets the retry ladder — the VM did nothing wrong —
             // but starts (or keeps) its recovery clock.
             self.retry.remove(&vm);
@@ -1550,13 +1432,6 @@ impl Runner {
             self.vms_parked += 1;
             let ctr = self.obs.counter("vms_parked");
             self.obs.inc(ctr, 1);
-            self.obs.record(
-                now,
-                ObsEvent::VmParked {
-                    vm: vm.raw(),
-                    attempts,
-                },
-            );
             self.note(now, AuditKind::VmParked { vm, attempts });
             return;
         }
@@ -1594,13 +1469,7 @@ impl Runner {
     fn record_recovery(&mut self, vm: VmId, now: SimTime) {
         if let Some(t0) = self.displaced_at.remove(&vm) {
             let dt = now.saturating_since(t0).as_secs_f64();
-            self.obs.record(
-                now,
-                ObsEvent::Recovery {
-                    kind: RecoveryKind::VmRecovered,
-                    id: vm.raw(),
-                },
-            );
+            self.note(now, AuditKind::VmRecovered { vm });
             self.fstats.recoveries += 1;
             self.recovery_total_secs += dt;
             if dt > self.fstats.max_recovery_secs {
@@ -1685,9 +1554,7 @@ impl Runner {
     }
 
     fn refresh_completion(&mut self, vm: VmId, now: SimTime) {
-        if let Some(handle) = self.completion.remove(&vm) {
-            self.sim.cancel(handle);
-        }
+        self.cancel_completion(vm);
         let v = self.cluster.vm(vm);
         if !v.state.is_executing() {
             return;
@@ -1701,6 +1568,13 @@ impl Runner {
         }
     }
 
+    /// Cancels the VM's pending completion projection, if any.
+    fn cancel_completion(&mut self, vm: VmId) {
+        if let Some(handle) = self.completion.remove(&vm) {
+            self.sim.cancel(handle);
+        }
+    }
+
     /// Completes the VM's job if its work is done. Returns true on
     /// completion.
     fn complete_if_done(&mut self, vm: VmId, now: SimTime) -> bool {
@@ -1711,9 +1585,7 @@ impl Runner {
         if !v.work_complete() {
             return false;
         }
-        if let Some(handle) = self.completion.remove(&vm) {
-            self.sim.cancel(handle);
-        }
+        self.cancel_completion(vm);
         self.cluster.finish_vm(vm, now);
         let outcome = self.outcome_of(vm, Some(now));
         self.note(

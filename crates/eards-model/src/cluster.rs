@@ -289,6 +289,25 @@ impl Cluster {
         &self.queue
     }
 
+    /// True if `seq` names an in-flight operation of `vm`: the guard that
+    /// keeps a stale completion or abort event (one whose operation was
+    /// killed, maybe re-issued with the same end time) from acting on the
+    /// VM's live operation. Sequence numbers are unique cluster-wide, so
+    /// the number alone names the operation; the VM's state names the
+    /// host holding it (a migration's destination).
+    pub fn op_is_live(&self, vm: VmId, seq: u64) -> bool {
+        let host = match self.vms[vm].state {
+            VmState::Creating { host }
+            | VmState::Checkpointing { host }
+            | VmState::Migrating { to: host, .. } => host,
+            VmState::Queued | VmState::Running { .. } | VmState::Finished => return false,
+        };
+        self.hosts[host.raw() as usize]
+            .ops
+            .iter()
+            .any(|o| o.vm == vm && o.seq == seq)
+    }
+
     /// Number of hosts currently *working* (executing ≥ 1 VM). Cached,
     /// O(1).
     pub fn working_count(&self) -> usize {

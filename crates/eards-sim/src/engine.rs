@@ -2,7 +2,8 @@
 //!
 //! [`Simulator`] owns the clock and the future-event list. It is generic over
 //! the event payload type `E`; the datacenter driver defines its own event
-//! enum and drives the loop with [`Simulator::step`] or the [`run`] helper.
+//! enum and drives the loop with [`Simulator::step`] or
+//! [`Simulator::step_before`].
 //! Keeping the engine payload-agnostic mirrors how the paper's OMNeT++
 //! substrate is separate from their datacenter model (§IV).
 
@@ -68,12 +69,6 @@ impl<E> Simulator<E> {
         self.queue.schedule(self.now + delay, event)
     }
 
-    /// Schedules `event` at the current instant (it fires after all events
-    /// already pending at this instant, preserving FIFO order).
-    pub fn schedule_now(&mut self, event: E) -> EventHandle {
-        self.queue.schedule(self.now, event)
-    }
-
     /// Cancels a pending event. Returns `false` if it already fired or was
     /// already cancelled.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
@@ -97,22 +92,12 @@ impl<E> Simulator<E> {
     /// Pops the next event only if it fires strictly before `end`.
     ///
     /// Leaves later events queued and does *not* advance the clock past
-    /// them; call [`Simulator::finish_at`] to close out a horizon.
+    /// them.
     pub fn step_before(&mut self, end: SimTime) -> Option<(SimTime, EventHandle, E)> {
         if self.queue.peek_time()? >= end {
             return None;
         }
         self.step()
-    }
-
-    /// Advances the clock to `end` without processing events (used to close
-    /// out time-integrated statistics at the simulation horizon).
-    ///
-    /// # Panics
-    /// Panics if `end` is in the past.
-    pub fn finish_at(&mut self, end: SimTime) {
-        assert!(end >= self.now, "cannot rewind the clock");
-        self.now = end;
     }
 }
 
@@ -134,24 +119,6 @@ impl<E: Persist> Persist for Simulator<E> {
             queue: EventQueue::restore(r)?,
         })
     }
-}
-
-/// Runs `sim` until `end` (exclusive), dispatching each event to `handler`
-/// together with mutable access to both the simulator and caller state.
-///
-/// This free-function shape sidesteps the borrow conflict of a closure that
-/// captures the simulator: handlers routinely need to schedule follow-up
-/// events while holding the popped one.
-pub fn run<E, S>(
-    sim: &mut Simulator<E>,
-    state: &mut S,
-    end: SimTime,
-    mut handler: impl FnMut(&mut Simulator<E>, &mut S, SimTime, E),
-) {
-    while let Some((time, _, event)) = sim.step_before(end) {
-        handler(sim, state, time, event);
-    }
-    sim.finish_at(end);
 }
 
 #[cfg(test)]
@@ -189,16 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_now_runs_fifo_at_current_instant() {
-        let mut sim = Simulator::new();
-        sim.schedule_now(Ev::Ping(1));
-        sim.schedule_now(Ev::Ping(2));
-        assert_eq!(sim.step().unwrap().2, Ev::Ping(1));
-        assert_eq!(sim.step().unwrap().2, Ev::Ping(2));
-        assert_eq!(sim.now(), SimTime::ZERO);
-    }
-
-    #[test]
     fn step_before_respects_horizon() {
         let mut sim = Simulator::new();
         sim.schedule_at(SimTime::from_secs(1), Ev::Ping(1));
@@ -206,36 +163,7 @@ mod tests {
         assert!(sim.step_before(SimTime::from_secs(5)).is_some());
         assert!(sim.step_before(SimTime::from_secs(5)).is_none());
         assert_eq!(sim.pending(), 1, "later event must stay queued");
-        sim.finish_at(SimTime::from_secs(5));
-        assert_eq!(sim.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn run_dispatches_and_closes_horizon() {
-        let mut sim = Simulator::new();
-        for i in 0..5u32 {
-            sim.schedule_at(SimTime::from_secs(u64::from(i)), Ev::Ping(i));
-        }
-        sim.schedule_at(SimTime::from_secs(100), Ev::Stop); // beyond horizon
-        let mut seen = Vec::new();
-        run(
-            &mut sim,
-            &mut seen,
-            SimTime::from_secs(50),
-            |sim, seen, t, ev| {
-                if let Ev::Ping(i) = ev {
-                    seen.push(i);
-                    if i == 0 {
-                        // Handlers can schedule follow-ups.
-                        sim.schedule_after(SimDuration::from_secs(1), Ev::Ping(99));
-                    }
-                }
-                let _ = t;
-            },
-        );
-        assert_eq!(seen, vec![0, 1, 99, 2, 3, 4]);
-        assert_eq!(sim.now(), SimTime::from_secs(50));
-        assert_eq!(sim.pending(), 1);
+        assert_eq!(sim.now(), SimTime::from_secs(1), "the clock stays put");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! ## Example
 //!
 //! ```
-//! use eards_sim::{run, SimTime, SimDuration, Simulator};
+//! use eards_sim::{SimDuration, SimTime, Simulator};
 //!
 //! #[derive(Debug)]
 //! enum Event { Tick(u32) }
@@ -33,13 +33,12 @@
 //! let mut sim = Simulator::new();
 //! sim.schedule_at(SimTime::from_secs(1), Event::Tick(0));
 //! let mut ticks = 0u32;
-//! run(&mut sim, &mut ticks, SimTime::from_secs(10), |sim, ticks, _, ev| {
-//!     let Event::Tick(i) = ev;
-//!     *ticks += 1;
+//! while let Some((_, _, Event::Tick(i))) = sim.step_before(SimTime::from_secs(10)) {
+//!     ticks += 1;
 //!     if i < 100 {
 //!         sim.schedule_after(SimDuration::from_secs(2), Event::Tick(i + 1));
 //!     }
-//! });
+//! }
 //! assert_eq!(ticks, 5); // t = 1, 3, 5, 7, 9
 //! ```
 
@@ -52,7 +51,7 @@ mod queue;
 mod rng;
 mod time;
 
-pub use engine::{run, Simulator};
+pub use engine::Simulator;
 pub use int_hash::{IntBuildHasher, IntHasher};
 pub use persist::{
     read_header, write_atomic, write_header, Persist, PersistError, Reader, Writer, SNAPSHOT_MAGIC,

@@ -2,9 +2,10 @@
 //!
 //! A binary min-heap ordered by `(time, sequence)`: two events scheduled for
 //! the same instant pop in scheduling order, which makes runs reproducible
-//! regardless of heap internals. Cancellation is *lazy*: a cancelled handle
-//! goes into a tombstone set and the entry is discarded when it surfaces,
-//! keeping both `schedule` and `cancel` O(log n) / O(1).
+//! regardless of heap internals. Cancellation is *lazy*: cancelling drops
+//! the handle from the live set, and a heap entry whose sequence number is
+//! not live is a tombstone, discarded when it surfaces. `schedule` stays
+//! O(log n) and `cancel` O(1).
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -48,12 +49,10 @@ impl<E> Ord for Entry<E> {
 /// A future-event list: the core data structure of the DES engine.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Sequence numbers that are scheduled and not cancelled.
+    /// Sequence numbers that are scheduled and not cancelled. A heap
+    /// entry missing from this set is a tombstone.
     // lint:allow(D001): membership tests and counts only, never iterated
     pending: HashSet<u64, IntBuildHasher>,
-    /// Tombstones: cancelled entries still physically in the heap.
-    // lint:allow(D001): membership tests only, never iterated. lint:allow(SNAP001): tombstones are compacted away at snapshot time; restore starts clean
-    cancelled: HashSet<u64, IntBuildHasher>,
     next_seq: u64,
 }
 
@@ -69,7 +68,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             pending: HashSet::default(),
-            cancelled: HashSet::default(),
             next_seq: 0,
         }
     }
@@ -98,36 +96,30 @@ impl<E> EventQueue<E> {
     /// Returns `true` if the event was still pending, `false` if it had
     /// already fired or been cancelled.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        if self.pending.remove(&handle.0) {
-            self.cancelled.insert(handle.0);
-            true
-        } else {
-            false
-        }
+        self.pending.remove(&handle.0)
     }
 
     /// Time of the next live event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skim_cancelled();
+        self.skim();
         self.heap.peek().map(|e| e.time)
     }
 
     /// Removes and returns the next live event as `(time, handle, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, EventHandle, E)> {
-        self.skim_cancelled();
+        self.skim();
         let entry = self.heap.pop()?;
         self.pending.remove(&entry.seq);
         Some((entry.time, EventHandle(entry.seq), entry.payload))
     }
 
-    /// Drops cancelled entries sitting at the top of the heap.
-    fn skim_cancelled(&mut self) {
+    /// Drops tombstones sitting at the top of the heap.
+    fn skim(&mut self) {
         while let Some(top) = self.heap.peek() {
-            if self.cancelled.remove(&top.seq) {
-                self.heap.pop();
-            } else {
+            if self.pending.contains(&top.seq) {
                 break;
             }
+            self.heap.pop();
         }
     }
 }
@@ -144,10 +136,10 @@ impl Persist for EventHandle {
 }
 
 /// Canonical state: `next_seq` plus the live entries with their original
-/// sequence numbers, written sorted by `(time, seq)`. Cancelled tombstones
-/// are compacted away (restore starts with an empty tombstone set), but
-/// sequence numbers are preserved so [`EventHandle`]s held by callers
-/// remain valid across a snapshot.
+/// sequence numbers, written sorted by `(time, seq)`. Tombstones are
+/// compacted away (restore holds live entries only), but sequence numbers
+/// are preserved so [`EventHandle`]s held by callers remain valid across a
+/// snapshot.
 impl<E: Persist> Persist for EventQueue<E> {
     #[inline]
     fn persist(&self, w: &mut Writer) {
@@ -192,7 +184,6 @@ impl<E: Persist> Persist for EventQueue<E> {
             // `(time, seq)` keys, not by the heap's layout.
             heap: BinaryHeap::from(entries),
             pending,
-            cancelled: HashSet::default(),
             next_seq,
         })
     }
