@@ -20,7 +20,7 @@
 //! the two, so cached and from-scratch evaluation share one code path and
 //! one floating-point addition order — scores are bit-identical either way.
 
-use eards_model::{Cluster, Host, HostId, PowerState, Resources, Vm, VmId};
+use eards_model::{Cluster, Host, HostClass, HostId, PowerState, Resources, Vm, VmId};
 use eards_sim::SimTime;
 
 use crate::config::ScoreConfig;
@@ -89,6 +89,16 @@ pub struct ScoreBreakdown {
     pub fault: f64,
     /// Sum of the terms (`∞` for an infeasible cell).
     pub total: f64,
+}
+
+/// What [`Eval::migration_check`] found on a fresh evaluator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MigrationCheck {
+    /// Some migration column has a move-in cell that clears the
+    /// hysteresis bar against its current cell.
+    pub improves: bool,
+    /// Migration columns the O(1) bound left to the exact scan.
+    pub scanned: usize,
 }
 
 /// Score evaluator over the cluster plus a tentative placement of the
@@ -380,6 +390,79 @@ impl<'a> Eval<'a> {
         total
     }
 
+    /// Whether some migration column would move in the climb's first
+    /// sweep: a move-in cell whose delta against the column's current cell
+    /// is below the bar `-min_migration_gain`, the test `best_move` in
+    /// [`crate::shard`] applies. Judged on the start-of-round overlay, so
+    /// call it before any [`Eval::apply_move`]. Queue columns are
+    /// [`queue_has_feasible_cell`]'s part of the round and are skipped.
+    ///
+    /// Two stages per column (DESIGN.md §17). An O(1) floor under the
+    /// column's move-in cells certifies it when even the floor misses the
+    /// bar; the other columns get an early-exit scan over the hosts
+    /// through [`Eval::score`].
+    pub fn migration_check(&self) -> MigrationCheck {
+        let mut check = MigrationCheck {
+            improves: false,
+            scanned: 0,
+        };
+        // The cheapest class bounds P_virt on every destination row.
+        let cm_min = HostClass::ALL
+            .iter()
+            .map(|c| c.migration_cost().as_secs_f64())
+            .fold(f64::INFINITY, f64::min);
+        let bar = -self.cfg.min_migration_gain;
+        for v in 0..self.num_vms() {
+            let Some(p) = self.original[v] else {
+                continue;
+            };
+            debug_assert_eq!(self.placement[v], Some(p), "migration_check after a move");
+            let cur = self.score(p, v);
+            let floor = self.movein_floor(v, cm_min);
+            if floor.is_some_and(|lb| lb - cur.value() >= bar) {
+                continue;
+            }
+            check.scanned += 1;
+            if (0..self.num_hosts())
+                .filter(|&h| h != p)
+                .any(|h| Score::delta(self.score(h, v), cur).is_some_and(|d| d < bar))
+            {
+                check.improves = true;
+                return check;
+            }
+        }
+        check
+    }
+
+    /// A floor under every finite move-in cell of migration column `v`,
+    /// given the smallest migration cost `cm_min` (seconds) of any host
+    /// class; `None` when `P_fault` is on, because that term can
+    /// be negative. Each term is bounded through the helper that scores it
+    /// (DESIGN.md §17 has the floating-point argument):
+    ///
+    /// * `P_virt` at `cm_min`: [`p_virt_migration`] grows with `C_m`;
+    /// * `P_conc ≥ 0`, a sum of operation durations;
+    /// * `P_pwr` at the least of its four corners, [`p_pwr_floor`];
+    /// * `P_SLA` at the smaller of its finite values, `0` and `C_sla`.
+    ///
+    /// The floor adds them in the order [`Eval::score_with_static`] does.
+    fn movein_floor(&self, v: usize, cm_min: f64) -> Option<f64> {
+        if self.cfg.fault_penalty {
+            return None;
+        }
+        let virt = if self.cfg.virt_penalty {
+            p_virt_migration(cm_min, self.vm_refs[v].user_remaining_secs(self.now)).value()
+        } else {
+            0.0
+        };
+        let sla = if self.cfg.sla_penalty {
+            self.cfg.c_sla.min(0.0)
+        } else {
+            0.0
+        };
+        Some(virt + p_pwr_floor(self.cfg) + sla)
+    }
+
     /// Per-penalty attribution of cell `(h, v)` under the current
     /// hypothesis, charged as a move-in.
     ///
@@ -431,15 +514,10 @@ impl<'a> Eval<'a> {
             // New VM: creation cost on this host.
             return Score::finite(host.spec.class.creation_cost().as_secs_f64());
         }
-        // Migration cost with the remaining-time discount: migrating a VM
-        // that (per the user estimate) finishes soon is heavily penalized.
-        let cm = host.spec.class.migration_cost().as_secs_f64();
-        let tr = vm.user_remaining_secs(self.now);
-        if tr < cm {
-            Score::finite(2.0 * cm)
-        } else {
-            Score::finite(cm * cm / (2.0 * tr))
-        }
+        p_virt_migration(
+            host.spec.class.migration_cost().as_secs_f64(),
+            vm.user_remaining_secs(self.now),
+        )
     }
 
     /// Concurrency penalty: the summed cost of operations already running
@@ -455,7 +533,7 @@ impl<'a> Eval<'a> {
     fn p_pwr(&self, h: usize, v: usize, occupation: f64) -> Score {
         let count = self.count_with(h, v);
         let t_empty = if count <= self.cfg.th_empty { 1.0 } else { 0.0 };
-        Score::finite(t_empty * self.cfg.c_empty - occupation * self.cfg.c_fill)
+        p_pwr_term(self.cfg, t_empty, occupation)
     }
 
     /// Dynamic SLA enforcement penalty (§III-A.5). Fulfilment is projected
@@ -513,6 +591,38 @@ fn occupation_within(used: Resources, host: &Host) -> Option<f64> {
     }
 }
 
+/// `P_virt` of a migration (§III-A.3) onto a host whose migration cost is
+/// `cm` seconds, for a VM with `tr` seconds of user-estimated work left:
+/// the remaining-time discount `C_m²/2T_r`, or `2·C_m` when the VM would
+/// finish before the migration does, so soon-finishing VMs stay put. For
+/// a fixed `tr` it never falls as `cm` grows, in floating point too.
+#[inline]
+fn p_virt_migration(cm: f64, tr: f64) -> Score {
+    if tr < cm {
+        Score::finite(2.0 * cm)
+    } else {
+        Score::finite(cm * cm / (2.0 * tr))
+    }
+}
+
+/// `P_pwr` (§III-A.4): `T_empty·C_e − O·C_f`, where `t_empty` is 1 on an
+/// emptiable host and 0 otherwise.
+#[inline]
+fn p_pwr_term(cfg: &ScoreConfig, t_empty: f64, occupation: f64) -> Score {
+    Score::finite(t_empty * cfg.c_empty - occupation * cfg.c_fill)
+}
+
+/// The least `P_pwr` any finite cell can carry: the formula is monotone in
+/// `t_empty ∈ {0, 1}` and in `O ∈ [0, 1]` (`P_res` caps it at 1), so its
+/// minimum sits at a corner. With the paper's nonnegative costs that
+/// corner is `O = 1` on a full host: `−C_f`.
+fn p_pwr_floor(cfg: &ScoreConfig) -> f64 {
+    [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+        .into_iter()
+        .map(|(t_empty, occupation)| p_pwr_term(cfg, t_empty, occupation).value())
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Whether some queued VM has a finite cell on some host: the exact
 /// condition for a round whose columns are just the queue to emit any
 /// move (DESIGN.md §17).
@@ -525,9 +635,13 @@ fn occupation_within(used: Resources, host: &Host) -> Option<f64> {
 /// two tests [`Eval::static_cell`] and [`Eval::score_with_static`] apply,
 /// whatever the [`ScoreConfig`].
 ///
-/// The componentwise [`Cluster::max_free_on`] bound rejects most VMs in
+/// An empty queue answers at once. Otherwise the componentwise
+/// [`Cluster::max_free_on`] bound, an O(hosts) fold, rejects most VMs in
 /// O(1); the rest get an early-exit scan over the hosts.
 pub fn queue_has_feasible_cell(cluster: &Cluster) -> bool {
+    if cluster.queue().is_empty() {
+        return false;
+    }
     let room = cluster.max_free_on();
     cluster
         .queue()

@@ -39,7 +39,7 @@ mod solver;
 
 pub use budget::{DegradeLevel, OverloadControl, WorkMeter};
 pub use config::ScoreConfig;
-pub use eval::{queue_has_feasible_cell, CellStatic, Eval, ScoreBreakdown};
+pub use eval::{queue_has_feasible_cell, CellStatic, Eval, MigrationCheck, ScoreBreakdown};
 pub use scheduler::{row_score, ScoreScheduler};
 pub use score::Score;
 pub use shard::{solve_sharded, ShardedOutcome};

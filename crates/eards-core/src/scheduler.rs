@@ -7,9 +7,11 @@
 //! [`Eval`] overlay (recycling its allocations across rounds), hill-climb
 //! the score matrix with [`solve_sharded`] — over a single shard unless
 //! sharding is armed — and emit the resulting create/migrate actions.
-//! A round whose columns are just the queue, with no queued VM feasible
-//! on any host, is skipped before any of that: it could emit nothing
-//! ([`queue_has_feasible_cell`]).
+//! A round that could emit nothing is skipped before the climb: no queued
+//! VM is feasible on any host ([`queue_has_feasible_cell`]) and no
+//! migration column has a move-in cell that clears the hysteresis bar
+//! ([`Eval::migration_check`]). A queue-only round is skipped before the
+//! `Eval` is even built.
 //! Power-off candidate ranking (§III-C) aggregates the candidates' matrix
 //! rows with [`row_score`].
 
@@ -337,19 +339,19 @@ impl ScoreScheduler {
         }
     }
 
-    /// Books a round the quick-reject skipped (DESIGN.md §17): its columns
-    /// are exactly the queue and no queued VM has a feasible cell, so the
-    /// solve would emit nothing. No `Eval` is built and 0 work is charged.
-    /// The cursor moves as the solve would have moved it (the climb deals
-    /// every queue column before scoring; greedy deals none), and the
-    /// `ScheduleRound` event is still recorded.
+    /// Books a round the quick-reject skipped (DESIGN.md §17): no queued VM
+    /// has a feasible cell and no migration column clears its bar, so the
+    /// solve would emit nothing. The round's columns are in
+    /// `self.buffers.vms`. No solver runs and 0 work is charged. The cursor
+    /// moves as the solve would have moved it (the climb deals every queue
+    /// column before scoring; greedy deals none), and the `ScheduleRound`
+    /// event is still recorded.
     fn skip_round(
         &mut self,
         cluster: &Cluster,
         ctx: &ScheduleContext,
         rung: DegradeLevel,
         map: &ShardMap,
-        cols: Vec<VmId>,
     ) {
         let queued = cluster.queue().len();
         let dealt = if rung == DegradeLevel::L2Greedy {
@@ -361,7 +363,7 @@ impl ScoreScheduler {
         // solve anyway and assert it agrees.
         #[cfg(debug_assertions)]
         {
-            let mut eval = Eval::new(cluster, &self.cfg, ctx.now, cols.clone());
+            let mut eval = Eval::new(cluster, &self.cfg, ctx.now, self.buffers.vms.clone());
             let out = self.solve_round(&mut eval, map, rung);
             debug_assert!(
                 out.solution.moves.is_empty(),
@@ -370,7 +372,6 @@ impl ScoreScheduler {
             );
             debug_assert_eq!(out.creations_assigned, dealt, "cursor advance");
         }
-        self.buffers.vms = cols;
         advance_cursor(&mut self.shard_cursor, map, dealt);
         if self.obs.is_enabled() {
             self.obs.inc(self.obs.counter("quick_rejected_rounds"), 1);
@@ -458,14 +459,22 @@ impl Policy for ScoreScheduler {
             return Vec::new();
         }
         let map = self.shard_map_for(cluster.num_hosts());
-        // Quick-reject: a round whose columns are just the queue emits a
-        // move exactly when some queued VM has a feasible cell.
-        if cols.len() == cluster.queue().len() && !queue_has_feasible_cell(cluster) {
-            self.skip_round(cluster, ctx, rung, &map, cols);
+        // Quick-reject: a round emits a move exactly when some queued VM
+        // has a feasible cell or some migration column clears its bar on
+        // the start-of-round state. A queue-only round needs no `Eval`.
+        let queue_moves = queue_has_feasible_cell(cluster);
+        if !queue_moves && cols.len() == cluster.queue().len() {
+            self.buffers.vms = cols;
+            self.skip_round(cluster, ctx, rung, &map);
             return Vec::new();
         }
         let queued = cluster.queue().len() as u32;
         let mut eval = Eval::new_in(cluster, &self.cfg, ctx.now, cols, &mut self.buffers);
+        if !queue_moves && !eval.migration_check().improves {
+            eval.recycle(&mut self.buffers);
+            self.skip_round(cluster, ctx, rung, &map);
+            return Vec::new();
+        }
         let out = {
             // Sweep latency in µs: sub-ms buckets resolve the common case,
             // the tail buckets catch pathological rounds.
@@ -797,16 +806,10 @@ mod tests {
         c
     }
 
-    #[test]
-    fn quick_rejected_round_records_its_event_but_no_solver_round() {
-        let c = full_cluster(2, 2);
-        let obs = Obs::enabled(64);
-        let mut sched = ScoreScheduler::with_obs(ScoreConfig::sb(), obs.clone());
-        let arrived = ScheduleContext {
-            now: SimTime::from_secs(50),
-            reason: ScheduleReason::VmArrived,
-        };
-        assert!(sched.schedule(&c, &arrived).is_empty());
+    /// Asserts that `obs` saw exactly one round, skipped: one
+    /// `schedule_round` event with no actions and `queued` VMs waiting,
+    /// a `quick_rejected_rounds` bump, and no solver round or span.
+    fn assert_one_skipped_round(obs: &Obs, queued: u32) {
         let rounds: Vec<String> = obs
             .export_jsonl()
             .lines()
@@ -815,7 +818,7 @@ mod tests {
             .collect();
         assert_eq!(rounds.len(), 1, "{rounds:?}");
         assert!(
-            rounds[0].contains("\"actions\":0,\"queued\":2"),
+            rounds[0].contains(&format!("\"actions\":0,\"queued\":{queued}")),
             "{}",
             rounds[0]
         );
@@ -829,6 +832,49 @@ mod tests {
         assert_eq!(count("quick_rejected_rounds"), 1);
         assert_eq!(count("solver_rounds"), 0);
         assert_eq!(obs.spans_recorded(), 0, "no solve span");
+    }
+
+    #[test]
+    fn quick_rejected_round_records_its_event_but_no_solver_round() {
+        let c = full_cluster(2, 2);
+        let obs = Obs::enabled(64);
+        let mut sched = ScoreScheduler::with_obs(ScoreConfig::sb(), obs.clone());
+        let arrived = ScheduleContext {
+            now: SimTime::from_secs(50),
+            reason: ScheduleReason::VmArrived,
+        };
+        assert!(sched.schedule(&c, &arrived).is_empty());
+        assert_one_skipped_round(&obs, 2);
+    }
+
+    #[test]
+    fn fruitless_migration_round_is_quick_rejected() {
+        // Two lone VMs whose estimates end in 30 s, under a Medium host's
+        // C_m of 60 s: the periodic round makes both migration columns,
+        // and P_virt = 2·C_m keeps every move above the hysteresis bar.
+        let mut c = cluster(&[HostClass::Medium, HostClass::Medium]);
+        for (i, h) in [(0u64, HostId(0)), (1, HostId(1))] {
+            let vm = c.submit_job(job(i, 150, 130));
+            c.start_creation(vm, h, SimTime::ZERO, SimTime::from_secs(40));
+            c.finish_creation(vm, SimTime::from_secs(40));
+        }
+        let obs = Obs::enabled(64);
+        let mut sched = ScoreScheduler::with_obs(ScoreConfig::sb(), obs.clone());
+        assert!(sched.schedule(&c, &ctx(100)).is_empty());
+        assert_one_skipped_round(&obs, 0);
+
+        // Obs off, a spec that realizes one shard: the skip books a round
+        // of 0 work and leaves the persisted cursor alone.
+        let mut s = ScoreScheduler::new(ScoreConfig::sb())
+            .with_overload(OverloadControl::with_budget(u64::MAX))
+            .with_shards(ShardSpec {
+                count: 4,
+                rack_size: 8,
+            });
+        assert!(s.schedule(&c, &ctx(100)).is_empty());
+        assert_eq!(s.shard_cursor, 0);
+        let stats = s.degrade_stats().expect("armed");
+        assert_eq!((stats.rounds, stats.total_work), (1, 0));
     }
 
     #[test]

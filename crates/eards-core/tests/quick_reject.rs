@@ -1,49 +1,68 @@
-//! Oracles for the score-based scheduler's quick-reject: a round whose
-//! columns are just the queue is skipped when no queued VM has a feasible
-//! cell on any host.
+//! Oracles for the score-based scheduler's quick-reject: a round is
+//! skipped exactly when its solve would emit nothing, because no queued VM
+//! has a feasible cell and no migration column has a move-in cell that
+//! clears the hysteresis bar.
 //!
 //! * [`queue_has_feasible_cell`] agrees with "some cell of the full
 //!   [`Eval`] over the queue is finite", for every configuration.
+//! * With migration columns, [`queue_has_feasible_cell`] or
+//!   [`Eval::migration_check`] holds exactly when [`Eval::new`] plus
+//!   [`solve`] emits a move.
 //! * [`ScoreScheduler::schedule`] emits exactly the actions of
-//!   [`Eval::new`] plus [`solve`] on queue-only rounds, and skips exactly
-//!   the rounds that emit none (the `quick_rejected_rounds` counter).
+//!   [`Eval::new`] plus [`solve`] on queue-only rounds, and on every round
+//!   it skips exactly the rounds that emit none (the
+//!   `quick_rejected_rounds` counter).
 //!
-//! The random clusters cover booting, shutting-down, off and failed
-//! hosts, requirement mismatches (architecture, hypervisor,
-//! `min_host_cpus`), memory-bound VMs, CPU-overcommitted hosts and
-//! `P_SLA` on (`ScoreConfig::full`).
+//! The random clusters cover booting, shutting-down, off, failed and
+//! blacklisted hosts, requirement mismatches (architecture, hypervisor,
+//! `min_host_cpus`), memory-bound VMs, CPU-overcommitted hosts, in-flight
+//! creations and migrations (`P_conc`), lone VMs on emptiable hosts, VMs
+//! whose estimate runs out before a migration would (`T_r < C_m`), jobs
+//! already past their SLA threshold (`P_SLA = ∞`, `ScoreConfig::full`),
+//! and the Table V consolidation costs.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 use eards_core::{queue_has_feasible_cell, solve, Eval, ScoreConfig, ScoreScheduler};
 use eards_model::{
     Action, Arch, Cluster, Cpu, HostClass, HostId, HostSpec, Hypervisor, Job, JobId, Mem, Policy,
-    PowerState, Requirements, ScheduleContext, ScheduleReason,
+    PowerState, Requirements, ScheduleContext, ScheduleReason, VmId, VmState,
 };
 use eards_obs::Obs;
 use eards_sim::{SimDuration, SimTime};
 
 const ARCHS: [Arch; 3] = [Arch::X86_64, Arch::X86, Arch::Ppc64];
 const HYPERVISORS: [Hypervisor; 2] = [Hypervisor::Xen, Hypervisor::Kvm];
-const CLASSES: [HostClass; 3] = [HostClass::Fast, HostClass::Medium, HostClass::Slow];
 
 /// One host: `(class, cores, gib, platform, power, reliability)`.
 type HostGen = (u8, u8, u8, u8, u8, u8);
-/// One loaded VM: `(host pick, cpu, gib, fate)`.
-type LoadGen = (u8, u8, u8, u8);
+/// One loaded VM: `(host pick, cpu, gib, fate, estimate left)`.
+type LoadGen = (u8, u8, u8, u8, u8);
 /// One queued VM: `(cpu, gib, requirement, submit minutes ago)`.
 type QueueGen = (u8, u8, u8, u8);
 
-fn configs() -> [ScoreConfig; 5] {
+/// Every SB variant, plus SB at Table V's outer consolidation costs.
+fn configs() -> [ScoreConfig; 7] {
     [
         ScoreConfig::sb0(),
         ScoreConfig::sb1(),
         ScoreConfig::sb2(),
         ScoreConfig::sb(),
         ScoreConfig::full(),
+        ScoreConfig::sb()
+            .with_consolidation_costs(0.0, 40.0)
+            .named("SB(0,40)"),
+        ScoreConfig::sb()
+            .with_consolidation_costs(60.0, 100.0)
+            .named("SB(60,100)"),
     ]
 }
+
+/// User-estimated seconds a loaded VM has left: around and between the
+/// three classes' migration costs (40/60/80 s), then well past them.
+const ESTIMATE_LEFT: [u64; 8] = [0, 20, 45, 70, 90, 300, 1800, 20_000];
 
 /// Requirements drawn from one byte: mostly none, else a required
 /// architecture, hypervisor or host width that some hosts lack.
@@ -66,10 +85,13 @@ fn requirements(r: u8) -> Requirements {
 }
 
 /// A random cluster at `now_secs`: hosts of 2/4/8 cores and 4/8/16 GiB on
-/// mixed platforms, loaded (memory strictly, CPU possibly overcommitted
-/// by escalation) with creating, running and migrating VMs, then brought
-/// into mixed power states, plus a queue of VMs with mixed requirements,
-/// some needing most of a host's memory.
+/// mixed platforms, some blacklisted, loaded (memory strictly, CPU
+/// possibly overcommitted by escalation) with creating, running and
+/// migrating VMs, then brought into mixed power states, plus a queue of
+/// VMs with mixed requirements, some needing most of a host's memory.
+/// Loaded jobs run an hour from time 0, so late rounds find them past
+/// their deadline; their user estimates end [`ESTIMATE_LEFT`] after
+/// `now_secs`.
 fn world(hosts: &[HostGen], load: &[LoadGen], queue: &[QueueGen], now_secs: u64) -> Cluster {
     let t0 = SimTime::ZERO;
     let t40 = SimTime::from_secs(40);
@@ -82,10 +104,15 @@ fn world(hosts: &[HostGen], load: &[LoadGen], queue: &[QueueGen], now_secs: u64)
             arch: ARCHS[usize::from(platform % 3)],
             hypervisor: HYPERVISORS[usize::from(platform / 3 % 2)],
             reliability: 0.8 + f64::from(rel % 5) * 0.05,
-            ..HostSpec::standard(HostId(i as u32), CLASSES[usize::from(class % 3)])
+            ..HostSpec::standard(HostId(i as u32), HostClass::ALL[usize::from(class % 3)])
         })
         .collect();
     let mut c = Cluster::new(specs, PowerState::On);
+    for (i, &(_, _, _, _, _, rel)) in hosts.iter().enumerate() {
+        if rel % 7 == 0 {
+            c.blacklist(HostId(i as u32), 0.05);
+        }
+    }
     let n = hosts.len() as u32;
     let mut next = 0u64;
     let mut job = |cpu: Cpu, mem: Mem, submit: SimTime, secs: u64| {
@@ -99,28 +126,38 @@ fn world(hosts: &[HostGen], load: &[LoadGen], queue: &[QueueGen], now_secs: u64)
             1.5,
         )
     };
-    for &(pick, cpu, gib, fate) in load {
-        let vm = c.submit_job(job(
-            Cpu(50 * u32::from(cpu % 9)),
-            Mem::gib(1 + u32::from(gib % 6)),
-            t0,
-            3600,
-        ));
+    for &(pick, cpu, gib, fate, left) in load {
+        let estimate = now_secs + ESTIMATE_LEFT[usize::from(left % 8)];
+        let vm = c.submit_job(
+            job(
+                Cpu(25 * u32::from(1 + cpu % 8)),
+                Mem::gib(1 + u32::from(gib % 3)),
+                t0,
+                3600,
+            )
+            .with_estimate(SimDuration::from_secs(estimate)),
+        );
         let h = HostId(u32::from(pick) % n);
-        if !c.can_place_overcommitted(h, vm) {
+        // Mostly strict placements; one in sixteen may overcommit the CPU.
+        let fits = if fate % 16 == 7 {
+            c.can_place_overcommitted(h, vm)
+        } else {
+            c.can_place(h, vm)
+        };
+        if !fits {
             continue;
         }
         c.start_creation(vm, h, t0, t40);
-        if fate % 4 == 0 {
+        if fate % 8 == 0 {
             continue; // still creating
         }
         c.finish_creation(vm, t40);
-        if fate % 3 == 0 {
+        if fate % 16 == 3 {
             let req = c.vm(vm).req_cpu().points();
             c.escalate_requested_cpu(vm, Cpu(req * 2 + 100));
         }
         let to = HostId((h.raw() + 1) % n);
-        if fate % 5 == 0 && to != h && c.can_place_overcommitted(to, vm) {
+        if fate % 10 == 0 && to != h && c.can_place_overcommitted(to, vm) {
             c.start_migration(vm, to, t40, SimTime::from_secs(100));
         }
     }
@@ -176,6 +213,66 @@ fn four_bytes() -> impl Strategy<Value = (u8, u8, u8, u8)> {
     (b(), b(), b(), b())
 }
 
+fn load_gen() -> impl Strategy<Value = Vec<LoadGen>> {
+    let b = any::<u8>;
+    vec((b(), b(), b(), b(), b()), 0..24)
+}
+
+/// The queue plus the running VMs that `mask` picks (bit `i % 64` for the
+/// `i`-th running VM in id order), as migration columns.
+fn columns(c: &Cluster, mask: u64) -> Vec<VmId> {
+    let mut running: Vec<VmId> = c
+        .hosts()
+        .iter()
+        .flat_map(|h| h.resident.iter().copied())
+        .filter(|&v| matches!(c.vm(v).state, VmState::Running { .. }))
+        .collect();
+    running.sort_unstable();
+    c.queue()
+        .iter()
+        .copied()
+        .chain(
+            running
+                .into_iter()
+                .enumerate()
+                .filter(|(i, _)| mask >> (i % 64) & 1 == 1)
+                .map(|(_, v)| v),
+        )
+        .collect()
+}
+
+/// Whether a fresh evaluator over `cols` plus the public solve emits any
+/// move: the ground truth the predicates are held to.
+fn solve_moves(c: &Cluster, cfg: &ScoreConfig, now: SimTime, cols: Vec<VmId>) -> bool {
+    let mut eval = Eval::new(c, cfg, now, cols);
+    !solve(&mut eval, cfg.max_moves).moves.is_empty()
+}
+
+/// One generated round: `(hosts, load, queue, now_secs, column mask)`.
+type RoundGen = (Vec<HostGen>, Vec<LoadGen>, Vec<QueueGen>, u64, u64);
+
+fn round_gen() -> impl Strategy<Value = RoundGen> {
+    (
+        host_gen(),
+        load_gen(),
+        vec(four_bytes(), 0..4),
+        40u64..20_000,
+        any::<u64>(),
+    )
+}
+
+/// Reads a schedule call's skip and solve counters.
+fn skipped_and_solved(obs: &Obs) -> (u64, u64) {
+    let counters = obs.counters_snapshot();
+    let count = |name: &str| {
+        counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    };
+    (count("quick_rejected_rounds"), count("solver_rounds"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -184,7 +281,7 @@ proptest! {
     #[test]
     fn predicate_matches_the_exhaustive_eval(
         hosts in host_gen(),
-        load in vec(four_bytes(), 0..40),
+        load in load_gen(),
         queue in vec(four_bytes(), 0..10),
         now_secs in 40u64..20_000,
     ) {
@@ -202,7 +299,7 @@ proptest! {
     #[test]
     fn queue_only_rounds_match_eval_plus_solve(
         hosts in host_gen(),
-        load in vec(four_bytes(), 0..40),
+        load in load_gen(),
         queue in vec(four_bytes(), 0..10),
         now_secs in 40u64..20_000,
     ) {
@@ -228,15 +325,59 @@ proptest! {
                 let mut sched = ScoreScheduler::with_obs(cfg.clone(), obs.clone());
                 let actions = sched.schedule(&c, &ScheduleContext { now, reason });
                 prop_assert_eq!(&actions, &expected, "cfg {} {:?}", cfg.name, reason);
-                let skipped = obs
-                    .counters_snapshot()
-                    .iter()
-                    .any(|(name, v)| name == "quick_rejected_rounds" && *v == 1);
+                let skipped = skipped_and_solved(&obs).0 == 1;
                 prop_assert_eq!(
                     skipped,
                     !c.queue().is_empty() && expected.is_empty(),
                     "cfg {} {:?}: skip fired {}", cfg.name, reason, skipped
                 );
+            }
+        }
+    }
+
+    /// With migration columns, the round has a move exactly when a queued
+    /// VM has a feasible cell or the migration certificate finds an
+    /// improving cell, whichever penalties and costs are on.
+    #[test]
+    fn migration_predicate_matches_eval_plus_solve(
+        (hosts, load, queue, now_secs, mask) in round_gen(),
+    ) {
+        let now = SimTime::from_secs(now_secs);
+        let c = world(&hosts, &load, &queue, now_secs);
+        let cols = columns(&c, mask);
+        for cfg in configs() {
+            let eval = Eval::new(&c, &cfg, now, cols.clone());
+            let fast = queue_has_feasible_cell(&c) || eval.migration_check().improves;
+            prop_assert_eq!(fast, solve_moves(&c, &cfg, now, cols.clone()), "cfg {}", cfg.name);
+        }
+    }
+
+    /// On periodic and SLA rounds, which carry migration columns when
+    /// migration is on, the scheduler skips exactly the rounds that emit
+    /// nothing, and runs the solver on every other round.
+    #[test]
+    fn migration_rounds_skip_exactly_the_fruitless_ones(
+        (hosts, load, queue, now_secs, _) in round_gen(),
+    ) {
+        let now = SimTime::from_secs(now_secs);
+        let c = world(&hosts, &load, &queue, now_secs);
+        for cfg in configs() {
+            for reason in [ScheduleReason::Periodic, ScheduleReason::SlaViolation] {
+                let obs = Obs::enabled(16);
+                let mut sched = ScoreScheduler::with_obs(cfg.clone(), obs.clone());
+                let actions = sched.schedule(&c, &ScheduleContext { now, reason });
+                let (skipped, solved) = skipped_and_solved(&obs);
+                prop_assert!(skipped + solved <= 1, "one round, one booking");
+                if skipped + solved == 1 {
+                    prop_assert_eq!(
+                        skipped == 1,
+                        actions.is_empty(),
+                        "cfg {} {:?}: skip fired {}, actions {:?}",
+                        cfg.name, reason, skipped, actions
+                    );
+                } else {
+                    prop_assert!(actions.is_empty(), "a round with no columns acted");
+                }
             }
         }
     }
@@ -248,11 +389,43 @@ proptest! {
 #[test]
 fn the_generator_covers_both_outcomes() {
     let now = 600;
-    // One small host on another platform, off; one full 4-way host.
-    let hosts = [(0, 1, 2, 4, 2, 0), (1, 1, 2, 0, 0, 0)];
-    let load = [(1, 8, 1, 1)];
+    // One small host on another platform, off; one 4-way host, full.
+    let hosts = [(0, 1, 2, 4, 2, 1), (1, 1, 2, 0, 0, 1)];
+    let load = [(1, 7, 1, 1, 7), (1, 7, 1, 1, 7)];
     let blocked = world(&hosts, &load, &[(2, 0, 3, 1)], now);
     assert!(!queue_has_feasible_cell(&blocked));
     let open = world(&hosts, &[], &[(2, 0, 3, 1)], now);
     assert!(queue_has_feasible_cell(&open));
+}
+
+/// The random rounds reach both outcomes of the migration certificate,
+/// and each of its stages decides some of them: rounds the O(1) floor
+/// alone clears, rounds the exact scan clears, and rounds with a move
+/// (a proptest that only ever saw one of these would pass against a
+/// predicate that never scans, or never certifies).
+#[test]
+fn the_generator_reaches_both_outcomes_and_both_stages() {
+    let strategy = round_gen();
+    let (mut by_floor, mut by_scan, mut moves) = (0, 0, 0);
+    // The proptests' own cases: `proptest!` draws case `i` from
+    // `TestRng::for_case(i)`.
+    for case in 0..256 {
+        let (hosts, load, queue, now_secs, mask) = strategy.generate(&mut TestRng::for_case(case));
+        let c = world(&hosts, &load, &queue, now_secs);
+        let cols = columns(&c, mask);
+        if cols.len() == c.queue().len() {
+            continue; // no migration column
+        }
+        let cfg = ScoreConfig::sb();
+        let check = Eval::new(&c, &cfg, SimTime::from_secs(now_secs), cols).migration_check();
+        match (check.improves, check.scanned) {
+            (true, _) => moves += 1,
+            (false, 0) => by_floor += 1,
+            (false, _) => by_scan += 1,
+        }
+    }
+    assert!(
+        by_floor > 0 && by_scan > 0 && moves > 0,
+        "floor {by_floor}, scan {by_scan}, moves {moves}"
+    );
 }

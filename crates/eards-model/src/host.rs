@@ -23,6 +23,11 @@ pub enum HostClass {
 }
 
 impl HostClass {
+    /// Every class, in declaration order. A new class must be listed
+    /// here: the scheduler's migration certificate takes its cheapest
+    /// migration cost from this list.
+    pub const ALL: [HostClass; 3] = [HostClass::Fast, HostClass::Medium, HostClass::Slow];
+
     /// VM creation cost `C_c` for this class.
     pub fn creation_cost(self) -> SimDuration {
         match self {
@@ -343,6 +348,21 @@ mod tests {
         );
         assert_eq!(HostClass::Slow.creation_cost(), SimDuration::from_secs(60));
         assert_eq!(HostClass::Slow.migration_cost(), SimDuration::from_secs(80));
+    }
+
+    #[test]
+    fn all_lists_every_class_once() {
+        // No wildcard arm: a new variant stops this from compiling. Give
+        // it the next index and append it to `ALL`, whose cheapest
+        // migration cost floors the scheduler's `P_virt`.
+        let index = |class: HostClass| match class {
+            HostClass::Fast => 0,
+            HostClass::Medium => 1,
+            HostClass::Slow => 2,
+        };
+        for (i, &class) in HostClass::ALL.iter().enumerate() {
+            assert_eq!(index(class), i, "{class:?}");
+        }
     }
 
     #[test]
