@@ -20,7 +20,7 @@
 //! the two, so cached and from-scratch evaluation share one code path and
 //! one floating-point addition order — scores are bit-identical either way.
 
-use eards_model::{Cluster, Host, HostClass, HostId, PowerState, Resources, Vm, VmId};
+use eards_model::{Cluster, Host, HostClass, HostId, Job, PowerState, Resources, Vm, VmId};
 use eards_sim::SimTime;
 
 use crate::config::ScoreConfig;
@@ -109,12 +109,10 @@ pub struct Eval<'a> {
     now: SimTime,
     /// Matrix columns.
     vms: Vec<VmId>,
-    /// The columns' VM records, resolved once at construction. The
-    /// cluster stores VMs in a hash map, and scoring reads each column's
-    /// record several times per cell — at datacenter scale those repeated
-    /// hash lookups dominate the matrix fill, so they are paid exactly
-    /// once per column here.
-    vm_refs: Vec<&'a Vm>,
+    /// The columns' VM records and jobs, resolved once at construction:
+    /// scoring reads both several times per cell, so each column pays
+    /// its table lookups exactly once here.
+    vm_refs: Vec<(&'a Vm, &'a Job)>,
     /// Original placement of each matrix VM (`None` = virtual host).
     original: Vec<Option<usize>>,
     /// Current hypothetical placement.
@@ -155,13 +153,16 @@ impl<'a> Eval<'a> {
         );
         // Borrowed references can't live in the recycled buffers, but a
         // vector of pointers is cheap to rebuild each round.
-        let vm_refs: Vec<&'a Vm> = vms.iter().map(|&v| cluster.vm(v)).collect();
+        let vm_refs: Vec<(&'a Vm, &'a Job)> = vms
+            .iter()
+            .map(|&v| (cluster.vm(v), cluster.job(v)))
+            .collect();
         let mut original = std::mem::take(&mut buf.original);
         original.clear();
         original.extend(
             vm_refs
                 .iter()
-                .map(|vm| Some(vm.state.host()?.raw() as usize)),
+                .map(|(vm, _)| Some(vm.state.host()?.raw() as usize)),
         );
         let mut placement = std::mem::take(&mut buf.placement);
         placement.clear();
@@ -231,7 +232,7 @@ impl<'a> Eval<'a> {
 
     /// Moves VM `v` to host `h` in the hypothesis.
     pub fn apply_move(&mut self, v: usize, h: usize) {
-        let req = self.vm_refs[v].requested;
+        let req = self.vm_refs[v].0.requested;
         if let Some(old) = self.placement[v] {
             // The overlay is built from the cluster's own committed totals,
             // so removing a VM from its hypothetical host can never underflow
@@ -269,7 +270,7 @@ impl<'a> Eval<'a> {
 
     /// Resources requested by column `v`'s VM.
     pub fn requested_of(&self, v: usize) -> Resources {
-        self.vm_refs[v].requested
+        self.vm_refs[v].0.requested
     }
 
     /// Free (uncommitted) capacity of host `h` under the current
@@ -290,7 +291,7 @@ impl<'a> Eval<'a> {
     fn occupation_with(&self, h: usize, v: usize) -> Option<f64> {
         let mut used = self.committed[h];
         if self.placement[v] != Some(h) {
-            used = used.plus(self.vm_refs[v].requested);
+            used = used.plus(self.vm_refs[v].0.requested);
         }
         occupation_within(used, self.cluster.host(HostId(h as u32)))
     }
@@ -316,9 +317,9 @@ impl<'a> Eval<'a> {
     /// valid across every [`Eval::apply_move`] of the round.
     pub fn static_cell(&self, h: usize, v: usize) -> CellStatic {
         let host = self.cluster.host(HostId(h as u32));
-        let vm = self.vm_refs[v];
+        let (_, job) = self.vm_refs[v];
 
-        let feasible = admits(host, vm);
+        let feasible = admits(host, job);
 
         let mut movein = Score::ZERO;
         // P_virt (§III-A.3).
@@ -335,7 +336,7 @@ impl<'a> Eval<'a> {
         // without a penalty this is bit-identical to the raw spec value.
         let fault = if self.cfg.fault_penalty {
             let rel = self.cluster.effective_reliability(HostId(h as u32));
-            Score::finite(((1.0 - rel) - vm.job.fault_tolerance) * self.cfg.c_fail)
+            Score::finite(((1.0 - rel) - job.fault_tolerance) * self.cfg.c_fail)
         } else {
             Score::ZERO
         };
@@ -451,7 +452,7 @@ impl<'a> Eval<'a> {
             return None;
         }
         let virt = if self.cfg.virt_penalty {
-            p_virt_migration(cm_min, self.vm_refs[v].user_remaining_secs(self.now)).value()
+            p_virt_migration(cm_min, self.vm_refs[v].1.user_remaining_secs(self.now)).value()
         } else {
             0.0
         };
@@ -509,14 +510,13 @@ impl<'a> Eval<'a> {
     /// paper's `P_virt` is realized by exclusion rather than by a score.
     fn p_virt_movein(&self, h: usize, v: usize) -> Score {
         let host = self.cluster.host(HostId(h as u32));
-        let vm = self.vm_refs[v];
         if self.original[v].is_none() {
             // New VM: creation cost on this host.
             return Score::finite(host.spec.class.creation_cost().as_secs_f64());
         }
         p_virt_migration(
             host.spec.class.migration_cost().as_secs_f64(),
-            vm.user_remaining_secs(self.now),
+            self.vm_refs[v].1.user_remaining_secs(self.now),
         )
     }
 
@@ -539,8 +539,8 @@ impl<'a> Eval<'a> {
     /// Dynamic SLA enforcement penalty (§III-A.5). Fulfilment is projected
     /// for the *candidate* host from the CPU it could offer the VM.
     fn p_sla(&self, h: usize, v: usize) -> Score {
-        let vm = self.vm_refs[v];
-        let deadline = vm.job.deadline().as_secs_f64();
+        let (vm, job) = self.vm_refs[v];
+        let deadline = job.deadline().as_secs_f64();
         if deadline <= 0.0 {
             return Score::finite(self.cfg.c_sla);
         }
@@ -550,10 +550,10 @@ impl<'a> Eval<'a> {
             committed_cpu -= vm.requested.cpu.as_f64();
         }
         let free = (cap - committed_cpu).max(0.0);
-        let rate = vm.job.cpu.as_f64().min(free);
-        let elapsed = self.now.saturating_since(vm.job.submit).as_secs_f64();
+        let rate = job.cpu.as_f64().min(free);
+        let elapsed = self.now.saturating_since(job.submit).as_secs_f64();
         let projected = if rate > 0.0 {
-            elapsed + vm.remaining_work() / rate
+            elapsed + vm.remaining_work(job) / rate
         } else {
             2.0 * deadline.max(elapsed)
         };
@@ -575,8 +575,8 @@ impl<'a> Eval<'a> {
 /// is actually up (an off host "cannot fulfil" anything): the
 /// placement-independent half of a cell's feasibility.
 #[inline]
-fn admits(host: &Host, vm: &Vm) -> bool {
-    host.power == PowerState::On && host.spec.satisfies(&vm.job.requirements)
+fn admits(host: &Host, job: &Job) -> bool {
+    host.power == PowerState::On && host.spec.satisfies(&job.requirements)
 }
 
 /// `P_res` (§III-A.2): the occupation `host` reaches with `used`
@@ -646,15 +646,15 @@ pub fn queue_has_feasible_cell(cluster: &Cluster) -> bool {
     cluster
         .queue()
         .iter()
-        .map(|&id| cluster.vm(id))
-        .filter(|vm| vm.requested.fits_in(room))
-        .any(|vm| {
+        .map(|&id| (cluster.vm(id), cluster.job(id)))
+        .filter(|(vm, _)| vm.requested.fits_in(room))
+        .any(|(vm, job)| {
             cluster
                 .hosts()
                 .iter()
                 .zip(cluster.committed_by_host())
                 .any(|(host, &committed)| {
-                    admits(host, vm)
+                    admits(host, job)
                         && occupation_within(committed.plus(vm.requested), host).is_some()
                 })
         })

@@ -20,7 +20,7 @@ use eards_metrics::{
     delay_pct, satisfaction, FaultStats, JobOutcome, RunReport, TimeSeries, TimeWeighted,
 };
 use eards_model::{
-    Action, CalibratedPowerModel, Cluster, HostId, HostSpec, Job, Policy, PowerModel, PowerState,
+    Action, CalibratedPowerModel, Cluster, HostId, HostSpec, Policy, PowerModel, PowerState,
     ScheduleContext, ScheduleReason, VmId, VmState,
 };
 use eards_obs::{HistId, Obs};
@@ -38,8 +38,9 @@ use crate::invariants::InvariantAuditor;
 /// Events of the datacenter simulation.
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    /// A job from the trace arrives (index into the job list).
-    JobArrival(usize),
+    /// The next job of the trace arrives. Arrivals pop in trace order
+    /// (by submit time, then push order), so job `n` becomes `VmId(n)`.
+    JobArrival,
     /// A VM creation finishes. The `u64` is the operation sequence number
     /// (see [`eards_model::InFlightOp::seq`]) proving the event belongs to
     /// the *live* operation — a completion timestamp cannot do that,
@@ -94,10 +95,7 @@ impl Persist for Event {
     #[inline]
     fn persist(&self, w: &mut Writer) {
         match *self {
-            Event::JobArrival(idx) => {
-                w.put_u8(0);
-                w.put_usize(idx);
-            }
+            Event::JobArrival => w.put_u8(0),
             Event::CreationDone(vm, seq) => {
                 w.put_u8(1);
                 vm.persist(w);
@@ -169,7 +167,7 @@ impl Persist for Event {
     #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(match r.get_u8()? {
-            0 => Event::JobArrival(r.get_usize()?),
+            0 => Event::JobArrival,
             1 => Event::CreationDone(VmId::restore(r)?, r.get_u64()?),
             2 => Event::MigrationDone(VmId::restore(r)?, r.get_u64()?),
             3 => Event::CheckpointDone(VmId::restore(r)?, r.get_u64()?),
@@ -212,7 +210,8 @@ pub struct Runner {
     policy: Box<dyn Policy>,
     cfg: RunConfig,
     model: Box<dyn PowerModel>,
-    jobs: Vec<Job>,
+    /// [`Trace::digest`] of the trace, whose jobs the cluster holds.
+    trace_digest: u64,
     label: String,
 
     sim: Simulator<Event>,
@@ -258,8 +257,9 @@ pub struct Runner {
     power_tw: TimeWeighted,
     working_tw: TimeWeighted,
     online_tw: TimeWeighted,
-    outcomes: Vec<JobOutcome>,
-    jobs_done: usize,
+    /// Finished VMs in completion order, the order the report lists and
+    /// sums their outcomes in.
+    completed: Vec<VmId>,
     migrations: u64,
     creations: u64,
     host_failures: u64,
@@ -348,12 +348,13 @@ impl Runner {
         let obs = cfg.obs.clone();
         let queue_hist = obs.histogram("queue_len", &[1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0]);
         let retry_hist = obs.histogram("retry_backoff_depth", &[1.0, 2.0, 3.0, 4.0, 6.0, 10.0]);
+        let trace_digest = trace.digest();
         Runner {
-            cluster: Cluster::new(hosts, PowerState::Off),
+            cluster: Cluster::with_jobs(hosts, PowerState::Off, trace.into_jobs()),
             policy,
             cfg,
             model,
-            jobs: trace.into_jobs(),
+            trace_digest,
             label,
             sim: Simulator::new(),
             rng,
@@ -374,8 +375,7 @@ impl Runner {
             power_tw: TimeWeighted::new(SimTime::ZERO, 0.0),
             working_tw: TimeWeighted::new(SimTime::ZERO, 0.0),
             online_tw: TimeWeighted::new(SimTime::ZERO, 0.0),
-            outcomes: Vec::new(),
-            jobs_done: 0,
+            completed: Vec::new(),
             migrations: 0,
             creations: 0,
             host_failures: 0,
@@ -433,8 +433,8 @@ impl Runner {
         RunProgress {
             now: self.sim.now(),
             horizon: self.hard_cap(),
-            jobs_done: self.jobs_done,
-            jobs_total: self.jobs.len(),
+            jobs_done: self.completed.len(),
+            jobs_total: self.cluster.jobs().len(),
         }
     }
 
@@ -454,7 +454,11 @@ impl Runner {
     /// `cfg.drain_limit` past the last arrival. Derived state — recomputed
     /// from the trace on restore, never serialized.
     fn hard_cap(&self) -> SimTime {
-        let last_arrival = self.jobs.last().map(|j| j.submit).unwrap_or(SimTime::ZERO);
+        let last_arrival = self
+            .cluster
+            .jobs()
+            .last()
+            .map_or(SimTime::ZERO, |j| j.submit);
         last_arrival + self.cfg.drain_limit
     }
 
@@ -488,8 +492,8 @@ impl Runner {
             }
         }
 
-        for (idx, job) in self.jobs.iter().enumerate() {
-            self.sim.schedule_at(job.submit, Event::JobArrival(idx));
+        for job in self.cluster.jobs() {
+            self.sim.schedule_at(job.submit, Event::JobArrival);
         }
         self.sim
             .schedule_after(self.cfg.sla_check_period, Event::SlaCheck);
@@ -564,15 +568,17 @@ impl Runner {
     // ----- snapshot / restore ----------------------------------------------
     //
     // Canonical vs. rebuilt state. Serialized: the engine (clock, event
-    // queue with live handles, RNG), the cluster, the fault engine's RNG
-    // stream positions, the retry/backoff and blacklist bookkeeping, every
-    // accumulated metric, and a policy-private block. Rebuilt on restore
-    // from the constructor arguments: the power model, the job list (from
-    // the trace), the obs handle and its histogram registrations, the
-    // report label, and the `power_scratch` and `sla_scratch` buffers. The
-    // drain horizon (`hard_cap`) is derived from the trace and recomputed.
-    // The per-host draw cache is refilled by the next `record_metrics`: a
-    // restored cluster marks every host dirty.
+    // queue with live handles, RNG), the cluster without its job table,
+    // the fault engine's RNG stream positions, the retry/backoff and
+    // blacklist bookkeeping, every accumulated metric, the completion
+    // order (VM ids), and a policy-private block. Rebuilt on restore from
+    // the constructor arguments: the power model, the job table (the
+    // trace, checked by the header's digest), the obs handle and its
+    // histogram registrations, the report label, and the `power_scratch`
+    // and `sla_scratch` buffers. The drain horizon (`hard_cap`) is derived
+    // from the trace. Job outcomes are never stored: `finalize` derives
+    // them with `outcome_of`. The per-host draw cache is refilled by the
+    // next `record_metrics`: a restored cluster marks every host dirty.
 
     /// Serializes the full mid-flight run state. Call at a batch boundary
     /// (between [`Runner::step_batch`] calls); the driver loop never
@@ -591,7 +597,7 @@ impl Runner {
     /// Rebuilds a run from `bytes`, with the paper's Table-I power model.
     /// `hosts`, `trace`, `policy` and `cfg` must be the ones the
     /// snapshotted run was built with — the snapshot carries fingerprint
-    /// fields (host count, job count, seed) and rejects mismatches.
+    /// fields (host count, trace digest, seed) and rejects mismatches.
     pub fn restore(
         hosts: Vec<HostSpec>,
         trace: Trace,
@@ -631,7 +637,7 @@ impl Runner {
         // Fingerprint fields: restore validates these against the world it
         // was handed, catching a snapshot replayed onto the wrong run.
         w.put_u32(self.cluster.num_hosts() as u32);
-        w.put_u64(self.jobs.len() as u64);
+        w.put_u64(self.trace_digest);
         w.put_u64(self.cfg.seed);
 
         self.sim.persist(w);
@@ -667,8 +673,7 @@ impl Runner {
         self.power_tw.persist(w);
         self.working_tw.persist(w);
         self.online_tw.persist(w);
-        self.outcomes.persist(w);
-        w.put_usize(self.jobs_done);
+        self.completed.persist(w);
         w.put_u64(self.migrations);
         w.put_u64(self.creations);
         w.put_u64(self.host_failures);
@@ -694,11 +699,11 @@ impl Runner {
                 self.cluster.num_hosts()
             )));
         }
-        let jobs = r.get_u64()? as usize;
-        if jobs != self.jobs.len() {
+        let digest = r.get_u64()?;
+        if digest != self.trace_digest {
             return Err(PersistError::Corrupt(format!(
-                "snapshot taken over {jobs} jobs, trace carries {}",
-                self.jobs.len()
+                "snapshot taken over trace digest {digest:#x}, run built with {:#x}",
+                self.trace_digest
             )));
         }
         let seed = r.get_u64()?;
@@ -739,8 +744,7 @@ impl Runner {
         self.power_tw = TimeWeighted::restore(r)?;
         self.working_tw = TimeWeighted::restore(r)?;
         self.online_tw = TimeWeighted::restore(r)?;
-        self.outcomes = Vec::restore(r)?;
-        self.jobs_done = r.get_usize()?;
+        self.completed = Vec::restore(r)?;
         self.migrations = r.get_u64()?;
         self.creations = r.get_u64()?;
         self.host_failures = r.get_u64()?;
@@ -750,7 +754,8 @@ impl Runner {
         self.sat_window = eards_metrics::Summary::restore(r)?;
         self.parked = Vec::<(VmId, SimTime)>::restore(r)?.into_iter().collect();
         self.vms_parked = r.get_u64()?;
-        self.cluster = Cluster::restore(r)?;
+        self.cluster.restore_world(r)?;
+        self.verify_completed().map_err(PersistError::Corrupt)?;
         let mut block = r.get_block()?;
         self.policy.restore_state(&mut block)?;
         block.finish()?;
@@ -762,9 +767,8 @@ impl Runner {
     /// Handles one event; returns the scheduling-round reason it raises.
     fn handle(&mut self, now: SimTime, event: Event) -> Option<ScheduleReason> {
         match event {
-            Event::JobArrival(idx) => {
-                let job = self.jobs[idx].clone();
-                let vm = self.cluster.submit_job(job);
+            Event::JobArrival => {
+                let vm = self.cluster.admit_next();
                 self.note(now, AuditKind::JobArrived { vm });
                 Some(ScheduleReason::VmArrived)
             }
@@ -993,7 +997,8 @@ impl Runner {
                     }
                     self.cluster.touch_host(host, now);
                     for &vm in &running {
-                        if self.cluster.vm(vm).sla_fulfillment(now) < 1.0 {
+                        let (v, job) = (self.cluster.vm(vm), self.cluster.job(vm));
+                        if v.sla_fulfillment(job, now) < 1.0 {
                             violated = true;
                             if self.cfg.dynamic_sla {
                                 self.escalate_request(vm, host, now);
@@ -1183,25 +1188,14 @@ impl Runner {
     /// node for one late job starves the rest of the queue. `host` is the
     /// host the VM runs on.
     fn escalate_request(&mut self, vm: VmId, host: HostId, now: SimTime) {
-        let (needed, cap, starved) = {
-            let v = self.cluster.vm(vm);
-            let cap = self.cluster.host(host).spec.cpu;
-            let left = v
-                .job
-                .deadline_at()
-                .saturating_since(now)
-                .as_secs_f64()
-                .max(1.0);
-            (
-                (v.remaining_work() / left).ceil(),
-                cap,
-                v.alloc + 1e-9 < v.job.cpu.as_f64(),
-            )
-        };
-        if !starved {
-            return;
+        let (v, job) = (self.cluster.vm(vm), self.cluster.job(vm));
+        if v.alloc + 1e-9 >= job.cpu.as_f64() {
+            return; // not starved
         }
-        let job_cpu = self.cluster.vm(vm).job.cpu.points();
+        let left = job.deadline_at().saturating_since(now).as_secs_f64();
+        let needed = (v.remaining_work(job) / left.max(1.0)).ceil();
+        let cap = self.cluster.host(host).spec.cpu;
+        let job_cpu = job.cpu.points();
         let ceiling = (job_cpu * 3 / 2).min(cap.points());
         let new_cpu = (needed as u32).clamp(job_cpu, ceiling);
         self.cluster
@@ -1518,7 +1512,7 @@ impl Runner {
         }
         let deep = self
             .auditor
-            .check(&self.cluster, self.jobs_done as u64, now);
+            .check(&self.cluster, self.completed.len() as u64, now);
         if deep {
             if let Err(msg) = self.verify_draws() {
                 self.auditor.report(now, msg);
@@ -1559,7 +1553,7 @@ impl Runner {
         if !v.state.is_executing() {
             return;
         }
-        if let Some(eta) = v.eta_secs() {
+        if let Some(eta) = v.eta_secs(self.cluster.job(vm)) {
             // +1 ms guards against the fixed-point floor leaving a sliver
             // of work at the projected instant.
             let at = now + SimDuration::from_secs_f64(eta) + SimDuration::from_millis(1);
@@ -1582,37 +1576,35 @@ impl Runner {
         let VmState::Running { host } = v.state else {
             return false;
         };
-        if !v.work_complete() {
+        if !v.work_complete(self.cluster.job(vm)) {
             return false;
         }
         self.cancel_completion(vm);
         self.cluster.finish_vm(vm, now);
-        let outcome = self.outcome_of(vm, Some(now));
-        self.note(
-            now,
-            AuditKind::JobCompleted {
-                vm,
-                satisfaction: outcome.satisfaction,
-            },
-        );
-        self.sat_window.push(outcome.satisfaction);
-        self.outcomes.push(outcome);
-        self.jobs_done += 1;
+        let satisfaction = self.outcome_of(vm).satisfaction;
+        self.note(now, AuditKind::JobCompleted { vm, satisfaction });
+        self.sat_window.push(satisfaction);
+        self.completed.push(vm);
         self.touch(host, now);
         true
     }
 
-    fn outcome_of(&self, vm: VmId, completed: Option<SimTime>) -> JobOutcome {
-        let v = self.cluster.vm(vm);
-        let deadline = v.job.deadline();
+    /// The report row of `vm`'s job: finished at its `completed_at`, or
+    /// unfinished as of the current instant. The only place an outcome is
+    /// computed, so the satisfaction the audit log and `sat_window` see
+    /// at completion is the report's, bit for bit.
+    fn outcome_of(&self, vm: VmId) -> JobOutcome {
+        let (v, job) = (self.cluster.vm(vm), self.cluster.job(vm));
+        let completed = v.completed_at;
+        let deadline = job.deadline();
         let end = completed.unwrap_or(self.sim.now());
-        let exec = end.saturating_since(v.job.submit);
+        let exec = end.saturating_since(job.submit);
         // Requested-CPU residency: how long the VM held its share.
         let residency_start = v.started_at.unwrap_or(end);
         let residency = end.saturating_since(residency_start);
         JobOutcome {
-            job_id: v.job.id.raw(),
-            submitted: v.job.submit,
+            job_id: job.id.raw(),
+            submitted: job.submit,
             completed,
             deadline,
             satisfaction: if completed.is_some() {
@@ -1621,9 +1613,29 @@ impl Runner {
                 0.0
             },
             delay_pct: delay_pct(exec, deadline),
-            cpu_hours: v.job.cpu.as_f64() / 100.0 * residency.as_hours_f64(),
-            work_cpu_hours: v.job.total_work() / 100.0 / 3600.0,
+            cpu_hours: job.cpu.as_f64() / 100.0 * residency.as_hours_f64(),
+            work_cpu_hours: job.total_work() / 100.0 / 3600.0,
         }
+    }
+
+    /// Checks the restored completion order against the cluster: it lists
+    /// every finished VM exactly once and nothing else, so `finalize` can
+    /// read each entry.
+    fn verify_completed(&self) -> Result<(), String> {
+        let mut listed = vec![false; self.cluster.num_vms()];
+        for &vm in &self.completed {
+            match listed.get_mut(vm.raw() as usize) {
+                Some(seen @ false) if self.cluster.vm(vm).state == VmState::Finished => {
+                    *seen = true
+                }
+                _ => return Err(format!("completion order lists {vm} twice or unfinished")),
+            }
+        }
+        let finished = self.cluster.vms().filter(|v| v.state == VmState::Finished);
+        if finished.count() != self.completed.len() {
+            return Err("completion order misses a finished VM".into());
+        }
+        Ok(())
     }
 
     // ----- metrics -----------------------------------------------------------
@@ -1652,7 +1664,7 @@ impl Runner {
     }
 
     fn finished(&self) -> bool {
-        self.jobs_done == self.jobs.len()
+        self.completed.len() == self.cluster.jobs().len()
     }
 
     fn finalize(mut self, end: SimTime) -> RunReport {
@@ -1662,21 +1674,19 @@ impl Runner {
                 self.auditor.report(end, msg);
             }
         }
-        // Jobs still in flight at the horizon count as unfinished, in id
-        // order (the order `vms()` iterates).
-        let unfinished: Vec<VmId> = self
-            .cluster
-            .vms()
-            .filter(|v| v.state != VmState::Finished)
-            .map(|v| v.id)
+        // Finished jobs in completion order, then the jobs still in
+        // flight at the horizon, in id order (the order `vms()` iterates).
+        let mut jobs: Vec<JobOutcome> = self
+            .completed
+            .iter()
+            .map(|&vm| self.outcome_of(vm))
             .collect();
-        for vm in unfinished {
-            if let Some(host) = self.cluster.vm(vm).state.host() {
-                self.cluster.touch_host(host, end);
-            }
-            let outcome = self.outcome_of(vm, None);
-            self.outcomes.push(outcome);
-        }
+        jobs.extend(
+            self.cluster
+                .vms()
+                .filter(|v| v.state != VmState::Finished)
+                .map(|v| self.outcome_of(v.id)),
+        );
 
         let mut report = RunReport::empty(self.label.clone());
         report.avg_working_nodes = self.working_tw.mean(end);
@@ -1692,7 +1702,7 @@ impl Runner {
         self.fstats.invariant_violations = self.auditor.violations();
         report.faults = self.fstats;
         report.power_watts = self.power_series;
-        report.jobs = self.outcomes;
+        report.jobs = jobs;
         report.finalize_jobs();
         report
     }
@@ -1701,7 +1711,7 @@ impl Runner {
 #[cfg(test)]
 mod seq_guard_tests {
     use super::*;
-    use eards_model::{Cpu, HostClass, JobId, Mem};
+    use eards_model::{Cpu, HostClass, Job, JobId, Mem};
     use eards_policies::RandomPolicy;
     use eards_workload::Trace;
 
@@ -1744,8 +1754,7 @@ mod seq_guard_tests {
     #[test]
     fn stale_abort_does_not_kill_reissued_creation() {
         let mut r = runner_with_two_hosts();
-        let job = r.jobs[0].clone();
-        let vm = r.cluster.submit_job(job);
+        let vm = r.cluster.admit_next();
         let seq1 = r.cluster.start_creation(vm, HostId(0), t(0), t(60));
         // Host 0 dies mid-creation; the VM is displaced back to the queue.
         r.cluster.fail_host(HostId(0), t(10));
@@ -1781,8 +1790,7 @@ mod seq_guard_tests {
     #[test]
     fn stale_migration_abort_is_ignored() {
         let mut r = runner_with_two_hosts();
-        let job = r.jobs[0].clone();
-        let vm = r.cluster.submit_job(job);
+        let vm = r.cluster.admit_next();
         let cseq = r.cluster.start_creation(vm, HostId(0), t(0), t(40));
         assert!(r.handle(t(40), Event::CreationDone(vm, cseq)).is_some());
         // First migration attempt to host 1, aborted cleanly at t = 50.

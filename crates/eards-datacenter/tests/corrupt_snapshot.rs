@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use eards_core::{ScoreConfig, ScoreScheduler};
-use eards_datacenter::{small_datacenter, RunConfig, Runner};
+use eards_datacenter::{small_datacenter, AuditKind, RunConfig, Runner};
 use eards_model::{
     Cluster, Cpu, Host, HostClass, HostId, HostSpec, Job, JobId, Mem, Persist, PersistError,
     Policy, PowerState, Reader, Vm, VmId, VmState, Writer,
@@ -125,8 +125,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// The snapshot format is a contract: checkpoints written by earlier
 /// builds must restore. The mid-flight snapshot is pinned by length and
 /// hash; a deliberate format change updates both and says why.
-const PINNED_LEN: usize = 5_024;
-const PINNED_FNV: u64 = 8_849_500_989_356_930_697;
+const PINNED_LEN: usize = 3_662;
+const PINNED_FNV: u64 = 16_129_579_122_486_319;
 
 #[test]
 fn snapshot_bytes_match_the_pinned_format() {
@@ -161,6 +161,117 @@ fn every_prefix_of_the_pinned_snapshot_errors_cleanly() {
         );
         assert!(restored.is_err(), "prefix of {cut} bytes restored");
     }
+}
+
+/// `trace` with `edit` applied to its first job.
+fn edited(trace: Trace, edit: impl FnOnce(&mut Job)) -> Trace {
+    let mut jobs = trace.into_jobs();
+    edit(&mut jobs[0]);
+    Trace::new(jobs)
+}
+
+fn restore_onto(trace: Trace, bytes: &[u8]) -> Result<Runner, PersistError> {
+    let (hosts, _) = world();
+    Runner::restore(hosts, trace, policy(), config(), bytes)
+}
+
+/// A snapshot replayed onto a different trace of the same length fails
+/// on the header's trace digest, whichever job field differs.
+#[test]
+fn snapshot_restored_onto_a_different_trace_is_corrupt() {
+    let bytes = baseline_snapshot();
+    let (_, trace) = world();
+    assert!(restore_onto(trace.clone(), &bytes).is_ok());
+    let other_cpu = edited(trace.clone(), |j| j.cpu = Cpu(j.cpu.points() + 100));
+    let other_deadline = edited(trace.clone(), |j| j.deadline_factor += 0.125);
+    for other in [other_cpu, other_deadline] {
+        assert_eq!(other.len(), trace.len());
+        match restore_onto(other, &bytes) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("trace digest"), "{msg}"),
+            Err(e) => panic!("expected a Corrupt error, got {e:?}"),
+            Ok(_) => panic!("a snapshot restored onto a different trace"),
+        }
+    }
+}
+
+/// A snapshot whose VM table outgrows the trace it is restored onto is
+/// corrupt, even when its header digest names that trace.
+#[test]
+fn vm_table_longer_than_the_trace_is_corrupt() {
+    let mut bytes = baseline_snapshot();
+    let (_, trace) = world();
+    let one_job = Trace::new(trace.into_jobs()[..1].to_vec());
+    // Header (magic and version), `started`, the host count, then the
+    // trace digest.
+    let at = 9 + 1 + 4;
+    bytes[at..at + 8].copy_from_slice(&one_job.digest().to_le_bytes());
+    match restore_onto(one_job, &bytes) {
+        Err(PersistError::Corrupt(msg)) => {
+            assert!(msg.contains("the job table holds 1 jobs"), "{msg}")
+        }
+        Err(e) => panic!("expected a Corrupt error, got {e:?}"),
+        Ok(_) => panic!("a VM table longer than the trace restored"),
+    }
+}
+
+/// The runner's completion order must list every finished VM once and
+/// nothing else: a list that names a VM twice, or leaves one out, is
+/// corrupt rather than a report with a missing or doubled job.
+#[test]
+fn completion_order_that_disagrees_with_the_cluster_is_corrupt() {
+    let cfg = RunConfig {
+        audit: true,
+        ..config()
+    };
+    let (hosts, trace) = world();
+    let mut run = Runner::new(hosts.clone(), trace.clone(), policy(), cfg.clone());
+    for _ in 0..200 {
+        run.step_batch();
+    }
+    let bytes = run.snapshot().unwrap();
+    let (_, audit) = run.finish();
+    let completed: Vec<VmId> = audit
+        .iter()
+        .filter_map(|e| match e.kind {
+            AuditKind::JobCompleted { vm, .. } => Some(vm),
+            _ => None,
+        })
+        .collect();
+    assert!(completed.len() >= 2, "the run must finish two jobs");
+    let encode = |ids: &Vec<VmId>| {
+        let mut w = Writer::new();
+        ids.persist(&mut w);
+        w.into_bytes().unwrap()
+    };
+    let list = encode(&completed);
+    let at = bytes
+        .windows(list.len())
+        .position(|w| w == &list[..])
+        .expect("the snapshot holds the completion order");
+    let mut doubled = completed.clone();
+    doubled[1] = doubled[0];
+    let short = completed[1..].to_vec();
+    for forged in [doubled, short] {
+        let mut b = bytes.clone();
+        b.splice(at..at + list.len(), encode(&forged));
+        match Runner::restore(hosts.clone(), trace.clone(), policy(), cfg.clone(), &b) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("completion order"), "{msg}"),
+            Err(e) => panic!("expected a Corrupt error, got {e:?}"),
+            Ok(_) => panic!("a forged completion order restored"),
+        }
+    }
+}
+
+/// Bytes written under snapshot version 3 get a typed version error.
+#[test]
+fn version_3_snapshots_are_unsupported() {
+    let mut bytes = baseline_snapshot();
+    bytes[8] = 3;
+    let (_, trace) = world();
+    assert!(matches!(
+        restore_onto(trace, &bytes),
+        Err(PersistError::UnsupportedVersion(3))
+    ));
 }
 
 /// A small cluster with a finished, a running, a migrating, a creating and
@@ -299,9 +410,9 @@ fn migration_to_a_host_not_expecting_it_is_corrupt() {
 
 #[test]
 fn running_tag_without_a_host_is_corrupt() {
-    // VM 1 runs on host 0. Its record is the id, job and request, then
-    // the state tag and the host as an `Option`; forge `Running` with
-    // `None` in place of the host.
+    // VM 1 runs on host 0. Its record is the id and request, then the
+    // state tag and the host as an `Option`; forge `Running` with `None`
+    // in place of the host.
     let (hosts, vms, queue) = parts(&mid_flight_cluster());
     let n = vms.len() as u64;
     let vm = &vms[1];
@@ -313,7 +424,6 @@ fn running_tag_without_a_host_is_corrupt() {
     };
     let head = encode(&|w| {
         vm.id.persist(w);
-        vm.job.persist(w);
         vm.requested.persist(w);
     });
     let record = encode(&|w| vm.persist(w));

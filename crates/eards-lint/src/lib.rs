@@ -11,7 +11,6 @@
 //! |------|--------|
 //! | `D001` | `HashMap`/`HashSet` iteration (or map-typed fields) in sim-affecting crates |
 //! | `D002` | wall-clock reads (`Instant::now`, `SystemTime`) outside `eards-obs`/`eards-bench` |
-//! | `D003` | ambient randomness (`thread_rng`, `rand::random`, `from_entropy`) anywhere |
 //! | `D004` | `partial_cmp(..).unwrap()/expect(..)` on floats — use `total_cmp` |
 //! | `D005` | wall-clock / ambient-randomness APIs inside an `impl Persist` block |
 //! | `P001` | `unwrap`/`expect`/`panic!`/literal indexing in sim library code |

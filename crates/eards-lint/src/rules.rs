@@ -20,9 +20,6 @@ pub enum RuleId {
     /// Wall-clock APIs (`Instant::now`, `SystemTime`) outside the
     /// allowlisted observability/bench crates.
     D002,
-    /// Ambient randomness (`thread_rng`, `rand::random`, `from_entropy`):
-    /// all RNG must flow from the seeded per-host streams.
-    D003,
     /// `partial_cmp(..).unwrap()/expect(..)` on floats: NaN panics at a
     /// distance; use `f64::total_cmp`.
     D004,
@@ -69,7 +66,6 @@ impl RuleId {
     pub const ALL: &'static [RuleId] = &[
         RuleId::D001,
         RuleId::D002,
-        RuleId::D003,
         RuleId::D004,
         RuleId::D005,
         RuleId::P001,
@@ -86,7 +82,6 @@ impl RuleId {
         match self {
             RuleId::D001 => "D001",
             RuleId::D002 => "D002",
-            RuleId::D003 => "D003",
             RuleId::D004 => "D004",
             RuleId::D005 => "D005",
             RuleId::P001 => "P001",
@@ -109,7 +104,6 @@ impl RuleId {
         match self {
             RuleId::D001 => "HashMap/HashSet iteration order leaks into simulation state",
             RuleId::D002 => "wall-clock read outside the observability/bench allowlist",
-            RuleId::D003 => "ambient randomness instead of a seeded SimRng stream",
             RuleId::D004 => "partial_cmp().unwrap()/expect() on floats; use total_cmp",
             RuleId::D005 => "wall-clock/ambient-randomness API inside an impl Persist block",
             RuleId::P001 => {
@@ -159,7 +153,6 @@ pub fn check_file(f: &SourceFile, index: &ItemIndex) -> Vec<Finding> {
     let mut raw = Vec::new();
     d001_map_iteration(f, &mut raw);
     d002_wall_clock(f, &mut raw);
-    d003_ambient_randomness(f, &mut raw);
     d004_partial_cmp_unwrap(f, &mut raw);
     d005_wall_state_in_persist(f, &mut raw);
     p001_panic_hazards(f, &mut raw);
@@ -352,36 +345,6 @@ fn d002_wall_clock(f: &SourceFile, out: &mut Vec<Finding>) {
                 "`SystemTime` outside eards-obs/eards-bench: sim code must use the \
                  simulation clock"
                     .into(),
-            );
-        }
-    }
-}
-
-/// D003 — ambient randomness, anywhere in the workspace. Every random
-/// draw must flow from a seeded `SimRng` (or a fork of one); `thread_rng`
-/// / `rand::random` / `from_entropy` would make runs irreproducible.
-fn d003_ambient_randomness(f: &SourceFile, out: &mut Vec<Finding>) {
-    let n = f.code.len();
-    for i in 0..n {
-        let Some(t) = f.ct(i) else { break };
-        let hit = if t.is_ident("thread_rng") || t.is_ident("from_entropy") {
-            Some(t.text.clone())
-        } else if t.is_ident("rand")
-            && f.ct_punct(i + 1, ':')
-            && f.ct_punct(i + 2, ':')
-            && f.ct_is(i + 3, "random")
-        {
-            Some("rand::random".to_string())
-        } else {
-            None
-        };
-        if let Some(api) = hit {
-            emit(
-                f,
-                out,
-                RuleId::D003,
-                t.line,
-                format!("`{api}`: all randomness must come from seeded SimRng streams"),
             );
         }
     }

@@ -77,33 +77,6 @@ fn d002_negative_allowlisted_crate() {
 }
 
 #[test]
-fn d003_positive() {
-    expect(
-        SIM,
-        include_str!("../fixtures/d003_pos.rs"),
-        &[(RuleId::D003, 3), (RuleId::D003, 4), (RuleId::D003, 10)],
-    );
-}
-
-#[test]
-fn d003_fires_everywhere_even_outside_sim_crates() {
-    // D003 has no crate scoping: ambient randomness is never OK.
-    let got = run(
-        "crates/eards-bench/src/fixture.rs",
-        include_str!("../fixtures/d003_pos.rs"),
-    );
-    assert_eq!(
-        got,
-        &[(RuleId::D003, 3), (RuleId::D003, 4), (RuleId::D003, 10)]
-    );
-}
-
-#[test]
-fn d003_negative() {
-    expect(SIM, include_str!("../fixtures/d003_neg.rs"), &[]);
-}
-
-#[test]
 fn d004_positive() {
     // The same chains are also panic hazards (P001) in a sim crate — the
     // rules overlap deliberately: fixing with total_cmp clears both.
@@ -127,15 +100,13 @@ fn d004_negative() {
 #[test]
 fn d005_positive_even_in_clock_allowed_crates() {
     // eards-obs is on D002's allowlist, so these wall-clock reads would
-    // otherwise pass; inside `impl Persist` they are still findings
-    // (thread_rng additionally draws its usual D003).
+    // otherwise pass; inside `impl Persist` they are still findings.
     expect(
         "crates/eards-obs/src/fixture.rs",
         include_str!("../fixtures/d005_pos.rs"),
         &[
             (RuleId::D005, 7),
             (RuleId::D005, 8),
-            (RuleId::D003, 9),
             (RuleId::D005, 9),
             (RuleId::D005, 18),
         ],

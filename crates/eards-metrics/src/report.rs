@@ -63,33 +63,6 @@ pub struct FaultStats {
     pub invariant_violations: u64,
 }
 
-impl Persist for JobOutcome {
-    #[inline]
-    fn persist(&self, w: &mut Writer) {
-        w.put_u64(self.job_id);
-        self.submitted.persist(w);
-        w.put_opt(&self.completed);
-        self.deadline.persist(w);
-        w.put_f64(self.satisfaction);
-        w.put_f64(self.delay_pct);
-        w.put_f64(self.cpu_hours);
-        w.put_f64(self.work_cpu_hours);
-    }
-    #[inline]
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(JobOutcome {
-            job_id: r.get_u64()?,
-            submitted: SimTime::restore(r)?,
-            completed: r.get_opt()?,
-            deadline: SimDuration::restore(r)?,
-            satisfaction: r.get_f64()?,
-            delay_pct: r.get_f64()?,
-            cpu_hours: r.get_f64()?,
-            work_cpu_hours: r.get_f64()?,
-        })
-    }
-}
-
 impl Persist for FaultStats {
     #[inline]
     fn persist(&self, w: &mut Writer) {

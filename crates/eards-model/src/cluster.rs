@@ -110,6 +110,11 @@ impl Host {
 /// ```
 pub struct Cluster {
     hosts: Vec<Host>,
+    /// The job table: job `n` is the one `VmId(n)` runs. It holds the
+    /// whole trace from the start, ahead of the admitted VMs (see
+    /// [`Cluster::admit_next`]).
+    // lint:allow(SNAP001): trace data; the runner hands it back on restore (Cluster::restore_world)
+    jobs: Vec<Job>,
     /// Every VM ever admitted, indexed by [`VmId`]; the next id is
     /// `vms.len()`.
     vms: VmTable,
@@ -151,8 +156,15 @@ struct HostMarks {
 }
 
 impl Cluster {
-    /// Builds a cluster; every host starts in `initial_power`.
+    /// Builds a cluster with an empty job table ([`Cluster::submit_job`]
+    /// fills it); every host starts in `initial_power`.
     pub fn new(specs: Vec<HostSpec>, initial_power: PowerState) -> Self {
+        Self::with_jobs(specs, initial_power, Vec::new())
+    }
+
+    /// Builds a cluster over a whole job table, none of it admitted yet:
+    /// [`Cluster::admit_next`] admits the jobs in table order.
+    pub fn with_jobs(specs: Vec<HostSpec>, initial_power: PowerState, jobs: Vec<Job>) -> Self {
         for (i, s) in specs.iter().enumerate() {
             assert_eq!(
                 s.id.raw() as usize,
@@ -166,6 +178,7 @@ impl Cluster {
                 .into_iter()
                 .map(|s| Host::new(s, initial_power))
                 .collect(),
+            jobs,
             vms: VmTable::default(),
             queue: Vec::new(),
             next_op_seq: 0,
@@ -272,6 +285,16 @@ impl Cluster {
     /// A VM by id. Panics on unknown ids (ids are never invented).
     pub fn vm(&self, id: VmId) -> &Vm {
         &self.vms[id]
+    }
+
+    /// The job `vm` runs. Panics on ids outside the job table.
+    pub fn job(&self, vm: VmId) -> &Job {
+        &self.jobs[vm.raw() as usize]
+    }
+
+    /// The job table, admitted or not, in table order.
+    pub fn jobs(&self) -> &[Job] {
+        &self.jobs
     }
 
     /// All VMs ever admitted, in id order.
@@ -434,10 +457,9 @@ impl Cluster {
     /// post 300–475% delays in Table II.
     pub fn can_place_overcommitted(&self, host: HostId, vm: VmId) -> bool {
         let h = self.host(host);
-        let v = self.vm(vm);
         h.power.is_ready()
-            && h.spec.satisfies(&v.job.requirements)
-            && self.committed(host).mem + v.requested.mem <= h.spec.capacity().mem
+            && h.spec.satisfies(&self.job(vm).requirements)
+            && self.committed(host).mem + self.vm(vm).requested.mem <= h.spec.capacity().mem
     }
 
     /// CPU in use on a host: current VM allocations plus operation
@@ -466,10 +488,19 @@ impl Cluster {
 
     // ----- job / VM lifecycle ---------------------------------------------
 
-    /// Admits a job: wraps it in a queued VM on the virtual host.
+    /// Appends `job` to the job table and admits it. The table must hold
+    /// no job still waiting for [`Cluster::admit_next`].
     pub fn submit_job(&mut self, job: Job) -> VmId {
+        assert_eq!(self.jobs.len(), self.vms.len(), "unadmitted jobs");
+        self.jobs.push(job);
+        self.admit_next()
+    }
+
+    /// Admits the next job of the table: wraps job `n` in the queued
+    /// `VmId(n)` on the virtual host.
+    pub fn admit_next(&mut self) -> VmId {
         let id = VmId(self.vms.len() as u64);
-        self.vms.push(Vm::for_job(id, job));
+        self.vms.push(Vm::queued(id, self.job(id)));
         self.queue.push(id);
         id
     }
@@ -643,7 +674,7 @@ impl Cluster {
             s => panic!("abort_migration on VM in state {s:?}"),
         };
         // The VM executed on the source throughout: bank that progress.
-        v.advance_progress(now);
+        v.advance_progress(&self.jobs[vm.raw() as usize], now);
         v.state = VmState::Running { host: from };
         let requested = v.requested;
         self.release(to, requested);
@@ -689,7 +720,7 @@ impl Cluster {
             // lint:allow(P001): state-machine misuse is a caller bug; failing loud beats silently corrupting placement
             s => panic!("finish_checkpoint on VM in state {s:?}"),
         };
-        v.advance_progress(now);
+        v.advance_progress(&self.jobs[vm.raw() as usize], now);
         v.checkpoint = Some(v.progress);
         v.state = VmState::Running { host };
         self.hosts[host.raw() as usize]
@@ -706,7 +737,7 @@ impl Cluster {
             // lint:allow(P001): state-machine misuse is a caller bug; failing loud beats silently corrupting placement
             s => panic!("finish_vm on VM in state {s:?}"),
         };
-        v.advance_progress(now);
+        v.advance_progress(&self.jobs[vm.raw() as usize], now);
         v.state = VmState::Finished;
         v.completed_at = Some(now);
         v.alloc = 0.0;
@@ -801,7 +832,7 @@ impl Cluster {
             if requeued.contains(&vm) {
                 continue; // migrating VM appears on both endpoints
             }
-            v.advance_progress(now);
+            v.advance_progress(&self.jobs[vm.raw() as usize], now);
             // Lose uncheckpointed work.
             v.progress = v.checkpoint.unwrap_or(0.0);
             v.state = VmState::Queued;
@@ -875,7 +906,7 @@ impl Cluster {
                 let v = self.vm(id);
                 if v.state.is_executing() {
                     CpuContender {
-                        demand: v.job.cpu.as_f64(),
+                        demand: self.job(id).cpu.as_f64(),
                         weight: 256.0,
                         cap: v.req_cpu().as_f64(),
                     }
@@ -900,8 +931,28 @@ impl Cluster {
     /// allocations (used before reading progress-sensitive state).
     pub fn touch_host(&mut self, host: HostId, now: SimTime) {
         for &id in &self.hosts[host.raw() as usize].resident {
-            self.vms[id].advance_progress(now);
+            self.vms[id].advance_progress(&self.jobs[id.raw() as usize], now);
         }
+    }
+
+    // ----- snapshot ---------------------------------------------------------
+
+    /// Replaces everything but the job table with the cluster `r` holds
+    /// (see [`Cluster`]'s `Persist` impl). Fails as
+    /// [`PersistError::Corrupt`] if the snapshot admitted more VMs than
+    /// the table has jobs.
+    pub fn restore_world(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
+        let c = Cluster::restore(r)?;
+        let (vms, jobs) = (c.vms.len(), self.jobs.len());
+        if vms > jobs {
+            let msg = format!("snapshot admitted {vms} VMs, the job table holds {jobs} jobs");
+            return Err(PersistError::Corrupt(msg));
+        }
+        *self = Cluster {
+            jobs: std::mem::take(&mut self.jobs),
+            ..c
+        };
+        Ok(())
     }
 
     // ----- invariants -------------------------------------------------------
@@ -1073,6 +1124,9 @@ impl Persist for Host {
 /// the hosts, and then runs the full structural
 /// [`Cluster::verify`] pass, so a corrupt or hand-edited snapshot cannot
 /// smuggle in an inconsistent world state.
+///
+/// The job table is trace data and is not written: `restore` yields an
+/// empty one, [`Cluster::restore_world`] keeps the table it restores onto.
 impl Persist for Cluster {
     #[inline]
     fn persist(&self, w: &mut Writer) {
@@ -1105,6 +1159,7 @@ impl Persist for Cluster {
         let next_op_seq = r.get_u64()?;
         let mut c = Cluster {
             hosts,
+            jobs: Vec::new(),
             vms,
             committed: Vec::new(),
             queue,
@@ -1190,8 +1245,10 @@ mod tests {
         c.persist(&mut w);
         let bytes = w.into_bytes().unwrap();
         let mut r = Reader::new(&bytes);
-        let restored = Cluster::restore(&mut r).unwrap();
+        let mut restored = Cluster::with_jobs(Vec::new(), PowerState::Off, c.jobs().to_vec());
+        restored.restore_world(&mut r).unwrap();
         r.finish().unwrap();
+        assert_eq!(restored.jobs(), c.jobs());
 
         // The restored world re-serializes to the identical byte stream —
         // the snapshot is a fixed point.
@@ -1219,13 +1276,32 @@ mod tests {
 
         // And the restored cluster keeps functioning: next op/vm ids
         // continue where the original left off.
-        let mut restored = restored;
         let next = restored.submit_job(job(6, 100, 100));
         assert_eq!(next, VmId(c.num_vms() as u64));
         let seq = restored.start_creation(next, HostId(0), t(200), t(240));
         let next2 = c.submit_job(job(6, 100, 100));
         let seq2 = c.start_creation(next2, HostId(0), t(200), t(240));
         assert_eq!((next, seq), (next2, seq2));
+    }
+
+    #[test]
+    fn restore_world_rejects_more_vms_than_jobs() {
+        use eards_sim::{Reader, Writer};
+
+        let mut c = cluster(1);
+        c.submit_job(job(1, 100, 100));
+        c.submit_job(job(2, 100, 100));
+        let mut w = Writer::new();
+        c.persist(&mut w);
+        let bytes = w.into_bytes().unwrap();
+        let mut short = Cluster::with_jobs(Vec::new(), PowerState::Off, c.jobs()[..1].to_vec());
+        let err = short.restore_world(&mut Reader::new(&bytes)).unwrap_err();
+        assert!(
+            matches!(err, PersistError::Corrupt(ref m) if m.contains("2 VMs")),
+            "{err:?}"
+        );
+        let mut exact = Cluster::with_jobs(Vec::new(), PowerState::Off, c.jobs().to_vec());
+        assert!(exact.restore_world(&mut Reader::new(&bytes)).is_ok());
     }
 
     #[test]

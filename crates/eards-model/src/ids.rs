@@ -66,17 +66,6 @@ impl Persist for VmId {
     }
 }
 
-impl Persist for JobId {
-    #[inline]
-    fn persist(&self, w: &mut Writer) {
-        w.put_u64(self.0);
-    }
-    #[inline]
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(JobId(r.get_u64()?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -136,6 +136,15 @@ impl Job {
     pub fn deadline_at(&self) -> SimTime {
         self.submit + self.deadline()
     }
+
+    /// The paper's `T_r(vm)` (§III-A.3): remaining execution time
+    /// *according to the user estimate*, `T_u − t(vm)` — not the simulator's
+    /// ground truth, because the scheduler only knows what the user declared.
+    /// Clamped at zero once the estimate is exhausted.
+    pub fn user_remaining_secs(&self, now: SimTime) -> f64 {
+        let elapsed = now.saturating_since(self.submit).as_secs_f64();
+        (self.user_estimate.as_secs_f64() - elapsed).max(0.0)
+    }
 }
 
 impl Persist for Arch {
@@ -173,52 +182,6 @@ impl Persist for Hypervisor {
             1 => Ok(Hypervisor::Kvm),
             t => Err(PersistError::Corrupt(format!("bad Hypervisor tag {t}"))),
         }
-    }
-}
-
-impl Persist for Requirements {
-    #[inline]
-    fn persist(&self, w: &mut Writer) {
-        w.put_opt(&self.arch);
-        w.put_opt(&self.hypervisor);
-        w.put_u32(self.min_host_cpus);
-    }
-    #[inline]
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Requirements {
-            arch: r.get_opt()?,
-            hypervisor: r.get_opt()?,
-            min_host_cpus: r.get_u32()?,
-        })
-    }
-}
-
-impl Persist for Job {
-    #[inline]
-    fn persist(&self, w: &mut Writer) {
-        self.id.persist(w);
-        self.submit.persist(w);
-        self.cpu.persist(w);
-        self.mem.persist(w);
-        self.dedicated.persist(w);
-        self.user_estimate.persist(w);
-        w.put_f64(self.deadline_factor);
-        self.requirements.persist(w);
-        w.put_f64(self.fault_tolerance);
-    }
-    #[inline]
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Job {
-            id: JobId::restore(r)?,
-            submit: SimTime::restore(r)?,
-            cpu: Cpu::restore(r)?,
-            mem: Mem::restore(r)?,
-            dedicated: SimDuration::restore(r)?,
-            user_estimate: SimDuration::restore(r)?,
-            deadline_factor: r.get_f64()?,
-            requirements: Requirements::restore(r)?,
-            fault_tolerance: r.get_f64()?,
-        })
     }
 }
 
@@ -278,6 +241,13 @@ mod tests {
         assert_eq!(j.user_estimate, SimDuration::from_secs(9000));
         // The deadline stays anchored to the dedicated ground truth (§V).
         assert_eq!(j.deadline(), SimDuration::from_secs(9000));
+    }
+
+    #[test]
+    fn user_remaining_follows_estimate_not_truth() {
+        let j = job().with_estimate(SimDuration::from_secs(1000));
+        assert_eq!(j.user_remaining_secs(SimTime::from_secs(500)), 600.0);
+        assert_eq!(j.user_remaining_secs(SimTime::from_secs(5000)), 0.0);
     }
 
     #[test]

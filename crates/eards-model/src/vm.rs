@@ -1,9 +1,10 @@
 //! Virtual machines: the scheduling unit.
 //!
-//! One VM encapsulates one job (the paper's HPC model). A VM moves through
-//! a small state machine; while a creation, migration or checkpoint
-//! operation is in flight the score-based scheduler pins it with an
-//! infinite penalty (§III-A.3).
+//! One VM encapsulates one job (the paper's HPC model): `VmId(n)` runs
+//! job `n` of the cluster's job table. A VM moves through a small state
+//! machine; while a creation, migration or checkpoint operation is in
+//! flight the score-based scheduler pins it with an infinite penalty
+//! (§III-A.3).
 
 use eards_sim::{Persist, PersistError, Reader, SimTime, Writer};
 
@@ -83,13 +84,13 @@ impl VmState {
     }
 }
 
-/// A virtual machine and its execution bookkeeping.
+/// A virtual machine and its execution bookkeeping. The job it executes
+/// lives in the cluster's job table: `VmId(n)` runs job `n`, read through
+/// [`crate::Cluster::job`]. The methods that need the job take it.
 #[derive(Debug, Clone)]
 pub struct Vm {
     /// Identifier.
     pub id: VmId,
-    /// The job this VM executes.
-    pub job: Job,
     /// Currently requested resources. Starts at the job's demand; the
     /// dynamic-SLA-enforcement extension (§III-A.5) escalates it when the
     /// SLA is being violated, so rescheduling finds the VM more room.
@@ -116,17 +117,14 @@ pub struct Vm {
 
 impl Vm {
     /// Creates a queued VM for `job`.
-    pub fn for_job(id: VmId, job: Job) -> Self {
-        let requested = job.resources();
-        let submit = job.submit;
+    pub fn queued(id: VmId, job: &Job) -> Self {
         Vm {
             id,
-            job,
-            requested,
+            requested: job.resources(),
             state: VmState::Queued,
             progress: 0.0,
             alloc: 0.0,
-            last_update: submit,
+            last_update: job.submit,
             started_at: None,
             completed_at: None,
             migrations: 0,
@@ -142,8 +140,8 @@ impl Vm {
     /// The rate at which the VM converts CPU into progress right now:
     /// its allocation, capped at the job's demand, degraded while a live
     /// migration is in flight.
-    pub fn progress_rate(&self) -> f64 {
-        let rate = self.alloc.min(self.job.cpu.as_f64());
+    pub fn progress_rate(&self, job: &Job) -> f64 {
+        let rate = self.alloc.min(job.cpu.as_f64());
         if matches!(self.state, VmState::Migrating { .. }) {
             rate * MIGRATION_SLOWDOWN
         } else {
@@ -154,45 +152,36 @@ impl Vm {
     /// Brings `progress` up to `now` at the current allocation rate.
     /// The effective progress rate is capped at the job's own demand: a VM
     /// cannot run faster than its job needs.
-    pub fn advance_progress(&mut self, now: SimTime) {
+    pub fn advance_progress(&mut self, job: &Job, now: SimTime) {
         debug_assert!(now >= self.last_update, "progress update went backwards");
         if self.state.is_executing() {
             let dt = now.saturating_since(self.last_update).as_secs_f64();
-            self.progress = (self.progress + self.progress_rate() * dt).min(self.job.total_work());
+            self.progress = (self.progress + self.progress_rate(job) * dt).min(job.total_work());
         }
         self.last_update = now;
     }
 
     /// Work still to do, in cpu%·seconds.
-    pub fn remaining_work(&self) -> f64 {
-        (self.job.total_work() - self.progress).max(0.0)
+    pub fn remaining_work(&self, job: &Job) -> f64 {
+        (job.total_work() - self.progress).max(0.0)
     }
 
     /// True once all work is done.
-    pub fn work_complete(&self) -> bool {
-        self.remaining_work() <= f64::EPSILON * self.job.total_work().max(1.0)
+    pub fn work_complete(&self, job: &Job) -> bool {
+        self.remaining_work(job) <= f64::EPSILON * job.total_work().max(1.0)
     }
 
     /// Seconds until completion at the current allocation, if the VM is
     /// executing and its allocation is positive.
-    pub fn eta_secs(&self) -> Option<f64> {
+    pub fn eta_secs(&self, job: &Job) -> Option<f64> {
         if !self.state.is_executing() {
             return None;
         }
-        let rate = self.progress_rate();
+        let rate = self.progress_rate(job);
         if rate <= 0.0 {
             return None;
         }
-        Some(self.remaining_work() / rate)
-    }
-
-    /// The paper's `T_r(vm)` (§III-A.3): remaining execution time
-    /// *according to the user estimate*, `T_u − t(vm)` — not the simulator's
-    /// ground truth, because the scheduler only knows what the user declared.
-    /// Clamped at zero once the estimate is exhausted.
-    pub fn user_remaining_secs(&self, now: SimTime) -> f64 {
-        let elapsed = now.saturating_since(self.job.submit).as_secs_f64();
-        (self.job.user_estimate.as_secs_f64() - elapsed).max(0.0)
+        Some(self.remaining_work(job) / rate)
     }
 
     /// Projected SLA fulfilment ratio at `now` (§III-A.5): 1.0 when the
@@ -201,16 +190,16 @@ impl Vm {
     /// allocation, yielding fulfilment ≤ deadline/(deadline + nothing) — we
     /// treat "no allocation" as a projection of `2× deadline` (worst case
     /// of the satisfaction metric).
-    pub fn sla_fulfillment(&self, now: SimTime) -> f64 {
-        let deadline = self.job.deadline().as_secs_f64();
+    pub fn sla_fulfillment(&self, job: &Job, now: SimTime) -> f64 {
+        let deadline = job.deadline().as_secs_f64();
         if deadline <= 0.0 {
             return 0.0;
         }
-        let elapsed = now.saturating_since(self.job.submit).as_secs_f64();
-        let projected_total = match self.eta_secs() {
+        let elapsed = now.saturating_since(job.submit).as_secs_f64();
+        let projected_total = match self.eta_secs(job) {
             Some(eta) => elapsed + eta,
             None => {
-                if self.work_complete() {
+                if self.work_complete(job) {
                     elapsed
                 } else {
                     // No progress possible right now: pessimistic projection.
@@ -223,7 +212,7 @@ impl Vm {
 }
 
 /// The tag, the destination for `Migrating`, then the host as an
-/// `Option`: the layout snapshot version 3 pins. Restore rejects a host
+/// `Option`: the layout snapshot version 4 pins. Restore rejects a host
 /// that disagrees with the tag.
 impl Persist for VmState {
     #[inline]
@@ -267,7 +256,6 @@ impl Persist for Vm {
     #[inline]
     fn persist(&self, w: &mut Writer) {
         self.id.persist(w);
-        self.job.persist(w);
         self.requested.persist(w);
         self.state.persist(w);
         w.put_f64(self.progress);
@@ -282,7 +270,6 @@ impl Persist for Vm {
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(Vm {
             id: VmId::restore(r)?,
-            job: Job::restore(r)?,
             requested: Resources::restore(r)?,
             state: VmState::restore(r)?,
             progress: r.get_f64()?,
@@ -303,16 +290,19 @@ mod tests {
     use crate::units::Mem;
     use eards_sim::SimDuration;
 
-    fn vm() -> Vm {
-        let job = Job::new(
+    fn job() -> Job {
+        Job::new(
             JobId(1),
             SimTime::ZERO,
             Cpu(100),
             Mem(1024),
             SimDuration::from_secs(1000),
             1.5,
-        );
-        Vm::for_job(VmId(1), job)
+        )
+    }
+
+    fn vm() -> Vm {
+        Vm::queued(VmId(1), &job())
     }
 
     #[test]
@@ -321,7 +311,7 @@ mod tests {
         assert_eq!(v.state, VmState::Queued);
         assert!(!v.state.operation_in_progress());
         assert!(!v.state.is_executing());
-        assert_eq!(v.remaining_work(), 100_000.0);
+        assert_eq!(v.remaining_work(&job()), 100_000.0);
     }
 
     #[test]
@@ -329,10 +319,10 @@ mod tests {
         let mut v = vm();
         v.state = VmState::Running { host: HostId(1) };
         v.alloc = 50.0; // contended: half demand
-        v.advance_progress(SimTime::from_secs(100));
+        v.advance_progress(&job(), SimTime::from_secs(100));
         assert_eq!(v.progress, 5_000.0);
         // ETA at the current rate: 95_000 / 50 = 1900 s.
-        assert_eq!(v.eta_secs(), Some(1900.0));
+        assert_eq!(v.eta_secs(&job()), Some(1900.0));
     }
 
     #[test]
@@ -340,7 +330,7 @@ mod tests {
         let mut v = vm();
         v.state = VmState::Running { host: HostId(1) };
         v.alloc = 400.0; // host granted more than the job can use
-        v.advance_progress(SimTime::from_secs(10));
+        v.advance_progress(&job(), SimTime::from_secs(10));
         assert_eq!(v.progress, 1_000.0);
     }
 
@@ -348,14 +338,14 @@ mod tests {
     fn no_progress_while_queued_or_creating() {
         let mut v = vm();
         v.alloc = 100.0;
-        v.advance_progress(SimTime::from_secs(50));
+        v.advance_progress(&job(), SimTime::from_secs(50));
         assert_eq!(v.progress, 0.0);
         v.state = VmState::Creating { host: HostId(1) };
-        v.advance_progress(SimTime::from_secs(80));
+        v.advance_progress(&job(), SimTime::from_secs(80));
         assert_eq!(v.progress, 0.0);
         // ...but the clock is tracked so later accrual starts from here.
         v.state = VmState::Running { host: HostId(1) };
-        v.advance_progress(SimTime::from_secs(90));
+        v.advance_progress(&job(), SimTime::from_secs(90));
         assert_eq!(v.progress, 1_000.0);
     }
 
@@ -369,15 +359,15 @@ mod tests {
         assert!(v.state.operation_in_progress());
         assert!(v.state.is_executing());
         v.alloc = 100.0;
-        v.advance_progress(SimTime::from_secs(30));
+        v.advance_progress(&job(), SimTime::from_secs(30));
         assert!(
             (v.progress - 3_000.0 * MIGRATION_SLOWDOWN).abs() < 1e-9,
             "live migration degrades the guest: {}",
             v.progress
         );
         assert_eq!(
-            v.eta_secs(),
-            Some(v.remaining_work() / (100.0 * MIGRATION_SLOWDOWN))
+            v.eta_secs(&job()),
+            Some(v.remaining_work(&job()) / (100.0 * MIGRATION_SLOWDOWN))
         );
     }
 
@@ -386,36 +376,27 @@ mod tests {
         let mut v = vm();
         v.state = VmState::Running { host: HostId(1) };
         v.alloc = 100.0;
-        v.advance_progress(SimTime::from_secs(2000)); // double the needed time
-        assert!(v.work_complete());
+        v.advance_progress(&job(), SimTime::from_secs(2000)); // double the needed time
+        assert!(v.work_complete(&job()));
         assert_eq!(v.progress, 100_000.0);
-        assert_eq!(v.remaining_work(), 0.0);
-    }
-
-    #[test]
-    fn user_remaining_follows_estimate_not_truth() {
-        let mut v = vm();
-        v.state = VmState::Running { host: HostId(1) };
-        v.alloc = 0.0; // no actual progress
-        assert_eq!(v.user_remaining_secs(SimTime::from_secs(400)), 600.0);
-        assert_eq!(v.user_remaining_secs(SimTime::from_secs(5000)), 0.0);
+        assert_eq!(v.remaining_work(&job()), 0.0);
     }
 
     #[test]
     fn sla_fulfillment_bands() {
         let mut v = vm();
         // Queued with no allocation: pessimistic projection 2×deadline ⇒ 0.5.
-        assert!((v.sla_fulfillment(SimTime::from_secs(10)) - 0.5).abs() < 1e-9);
+        assert!((v.sla_fulfillment(&job(), SimTime::from_secs(10)) - 0.5).abs() < 1e-9);
 
         // Running at full demand from t=0: projection = 1000 s < 1500 s
         // deadline ⇒ fulfilment 1.
         v.state = VmState::Running { host: HostId(1) };
         v.alloc = 100.0;
-        assert_eq!(v.sla_fulfillment(SimTime::ZERO), 1.0);
+        assert_eq!(v.sla_fulfillment(&job(), SimTime::ZERO), 1.0);
 
         // Running at half rate: projection 2000 s > 1500 ⇒ 0.75.
         v.alloc = 50.0;
-        assert!((v.sla_fulfillment(SimTime::ZERO) - 0.75).abs() < 1e-9);
+        assert!((v.sla_fulfillment(&job(), SimTime::ZERO) - 0.75).abs() < 1e-9);
     }
 
     #[test]
@@ -423,6 +404,6 @@ mod tests {
         let mut v = vm();
         v.state = VmState::Running { host: HostId(1) };
         v.alloc = 0.0;
-        assert_eq!(v.eta_secs(), None);
+        assert_eq!(v.eta_secs(&job()), None);
     }
 }

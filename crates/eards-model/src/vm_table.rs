@@ -18,7 +18,7 @@ use eards_sim::{Persist, PersistError, Reader, Writer};
 use crate::ids::VmId;
 use crate::vm::Vm;
 
-/// VMs per chunk (about 47 KiB of `Vm`s, below the allocator's
+/// VMs per chunk (about 26 KiB of `Vm`s, below the allocator's
 /// default `mmap` threshold).
 const CHUNK: usize = 256;
 
@@ -128,7 +128,7 @@ mod tests {
             SimDuration::from_secs(60),
             1.5,
         );
-        Vm::for_job(VmId(id), job)
+        Vm::queued(VmId(id), &job)
     }
 
     fn table(n: u64) -> VmTable {

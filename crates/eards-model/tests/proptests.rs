@@ -276,12 +276,11 @@ proptest! {
                     cluster.persist(&mut w);
                     let bytes = w.into_bytes().expect("small cluster fits the budget");
                     let mut r = Reader::new(&bytes);
-                    let back = Cluster::restore(&mut r).expect("round trip");
+                    cluster.restore_world(&mut r).expect("round trip");
                     r.finish().expect("fully consumed");
                     let mut again = Writer::default();
-                    back.persist(&mut again);
+                    cluster.persist(&mut again);
                     prop_assert_eq!(again.into_bytes().expect("same size"), bytes);
-                    cluster = back;
                 }
             }
             cluster.check_invariants();
@@ -539,7 +538,7 @@ proptest! {
                     let mut w = Writer::default();
                     cluster.persist(&mut w);
                     let bytes = w.into_bytes().expect("small cluster fits the budget");
-                    cluster = Cluster::restore(&mut Reader::new(&bytes)).expect("round trip");
+                    cluster.restore_world(&mut Reader::new(&bytes)).expect("round trip");
                     prop_assert_eq!(cluster.dirty_hosts().len(), N as usize, "a restored cluster is all dirty");
                 }
             }

@@ -56,11 +56,11 @@ impl<'a> Planner<'a> {
     /// Relaxed feasibility including the plan (memory only).
     pub fn can_place_overcommitted(&self, host: HostId, vm: VmId) -> bool {
         let h = self.cluster.host(host);
-        let v = self.cluster.vm(vm);
-        if !h.power.is_ready() || !h.spec.satisfies(&v.job.requirements) {
+        if !h.power.is_ready() || !h.spec.satisfies(&self.cluster.job(vm).requirements) {
             return false;
         }
-        self.effective_committed(host).mem + v.requested.mem <= h.spec.capacity().mem
+        self.effective_committed(host).mem + self.cluster.vm(vm).requested.mem
+            <= h.spec.capacity().mem
     }
 
     /// Records a tentative placement of `vm` onto `host`.

@@ -49,7 +49,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"EARDSNAP";
 /// v3: the score-based scheduler's policy block gained the shard
 /// round-robin cursor (the queue-assignment state of the sharded
 /// hierarchical solver), so v2 policy blocks no longer decode.
-pub const SNAPSHOT_VERSION: u8 = 3;
+///
+/// v4: snapshots carry no job data. VM records lost their job copy, the
+/// runner's job outcomes gave way to its completion order (VM ids), and
+/// the runner header checks a digest of the trace instead of its length.
+pub const SNAPSHOT_VERSION: u8 = 4;
 
 /// A type whose canonical state can be written to and rebuilt from the
 /// snapshot codec.

@@ -1,12 +1,15 @@
 //! Workload traces: ordered job arrival sequences plus summary statistics.
 
-use eards_model::Job;
+use eards_model::{Job, Requirements};
 use eards_sim::{SimDuration, SimTime};
 
 /// A workload trace: jobs ordered by submission time.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     jobs: Vec<Job>,
+    /// [`Trace::digest`], computed once by [`Trace::new`]. An empty list
+    /// hashes to 0, so the derived `Default` agrees.
+    digest: u64,
 }
 
 /// Aggregate statistics of a trace, for sanity checks and reporting.
@@ -31,7 +34,14 @@ impl Trace {
     /// keep their relative order).
     pub fn new(mut jobs: Vec<Job>) -> Self {
         jobs.sort_by_key(|j| j.submit);
-        Trace { jobs }
+        let digest = digest(&jobs);
+        Trace { jobs, digest }
+    }
+
+    /// A 64-bit digest of every field of every job, in trace order. A
+    /// snapshot records it, so restoring onto a different trace fails.
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// The jobs, ordered by submit time.
@@ -91,6 +101,51 @@ impl Trace {
     }
 }
 
+/// Hashes every field of every job. A job's fields pack losslessly into
+/// eight words that fold into one as `Σ wordᵢ · Kᵢ` with odd `Kᵢ`, and
+/// the jobs chain through FNV-1a steps. Both are bijections modulo 2⁶⁴,
+/// so lists that differ in one field always get different digests. The
+/// products are independent, so the fold runs at multiply throughput.
+fn digest(jobs: &[Job]) -> u64 {
+    jobs.iter().fold(0, |h, job| {
+        // Destructured, so a new job field fails to compile here.
+        let Job {
+            id,
+            submit,
+            cpu,
+            mem,
+            dedicated,
+            user_estimate,
+            deadline_factor,
+            requirements,
+            fault_tolerance,
+        } = job;
+        let Requirements {
+            arch,
+            hypervisor,
+            min_host_cpus,
+        } = requirements;
+        let tag = |t: Option<u64>| t.map_or(0, |t| t + 1);
+        let words = [
+            id.raw(),
+            submit.as_millis(),
+            u64::from(cpu.0) | u64::from(mem.0) << 32,
+            dedicated.as_millis(),
+            user_estimate.as_millis(),
+            deadline_factor.to_bits(),
+            tag(arch.map(|a| a as u64))
+                | tag(hypervisor.map(|v| v as u64)) << 8
+                | u64::from(*min_host_cpus) << 32,
+            fault_tolerance.to_bits(),
+        ];
+        let word = (0..).zip(words).fold(0u64, |acc, (i, w)| {
+            let k = 0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(2 * i + 1);
+            acc.wrapping_add(w.wrapping_mul(k))
+        });
+        (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,6 +180,34 @@ mod tests {
         assert!((s.avg_offered_cores - 1.0).abs() < 1e-9);
         assert_eq!(s.mean_runtime_secs, 2700.0);
         assert_eq!(s.max_cpu_demand, 200);
+    }
+
+    #[test]
+    fn digest_covers_every_job_field() {
+        use eards_model::{Arch, Hypervisor};
+        let base = vec![job(1, 0, 100, 3600), job(2, 60, 200, 1800)];
+        let d = Trace::new(base.clone()).digest();
+        assert_eq!(Trace::new(base.clone()).digest(), d);
+        let edits: [fn(&mut Job); 11] = [
+            |j| j.id = JobId(9),
+            |j| j.submit = SimTime::from_secs(30),
+            |j| j.cpu = Cpu(300),
+            |j| j.mem = Mem::gib(2),
+            |j| j.dedicated = SimDuration::from_secs(1801),
+            |j| j.user_estimate = SimDuration::from_secs(1900),
+            |j| j.deadline_factor = 1.25,
+            |j| j.requirements.arch = Some(Arch::X86_64),
+            |j| j.requirements.hypervisor = Some(Hypervisor::Kvm),
+            |j| j.requirements.min_host_cpus = 2,
+            |j| j.fault_tolerance = 0.5,
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut jobs = base.clone();
+            edit(&mut jobs[1]);
+            assert_ne!(Trace::new(jobs).digest(), d, "edit {i}");
+        }
+        assert_eq!(Trace::default().digest(), Trace::new(vec![]).digest());
+        assert_ne!(Trace::default().digest(), d);
     }
 
     #[test]

@@ -54,6 +54,46 @@ fn log_is_time_ordered_and_counts_match_report() {
     );
 }
 
+/// `report.jobs` lists the jobs of the `JobCompleted` records in log
+/// order, then the jobs still unfinished at the horizon in id order.
+#[test]
+fn report_jobs_follow_the_completion_log_then_id_order() {
+    let hosts = eards::datacenter::small_datacenter(6, HostClass::Medium);
+    let trace = eards::workload::generate(
+        &SynthConfig {
+            span: SimDuration::from_hours(6),
+            ..SynthConfig::grid5000_week()
+        },
+        5,
+    );
+    let job_ids: Vec<u64> = trace.jobs().iter().map(|j| j.id.raw()).collect();
+    let cfg = RunConfig {
+        audit: true,
+        drain_limit: SimDuration::from_mins(30),
+        ..RunConfig::default()
+    };
+    let policy = Box::new(ScoreScheduler::new(ScoreConfig::sb()));
+    let (report, audit) = Runner::new(hosts, trace, policy, cfg).run_audited();
+
+    let (mut completed, mut admitted) = (Vec::new(), 0);
+    for e in &audit {
+        match e.kind {
+            AuditKind::JobArrived { .. } => admitted += 1, // VmId(n) is the n-th arrival
+            AuditKind::JobCompleted { vm, .. } => completed.push(vm.raw() as usize),
+            _ => {}
+        }
+    }
+    let mut expected: Vec<usize> = completed.clone();
+    expected.extend((0..admitted).filter(|vm| !completed.contains(vm)));
+    assert!(
+        completed.windows(2).any(|w| w[0] > w[1]) && expected.len() > completed.len(),
+        "the run must finish jobs out of id order and leave some unfinished"
+    );
+    let got: Vec<u64> = report.jobs.iter().map(|j| j.job_id).collect();
+    let expected: Vec<u64> = expected.iter().map(|&vm| job_ids[vm]).collect();
+    assert_eq!(got, expected);
+}
+
 #[test]
 fn every_vm_follows_the_lifecycle_protocol() {
     let (_, audit) = audited_run(6, true);
