@@ -3,7 +3,7 @@
 //! completion-event rescheduling, same-timestamp bursts).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eards_sim::{EventQueue, SimRng, SimTime, Simulator};
+use eards_sim::{EventQueue, SimDuration, SimRng, SimTime};
 
 fn bench_schedule_pop(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue/schedule_pop");
@@ -57,16 +57,17 @@ fn bench_cancel_heavy(c: &mut Criterion) {
 }
 
 fn bench_simulator_loop(c: &mut Criterion) {
-    // A self-perpetuating event chain through the full Simulator API.
+    // A self-perpetuating event chain, driven the way the runner drives
+    // its queue: pop the next event, schedule its successor.
     c.bench_function("event_queue/simulator_hot_loop", |b| {
         b.iter(|| {
-            let mut sim: Simulator<u64> = Simulator::new();
-            sim.schedule_at(SimTime::from_millis(1), 0);
+            let mut q: EventQueue<u64> = EventQueue::new();
+            q.schedule(SimTime::from_millis(1), 0);
             let mut acc = 0u64;
-            while let Some((_, _, v)) = sim.step() {
+            while let Some((now, _, v)) = q.pop() {
                 acc = acc.wrapping_add(v);
                 if v < 50_000 {
-                    sim.schedule_after(eards_sim::SimDuration::from_millis(1), v + 1);
+                    q.schedule(now + SimDuration::from_millis(1), v + 1);
                 }
             }
             acc

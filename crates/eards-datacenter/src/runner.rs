@@ -25,8 +25,8 @@ use eards_model::{
 };
 use eards_obs::{HistId, Obs};
 use eards_sim::{
-    read_header, write_header, EventHandle, IntBuildHasher, Persist, PersistError, Reader,
-    SimDuration, SimRng, SimTime, Simulator, Writer,
+    read_header, write_header, EventHandle, EventQueue, IntBuildHasher, Persist, PersistError,
+    Reader, SimDuration, SimRng, SimTime, Writer,
 };
 use eards_workload::Trace;
 
@@ -35,12 +35,10 @@ use crate::config::RunConfig;
 use crate::faults::FaultEngine;
 use crate::invariants::InvariantAuditor;
 
-/// Events of the datacenter simulation.
+/// Queued events of the datacenter simulation. Job arrivals are not
+/// queued: the job table is the arrival schedule (see `Runner::seq0`).
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    /// The next job of the trace arrives. Arrivals pop in trace order
-    /// (by submit time, then push order), so job `n` becomes `VmId(n)`.
-    JobArrival,
     /// A VM creation finishes. The `u64` is the operation sequence number
     /// (see [`eards_model::InFlightOp::seq`]) proving the event belongs to
     /// the *live* operation — a completion timestamp cannot do that,
@@ -90,12 +88,12 @@ enum Event {
 
 /// Canonical state: the pending-event payloads of a mid-flight run. Every
 /// variant gets a stable tag byte; adding a variant appends a tag (and
-/// bumps [`eards_sim::SNAPSHOT_VERSION`] if an existing tag moves).
+/// bumps [`eards_sim::SNAPSHOT_VERSION`] if an existing tag moves). Tag 0
+/// is retired: it was the queued job arrival, and restore rejects it.
 impl Persist for Event {
     #[inline]
     fn persist(&self, w: &mut Writer) {
         match *self {
-            Event::JobArrival => w.put_u8(0),
             Event::CreationDone(vm, seq) => {
                 w.put_u8(1);
                 vm.persist(w);
@@ -167,7 +165,6 @@ impl Persist for Event {
     #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(match r.get_u8()? {
-            0 => Event::JobArrival,
             1 => Event::CreationDone(VmId::restore(r)?, r.get_u64()?),
             2 => Event::MigrationDone(VmId::restore(r)?, r.get_u64()?),
             3 => Event::CheckpointDone(VmId::restore(r)?, r.get_u64()?),
@@ -214,7 +211,15 @@ pub struct Runner {
     trace_digest: u64,
     label: String,
 
-    sim: Simulator<Event>,
+    /// The instant of the batch being (or last) processed.
+    now: SimTime,
+    queue: EventQueue<Event>,
+    /// The arrivals' place in the queue's `(time, handle)` order: the
+    /// queue's next handle once [`Runner::start`] has armed the initial
+    /// fault timers. The next job (`cluster.num_vms()`) sorts as
+    /// `(submit, seq0)`, so a timer armed before it wins a tie with an
+    /// arrival, and every later one loses it.
+    seq0: EventHandle,
     rng: SimRng,
     // lint:allow(D001): keyed removal/insertion only, never iterated
     completion: HashMap<VmId, EventHandle, IntBuildHasher>,
@@ -283,7 +288,7 @@ pub struct Runner {
     /// Pre-registered histogram of retry-backoff depths (attempt counts).
     retry_hist: HistId,
     /// True once [`Runner::start`] has armed the t = 0 world (initial
-    /// power-on, arrival schedule, periodic timers). Part of the snapshot:
+    /// power-on, `seq0`, periodic timers). Part of the snapshot:
     /// a resumed run must not re-run the setup.
     started: bool,
 }
@@ -349,6 +354,7 @@ impl Runner {
         let queue_hist = obs.histogram("queue_len", &[1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0]);
         let retry_hist = obs.histogram("retry_backoff_depth", &[1.0, 2.0, 3.0, 4.0, 6.0, 10.0]);
         let trace_digest = trace.digest();
+        let queue = EventQueue::new();
         Runner {
             cluster: Cluster::with_jobs(hosts, PowerState::Off, trace.into_jobs()),
             policy,
@@ -356,7 +362,9 @@ impl Runner {
             model,
             trace_digest,
             label,
-            sim: Simulator::new(),
+            now: SimTime::ZERO,
+            seq0: queue.next_handle(),
+            queue,
             rng,
             completion: HashMap::default(),
             failure_timer: BTreeMap::new(),
@@ -423,7 +431,7 @@ impl Runner {
 
     /// Current simulated time (the instant of the last processed batch).
     pub fn now(&self) -> SimTime {
-        self.sim.now()
+        self.now
     }
 
     /// Progress of the run so far — a cheap read a driver can poll
@@ -431,7 +439,7 @@ impl Runner {
     /// supervisor).
     pub fn progress(&self) -> RunProgress {
         RunProgress {
-            now: self.sim.now(),
+            now: self.now,
             horizon: self.hard_cap(),
             jobs_done: self.completed.len(),
             jobs_total: self.cluster.jobs().len(),
@@ -462,8 +470,9 @@ impl Runner {
         last_arrival + self.cfg.drain_limit
     }
 
-    /// Arms the t = 0 world: initial power-on, the arrival schedule and
-    /// the periodic timers. Idempotent — a restored runner skips it.
+    /// Arms the t = 0 world: initial power-on, the arrivals' place in the
+    /// event order (`seq0`) and the periodic timers. Idempotent — a
+    /// restored runner skips it.
     fn start(&mut self) {
         if self.started {
             return;
@@ -488,28 +497,24 @@ impl Runner {
         // strike whatever happens to be powered when it fires.
         for r in 0..self.faults.num_racks() {
             if let Some(dt) = self.faults.time_to_rack_outage(r) {
-                self.sim.schedule_after(dt, Event::RackOutage(r));
+                self.schedule_after(dt, Event::RackOutage(r));
             }
         }
 
-        for job in self.cluster.jobs() {
-            self.sim.schedule_at(job.submit, Event::JobArrival);
-        }
-        self.sim
-            .schedule_after(self.cfg.sla_check_period, Event::SlaCheck);
+        self.seq0 = self.queue.next_handle();
+        self.schedule_after(self.cfg.sla_check_period, Event::SlaCheck);
         if let Some(p) = self.cfg.consolidation_period {
-            self.sim.schedule_after(p, Event::ConsolidationTick);
+            self.schedule_after(p, Event::ConsolidationTick);
         }
         self.lambda_min = self.cfg.lambda_min;
         if let Some(al) = &self.cfg.adaptive_lambda {
             self.lambda_min = self
                 .lambda_min
                 .clamp(al.lambda_min_bounds.0, al.lambda_min_bounds.1);
-            self.sim
-                .schedule_after(al.adjust_period, Event::LambdaAdjust);
+            self.schedule_after(al.adjust_period, Event::LambdaAdjust);
         }
         if let Some(p) = self.cfg.checkpoint_period {
-            self.sim.schedule_after(p, Event::CheckpointTick);
+            self.schedule_after(p, Event::CheckpointTick);
         }
         self.record_metrics();
     }
@@ -531,21 +536,13 @@ impl Runner {
         }
         self.start();
         let hard_cap = self.hard_cap();
-        let Some((now, _, event)) = self.sim.step_before(hard_cap) else {
+        let Some((now, mut dirty)) = self.fire_next(|at| at < hard_cap) else {
             return false;
         };
-        // Keep the earliest scheduling reason of the batch.
-        let mut dirty = self.handle(now, event);
-        // Batch all events of this instant before scheduling/metrics.
-        while self.sim.peek_time() == Some(now) {
-            let (_, _, event) = self
-                .sim
-                .step_before(hard_cap)
-                // lint:allow(P001): peek_time just proved an event exists here
-                .expect("peeked event at the current instant");
-            if let Some(reason) = self.handle(now, event) {
-                dirty = dirty.or(Some(reason));
-            }
+        // Batch all events of this instant before scheduling/metrics,
+        // keeping the earliest scheduling reason of the batch.
+        while let Some((_, reason)) = self.fire_next(|at| at == now) {
+            dirty = dirty.or(reason);
         }
         if let Some(reason) = dirty {
             self.schedule_round(now, reason);
@@ -557,18 +554,73 @@ impl Runner {
         !self.finished()
     }
 
+    /// Handles the next occurrence if `fires` accepts its instant, and
+    /// returns that instant with the scheduling-round reason it raises.
+    /// The occurrence is the trace's next job or the queue's top event,
+    /// whichever sorts first on `(time, handle)`. The job sorts as
+    /// `(submit, seq0)`, so the order is the one a queue holding every
+    /// arrival from the start would pop.
+    fn fire_next(
+        &mut self,
+        fires: impl Fn(SimTime) -> bool,
+    ) -> Option<(SimTime, Option<ScheduleReason>)> {
+        let arrival = self
+            .cluster
+            .jobs()
+            .get(self.cluster.num_vms())
+            .map(|job| (job.submit, self.seq0));
+        let top = self.queue.peek();
+        match (arrival, top) {
+            (Some(key @ (at, _)), _) if top.is_none_or(|top| key <= top) => {
+                if !fires(at) {
+                    return None;
+                }
+                self.now = at;
+                let vm = self.cluster.admit_next();
+                self.note(at, AuditKind::JobArrived { vm });
+                Some((at, Some(ScheduleReason::VmArrived)))
+            }
+            (_, Some((at, _))) if fires(at) => {
+                let (at, _, event) = self.queue.pop()?;
+                self.now = at;
+                Some((at, self.handle(at, event)))
+            }
+            _ => None,
+        }
+    }
+
+    /// Schedules `event` at `at`.
+    ///
+    /// # Panics
+    /// Panics if `at` is before the current instant: a causality violation
+    /// that would silently corrupt every time-integrated statistic.
+    fn schedule_at(&mut self, at: SimTime, event: Event) -> EventHandle {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: now = {}, requested = {at}",
+            self.now
+        );
+        self.queue.schedule(at, event)
+    }
+
+    /// Schedules `event` `delay` after the current instant.
+    fn schedule_after(&mut self, delay: SimDuration, event: Event) -> EventHandle {
+        self.queue.schedule(self.now + delay, event)
+    }
+
     /// Closes the books after the last [`Runner::step_batch`] and returns
     /// the report plus the audit log.
     pub fn finish(mut self) -> (RunReport, Vec<AuditEvent>) {
-        let end = self.sim.now();
+        let end = self.now;
         let audit = std::mem::take(&mut self.audit);
         (self.finalize(end), audit)
     }
 
     // ----- snapshot / restore ----------------------------------------------
     //
-    // Canonical vs. rebuilt state. Serialized: the engine (clock, event
-    // queue with live handles, RNG), the cluster without its job table,
+    // Canonical vs. rebuilt state. Serialized: the clock, the arrivals'
+    // handle `seq0`, the event queue with live handles, the RNG, the
+    // cluster without its job table (which is also the arrival schedule),
     // the fault engine's RNG stream positions, the retry/backoff and
     // blacklist bookkeeping, every accumulated metric, the completion
     // order (VM ids), and a policy-private block. Rebuilt on restore from
@@ -640,7 +692,9 @@ impl Runner {
         w.put_u64(self.trace_digest);
         w.put_u64(self.cfg.seed);
 
-        self.sim.persist(w);
+        self.now.persist(w);
+        self.seq0.persist(w);
+        self.queue.persist(w);
         self.rng.persist(w);
         // HashMaps are serialized as key-sorted pair lists so the byte
         // stream never depends on hasher state.
@@ -714,7 +768,16 @@ impl Runner {
             )));
         }
 
-        self.sim = Simulator::restore(r)?;
+        self.now = SimTime::restore(r)?;
+        self.seq0 = EventHandle::restore(r)?;
+        self.queue = EventQueue::restore(r)?;
+        if self.seq0 > self.queue.next_handle() {
+            return Err(PersistError::Corrupt(format!(
+                "arrival handle {:?} beyond the queue's next handle {:?}",
+                self.seq0,
+                self.queue.next_handle()
+            )));
+        }
         self.rng = SimRng::restore(r)?;
         self.completion = Vec::<(VmId, EventHandle)>::restore(r)?
             .into_iter()
@@ -767,11 +830,6 @@ impl Runner {
     /// Handles one event; returns the scheduling-round reason it raises.
     fn handle(&mut self, now: SimTime, event: Event) -> Option<ScheduleReason> {
         match event {
-            Event::JobArrival => {
-                let vm = self.cluster.admit_next();
-                self.note(now, AuditKind::JobArrived { vm });
-                Some(ScheduleReason::VmArrived)
-            }
             Event::CreationDone(vm, seq) => {
                 let VmState::Creating { host } = self.cluster.vm(vm).state else {
                     return None; // host failed mid-creation; VM re-queued
@@ -931,7 +989,7 @@ impl Runner {
                 self.cluster.set_cpu_factor(h, factor);
                 self.note(now, AuditKind::SlowdownStarted { host: h, factor });
                 self.fstats.slowdown_episodes += 1;
-                let handle = self.sim.schedule_after(duration, Event::SlowdownEnd(h));
+                let handle = self.schedule_after(duration, Event::SlowdownEnd(h));
                 self.slowdown_timer.insert(h, handle);
                 self.touch(h, now);
                 Some(ScheduleReason::HostStateChanged)
@@ -969,7 +1027,7 @@ impl Runner {
                 }
                 // Re-arm: the rack can fail again later.
                 if let Some(dt) = self.faults.time_to_rack_outage(r) {
-                    self.sim.schedule_after(dt, Event::RackOutage(r));
+                    self.schedule_after(dt, Event::RackOutage(r));
                 }
                 (failed > 0).then_some(ScheduleReason::HostStateChanged)
             }
@@ -1008,8 +1066,7 @@ impl Runner {
                 }
                 self.sla_scratch = running;
                 if !self.finished() {
-                    self.sim
-                        .schedule_after(self.cfg.sla_check_period, Event::SlaCheck);
+                    self.schedule_after(self.cfg.sla_check_period, Event::SlaCheck);
                 }
                 // Periodic release guard: without this, a run whose
                 // blacklist cleared between repairs could strand parked
@@ -1021,7 +1078,7 @@ impl Runner {
             }
             Event::ConsolidationTick => {
                 if let (Some(p), false) = (self.cfg.consolidation_period, self.finished()) {
-                    self.sim.schedule_after(p, Event::ConsolidationTick);
+                    self.schedule_after(p, Event::ConsolidationTick);
                 }
                 let released = self.try_release_parked(now);
                 self.policy
@@ -1055,8 +1112,7 @@ impl Runner {
                     self.sat_window = eards_metrics::Summary::new();
                 }
                 if !self.finished() {
-                    self.sim
-                        .schedule_after(al.adjust_period, Event::LambdaAdjust);
+                    self.schedule_after(al.adjust_period, Event::LambdaAdjust);
                 }
                 None
             }
@@ -1074,11 +1130,11 @@ impl Runner {
                 for (vm, host) in eligible {
                     let ends = now + self.cfg.checkpoint_duration;
                     let seq = self.cluster.start_checkpoint(vm, now, ends);
-                    self.sim.schedule_at(ends, Event::CheckpointDone(vm, seq));
+                    self.schedule_at(ends, Event::CheckpointDone(vm, seq));
                     self.touch(host, now);
                 }
                 if let (Some(p), false) = (self.cfg.checkpoint_period, self.finished()) {
-                    self.sim.schedule_after(p, Event::CheckpointTick);
+                    self.schedule_after(p, Event::CheckpointTick);
                 }
                 None
             }
@@ -1124,11 +1180,10 @@ impl Runner {
                     match doomed {
                         Some(frac) => {
                             let abort_at = now + dur.mul_f64(frac);
-                            self.sim
-                                .schedule_at(abort_at, Event::CreationAborted(vm, seq));
+                            self.schedule_at(abort_at, Event::CreationAborted(vm, seq));
                         }
                         None => {
-                            self.sim.schedule_at(ends, Event::CreationDone(vm, seq));
+                            self.schedule_at(ends, Event::CreationDone(vm, seq));
                         }
                     }
                     self.touch(host, now);
@@ -1159,11 +1214,10 @@ impl Runner {
                     match doomed {
                         Some(frac) => {
                             let abort_at = now + dur.mul_f64(frac);
-                            self.sim
-                                .schedule_at(abort_at, Event::MigrationAborted(vm, seq));
+                            self.schedule_at(abort_at, Event::MigrationAborted(vm, seq));
                         }
                         None => {
-                            self.sim.schedule_at(ends, Event::MigrationDone(vm, seq));
+                            self.schedule_at(ends, Event::MigrationDone(vm, seq));
                         }
                     }
                     self.touch(from, now);
@@ -1240,7 +1294,7 @@ impl Runner {
             };
             let ready_at = self.cluster.begin_power_on(pick, now);
             self.note(now, AuditKind::HostPoweringOn { host: pick });
-            self.sim.schedule_at(ready_at, Event::BootDone(pick));
+            self.schedule_at(ready_at, Event::BootDone(pick));
             // A booting host counts as online, so the ratio falls and the
             // loop converges; the stuck-queue rule boots at most one.
             if queue_stuck && ratio <= self.cfg.lambda_max {
@@ -1286,7 +1340,7 @@ impl Runner {
             self.cancel_fault_timers(pick);
             let off_at = self.cluster.begin_power_off(pick, now);
             self.note(now, AuditKind::HostPoweringOff { host: pick });
-            self.sim.schedule_at(off_at, Event::ShutdownDone(pick));
+            self.schedule_at(off_at, Event::ShutdownDone(pick));
         }
         self.power_scratch = candidates;
     }
@@ -1316,7 +1370,7 @@ impl Runner {
     fn arm_failure(&mut self, h: HostId) {
         let rel = self.cluster.host(h).spec.reliability;
         if let Some(ttf) = self.faults.time_to_crash(h.raw() as usize, rel) {
-            let handle = self.sim.schedule_after(ttf, Event::HostFailure(h));
+            let handle = self.schedule_after(ttf, Event::HostFailure(h));
             self.failure_timer.insert(h, handle);
         }
     }
@@ -1325,7 +1379,7 @@ impl Runner {
     /// whose episode just ended).
     fn arm_slowdown(&mut self, h: HostId) {
         if let Some(dt) = self.faults.time_to_slowdown(h.raw() as usize) {
-            let handle = self.sim.schedule_after(dt, Event::SlowdownStart(h));
+            let handle = self.schedule_after(dt, Event::SlowdownStart(h));
             self.slowdown_timer.insert(h, handle);
         }
     }
@@ -1336,10 +1390,10 @@ impl Runner {
     /// on an already-off host would corrupt the power accounting.
     fn cancel_fault_timers(&mut self, h: HostId) {
         if let Some(handle) = self.failure_timer.remove(&h) {
-            self.sim.cancel(handle);
+            self.queue.cancel(handle);
         }
         if let Some(handle) = self.slowdown_timer.remove(&h) {
-            self.sim.cancel(handle);
+            self.queue.cancel(handle);
         }
         if self.cluster.host(h).cpu_factor != 1.0 {
             self.cluster.set_cpu_factor(h, 1.0);
@@ -1354,8 +1408,7 @@ impl Runner {
         self.cluster.fail_boot(h);
         self.note(now, AuditKind::BootFailed { host: h });
         self.fstats.boot_failures += 1;
-        self.sim
-            .schedule_after(repair_after, Event::HostRepaired(h));
+        self.schedule_after(repair_after, Event::HostRepaired(h));
     }
 
     /// Crashes an `On` host: displaces its VMs back to the queue, counts
@@ -1397,8 +1450,7 @@ impl Runner {
                 },
             );
         }
-        self.sim
-            .schedule_after(repair_after, Event::HostRepaired(h));
+        self.schedule_after(repair_after, Event::HostRepaired(h));
     }
 
     /// Bumps a VM's retry ladder after a failed creation/migration and
@@ -1435,7 +1487,7 @@ impl Runner {
         entry.eligible = now + backoff;
         self.fstats.retries_delayed += 1;
         self.obs.observe(self.retry_hist, f64::from(attempts));
-        self.sim.schedule_after(backoff, Event::RetryRelease(vm));
+        self.schedule_after(backoff, Event::RetryRelease(vm));
     }
 
     /// Releases every parked VM back into admission once no host is
@@ -1557,7 +1609,7 @@ impl Runner {
             // +1 ms guards against the fixed-point floor leaving a sliver
             // of work at the projected instant.
             let at = now + SimDuration::from_secs_f64(eta) + SimDuration::from_millis(1);
-            let handle = self.sim.schedule_at(at, Event::JobCompletion(vm));
+            let handle = self.schedule_at(at, Event::JobCompletion(vm));
             self.completion.insert(vm, handle);
         }
     }
@@ -1565,7 +1617,7 @@ impl Runner {
     /// Cancels the VM's pending completion projection, if any.
     fn cancel_completion(&mut self, vm: VmId) {
         if let Some(handle) = self.completion.remove(&vm) {
-            self.sim.cancel(handle);
+            self.queue.cancel(handle);
         }
     }
 
@@ -1597,7 +1649,7 @@ impl Runner {
         let (v, job) = (self.cluster.vm(vm), self.cluster.job(vm));
         let completed = v.completed_at;
         let deadline = job.deadline();
-        let end = completed.unwrap_or(self.sim.now());
+        let end = completed.unwrap_or(self.now);
         let exec = end.saturating_since(job.submit);
         // Requested-CPU residency: how long the VM held its share.
         let residency_start = v.started_at.unwrap_or(end);
@@ -1643,7 +1695,7 @@ impl Runner {
     /// Samples power and host counts at the current instant. Only the
     /// hosts changed since the last batch closed are re-drawn.
     fn record_metrics(&mut self) {
-        let now = self.sim.now();
+        let now = self.now;
         for &h in self.cluster.dirty_hosts() {
             self.draws[h.raw() as usize] = self.cluster.host_power(h, self.model.as_ref());
         }
@@ -1743,6 +1795,16 @@ mod seq_guard_tests {
             r.cluster.complete_power_on(h);
         }
         r
+    }
+
+    /// Scheduling before the current instant is a causality violation and
+    /// panics instead of corrupting the time-integrated statistics.
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn scheduling_into_the_past_panics() {
+        let mut r = runner_with_two_hosts();
+        r.now = t(10);
+        r.schedule_at(t(3), Event::SlaCheck);
     }
 
     /// The abort-and-done-same-tick collision: a creation on host 0 is

@@ -125,8 +125,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// The snapshot format is a contract: checkpoints written by earlier
 /// builds must restore. The mid-flight snapshot is pinned by length and
 /// hash; a deliberate format change updates both and says why.
-const PINNED_LEN: usize = 3_662;
-const PINNED_FNV: u64 = 16_129_579_122_486_319;
+const PINNED_LEN: usize = 1_707;
+const PINNED_FNV: u64 = 16_762_694_417_780_796_786;
 
 #[test]
 fn snapshot_bytes_match_the_pinned_format() {
@@ -262,16 +262,55 @@ fn completion_order_that_disagrees_with_the_cluster_is_corrupt() {
     }
 }
 
-/// Bytes written under snapshot version 3 get a typed version error.
+/// Bytes written under snapshot versions 3 and 4 get a typed version
+/// error.
 #[test]
 fn version_3_snapshots_are_unsupported() {
-    let mut bytes = baseline_snapshot();
-    bytes[8] = 3;
+    for version in [3, 4] {
+        let mut bytes = baseline_snapshot();
+        bytes[8] = version;
+        let (_, trace) = world();
+        assert!(matches!(
+            restore_onto(trace, &bytes),
+            Err(PersistError::UnsupportedVersion(v)) if v == version
+        ));
+    }
+}
+
+/// Job arrivals are not queued: the job table is the arrival schedule, so
+/// the retired arrival tag 0 in the event list is corrupt. (While arrivals
+/// were queued, one forged extra arrival restored and then panicked,
+/// admitting a job past the end of the table.)
+#[test]
+fn queued_arrival_tag_is_corrupt() {
+    let bytes = baseline_snapshot();
+    // Header, `started`, host count, trace digest and seed; then the clock
+    // and the arrivals' handle; then the queue's next handle and length.
+    let clock = 9 + 1 + 4 + 8 + 8;
+    let queue = clock + 8 + 8;
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let (now, next) = (word(clock), word(queue));
+    let len = u32::from_le_bytes(bytes[queue + 8..queue + 12].try_into().unwrap());
+    // One more entry at the current instant under the next handle. With
+    // the `SlaCheck` tag (15) the forged bytes restore, so tag 0 is the
+    // only thing wrong with them.
+    let forge = |tag: u8| {
+        let mut b = bytes[..queue].to_vec();
+        b.extend((next + 1).to_le_bytes());
+        b.extend((len + 1).to_le_bytes());
+        b.extend(now.to_le_bytes());
+        b.extend(next.to_le_bytes());
+        b.push(tag);
+        b.extend(&bytes[queue + 12..]);
+        b
+    };
     let (_, trace) = world();
-    assert!(matches!(
-        restore_onto(trace, &bytes),
-        Err(PersistError::UnsupportedVersion(3))
-    ));
+    assert!(restore_onto(trace.clone(), &forge(15)).is_ok());
+    match restore_onto(trace, &forge(0)) {
+        Err(PersistError::Corrupt(msg)) => assert!(msg.contains("bad Event tag 0"), "{msg}"),
+        Err(e) => panic!("expected a Corrupt error, got {e:?}"),
+        Ok(_) => panic!("a queued arrival restored"),
+    }
 }
 
 /// A small cluster with a finished, a running, a migrating, a creating and

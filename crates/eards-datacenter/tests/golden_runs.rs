@@ -114,7 +114,7 @@ fn backfilling_on_a_saturated_cluster() {
             creations: 515,
             jobs_completed: 515,
             host_failures: 0,
-            snapshots: 14457033075965778805,
+            snapshots: 9098997960681429244,
         }
     );
 }
@@ -142,7 +142,7 @@ fn sb_with_dynamic_sla_escalation() {
             creations: 515,
             jobs_completed: 515,
             host_failures: 0,
-            snapshots: 13589046640507694991,
+            snapshots: 6539010790672383326,
         }
     );
     // The case must exercise escalation: without it the run differs.
@@ -177,7 +177,7 @@ fn sb_with_checkpoints_and_crashes() {
             creations: 540,
             jobs_completed: 515,
             host_failures: 10,
-            snapshots: 3792359590639012524,
+            snapshots: 7048063490128545051,
         }
     );
 }
@@ -198,7 +198,7 @@ fn sb_under_chaos_in_degrade_mode() {
             creations: 592,
             jobs_completed: 515,
             host_failures: 18,
-            snapshots: 17424102300983340196,
+            snapshots: 5521075210339844480,
         }
     );
 }

@@ -25,12 +25,12 @@ impl BackfillingPolicy {
 /// Picks the fullest strictly-feasible host for `vm`, if any.
 /// Exposed for reuse by [`crate::DynamicBackfillingPolicy`].
 pub(crate) fn best_fit(planner: &Planner<'_>, ready: &[HostId], vm: VmId) -> Option<HostId> {
+    let probe = planner.probe(vm);
     let mut best: Option<(f64, HostId)> = None;
     for &h in ready {
-        if !planner.can_place(h, vm) {
+        let Some(occ) = planner.fit(h, &probe) else {
             continue;
-        }
-        let occ = planner.occupation_with(h, vm);
+        };
         // Highest post-placement occupation wins; ties break to the lowest
         // host id for determinism.
         let better = match best {

@@ -4,7 +4,7 @@
 //! tentative placement consumes capacity the next one must see. [`Planner`]
 //! overlays those in-round reservations on the immutable [`Cluster`] view.
 
-use eards_model::{Cluster, HostId, Resources, VmId};
+use eards_model::{Cluster, HostId, Requirements, Resources, VmId};
 
 /// A cluster view that accumulates tentative placements made during the
 /// current scheduling round.
@@ -35,32 +35,43 @@ impl<'a> Planner<'a> {
         self.committed[host.raw() as usize]
     }
 
-    /// Occupation a host would have after also hosting `vm`, counting the
-    /// plan so far.
-    pub fn occupation_with(&self, host: HostId, vm: VmId) -> f64 {
-        let spec_cap = self.cluster.host(host).spec.capacity();
-        let mut used = self.effective_committed(host);
+    /// Resolves what placing `vm` needs to know about it, once for a whole
+    /// scan over hosts.
+    pub fn probe(&self, vm: VmId) -> Probe<'a> {
         let v = self.cluster.vm(vm);
-        let already = v.state.host() == Some(host);
-        if !already {
-            used = used.plus(v.requested);
+        Probe {
+            requested: v.requested,
+            host: v.state.host(),
+            requirements: &self.cluster.job(vm).requirements,
         }
-        used.occupation_in(spec_cap)
     }
 
-    /// Strict feasibility including the plan (occupation ≤ 1).
-    pub fn can_place(&self, host: HostId, vm: VmId) -> bool {
-        self.can_place_overcommitted(host, vm) && self.occupation_with(host, vm) <= 1.0
-    }
-
-    /// Relaxed feasibility including the plan (memory only).
-    pub fn can_place_overcommitted(&self, host: HostId, vm: VmId) -> bool {
+    /// Relaxed feasibility of the probed VM on `host`, counting the plan so
+    /// far: the host is ready, meets the job's requirements and has the
+    /// memory (CPU may be overcommitted).
+    pub fn fits_overcommitted(&self, host: HostId, probe: &Probe<'_>) -> bool {
         let h = self.cluster.host(host);
-        if !h.power.is_ready() || !h.spec.satisfies(&self.cluster.job(vm).requirements) {
-            return false;
+        h.power.is_ready()
+            && h.spec.satisfies(probe.requirements)
+            && self.effective_committed(host).mem + probe.requested.mem <= h.spec.capacity().mem
+    }
+
+    /// The occupation `host` would have after also hosting the probed VM,
+    /// counting the plan so far, if the VM fits there strictly: it fits
+    /// overcommitted and the occupation is at most 1.
+    pub fn fit(&self, host: HostId, probe: &Probe<'_>) -> Option<f64> {
+        if !self.fits_overcommitted(host, probe) {
+            return None;
         }
-        self.effective_committed(host).mem + self.cluster.vm(vm).requested.mem
-            <= h.spec.capacity().mem
+        // A VM already on the host is counted in its committed load.
+        let committed = self.effective_committed(host);
+        let used = if probe.host == Some(host) {
+            committed
+        } else {
+            committed.plus(probe.requested)
+        };
+        let occupation = used.occupation_in(self.cluster.host(host).spec.capacity());
+        (occupation <= 1.0).then_some(occupation)
     }
 
     /// Records a tentative placement of `vm` onto `host`.
@@ -68,6 +79,14 @@ impl<'a> Planner<'a> {
         let c = &mut self.committed[host.raw() as usize];
         *c = c.plus(self.cluster.vm(vm).requested);
     }
+}
+
+/// One VM as a placement scan sees it: its request, its current host and
+/// its job's requirements (see [`Planner::probe`]).
+pub struct Probe<'a> {
+    requested: Resources,
+    host: Option<HostId>,
+    requirements: &'a Requirements,
 }
 
 /// Hosts currently able to accept work (powered on), in id order.
@@ -117,12 +136,12 @@ mod tests {
     fn planner_tracks_tentative_placements() {
         let (c, a, b) = setup();
         let mut p = Planner::new(&c);
-        assert!(p.can_place(HostId(0), a));
+        assert_eq!(p.fit(HostId(0), &p.probe(a)), Some(0.75));
         p.commit(HostId(0), a);
         // 300 planned + 200 = 500 > 400: strict fails, relaxed passes.
-        assert!(!p.can_place(HostId(0), b));
-        assert!(p.can_place_overcommitted(HostId(0), b));
-        assert!(p.can_place(HostId(1), b));
+        assert_eq!(p.fit(HostId(0), &p.probe(b)), None);
+        assert!(p.fits_overcommitted(HostId(0), &p.probe(b)));
+        assert_eq!(p.fit(HostId(1), &p.probe(b)), Some(0.5));
         // The real cluster is untouched.
         assert!(c.can_place(HostId(0), b));
     }
@@ -146,12 +165,13 @@ mod tests {
             })
             .collect();
         let mut p = Planner::new(&c);
-        assert!(p.can_place_overcommitted(HostId(0), ids[0]));
+        let fits = |p: &Planner<'_>, vm| p.fits_overcommitted(HostId(0), &p.probe(vm));
+        assert!(fits(&p, ids[0]));
         p.commit(HostId(0), ids[0]);
-        assert!(p.can_place_overcommitted(HostId(0), ids[1]));
+        assert!(fits(&p, ids[1]));
         p.commit(HostId(0), ids[1]);
         // 7+7+7 = 21 GiB > 16 GiB.
-        assert!(!p.can_place_overcommitted(HostId(0), ids[2]));
+        assert!(!fits(&p, ids[2]));
     }
 
     #[test]

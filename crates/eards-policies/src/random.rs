@@ -40,9 +40,10 @@ impl Policy for RandomPolicy {
             // Sample a random host; fall back to a scan so a feasible host
             // is found whenever one exists.
             let start = self.rng.index(ready.len());
+            let probe = planner.probe(vm);
             let pick = (0..ready.len())
                 .map(|k| ready[(start + k) % ready.len()])
-                .find(|&h| planner.can_place_overcommitted(h, vm));
+                .find(|&h| planner.fits_overcommitted(h, &probe));
             if let Some(host) = pick {
                 planner.commit(host, vm);
                 actions.push(Action::Create { vm, host });

@@ -52,9 +52,10 @@ impl Policy for RoundRobinPolicy {
         for &vm in cluster.queue() {
             // First preference: the next host where the VM fits without
             // contention. Fallback: the next host where it fits at all.
+            let probe = planner.probe(vm);
             let host = self
-                .next_matching(&ready, |h| planner.can_place(h, vm))
-                .or_else(|| self.next_matching(&ready, |h| planner.can_place_overcommitted(h, vm)));
+                .next_matching(&ready, |h| planner.fit(h, &probe).is_some())
+                .or_else(|| self.next_matching(&ready, |h| planner.fits_overcommitted(h, &probe)));
             if let Some(host) = host {
                 planner.commit(host, vm);
                 actions.push(Action::Create { vm, host });

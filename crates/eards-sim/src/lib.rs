@@ -8,9 +8,8 @@
 //! * [`SimTime`] / [`SimDuration`] — fixed-point (millisecond) simulated
 //!   time, so event ordering is exact and runs never drift.
 //! * [`EventQueue`] — a future-event list with FIFO tie-breaking at equal
-//!   timestamps and O(log n) lazy cancellation.
-//! * [`Simulator`] — the clock + event loop, generic over the model's event
-//!   type.
+//!   timestamps and O(log n) lazy cancellation. The model that drives it
+//!   owns the clock and its own event type.
 //! * [`SimRng`] — a seedable PRNG with the distribution samplers the model
 //!   needs (Normal, LogNormal, Exponential, Weibull, bounded Pareto), plus
 //!   `fork` for decorrelated per-subsystem streams.
@@ -25,33 +24,32 @@
 //! ## Example
 //!
 //! ```
-//! use eards_sim::{SimDuration, SimTime, Simulator};
+//! use eards_sim::{EventQueue, SimDuration, SimTime};
 //!
 //! #[derive(Debug)]
 //! enum Event { Tick(u32) }
 //!
-//! let mut sim = Simulator::new();
-//! sim.schedule_at(SimTime::from_secs(1), Event::Tick(0));
+//! let mut queue = EventQueue::new();
+//! queue.schedule(SimTime::from_secs(1), Event::Tick(0));
 //! let mut ticks = 0u32;
-//! while let Some((_, _, Event::Tick(i))) = sim.step_before(SimTime::from_secs(10)) {
-//!     ticks += 1;
-//!     if i < 100 {
-//!         sim.schedule_after(SimDuration::from_secs(2), Event::Tick(i + 1));
+//! while let Some((now, _, Event::Tick(i))) = queue.pop() {
+//!     if now >= SimTime::from_secs(10) {
+//!         break;
 //!     }
+//!     ticks += 1;
+//!     queue.schedule(now + SimDuration::from_secs(2), Event::Tick(i + 1));
 //! }
 //! assert_eq!(ticks, 5); // t = 1, 3, 5, 7, 9
 //! ```
 
 #![warn(missing_docs)]
 
-mod engine;
 mod int_hash;
 mod persist;
 mod queue;
 mod rng;
 mod time;
 
-pub use engine::Simulator;
 pub use int_hash::{IntBuildHasher, IntHasher};
 pub use persist::{
     read_header, write_atomic, write_header, Persist, PersistError, Reader, Writer, SNAPSHOT_MAGIC,

@@ -53,7 +53,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"EARDSNAP";
 /// v4: snapshots carry no job data. VM records lost their job copy, the
 /// runner's job outcomes gave way to its completion order (VM ids), and
 /// the runner header checks a digest of the trace instead of its length.
-pub const SNAPSHOT_VERSION: u8 = 4;
+///
+/// v5: the event queue holds no job arrivals (the job table is the arrival
+/// schedule), and the engine wrapper's clock and processed-event counter
+/// gave way to the runner's clock and the arrivals' sequence number.
+pub const SNAPSHOT_VERSION: u8 = 5;
 
 /// A type whose canonical state can be written to and rebuilt from the
 /// snapshot codec.

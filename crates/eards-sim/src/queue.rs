@@ -99,10 +99,18 @@ impl<E> EventQueue<E> {
         self.pending.remove(&handle.0)
     }
 
-    /// Time of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    /// The `(time, handle)` key of the next live event, if any: the key
+    /// the queue pops by.
+    pub fn peek(&mut self) -> Option<(SimTime, EventHandle)> {
         self.skim();
-        self.heap.peek().map(|e| e.time)
+        self.heap.peek().map(|e| (e.time, EventHandle(e.seq)))
+    }
+
+    /// The handle the next [`EventQueue::schedule`] will return. Handles
+    /// grow with every schedule, so an event scheduled before this call
+    /// has a smaller handle than one scheduled after it.
+    pub fn next_handle(&self) -> EventHandle {
+        EventHandle(self.next_seq)
     }
 
     /// Removes and returns the next live event as `(time, handle, payload)`.
@@ -251,9 +259,10 @@ mod tests {
     fn peek_skips_cancelled() {
         let mut q = EventQueue::new();
         let h = q.schedule(t(1), "dead");
+        let live = q.next_handle();
         q.schedule(t(2), "live");
         q.cancel(h);
-        assert_eq!(q.peek_time(), Some(t(2)));
+        assert_eq!(q.peek(), Some((t(2), live)));
         assert_eq!(q.pop().map(|(_, _, p)| p), Some("live"));
     }
 

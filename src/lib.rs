@@ -65,6 +65,6 @@ pub mod prelude {
     pub use eards_policies::{
         BackfillingPolicy, DynamicBackfillingPolicy, RandomPolicy, RoundRobinPolicy,
     };
-    pub use eards_sim::{SimDuration, SimRng, SimTime, Simulator};
+    pub use eards_sim::{SimDuration, SimRng, SimTime};
     pub use eards_workload::{generate, parse_swf, SynthConfig, Trace};
 }

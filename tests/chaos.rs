@@ -94,6 +94,85 @@ fn fault_schedule_is_per_host_across_policies() {
     assert_eq!(&a[..n], &b[..n], "slowdown schedule leaked policy state");
 }
 
+/// An arrival ties with a queued timer on `(time, handle)`, the job
+/// sorting as `(submit, seq0)`: `seq0` is the queue's next handle at the
+/// point of `Runner::start` after the initial fault timers are armed. Read
+/// a crash instant and the repair instant it schedules from a chaos run's
+/// audit log, then submit one job at each. The crash timer was armed in
+/// `start`, so it fires before the job arrives; the repair was scheduled
+/// later, so the job arrives before it.
+#[test]
+fn arrivals_tie_with_timers_by_when_they_were_armed() {
+    // Every host is up from the start and never powered off, so the first
+    // crash comes from a timer armed in `start`. No racks: a rack outage
+    // would crash hosts from its own timer.
+    let mut plan = FaultPlan::chaos(1.0);
+    plan.rack = None;
+    let cfg = RunConfig {
+        audit: true,
+        initial_on: 8,
+        min_exec: 8,
+        ..RunConfig::default()
+    }
+    .with_faults(plan);
+    let hosts = eards::datacenter::small_datacenter(8, HostClass::Medium);
+    let run = |trace: Trace| {
+        let policy = Box::new(BackfillingPolicy::new());
+        Runner::new(hosts.clone(), trace, policy, cfg.clone())
+            .run_audited()
+            .1
+    };
+    let base = trace(6, 42);
+    let log = run(base.clone());
+    let (crash, host) = log
+        .iter()
+        .find_map(|e| match e.kind {
+            AuditKind::HostFailed { host, .. } => Some((e.at, host)),
+            _ => None,
+        })
+        .expect("chaos x1.0 crashes a host in 6 hours");
+    let repair = log
+        .iter()
+        .find(|e| e.at > crash && e.kind == AuditKind::HostRepaired { host })
+        .expect("the crashed host is repaired")
+        .at;
+    // Reruns with one more job submitted at `at`; returns the log
+    // positions of the first entry at `at` that `timer` matches and of
+    // the extra job's arrival.
+    let order = |at: SimTime, timer: &dyn Fn(&AuditKind) -> bool| {
+        let extra = JobId(1_000_000);
+        let mut jobs = base.jobs().to_vec();
+        jobs.push(Job::new(
+            extra,
+            at,
+            Cpu(100),
+            Mem::gib(1),
+            SimDuration::from_secs(600),
+            1.5,
+        ));
+        let trace = Trace::new(jobs);
+        let vm = trace.jobs().iter().position(|j| j.id == extra).unwrap();
+        let vm = VmId(vm as u64);
+        let log = run(trace);
+        let position =
+            |what: &str, f: &dyn Fn(&AuditEvent) -> bool| log.iter().position(f).expect(what);
+        let timer = position("the timer fires", &|e| e.at == at && timer(&e.kind));
+        let arrival = position("the job arrives", &|e| {
+            e.kind == AuditKind::JobArrived { vm }
+        });
+        assert_eq!(log[arrival].at, at);
+        (timer, arrival)
+    };
+    let crashed = |k: &AuditKind| matches!(*k, AuditKind::HostFailed { host: h, .. } if h == host);
+    let (crashed, arrived) = order(crash, &crashed);
+    assert!(crashed < arrived, "the arrival beat a timer armed in start");
+    let (repaired, arrived) = order(repair, &|k| *k == AuditKind::HostRepaired { host });
+    assert!(
+        arrived < repaired,
+        "a timer scheduled later beat the arrival"
+    );
+}
+
 #[test]
 fn creation_failures_recover_via_backoff() {
     let mut plan = FaultPlan::none();
