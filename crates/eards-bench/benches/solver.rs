@@ -5,7 +5,8 @@
 //!
 //! Benchmarks the full scheduling round (matrix build + solve) over
 //! increasing datacenter sizes, over the iteration cap, over the penalty
-//! sets, and — the `cold_vs_incremental` group — the full-rescan
+//! sets, on the paper's consolidated shape (most hosts off, a few queued
+//! arrivals), and — the `cold_vs_incremental` group — the full-rescan
 //! reference solver against the incremental hill-climb engine.
 //!
 //! Besides the per-benchmark stdout lines, the run writes every mean to
@@ -13,7 +14,7 @@
 //! future PRs diff against for a perf trajectory.
 
 use criterion::{BenchmarkId, Criterion};
-use eards_bench::common::{merge_solver_baseline, solver_case};
+use eards_bench::common::{merge_solver_baseline, paper_shape_case, solver_case};
 use eards_core::{solve, solve_reference, Eval, ScoreConfig};
 use eards_sim::SimTime;
 
@@ -74,6 +75,26 @@ fn bench_penalty_sets(c: &mut Criterion) {
     group.finish();
 }
 
+/// An arrival round at the paper's scale and shape: 100 hosts with three
+/// quarters powered off by consolidation, 8 queued VMs. Most of the
+/// matrix sits on rows whose host is not `On`.
+fn bench_paper_shape(c: &mut Criterion) {
+    let mut group = c.benchmark_group("solver/paper_shape");
+    let (cluster, cols) = paper_shape_case(100, 25, 8);
+    let cfg = ScoreConfig::sb();
+    group.bench_with_input(
+        BenchmarkId::from_parameter("100h_75off_8q"),
+        &(),
+        |b, ()| {
+            b.iter(|| {
+                let mut eval = Eval::new(&cluster, &cfg, SimTime::from_secs(100), cols.clone());
+                solve(&mut eval, cfg.max_moves)
+            })
+        },
+    );
+    group.finish();
+}
+
 /// The acceptance case of the incremental engine: one 100-host / 200-VM
 /// hill-climbing round, full-rescan reference vs the cached engine. `reference` and `incremental` must stay ≥ 3× apart (the
 /// `run_all` solver-timing section shape-checks this; here the two means
@@ -123,6 +144,7 @@ fn main() {
     bench_matrix_scaling(&mut criterion);
     bench_iteration_cap(&mut criterion);
     bench_penalty_sets(&mut criterion);
+    bench_paper_shape(&mut criterion);
     bench_cold_vs_incremental(&mut criterion);
     write_baseline(&criterion);
 }

@@ -159,6 +159,54 @@ pub fn solver_case(hosts: u32, running: u64, queued: u64) -> (Cluster, Vec<VmId>
     (cluster, cols)
 }
 
+/// One arrival round as the paper's consolidated datacenter sees it:
+/// `hosts` Medium nodes of which only the first `on` are powered (two
+/// running VMs of 100 or 200 points each), the rest off, and `queued`
+/// 100-point VMs to place. The columns are the queue alone, as on a
+/// round that fires on a VM arrival.
+pub fn paper_shape_case(hosts: u32, on: u32, queued: u64) -> (Cluster, Vec<VmId>) {
+    let mut rng = SimRng::seed_from_u64(1);
+    let specs = (0..hosts)
+        .map(|i| HostSpec::standard(HostId(i), HostClass::Medium))
+        .collect();
+    let mut cluster = Cluster::new(specs, PowerState::On);
+    let (t0, t1) = (SimTime::ZERO, SimTime::from_secs(40));
+    for h in on..hosts {
+        cluster.begin_power_off(HostId(h), t0);
+        cluster.complete_power_off(HostId(h));
+    }
+    let mut id = 0u64;
+    for h in 0..on {
+        for _ in 0..2 {
+            let cpu = Cpu(100 * (1 + rng.index(2) as u32));
+            let vm = cluster.submit_job(Job::new(
+                JobId(id),
+                t0,
+                cpu,
+                Mem::gib(1),
+                SimDuration::from_secs(7200),
+                1.5,
+            ));
+            id += 1;
+            cluster.start_creation(vm, HostId(h), t0, t1);
+            cluster.finish_creation(vm, t1);
+        }
+    }
+    let cols = (0..queued)
+        .map(|j| {
+            cluster.submit_job(Job::new(
+                JobId(id + j),
+                t1,
+                Cpu(100),
+                Mem::gib(1),
+                SimDuration::from_secs(3600),
+                1.5,
+            ))
+        })
+        .collect();
+    (cluster, cols)
+}
+
 /// A large-scale solver workload for the sharded engine: `hosts` Medium
 /// nodes each directly loaded with `per_host` running 100-point VMs
 /// (`per_host` ≤ 4; placements are feasible by construction, skipping

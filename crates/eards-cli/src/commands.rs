@@ -55,8 +55,9 @@ COMMON FLAGS:
   --checkpoint-mins M         checkpoint running VMs every M minutes
   --checkpoint-every H        snapshot the whole run every H simulated hours
                               (eards run only; needs --checkpoint-out)
-  --checkpoint-out DIR        directory receiving ckpt_t<ms>.bin snapshot files,
-                              resumable with `eards resume`
+  --checkpoint-out DIR        directory receiving ckpt_t<ms>.bin snapshot files
+                              (<ms> zero-padded to 20 digits, so names sort in
+                              time order), resumable with `eards resume`
   --solver-budget W           per-round solver work budget (deterministic work units:
                               cell rescores + argmin scans). Arms the anytime solver
                               and the L0–L3 degradation ladder on score policies;
@@ -237,7 +238,8 @@ fn run_cmd(tokens: &[String]) -> Result<String, CliError> {
             let mut runner = runner;
             while runner.step_batch() {
                 if runner.now().as_millis() >= next.as_millis() {
-                    let path = format!("{dir}/ckpt_t{}.bin", runner.now().as_millis());
+                    // Padded to the width of `u64::MAX`: name order is time order.
+                    let path = format!("{dir}/ckpt_t{:020}.bin", runner.now().as_millis());
                     let bytes = crate::checkpoint::encode_checkpoint(&provenance, &runner)
                         .map_err(|e| CliError::Snapshot(e.to_string()))?;
                     eards_sim::write_atomic(std::path::Path::new(&path), &bytes)?;
@@ -649,6 +651,20 @@ mod tests {
             .collect();
         ckpts.sort();
         assert!(!ckpts.is_empty(), "at least one checkpoint file");
+        // Name order is time order, across a change in the digit count.
+        let times: Vec<u64> = ckpts
+            .iter()
+            .map(|p| {
+                let name = p.file_name().unwrap().to_str().unwrap();
+                let ms = name.strip_prefix("ckpt_t").unwrap().strip_suffix(".bin");
+                ms.unwrap().parse().unwrap()
+            })
+            .collect();
+        assert!(times.windows(2).all(|w| w[0] < w[1]), "{ckpts:?}");
+        assert!(
+            times[0] < 10_000_000 && *times.last().unwrap() >= 10_000_000,
+            "{times:?}"
+        );
         // Resuming any checkpoint reproduces the uninterrupted report.
         for ckpt in [&ckpts[0], ckpts.last().unwrap()] {
             let resumed = dispatch(&toks(&format!("resume {}", ckpt.display()))).unwrap();

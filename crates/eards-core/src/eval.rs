@@ -19,12 +19,19 @@
 //! `committed`/`vm_count`/`placement` overlay). [`Eval::score`] composes
 //! the two, so cached and from-scratch evaluation share one code path and
 //! one floating-point addition order — scores are bit-identical either way.
+//!
+//! The static part is itself composed from a row's host terms
+//! ([`RowStatic`], once per host row) and a column's VM terms (once per
+//! column, at construction): [`Eval::static_cell_in`] only combines them.
 
-use eards_model::{Cluster, Host, HostClass, HostId, Job, PowerState, Resources, Vm, VmId};
+use eards_model::{
+    Cluster, Host, HostClass, HostId, Job, PowerState, Requirements, Resources, Vm, VmId,
+};
 use eards_sim::SimTime;
 
 use crate::config::ScoreConfig;
 use crate::score::Score;
+use crate::shard::CellStore;
 
 /// Reusable allocations for [`Eval`].
 ///
@@ -41,6 +48,38 @@ pub(crate) struct EvalBuffers {
     placement: Vec<Option<usize>>,
     committed: Vec<Resources>,
     vm_count: Vec<usize>,
+    cells: CellStore,
+}
+
+/// The host terms of score-matrix row `h`, computed once per row by
+/// [`Eval::static_row`] and shared by every cell of the row. Only a host
+/// that is `On` has them: no cell of any other row is feasible.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowStatic<'a> {
+    host: &'a Host,
+    /// `P_conc` (§III-A.3): the summed cost of the host's in-flight
+    /// operations.
+    conc: Score,
+    /// `P_virt` of creating a VM here: the class creation cost.
+    creation: Score,
+    /// The class migration cost `C_m`, in seconds.
+    migration: f64,
+    /// The effective reliability `P_fault` reads.
+    reliability: f64,
+}
+
+/// The VM terms of matrix column `v`, computed once per column when the
+/// evaluator is built.
+#[derive(Debug, Clone, Copy)]
+struct ColStatic<'a> {
+    vm: &'a Vm,
+    job: &'a Job,
+    requirements: Requirements,
+    /// The VM sits on the virtual host: a creation, not a migration.
+    queued: bool,
+    /// The user-estimated work left at the round instant (`T_r` of
+    /// `P_virt`).
+    remaining: f64,
 }
 
 /// The round-static part of one score-matrix cell `(h, v)`.
@@ -48,6 +87,8 @@ pub(crate) struct EvalBuffers {
 /// Everything here depends only on the cluster snapshot, the config and
 /// the round timestamp — not on the hypothetical placement — so it is
 /// computed once per round and reused across every rescore of the cell.
+/// An infeasible cell is the [`Default`]: no other term of it is ever
+/// read.
 #[derive(Debug, Clone, Copy)]
 pub struct CellStatic {
     /// `P_req` plus the power-state precondition: `false` means the cell
@@ -109,10 +150,10 @@ pub struct Eval<'a> {
     now: SimTime,
     /// Matrix columns.
     vms: Vec<VmId>,
-    /// The columns' VM records and jobs, resolved once at construction:
-    /// scoring reads both several times per cell, so each column pays
-    /// its table lookups exactly once here.
-    vm_refs: Vec<(&'a Vm, &'a Job)>,
+    /// The columns' VM terms, resolved once at construction: scoring
+    /// reads them several times per cell, so each column pays its table
+    /// lookups exactly once here.
+    cols: Vec<ColStatic<'a>>,
     /// Original placement of each matrix VM (`None` = virtual host).
     original: Vec<Option<usize>>,
     /// Current hypothetical placement.
@@ -121,6 +162,9 @@ pub struct Eval<'a> {
     committed: Vec<Resources>,
     /// VM count per host under the hypothesis (resident + incoming).
     vm_count: Vec<usize>,
+    /// The climb engine's cell storage, lent to [`crate::shard`] for the
+    /// round and recycled with the other buffers.
+    pub(crate) cells: CellStore,
 }
 
 impl<'a> Eval<'a> {
@@ -151,19 +195,28 @@ impl<'a> Eval<'a> {
                 .iter()
                 .map(|h| h.resident.len() + h.incoming.len()),
         );
-        // Borrowed references can't live in the recycled buffers, but a
-        // vector of pointers is cheap to rebuild each round.
-        let vm_refs: Vec<(&'a Vm, &'a Job)> = vms
-            .iter()
-            .map(|&v| (cluster.vm(v), cluster.job(v)))
-            .collect();
         let mut original = std::mem::take(&mut buf.original);
         original.clear();
         original.extend(
-            vm_refs
-                .iter()
-                .map(|(vm, _)| Some(vm.state.host()?.raw() as usize)),
+            vms.iter()
+                .map(|&v| Some(cluster.vm(v).state.host()?.raw() as usize)),
         );
+        // Borrowed references can't live in the recycled buffers, but one
+        // small record per column is cheap to rebuild each round.
+        let cols = vms
+            .iter()
+            .zip(&original)
+            .map(|(&id, home)| {
+                let job = cluster.job(id);
+                ColStatic {
+                    vm: cluster.vm(id),
+                    job,
+                    requirements: job.requirements,
+                    queued: home.is_none(),
+                    remaining: job.user_remaining_secs(now),
+                }
+            })
+            .collect();
         let mut placement = std::mem::take(&mut buf.placement);
         placement.clear();
         placement.extend_from_slice(&original);
@@ -174,9 +227,10 @@ impl<'a> Eval<'a> {
             placement,
             original,
             vms,
-            vm_refs,
+            cols,
             committed,
             vm_count,
+            cells: std::mem::take(&mut buf.cells),
         }
     }
 
@@ -188,6 +242,7 @@ impl<'a> Eval<'a> {
         buf.placement = self.placement;
         buf.committed = self.committed;
         buf.vm_count = self.vm_count;
+        buf.cells = self.cells;
     }
 
     /// The configured migration hysteresis (see
@@ -232,7 +287,7 @@ impl<'a> Eval<'a> {
 
     /// Moves VM `v` to host `h` in the hypothesis.
     pub fn apply_move(&mut self, v: usize, h: usize) {
-        let req = self.vm_refs[v].0.requested;
+        let req = self.cols[v].vm.requested;
         if let Some(old) = self.placement[v] {
             // The overlay is built from the cluster's own committed totals,
             // so removing a VM from its hypothetical host can never underflow
@@ -270,7 +325,7 @@ impl<'a> Eval<'a> {
 
     /// Resources requested by column `v`'s VM.
     pub fn requested_of(&self, v: usize) -> Resources {
-        self.vm_refs[v].0.requested
+        self.cols[v].vm.requested
     }
 
     /// Free (uncommitted) capacity of host `h` under the current
@@ -291,7 +346,7 @@ impl<'a> Eval<'a> {
     fn occupation_with(&self, h: usize, v: usize) -> Option<f64> {
         let mut used = self.committed[h];
         if self.placement[v] != Some(h) {
-            used = used.plus(self.vm_refs[v].0.requested);
+            used = used.plus(self.cols[v].vm.requested);
         }
         occupation_within(used, self.cluster.host(HostId(h as u32)))
     }
@@ -306,9 +361,16 @@ impl<'a> Eval<'a> {
     ///
     /// Equivalent to [`Eval::static_cell`] followed by
     /// [`Eval::score_with_static`]; the incremental engine caches the
-    /// static half and re-runs only the dynamic half.
+    /// static half and re-runs only the dynamic half. On the VM's own
+    /// (hypothetical) host the dynamic half never reads the move-in
+    /// terms, so they are not computed there.
     pub fn score(&self, h: usize, v: usize) -> Score {
-        self.score_with_static(h, v, &self.static_cell(h, v))
+        let cell = if self.placement[v] == Some(h) {
+            self.resident_cell(h, v)
+        } else {
+            self.static_cell(h, v)
+        };
+        self.score_with_static(h, v, &cell)
     }
 
     /// Computes the round-static part of cell `(h, v)`: `P_req`
@@ -316,35 +378,84 @@ impl<'a> Eval<'a> {
     /// these depend on the hypothetical placement, so the result stays
     /// valid across every [`Eval::apply_move`] of the round.
     pub fn static_cell(&self, h: usize, v: usize) -> CellStatic {
-        let host = self.cluster.host(HostId(h as u32));
-        let (_, job) = self.vm_refs[v];
+        self.static_row(h)
+            .map_or_else(CellStatic::default, |row| self.static_cell_in(&row, v))
+    }
 
-        let feasible = admits(host, job);
+    /// The host terms of row `h`, for every [`Eval::static_cell_in`] of
+    /// the row; `None` when the host is not `On`, because an off host
+    /// "cannot fulfil" anything (the power-state half of `P_req`).
+    pub(crate) fn static_row(&self, h: usize) -> Option<RowStatic<'a>> {
+        let id = HostId(h as u32);
+        let host = self.cluster.host(id);
+        if host.power != PowerState::On {
+            return None;
+        }
+        let conc: f64 = host.ops.iter().map(|op| op.cost().as_secs_f64()).sum();
+        Some(RowStatic {
+            host,
+            conc: Score::finite(conc),
+            creation: Score::finite(host.spec.class.creation_cost().as_secs_f64()),
+            migration: host.spec.class.migration_cost().as_secs_f64(),
+            reliability: self.cluster.effective_reliability(id),
+        })
+    }
+
+    /// [`Eval::static_cell`] of column `v` on a row whose host terms are
+    /// already computed.
+    pub(crate) fn static_cell_in(&self, row: &RowStatic<'_>, v: usize) -> CellStatic {
+        let col = &self.cols[v];
+        // P_req (§III-A.1), by the predicate the quick-reject shares.
+        if !admits(row.host, &col.requirements) {
+            return CellStatic::default();
+        }
 
         let mut movein = Score::ZERO;
-        // P_virt (§III-A.3).
+        // P_virt (§III-A.3). VMs with an operation already in flight never
+        // appear as matrix columns, so the `∞` branch of the paper's
+        // `P_virt` is realized by exclusion rather than by a score.
         if self.cfg.virt_penalty {
-            movein += self.p_virt_movein(h, v);
+            movein += if col.queued {
+                row.creation
+            } else {
+                p_virt_migration(row.migration, col.remaining)
+            };
         }
-        // P_conc (§III-A.3, concurrency).
+        // P_conc (§III-A.3, concurrency): charged to VMs not yet there.
         if self.cfg.conc_penalty {
-            movein += self.p_conc_movein(h);
+            movein += row.conc;
         }
-
-        // P_fault (§III-A.6, extension). Reads the *effective* reliability
-        // so a flapping-host blacklist penalty steers placements away;
-        // without a penalty this is bit-identical to the raw spec value.
-        let fault = if self.cfg.fault_penalty {
-            let rel = self.cluster.effective_reliability(HostId(h as u32));
-            Score::finite(((1.0 - rel) - job.fault_tolerance) * self.cfg.c_fail)
-        } else {
-            Score::ZERO
-        };
 
         CellStatic {
-            feasible,
+            feasible: true,
             movein,
-            fault,
+            fault: self.p_fault(row.reliability, v),
+        }
+    }
+
+    /// The static part of cell `(h, v)` for a VM that (hypothetically)
+    /// sits on `h`: the dynamic half starts its placed branch from
+    /// [`Score::ZERO`], so the move-in terms are left at zero.
+    fn resident_cell(&self, h: usize, v: usize) -> CellStatic {
+        let id = HostId(h as u32);
+        if !admits(self.cluster.host(id), &self.cols[v].requirements) {
+            return CellStatic::default();
+        }
+        CellStatic {
+            feasible: true,
+            movein: Score::ZERO,
+            fault: self.p_fault(self.cluster.effective_reliability(id), v),
+        }
+    }
+
+    /// `P_fault` (§III-A.6, extension) of column `v` on a host with
+    /// effective reliability `rel`, so a flapping-host blacklist penalty
+    /// steers placements away; [`Score::ZERO`] when the term is disabled.
+    fn p_fault(&self, rel: f64, v: usize) -> Score {
+        if self.cfg.fault_penalty {
+            Score::finite(((1.0 - rel) - self.cols[v].job.fault_tolerance) * self.cfg.c_fail)
+        } else {
+            Score::ZERO
         }
     }
 
@@ -452,7 +563,7 @@ impl<'a> Eval<'a> {
             return None;
         }
         let virt = if self.cfg.virt_penalty {
-            p_virt_migration(cm_min, self.vm_refs[v].1.user_remaining_secs(self.now)).value()
+            p_virt_migration(cm_min, self.cols[v].remaining).value()
         } else {
             0.0
         };
@@ -503,31 +614,6 @@ impl<'a> Eval<'a> {
         }
     }
 
-    /// Creation / migration overhead penalty as charged when `v` is not
-    /// already on `h` (the resident-host case is handled by the caller;
-    /// see [`Eval::score_with_static`]). VMs with an operation already in
-    /// flight never appear as matrix columns, so the `∞` branch of the
-    /// paper's `P_virt` is realized by exclusion rather than by a score.
-    fn p_virt_movein(&self, h: usize, v: usize) -> Score {
-        let host = self.cluster.host(HostId(h as u32));
-        if self.original[v].is_none() {
-            // New VM: creation cost on this host.
-            return Score::finite(host.spec.class.creation_cost().as_secs_f64());
-        }
-        p_virt_migration(
-            host.spec.class.migration_cost().as_secs_f64(),
-            self.vm_refs[v].1.user_remaining_secs(self.now),
-        )
-    }
-
-    /// Concurrency penalty: the summed cost of operations already running
-    /// on the host, charged to VMs that are not yet there (§III-A.3).
-    fn p_conc_movein(&self, h: usize) -> Score {
-        let host = self.cluster.host(HostId(h as u32));
-        let total: f64 = host.ops.iter().map(|op| op.cost().as_secs_f64()).sum();
-        Score::finite(total)
-    }
-
     /// Power/consolidation penalty (§III-A.4):
     /// `T_empty(h)·C_e − O(h, vm)·C_f`.
     fn p_pwr(&self, h: usize, v: usize, occupation: f64) -> Score {
@@ -539,7 +625,7 @@ impl<'a> Eval<'a> {
     /// Dynamic SLA enforcement penalty (§III-A.5). Fulfilment is projected
     /// for the *candidate* host from the CPU it could offer the VM.
     fn p_sla(&self, h: usize, v: usize) -> Score {
-        let (vm, job) = self.vm_refs[v];
+        let ColStatic { vm, job, .. } = self.cols[v];
         let deadline = job.deadline().as_secs_f64();
         if deadline <= 0.0 {
             return Score::finite(self.cfg.c_sla);
@@ -560,7 +646,7 @@ impl<'a> Eval<'a> {
         let fulfillment = (deadline / projected).min(1.0);
         if fulfillment >= 1.0 {
             Score::ZERO
-        } else if fulfillment > self.cfg.th_sla || self.original[v].is_none() {
+        } else if fulfillment > self.cfg.th_sla || self.cols[v].queued {
             // Queued VMs are never scored ∞ here: an already-doomed job must
             // still be placeable somewhere (the paper's virtual host would
             // otherwise hold it forever).
@@ -575,8 +661,8 @@ impl<'a> Eval<'a> {
 /// is actually up (an off host "cannot fulfil" anything): the
 /// placement-independent half of a cell's feasibility.
 #[inline]
-fn admits(host: &Host, job: &Job) -> bool {
-    host.power == PowerState::On && host.spec.satisfies(&job.requirements)
+fn admits(host: &Host, requirements: &Requirements) -> bool {
+    host.power == PowerState::On && host.spec.satisfies(requirements)
 }
 
 /// `P_res` (§III-A.2): the occupation `host` reaches with `used`
@@ -654,7 +740,7 @@ pub fn queue_has_feasible_cell(cluster: &Cluster) -> bool {
                 .iter()
                 .zip(cluster.committed_by_host())
                 .any(|(host, &committed)| {
-                    admits(host, job)
+                    admits(host, &job.requirements)
                         && occupation_within(committed.plus(vm.requested), host).is_some()
                 })
         })

@@ -39,8 +39,11 @@
 //! Cells live in struct-of-arrays form: the three round-static halves
 //! ([`Eval::static_cell`]) and the current full score are parallel flat
 //! arrays, so a dirty-row rescore touches contiguous memory instead of
-//! hopping across an array of structs. A rescore re-runs only
-//! [`Eval::score_with_static`], composing the halves in the same
+//! hopping across an array of structs. The fill computes each row's host
+//! terms once; a row whose host is not `On` has no feasible cell, so its
+//! values are set to `∞` without scoring and it stays off the engine's
+//! list of live rows, which is all a column scan reads. A rescore re-runs
+//! only [`Eval::score_with_static`], composing the halves in the same
 //! floating-point order as [`Eval::score`], so a cached cell is always
 //! bit-identical to a fresh recompute. Per column the engine maintains a
 //! sorted **top-k candidate list** `(to, row)` plus a *bound*: every
@@ -62,13 +65,14 @@
 //!
 //! ## Work accounting
 //!
-//! One [`WorkMeter`] unit is one cell touched. The engine build charges
-//! `m·n` for the fill plus `m·n` for the candidate lists; every sweep
-//! charges `n` for the argmin, `m` per drained list it rescans, and after
-//! a move at most `2n` for the two dirty rows plus `2n` for list
-//! maintenance. The meter is checked before every sweep, so a round
-//! overshoots its budget by at most the build or by one later sweep
-//! (`m·n + 5n`).
+//! One [`WorkMeter`] unit is one cell of the matrix, touched or skipped:
+//! the engine build charges `m·n` for the fill plus `m·n` for the
+//! candidate lists, dead rows included, so the meter measures the matrix
+//! and not how cheap its cells were. Every sweep charges `n` for the
+//! argmin, `m` per drained list it rescans, and after a move at most `2n`
+//! for the two dirty rows plus `2n` for list maintenance. The meter is
+//! checked before every sweep, so a round overshoots its budget by at
+//! most the build or by one later sweep (`m·n + 5n`).
 
 use eards_model::ShardMap;
 
@@ -117,6 +121,25 @@ struct ColCandidates {
 
 const BOUND_COMPLETE: (f64, u32) = (f64::INFINITY, u32::MAX);
 
+/// The engine's cell storage: struct-of-arrays, row-major
+/// `(local row, col) = r*n + c`. It outlives the engine: each
+/// [`ShardEngine::build`] takes it from the evaluator and each climb hands
+/// it back, so one allocation serves every shard of every round.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct CellStore {
+    feasible: Vec<bool>,
+    movein: Vec<Score>,
+    fault: Vec<Score>,
+    /// Current full score; `f64::INFINITY` marks an infeasible cell.
+    value: Vec<f64>,
+    /// Local rows whose host is `On`, ascending. Only `value` is written
+    /// on the other rows, and only it is read there.
+    live: Vec<usize>,
+    /// Per-column candidate state. Never shrinks, so each column's top-k
+    /// vector is reused; only the first `n` entries are in use.
+    cand: Vec<ColCandidates>,
+}
+
 /// A dense engine over one shard's host rows × its assigned columns.
 ///
 /// All storage is shard-local and value-typed (no borrows into the
@@ -128,39 +151,40 @@ struct ShardEngine {
     m: usize,
     /// Global column ids handled by this shard, ascending.
     cols: Vec<u32>,
-    // --- struct-of-arrays cell storage, row-major `(local row, col) = r*n + c`.
-    feasible: Vec<bool>,
-    movein: Vec<Score>,
-    fault: Vec<Score>,
-    /// Current full score; `f64::INFINITY` marks an infeasible cell.
-    value: Vec<f64>,
-    /// Per-column candidate state.
-    cand: Vec<ColCandidates>,
+    cells: CellStore,
 }
 
 impl ShardEngine {
-    /// Builds the engine: scores every cell (charging the meter per row)
-    /// and builds each column's candidate list (charging per column
-    /// scan).
+    /// Builds the engine in `cells`' allocations: scores every cell
+    /// (charging the meter per row) and builds each column's candidate
+    /// list (charging per column scan).
     fn build(
         eval: &Eval<'_>,
         rows: std::ops::Range<usize>,
         cols: Vec<u32>,
+        mut cells: CellStore,
         meter: &mut WorkMeter,
         rows_rescored: &mut u64,
     ) -> ShardEngine {
         let row0 = rows.start;
         let m = rows.len();
         let n = cols.len();
+        // `fill_row` writes every row's values and every live row's
+        // statics, and no dead row's statics are read: stale cells from
+        // an earlier round need no reset.
+        cells.feasible.resize(m * n, false);
+        cells.movein.resize(m * n, Score::ZERO);
+        cells.fault.resize(m * n, Score::ZERO);
+        cells.value.resize(m * n, f64::INFINITY);
+        cells.live.clear();
+        if cells.cand.len() < n {
+            cells.cand.resize_with(n, ColCandidates::default);
+        }
         let mut eng = ShardEngine {
             row0,
             m,
             cols,
-            feasible: vec![false; m * n],
-            movein: vec![Score::ZERO; m * n],
-            fault: vec![Score::ZERO; m * n],
-            value: vec![f64::INFINITY; m * n],
-            cand: vec![ColCandidates::default(); n],
+            cells,
         };
         for r in 0..m {
             eng.fill_row(eval, r, meter);
@@ -177,20 +201,37 @@ impl ShardEngine {
         self.cols.len()
     }
 
-    /// Scores local row `r` from scratch (statics + dynamic half).
+    /// Scores local row `r` from scratch: the row's host terms once, then
+    /// each cell's statics and dynamic half. A row whose host is not `On`
+    /// has no feasible cell, so only its values are written, as `∞`, and
+    /// it is left off the live list; it still charges `n` units like any
+    /// other row, so the work meter reads the same either way.
     fn fill_row(&mut self, eval: &Eval<'_>, r: usize, meter: &mut WorkMeter) {
         let n = self.n();
         let h = self.row0 + r;
-        for c in 0..n {
-            let v = self.cols[c] as usize;
-            let cell = eval.static_cell(h, v);
-            let idx = r * n + c;
-            self.feasible[idx] = cell.feasible;
-            self.movein[idx] = cell.movein;
-            self.fault[idx] = cell.fault;
-            self.value[idx] = eval.score_with_static(h, v, &cell).value();
-        }
+        let cells = r * n..(r + 1) * n;
         meter.charge(n as u64);
+        let Some(row) = eval.static_row(h) else {
+            // The verified skip: debug builds score the row anyway.
+            #[cfg(debug_assertions)]
+            for &v in &self.cols {
+                debug_assert!(
+                    !eval.static_cell(h, v as usize).feasible,
+                    "dead row {h} has a feasible cell in column {v}"
+                );
+            }
+            self.cells.value[cells].fill(f64::INFINITY);
+            return;
+        };
+        self.cells.live.push(r);
+        for (c, idx) in cells.enumerate() {
+            let v = self.cols[c] as usize;
+            let cell = eval.static_cell_in(&row, v);
+            self.cells.feasible[idx] = cell.feasible;
+            self.cells.movein[idx] = cell.movein;
+            self.cells.fault[idx] = cell.fault;
+            self.cells.value[idx] = eval.score_with_static(h, v, &cell).value();
+        }
     }
 
     /// Re-scores local row `r` reusing the cached static halves — the
@@ -203,53 +244,57 @@ impl ShardEngine {
     fn rescore_row(&mut self, eval: &Eval<'_>, r: usize, frozen: &[bool], meter: &mut WorkMeter) {
         let n = self.n();
         let h = self.row0 + r;
-        let mut live = 0u64;
+        let unfrozen = self.cols.iter().filter(|&&v| !frozen[v as usize]).count();
+        meter.charge(unfrozen as u64);
+        if self.cells.live.binary_search(&r).is_err() {
+            // A dead row stays `∞` whatever the overlay (see `fill_row`).
+            return;
+        }
         for c in 0..n {
             let v = self.cols[c] as usize;
             if frozen[v] {
                 continue;
             }
-            live += 1;
             let idx = r * n + c;
             let cell = CellStatic {
-                feasible: self.feasible[idx],
-                movein: self.movein[idx],
-                fault: self.fault[idx],
+                feasible: self.cells.feasible[idx],
+                movein: self.cells.movein[idx],
+                fault: self.cells.fault[idx],
             };
-            self.value[idx] = eval.score_with_static(h, v, &cell).value();
+            self.cells.value[idx] = eval.score_with_static(h, v, &cell).value();
         }
-        meter.charge(live);
     }
 
     /// Full column rescan: rebuilds column `c`'s top-k and bound from the
-    /// cell values. Requires all rows clean.
+    /// cell values. Requires all rows clean. Dead rows hold no finite
+    /// cell, so only the live ones are read.
     fn rebuild_col(&mut self, eval: &Eval<'_>, c: usize) {
         let n = self.n();
         let v = self.cols[c] as usize;
         let placement = eval.placement_of(v);
         let mut overflow = false;
-        let mut top: Vec<(f64, u32)> = std::mem::take(&mut self.cand[c].top);
+        let mut top: Vec<(f64, u32)> = std::mem::take(&mut self.cells.cand[c].top);
         top.clear();
-        for r in 0..self.m {
+        for &r in &self.cells.live {
             let h = self.row0 + r;
             if placement == Some(h) {
                 continue;
             }
-            let s = self.value[r * n + c];
+            let s = self.cells.value[r * n + c];
             if s.is_infinite() {
                 continue;
             }
             let entry = (s, h as u32);
-            let pos = top.partition_point(|&e| e < entry);
-            if pos < TOP_K {
-                top.insert(pos, entry);
-                if top.len() > TOP_K {
-                    top.pop();
-                    overflow = true;
-                }
-            } else {
+            if top.len() == TOP_K {
+                // Full: the entry or the current last drops out.
                 overflow = true;
+                if entry >= top[TOP_K - 1] {
+                    continue;
+                }
+                top.pop();
             }
+            let pos = top.partition_point(|&e| e < entry);
+            top.insert(pos, entry);
         }
         let bound = if overflow {
             // Dropped cells all compare > the last kept entry.
@@ -257,7 +302,7 @@ impl ShardEngine {
         } else {
             BOUND_COMPLETE
         };
-        self.cand[c] = ColCandidates { top, bound };
+        self.cells.cand[c] = ColCandidates { top, bound };
     }
 
     /// Applies a move's row invalidation: re-scores the dirty rows and
@@ -285,7 +330,7 @@ impl ShardEngine {
             }
             meter.charge(dirty.len() as u64);
             let placement = eval.placement_of(v);
-            let cand = &mut self.cand[c];
+            let cand = &mut self.cells.cand[c];
             for &r in dirty {
                 let h = (self.row0 + r) as u32;
                 if let Some(pos) = cand.top.iter().position(|&(_, row)| row == h) {
@@ -297,7 +342,7 @@ impl ShardEngine {
                 if placement == Some(h) {
                     continue;
                 }
-                let s = self.value[r * n + c];
+                let s = self.cells.value[r * n + c];
                 if s.is_infinite() {
                     continue;
                 }
@@ -327,11 +372,12 @@ impl ShardEngine {
     /// The head of column `c`'s candidate list, rescanning the column if
     /// the list drained while cells might remain outside the bound.
     fn col_best(&mut self, eval: &Eval<'_>, c: usize, meter: &mut WorkMeter) -> Option<(f64, u32)> {
-        if self.cand[c].top.is_empty() && self.cand[c].bound < BOUND_COMPLETE {
+        let cand = &self.cells.cand[c];
+        if cand.top.is_empty() && cand.bound < BOUND_COMPLETE {
             meter.charge(self.m as u64);
             self.rebuild_col(eval, c);
         }
-        self.cand[c].top.first().copied()
+        self.cells.cand[c].top.first().copied()
     }
 
     /// The most beneficial move within this shard by the global
@@ -358,7 +404,7 @@ impl ShardEngine {
                         (self.row0..self.row0 + self.m).contains(&p),
                         "column {v} placed outside its shard"
                     );
-                    Score::finite(self.value[(p - self.row0) * self.n() + c])
+                    Score::finite(self.cells.value[(p - self.row0) * self.n() + c])
                 }
                 None => Score::INFINITE,
             };
@@ -400,34 +446,37 @@ fn climb_shard(
         return (false, false);
     }
     let row0 = rows.start;
-    let mut eng = ShardEngine::build(eval, rows, cols, meter, rows_rescored);
+    let store = std::mem::take(&mut eval.cells);
+    let mut eng = ShardEngine::build(eval, rows, cols, store, meter, rows_rescored);
     let mut local_moves = 0usize;
-    while local_moves < max_moves {
+    let outcome = loop {
+        if local_moves >= max_moves {
+            break (true, false);
+        }
         if meter.exhausted() {
-            return (false, true);
+            break (false, true);
         }
         *sweeps += 1;
-        match eng.best_move(eval, frozen, meter) {
-            Some((v, h)) => {
-                let old = eval.placement_of(v);
-                eval.apply_move(v, h);
-                frozen[v] = true;
-                moves.push((v, h));
-                local_moves += 1;
-                let mut dirty = [0usize; 2];
-                let mut k = 0;
-                if let Some(o) = old {
-                    dirty[k] = o - row0;
-                    k += 1;
-                }
-                dirty[k] = h - row0;
-                k += 1;
-                eng.invalidate_rows(eval, &dirty[..k], frozen, meter, rows_rescored);
-            }
-            None => return (false, false),
+        let Some((v, h)) = eng.best_move(eval, frozen, meter) else {
+            break (false, false);
+        };
+        let old = eval.placement_of(v);
+        eval.apply_move(v, h);
+        frozen[v] = true;
+        moves.push((v, h));
+        local_moves += 1;
+        let mut dirty = [0usize; 2];
+        let mut k = 0;
+        if let Some(o) = old {
+            dirty[k] = o - row0;
+            k += 1;
         }
-    }
-    (true, false)
+        dirty[k] = h - row0;
+        k += 1;
+        eng.invalidate_rows(eval, &dirty[..k], frozen, meter, rows_rescored);
+    };
+    eval.cells = eng.cells;
+    outcome
 }
 
 /// Runs the full sharded hierarchical solve (see the module docs for the
@@ -621,7 +670,10 @@ mod tests {
     use super::*;
     use crate::config::ScoreConfig;
     use crate::solver::solve_reference;
-    use eards_model::{Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, PowerState};
+    use eards_model::{
+        Arch, Cluster, Cpu, HostClass, HostId, HostSpec, Hypervisor, Job, JobId, Mem, PowerState,
+        Requirements,
+    };
     use eards_sim::{SimDuration, SimTime};
 
     fn t(secs: u64) -> SimTime {
@@ -762,43 +814,139 @@ mod tests {
         assert_eq!(b.solution.moves.first().map(|&(v, _)| v), Some(1));
     }
 
-    /// After every move of an arbitrary sequence, the engine's cached cell
-    /// must equal a from-scratch recompute bit for bit, and each column's
-    /// candidate head must be the column's true `(to, row)` argmin.
+    /// Host `i`'s spec and power state from one generated byte: bits 0–2
+    /// pick the power state (half of them `On`), bits 3–5 a non-default
+    /// architecture, hypervisor and CPU count.
+    fn host_from_byte(i: u32, byte: u8) -> (HostSpec, u8) {
+        let classes = [HostClass::Fast, HostClass::Medium, HostClass::Slow];
+        let mut spec = HostSpec::standard(HostId(i), classes[i as usize % 3]);
+        if byte & 0x08 != 0 {
+            spec.arch = Arch::Ppc64;
+        }
+        if byte & 0x10 != 0 {
+            spec.hypervisor = Hypervisor::Kvm;
+        }
+        if byte & 0x20 != 0 {
+            spec.cpu = Cpu::cores(8);
+        }
+        (spec, byte & 0x07)
+    }
+
+    /// A job whose size and requirements come from one generated byte:
+    /// bits 0–1 the CPU (100–400), bits 2–3 a required architecture and
+    /// hypervisor, bits 4–5 the minimum host CPU count.
+    fn job_from_byte(id: u64, byte: u8) -> Job {
+        let mut j = job(id, 100 * (1 + u32::from(byte % 4)));
+        j.requirements = Requirements {
+            arch: (byte & 0x04 != 0).then_some(Arch::X86_64),
+            hypervisor: (byte & 0x08 != 0).then_some(Hypervisor::Xen),
+            min_host_cpus: [0, 2, 4, 8][usize::from(byte >> 4) % 4],
+        };
+        j
+    }
+
+    /// After the build and after every move of an arbitrary sequence, the
+    /// engine's cached cell must equal a from-scratch recompute bit for
+    /// bit, and each column's candidate head must be the column's true
+    /// `(to, row)` argmin. Hosts come in every power state and with
+    /// requirement mismatches, so dead rows and infeasible cells occur;
+    /// some VMs are left mid-creation, so `P_conc` is charged.
     fn check_engine_against_recompute(
         hosts: u32,
+        host_bytes: &[u8],
         placed: &[(u8, u8)],
         queued: &[u8],
         moves: &[(u8, u8)],
     ) {
-        let classes = [HostClass::Fast, HostClass::Medium, HostClass::Slow];
-        let specs = (0..hosts)
-            .map(|i| HostSpec::standard(HostId(i), classes[i as usize % 3]))
-            .collect();
+        let (specs, states): (Vec<_>, Vec<_>) = (0..hosts)
+            .map(|i| host_from_byte(i, host_bytes.get(i as usize).copied().unwrap_or(0)))
+            .unzip();
         let mut c = Cluster::new(specs, PowerState::On);
+        for (i, &state) in states.iter().enumerate() {
+            let h = HostId(i as u32);
+            match state {
+                4 => {
+                    c.begin_power_off(h, t(0));
+                    c.complete_power_off(h);
+                }
+                5 => {
+                    c.begin_power_off(h, t(0));
+                    c.complete_power_off(h);
+                    c.begin_power_on(h, t(0));
+                }
+                6 => {
+                    c.begin_power_off(h, t(0));
+                }
+                7 => {
+                    c.fail_host(h, t(0));
+                }
+                _ => {}
+            }
+        }
         let mut ids = Vec::new();
-        for (i, &(cpu, bias)) in placed.iter().enumerate() {
-            let vm = c.submit_job(job(i as u64, 100 * (1 + u32::from(cpu % 4))));
+        for (i, &(byte, bias)) in placed.iter().enumerate() {
+            let vm = c.submit_job(job_from_byte(i as u64, byte));
             let fits = (0..hosts)
                 .map(|k| HostId((u32::from(bias) + k) % hosts))
                 .find(|&h| c.can_place(h, vm));
             if let Some(h) = fits {
                 c.start_creation(vm, h, t(0), t(40));
-                c.finish_creation(vm, t(40));
-                ids.push(vm);
+                // A VM mid-creation is no matrix column, but its host
+                // charges the operation as `P_conc`.
+                if bias % 4 != 0 {
+                    c.finish_creation(vm, t(40));
+                    ids.push(vm);
+                }
             }
         }
-        for (i, &cpu) in queued.iter().enumerate() {
+        for (i, &byte) in queued.iter().enumerate() {
             let id = (placed.len() + i) as u64;
-            ids.push(c.submit_job(job(id, 100 * (1 + u32::from(cpu % 4)))));
+            ids.push(c.submit_job(job_from_byte(id, byte)));
         }
         let (m, n) = (hosts as usize, ids.len());
+        let check = |eval: &Eval<'_>, eng: &mut ShardEngine, meter: &mut WorkMeter| {
+            for v in 0..n {
+                let mut argmin: Option<(f64, u32)> = None;
+                for r in 0..m {
+                    let fresh = eval.score(r, v).value();
+                    let cached = eng.cells.value[r * n + v];
+                    assert_eq!(cached.to_bits(), fresh.to_bits(), "cell ({r}, {v})");
+                    let cand = (fresh, r as u32);
+                    if eval.placement_of(v) != Some(r)
+                        && fresh.is_finite()
+                        && argmin.is_none_or(|b| cand < b)
+                    {
+                        argmin = Some(cand);
+                    }
+                }
+                assert_eq!(eng.col_best(eval, v, meter), argmin, "column {v}");
+            }
+        };
         for cfg in [ScoreConfig::sb0(), ScoreConfig::sb(), ScoreConfig::full()] {
             let mut eval = Eval::new(&c, &cfg, t(120), ids.clone());
             let mut meter = WorkMeter::unlimited();
             let mut rows = 0u64;
             let cols = (0..n as u32).collect();
-            let mut eng = ShardEngine::build(&eval, 0..m, cols, &mut meter, &mut rows);
+            // Recycled storage holds an earlier round's cells: the build
+            // must not read any of them.
+            let stale = CellStore {
+                feasible: vec![true; m * n],
+                movein: vec![Score::finite(-7.0); m * n],
+                fault: vec![Score::finite(-7.0); m * n],
+                value: vec![-7.0; m * n],
+                live: (0..m).collect(),
+                cand: vec![
+                    ColCandidates {
+                        top: vec![(-7.0, 0)],
+                        bound: (-7.0, 0),
+                    };
+                    n
+                ],
+            };
+            let mut eng = ShardEngine::build(&eval, 0..m, cols, stale, &mut meter, &mut rows);
+            assert_eq!(rows, m as u64, "every row counts, dead or not");
+            assert_eq!(meter.spent(), 2 * (m * n) as u64, "every row charges n");
+            check(&eval, &mut eng, &mut meter);
             let frozen = vec![false; n];
             for &(vs, hs) in moves {
                 let (v, h) = (usize::from(vs) % n, usize::from(hs) % m);
@@ -809,22 +957,7 @@ mod tests {
                 eval.apply_move(v, h);
                 let dirty: Vec<usize> = old.into_iter().chain([h]).collect();
                 eng.invalidate_rows(&eval, &dirty, &frozen, &mut meter, &mut rows);
-                for v in 0..n {
-                    let mut argmin: Option<(f64, u32)> = None;
-                    for r in 0..m {
-                        let fresh = eval.score(r, v).value();
-                        let cached = eng.value[r * n + v];
-                        assert_eq!(cached.to_bits(), fresh.to_bits(), "cell ({r}, {v})");
-                        let cand = (fresh, r as u32);
-                        if eval.placement_of(v) != Some(r)
-                            && fresh.is_finite()
-                            && argmin.is_none_or(|b| cand < b)
-                        {
-                            argmin = Some(cand);
-                        }
-                    }
-                    assert_eq!(eng.col_best(&eval, v, &mut meter), argmin, "column {v}");
-                }
+                check(&eval, &mut eng, &mut meter);
             }
         }
     }
@@ -834,11 +967,12 @@ mod tests {
         #[test]
         fn engine_cells_and_heads_match_recompute(
             hosts in 2u32..24,
+            host_bytes in proptest::collection::vec(0u8..=255, 0..24),
             placed in proptest::collection::vec((0u8..=255, 0u8..=255), 0..10),
             queued in proptest::collection::vec(0u8..=255, 1..8),
             moves in proptest::collection::vec((0u8..=255, 0u8..=255), 1..12),
         ) {
-            check_engine_against_recompute(hosts, &placed, &queued, &moves);
+            check_engine_against_recompute(hosts, &host_bytes, &placed, &queued, &moves);
         }
     }
 
