@@ -4,7 +4,7 @@
 //! an hour on one machine; this measures our equivalent (a week runs in
 //! seconds — see the `week_in_the_datacenter` example).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use eards_bench::timing::Recorder;
 use eards_core::{ScoreConfig, ScoreScheduler};
 use eards_datacenter::{paper_datacenter, RunConfig, Runner};
 use eards_model::Policy;
@@ -32,35 +32,21 @@ fn make(policy: &str) -> Box<dyn Policy> {
     }
 }
 
-fn bench_day(c: &mut Criterion) {
+fn main() {
+    let mut rec = Recorder::default();
     let trace = day_trace();
-    let mut group = c.benchmark_group("end_to_end/simulated_day");
-    group.sample_size(10);
     for policy in ["RD", "BF", "DBF", "SB"] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(policy),
-            &policy,
-            |b, &policy| {
-                b.iter(|| {
-                    Runner::new(
-                        paper_datacenter(),
-                        trace.clone(),
-                        make(policy),
-                        RunConfig::default(),
-                    )
-                    .run()
-                })
-            },
-        );
+        rec.bench(&format!("end_to_end/simulated_day/{policy}"), || {
+            Runner::new(
+                paper_datacenter(),
+                trace.clone(),
+                make(policy),
+                RunConfig::default(),
+            )
+            .run()
+        });
     }
-    group.finish();
-}
-
-fn bench_trace_generation(c: &mut Criterion) {
-    c.bench_function("end_to_end/generate_week_trace", |b| {
-        b.iter(|| generate(&SynthConfig::grid5000_week(), 7))
+    rec.bench("end_to_end/generate_week_trace", || {
+        generate(&SynthConfig::grid5000_week(), 7)
     });
 }
-
-criterion_group!(benches, bench_day, bench_trace_generation);
-criterion_main!(benches);

@@ -4,7 +4,7 @@
 //! thousand hosts (10⁹ cells). This bench times one full scheduling
 //! round of `solve_sharded` on big direct-placement cases
 //! ([`scale_case`]), headline point **10 000 hosts / 100 000 VMs**, and
-//! merges the means into the workspace-root `BENCH_solver.json` next to
+//! merges the results into the workspace-root `BENCH_solver.json` next to
 //! the `solver` bench's points (the acceptance bar is < 250 ms per round
 //! on the headline point).
 //!
@@ -13,56 +13,27 @@
 //! must be move-for-move identical to the full-rescan reference climb),
 //! and does NOT touch `BENCH_solver.json`.
 
-use std::time::Instant;
-
-use eards_bench::common::{merge_solver_baseline, scale_case};
-use eards_core::{solve_reference, solve_sharded, DegradeLevel, Eval, ScoreConfig};
-use eards_model::ShardMap;
-use eards_sim::SimTime;
-
-const NOW_SECS: u64 = 100;
+use eards_bench::common::{merge_solver_baseline, recycled_round, scale_case};
+use eards_bench::timing::Recorder;
+use eards_core::{solve_reference, solve_sharded, DegradeLevel, EvalBuffers, ScoreConfig};
+use eards_model::{Cluster, ShardMap, VmId};
 
 /// Rack granularity of every map in this bench (the default `RackPlan`
 /// rack size).
 const RACK_SIZE: u32 = 8;
 
-fn time_min<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..reps {
-        #[allow(clippy::disallowed_methods)] // benchmarking wall time is the point
-        let t = Instant::now();
-        let r = f();
-        best = best.min(t.elapsed().as_secs_f64());
-        last = Some(r);
-    }
-    (best, last.expect("reps >= 1"))
-}
-
-/// One sharded scheduling round: fresh evaluator + hierarchical solve.
+/// One sharded scheduling round: evaluator in the recycled `buf` +
+/// hierarchical solve.
 fn sharded_round(
-    cluster: &eards_model::Cluster,
-    cols: &[eards_model::VmId],
+    cluster: &Cluster,
+    cols: &[VmId],
     cfg: &ScoreConfig,
     map: &ShardMap,
+    buf: &mut EvalBuffers,
 ) -> eards_core::ShardedOutcome {
-    let mut eval = Eval::new(cluster, cfg, SimTime::from_secs(NOW_SECS), cols.to_vec());
-    solve_sharded(
-        &mut eval,
-        map,
-        0,
-        cfg.max_moves,
-        u64::MAX,
-        DegradeLevel::L0Full,
-    )
-}
-
-fn report(label: &str, secs: f64, moves: usize, results: &mut Vec<(String, f64)>) {
-    println!(
-        "bench: {label:<48} {:>10.3} ms per round ({moves} moves)",
-        secs * 1e3
-    );
-    results.push((label.to_string(), secs));
+    recycled_round(cluster, cfg, cols, buf, |e| {
+        solve_sharded(e, map, 0, cfg.max_moves, u64::MAX, DegradeLevel::L0Full)
+    })
 }
 
 /// The single-shard differential oracle, cheap enough to run every CI
@@ -71,12 +42,12 @@ fn report(label: &str, secs: f64, moves: usize, results: &mut Vec<(String, f64)>
 fn smoke_oracle() {
     let (cluster, cols) = scale_case(16, 2, 12);
     let cfg = ScoreConfig::sb();
-    let expected = {
-        let mut eval = Eval::new(&cluster, &cfg, SimTime::from_secs(NOW_SECS), cols.clone());
-        solve_reference(&mut eval, cfg.max_moves)
-    };
+    let mut buf = EvalBuffers::default();
+    let expected = recycled_round(&cluster, &cfg, &cols, &mut buf, |e| {
+        solve_reference(e, cfg.max_moves)
+    });
     let map = ShardMap::single(16);
-    let out = sharded_round(&cluster, &cols, &cfg, &map);
+    let out = sharded_round(&cluster, &cols, &cfg, &map, &mut buf);
     assert_eq!(
         out.solution.moves, expected.moves,
         "single-shard oracle: sharded diverged from the reference climb"
@@ -89,18 +60,16 @@ fn smoke_oracle() {
 
 /// Shard-count grid on a mid-size case: how the round time scales with
 /// the partition, same workload throughout.
-fn shard_grid(results: &mut Vec<(String, f64)>) {
+fn shard_grid(rec: &mut Recorder) {
     let hosts = 400u32;
     let (cluster, cols) = scale_case(hosts, 3, 1200);
     let cfg = ScoreConfig::sb();
     for shards in [1u32, 2, 4, 8, 16] {
         let map = ShardMap::build(hosts as usize, RACK_SIZE, shards);
-        let (secs, out) = time_min(3, || sharded_round(&cluster, &cols, &cfg, &map));
-        report(
+        let mut buf = EvalBuffers::default();
+        rec.bench(
             &format!("solver_scale/grid_400h_2400v/shards_{shards}"),
-            secs,
-            out.solution.moves.len(),
-            results,
+            || sharded_round(&cluster, &cols, &cfg, &map, &mut buf),
         );
     }
 }
@@ -108,7 +77,7 @@ fn shard_grid(results: &mut Vec<(String, f64)>) {
 /// The headline points. A single shard is deliberately absent: at these
 /// sizes its initial fill alone is two orders of magnitude past the
 /// budget — that asymmetry is the point of sharding.
-fn scale_points(results: &mut Vec<(String, f64)>) {
+fn scale_points(rec: &mut Recorder) {
     for (hosts, per_host, queued, shards) in [
         (2_000u32, 3u32, 14_000u64, 250u32),
         (10_000, 3, 70_000, 1_250),
@@ -117,16 +86,17 @@ fn scale_points(results: &mut Vec<(String, f64)>) {
         let vms = cols.len();
         let cfg = ScoreConfig::sb();
         let map = ShardMap::build(hosts as usize, RACK_SIZE, shards);
-        let (secs, out) = time_min(3, || sharded_round(&cluster, &cols, &cfg, &map));
-        report(
-            &format!("solver_scale/sharded_{hosts}h_{vms}v"),
-            secs,
-            out.solution.moves.len(),
-            results,
-        );
+        let mut buf = EvalBuffers::default();
+        let (secs, out) = rec.bench(&format!("solver_scale/sharded_{hosts}h_{vms}v"), || {
+            sharded_round(&cluster, &cols, &cfg, &map, &mut buf)
+        });
         eprintln!(
-            "  detail: work={} rows_rescored={} balanced={} sweeps={}",
-            out.work_spent, out.rows_rescored, out.balanced, out.solution.sweeps
+            "  detail: moves={} work={} rows_rescored={} balanced={} sweeps={}",
+            out.solution.moves.len(),
+            out.work_spent,
+            out.rows_rescored,
+            out.balanced,
+            out.solution.sweeps
         );
         if hosts == 10_000 {
             let bar = 0.250;
@@ -140,19 +110,16 @@ fn scale_points(results: &mut Vec<(String, f64)>) {
     }
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut results = Vec::new();
+    let mut rec = Recorder::default();
     smoke_oracle();
-    shard_grid(&mut results);
+    shard_grid(&mut rec);
     if smoke {
         println!("smoke mode: skipping the 10_000-host points and the baseline write");
-        return;
+        return Ok(());
     }
-    scale_points(&mut results);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json");
-    match merge_solver_baseline(std::path::Path::new(path), &results) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    scale_points(&mut rec);
+    merge_solver_baseline(rec.results())?;
+    Ok(())
 }

@@ -1,7 +1,7 @@
 //! Credit-scheduler water-filling cost: runs on every host event, so its
 //! constant matters for end-to-end simulation speed.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use eards_bench::timing::Recorder;
 use eards_model::xen::{allocate, CpuContender};
 use eards_sim::SimRng;
 
@@ -19,26 +19,15 @@ fn contenders(n: usize, seed: u64) -> Vec<CpuContender> {
         .collect()
 }
 
-fn bench_allocation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("xen/allocate");
+fn main() {
+    let mut rec = Recorder::default();
     // Typical host populations (a 4-way node holds a handful of VMs) and a
     // pathological stack (what Random produces under a burst).
-    for &n in &[2usize, 4, 8, 16, 64] {
+    for n in [2usize, 4, 8, 16, 64] {
         let cs = contenders(n, n as u64);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &cs, |b, cs| {
-            b.iter(|| allocate(400.0, cs))
-        });
+        rec.bench(&format!("xen/allocate/{n}"), || allocate(400.0, &cs));
     }
-    group.finish();
-}
-
-fn bench_allocation_uncontended(c: &mut Criterion) {
     // The common fast case: everything fits, one round.
     let cs = vec![CpuContender::simple(100.0), CpuContender::simple(200.0)];
-    c.bench_function("xen/allocate_uncontended", |b| {
-        b.iter(|| allocate(400.0, &cs))
-    });
+    rec.bench("xen/allocate_uncontended", || allocate(400.0, &cs));
 }
-
-criterion_group!(benches, bench_allocation, bench_allocation_uncontended);
-criterion_main!(benches);

@@ -5,7 +5,7 @@
 //! machine-readable fault/recovery baseline next to `BENCH_solver.json`.
 //! The smoke mode writes nothing, so it never replaces that baseline.
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let smoke = std::env::args().any(|a| a == "--smoke");
     if smoke {
         // Strict auditing: a violation panics before we get here, so this
@@ -23,7 +23,7 @@ fn main() {
                 r.jobs_total,
             );
         }
-        return;
+        return Ok(());
     }
     let result = eards_bench::exp_chaos::run();
     eards_bench::emit(&result);
@@ -42,9 +42,6 @@ fn main() {
         eprintln!("!! {violated} shape check(s) VIOLATED");
         std::process::exit(1);
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path} ({} bytes)", json.len()),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    eards_bench::common::write_baseline("BENCH_chaos.json", &json)?;
+    Ok(())
 }

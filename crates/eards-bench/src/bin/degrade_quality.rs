@@ -6,7 +6,7 @@
 //! machine-readable boundedness + quality-loss baseline next to
 //! `BENCH_chaos.json`.
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let smoke = std::env::args().any(|a| a == "--smoke");
     if smoke {
         // Strict auditing + the in-process work-bound assert: reaching
@@ -26,7 +26,7 @@ fn main() {
             report.jobs_completed,
             report.jobs_total,
         );
-        return;
+        return Ok(());
     }
     let result = eards_bench::exp_degrade::run();
     eards_bench::emit(&result);
@@ -45,9 +45,6 @@ fn main() {
         eprintln!("!! {violated} shape check(s) VIOLATED");
         std::process::exit(1);
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_degrade.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path} ({} bytes)", json.len()),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    eards_bench::common::write_baseline("BENCH_degrade.json", &json)?;
+    Ok(())
 }

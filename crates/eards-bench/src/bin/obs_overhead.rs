@@ -3,7 +3,7 @@
 //! workspace root next to the other machine-readable baselines; exits
 //! non-zero if any shape check is violated.
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let result = eards_bench::exp_obs::run();
     eards_bench::emit(&result);
     let json = result
@@ -12,11 +12,7 @@ fn main() {
         .find(|(name, _)| name == "BENCH_obs.json")
         .map(|(_, contents)| contents.clone())
         .unwrap_or_default();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path} ({} bytes)", json.len()),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    eards_bench::common::write_baseline("BENCH_obs.json", &json)?;
     let violated = result
         .notes
         .iter()
@@ -26,4 +22,5 @@ fn main() {
         eprintln!("!! {violated} shape check(s) VIOLATED");
         std::process::exit(1);
     }
+    Ok(())
 }

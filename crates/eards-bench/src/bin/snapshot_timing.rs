@@ -20,6 +20,8 @@
 //!
 //! Run with `cargo run --release -p eards-bench --bin snapshot_timing`.
 
+use eards_bench::common::write_baseline;
+use eards_bench::timing::best_of;
 use eards_core::{ScoreConfig, ScoreScheduler};
 use eards_datacenter::{paper_datacenter, small_datacenter, RunConfig, Runner};
 use eards_model::{Cpu, FaultPlan, HostClass, HostSpec, Job, JobId, Mem, Policy};
@@ -77,20 +79,6 @@ fn week_world() -> (Vec<HostSpec>, Trace, Box<dyn Policy>, RunConfig) {
     )
 }
 
-/// Minimum over `reps` timings of `run`. Each repetition's input comes
-/// from `setup`, which runs outside the timed region.
-fn time_min_ms<I>(reps: usize, mut setup: impl FnMut() -> I, mut run: impl FnMut(I)) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let input = setup();
-        #[allow(clippy::disallowed_methods)] // benchmarking wall time is the point
-        let t = std::time::Instant::now();
-        run(input);
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 /// Asserts that restoring `bytes` into `fresh` and snapshotting again
 /// yields `bytes` exactly.
 fn assert_fixed_point(
@@ -121,16 +109,17 @@ fn gated_point() -> (String, bool) {
     );
 
     let bytes = runner.snapshot().expect("snapshot encodes");
-    let snapshot_ms = time_min_ms(
+    let snapshot_ms = best_of(
         REPS,
         || (),
         |()| {
             std::hint::black_box(runner.snapshot().expect("snapshot encodes"));
         },
-    );
+    )
+    .0 * 1e3;
     // The world is built inside the timed region here, as it always has
     // been for this point, so its numbers stay comparable across builds.
-    let restore_ms = time_min_ms(
+    let restore_ms = best_of(
         REPS,
         || (),
         |()| {
@@ -139,7 +128,8 @@ fn gated_point() -> (String, bool) {
                 Runner::restore(hosts, trace, policy, cfg, &bytes).expect("snapshot restores");
             std::hint::black_box(&restored);
         },
-    );
+    )
+    .0 * 1e3;
     assert_fixed_point(world(), &bytes);
 
     let total_ms = snapshot_ms + restore_ms;
@@ -166,18 +156,20 @@ fn week_point() -> String {
     while runner.step_batch() {}
 
     let bytes = runner.snapshot().expect("snapshot encodes");
-    let snapshot_ms = time_min_ms(
+    let snapshot_ms = best_of(
         WEEK_REPS,
         || (),
         |()| {
             std::hint::black_box(runner.snapshot().expect("snapshot encodes"));
         },
-    );
-    let restore_ms = time_min_ms(WEEK_REPS, week_world, |(hosts, trace, policy, cfg)| {
+    )
+    .0 * 1e3;
+    let restore_ms = best_of(WEEK_REPS, week_world, |(hosts, trace, policy, cfg)| {
         let restored =
             Runner::restore(hosts, trace, policy, cfg, &bytes).expect("snapshot restores");
         std::hint::black_box(&restored);
-    });
+    })
+    .0 * 1e3;
     assert_fixed_point(week_world(), &bytes);
 
     let mb = bytes.len() as f64 / 1e6;
@@ -197,17 +189,16 @@ fn week_point() -> String {
     )
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let (gated, within) = gated_point();
     let week = week_point();
-    let json = format!("{{{gated},\"week\":{week}}}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_snapshot.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path} ({} bytes)", json.len()),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_baseline(
+        "BENCH_snapshot.json",
+        &format!("{{{gated},\"week\":{week}}}\n"),
+    )?;
     if !within {
         eprintln!("!! snapshot round trip exceeds budget");
         std::process::exit(1);
     }
+    Ok(())
 }

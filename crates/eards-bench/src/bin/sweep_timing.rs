@@ -18,6 +18,9 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use eards_bench::common::write_baseline;
+use eards_bench::timing::best_of;
+
 /// Grid: 8 seeds × 1 policy × 1 chaos = 8 shards.
 const SEEDS: &str = "1,2,3,4,5,6,7,8";
 const WORLD: &str = "--hosts 20 --hours 96 --seeds";
@@ -45,22 +48,26 @@ fn eards_bin() -> PathBuf {
     );
 }
 
-#[allow(clippy::disallowed_methods)] // benchmarking wall time is the point
 fn timed_sweep(bin: &Path, out_dir: &Path, mode: &[&str]) -> f64 {
-    let t = std::time::Instant::now();
-    let status = Command::new(bin)
-        .arg("sweep")
-        .args(WORLD.split_whitespace())
-        .arg(SEEDS)
-        .args(["--sweep-out", &out_dir.display().to_string()])
-        .args(mode)
-        .status()
-        .expect("spawn eards sweep");
+    let (secs, status) = best_of(
+        1,
+        || (),
+        |()| {
+            Command::new(bin)
+                .arg("sweep")
+                .args(WORLD.split_whitespace())
+                .arg(SEEDS)
+                .args(["--sweep-out", &out_dir.display().to_string()])
+                .args(mode)
+                .status()
+                .expect("spawn eards sweep")
+        },
+    );
     assert!(status.success(), "eards sweep {mode:?} failed");
-    t.elapsed().as_secs_f64() * 1e3
+    secs * 1e3
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let bin = eards_bin();
     let root = std::env::temp_dir().join(format!("eards-bench-sweep-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -92,11 +99,7 @@ fn main() {
          \"speedup\":{speedup:.2},\"cores\":{cores},\"floor\":{SPEEDUP_FLOOR},\
          \"gated\":{gated},\"within_budget\":{within}}}\n"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path} ({} bytes)", json.len()),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_baseline("BENCH_sweep.json", &json)?;
     eprintln!(
         "{shards} shards: serial {serial_ms:.0} ms, --jobs 4 {jobs4_ms:.0} ms \
          ({speedup:.2}x, floor {SPEEDUP_FLOOR}x, {cores} cores, gate {})",
@@ -110,4 +113,5 @@ fn main() {
         eprintln!("!! sweep farm speedup below floor");
         std::process::exit(1);
     }
+    Ok(())
 }

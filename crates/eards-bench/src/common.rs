@@ -6,9 +6,10 @@
 //! `EXPERIMENTS.md`.
 
 use std::fs;
-use std::path::Path;
+use std::io;
+use std::path::{Path, PathBuf};
 
-use eards_core::{ScoreConfig, ScoreScheduler};
+use eards_core::{Eval, EvalBuffers, ScoreConfig, ScoreScheduler};
 use eards_metrics::Table;
 use eards_model::{
     Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, Policy, PowerState, VmId,
@@ -257,15 +258,49 @@ pub fn scale_case(hosts: u32, per_host: u32, queued: u64) -> (Cluster, Vec<VmId>
     (cluster, cols)
 }
 
-/// Merges `(label, mean seconds per iteration)` results into the
+/// One scheduling round as [`ScoreScheduler`] runs it: an evaluator
+/// over `cols` built in the recycled `buf`, handed to `solve`, and its
+/// allocations handed back. The solver benches and the solver-timing
+/// experiment time rounds through this, so they pay what a simulated
+/// round pays.
+pub fn recycled_round<R>(
+    cluster: &Cluster,
+    cfg: &ScoreConfig,
+    cols: &[VmId],
+    buf: &mut EvalBuffers,
+    solve: impl FnOnce(&mut Eval<'_>) -> R,
+) -> R {
+    let mut eval = Eval::new_in(cluster, cfg, SimTime::from_secs(100), cols.to_vec(), buf);
+    let out = solve(&mut eval);
+    eval.recycle(buf);
+    out
+}
+
+/// The workspace root, where the committed `BENCH_*.json` baselines live.
+pub const WORKSPACE_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+/// Writes the baseline file `name` under [`WORKSPACE_ROOT`], whatever
+/// the working directory, reports it on stderr and returns its path.
+/// The error names the path, so a bin can return it from `main` and
+/// exit non-zero.
+pub fn write_baseline(name: &str, contents: &str) -> io::Result<PathBuf> {
+    let path = Path::new(WORKSPACE_ROOT).join(name);
+    fs::write(&path, contents)
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+    eprintln!("wrote {} ({} bytes)", path.display(), contents.len());
+    Ok(path)
+}
+
+/// Merges `(label, seconds per iteration)` results into the
 /// workspace-root `BENCH_solver.json` baseline: existing entries with
 /// other labels are preserved, colliding labels are overwritten, and the
 /// derived reference/incremental speedup is recomputed from the merged
 /// set. Lets the `solver` and `solver_scale` benches extend one baseline
 /// file without clobbering each other's points.
-pub fn merge_solver_baseline(path: &Path, new: &[(String, f64)]) -> std::io::Result<()> {
+pub fn merge_solver_baseline(new: &[(String, f64)]) -> io::Result<PathBuf> {
+    const NAME: &str = "BENCH_solver.json";
     let mut merged: Vec<(String, f64)> = Vec::new();
-    if let Ok(text) = fs::read_to_string(path) {
+    if let Ok(text) = fs::read_to_string(Path::new(WORKSPACE_ROOT).join(NAME)) {
         for line in text.lines() {
             // Result entries look like `    "label": 1.234e-3,` — other
             // lines fail the prefix strip or the f64 parse and are
@@ -285,26 +320,26 @@ pub fn merge_solver_baseline(path: &Path, new: &[(String, f64)]) -> std::io::Res
             }
         }
     }
-    for (label, mean) in new {
+    for (label, secs) in new {
         if let Some(entry) = merged.iter_mut().find(|(l, _)| l == label) {
-            entry.1 = *mean;
+            entry.1 = *secs;
         } else {
-            merged.push((label.clone(), *mean));
+            merged.push((label.clone(), *secs));
         }
     }
     let mut json = String::from(
-        "{\n  \"bench\": \"solver\",\n  \"unit\": \"mean_seconds_per_iter\",\n  \"results\": {\n",
+        "{\n  \"bench\": \"solver\",\n  \"unit\": \"min_batch_seconds_per_iter\",\n  \"results\": {\n",
     );
-    for (i, (label, mean)) in merged.iter().enumerate() {
+    for (i, (label, secs)) in merged.iter().enumerate() {
         let comma = if i + 1 < merged.len() { "," } else { "" };
-        json.push_str(&format!("    \"{label}\": {mean:e}{comma}\n"));
+        json.push_str(&format!("    \"{label}\": {secs:e}{comma}\n"));
     }
     json.push_str("  }");
     let find = |suffix: &str| {
         merged
             .iter()
             .find(|(label, _)| label.ends_with(suffix))
-            .map(|&(_, mean)| mean)
+            .map(|&(_, secs)| secs)
     };
     if let (Some(reference), Some(incremental)) =
         (find("/reference_100h_200v"), find("/incremental_100h_200v"))
@@ -315,7 +350,7 @@ pub fn merge_solver_baseline(path: &Path, new: &[(String, f64)]) -> std::io::Res
         ));
     }
     json.push_str("\n}\n");
-    fs::write(path, json)
+    write_baseline(NAME, &json)
 }
 
 /// Prints a result to stdout and writes it (plus artifacts) to
@@ -356,6 +391,12 @@ mod tests {
         let b = paper_trace();
         assert_eq!(a.len(), b.len());
         assert!(a.len() > 1000);
+    }
+
+    #[test]
+    fn baseline_write_under_a_missing_directory_fails() {
+        let err = write_baseline("no-such-dir/BENCH_x.json", "{}").unwrap_err();
+        assert!(err.to_string().contains("no-such-dir"), "{err}");
     }
 
     #[test]

@@ -14,46 +14,37 @@
 //! the incremental engine is ≥ 3× faster than the reference on the
 //! 100-host/200-VM case.
 
-use std::time::Instant;
-
-use eards_core::{solve, solve_reference, Eval, ScoreConfig, Solution};
+use eards_core::{solve, solve_reference, EvalBuffers, ScoreConfig, Solution};
 use eards_metrics::Table;
 use eards_model::{Cluster, VmId};
-use eards_sim::SimTime;
 
-use crate::common::{solver_case, ExperimentResult};
+use crate::common::{recycled_round, solver_case, ExperimentResult};
+use crate::timing::{per_iter, REPS};
 
 /// Move cap for the timed climbs: high enough that the 200-VM case runs
 /// its full placement cascade rather than stopping at the paper's
 /// per-round default.
 const CAP: usize = 256;
 
-const NOW_SECS: u64 = 100;
-
 /// Minimum incremental-vs-reference speedup the 100h/200v case must show.
 const SPEEDUP_FLOOR: f64 = 3.0;
 
-fn time_min<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..reps {
-        #[allow(clippy::disallowed_methods)] // solver timing measures wall time
-        let t = Instant::now();
-        let r = f();
-        best = best.min(t.elapsed().as_secs_f64());
-        last = Some(r);
-    }
-    (best, last.expect("reps >= 1"))
+fn run_reference(
+    cluster: &Cluster,
+    cols: &[VmId],
+    cfg: &ScoreConfig,
+    buf: &mut EvalBuffers,
+) -> Solution {
+    recycled_round(cluster, cfg, cols, buf, |e| solve_reference(e, CAP))
 }
 
-fn run_reference(cluster: &Cluster, cols: &[VmId], cfg: &ScoreConfig) -> Solution {
-    let mut eval = Eval::new(cluster, cfg, SimTime::from_secs(NOW_SECS), cols.to_vec());
-    solve_reference(&mut eval, CAP)
-}
-
-fn run_incremental(cluster: &Cluster, cols: &[VmId], cfg: &ScoreConfig) -> Solution {
-    let mut eval = Eval::new(cluster, cfg, SimTime::from_secs(NOW_SECS), cols.to_vec());
-    solve(&mut eval, CAP)
+fn run_incremental(
+    cluster: &Cluster,
+    cols: &[VmId],
+    cfg: &ScoreConfig,
+    buf: &mut EvalBuffers,
+) -> Solution {
+    recycled_round(cluster, cfg, cols, buf, |e| solve(e, CAP))
 }
 
 /// Regenerates the solver-timing section.
@@ -84,12 +75,10 @@ pub fn run() -> ExperimentResult {
         let label = format!("{hosts}h_{vms}v");
         let (cluster, cols) = solver_case(hosts, running, queued);
 
-        // One warmup apiece, then best-of-N wall clock (min is the right
-        // statistic for a deterministic routine on a noisy machine).
-        run_reference(&cluster, &cols, &cfg);
-        let (t_ref, sol_ref) = time_min(5, || run_reference(&cluster, &cols, &cfg));
-        run_incremental(&cluster, &cols, &cfg);
-        let (t_inc, sol_inc) = time_min(5, || run_incremental(&cluster, &cols, &cfg));
+        // The `solver` bench's statistic for its cold_vs_incremental pair.
+        let mut buf = EvalBuffers::default();
+        let (t_ref, sol_ref) = per_iter(REPS, || run_reference(&cluster, &cols, &cfg, &mut buf));
+        let (t_inc, sol_inc) = per_iter(REPS, || run_incremental(&cluster, &cols, &cfg, &mut buf));
 
         all_identical &= sol_ref == sol_inc;
         let speedup = t_ref / t_inc;
@@ -116,7 +105,10 @@ pub fn run() -> ExperimentResult {
     }
 
     result.tables.push((
-        "One scheduling round (matrix build + hill climb), best of 5".into(),
+        format!(
+            "One scheduling round (matrix build + hill climb), recycled buffers, \
+             best of {REPS} batches"
+        ),
         table,
     ));
     result.artifacts.push(("solver_timing.csv".into(), csv));
@@ -126,16 +118,17 @@ pub fn run() -> ExperimentResult {
     } else {
         "Shape check: both paths return identical move sequences — VIOLATED.".into()
     });
-    result.notes.push(
-        "Noise bounds: best-of-5 wall clock on a shared machine is stable to \
-         roughly ±2% per point (the `solver` bench harness, time-budgeted \
-         batching, is similar); adjacent points of any sweep closer than \
-         that are unordered noise. The bench's `max_moves` sweep therefore \
-         uses a case large enough that every cap truncates the climb — a \
-         converged case makes the top caps equal-work and their ordering \
-         a coin flip."
-            .into(),
-    );
+    result.notes.push(format!(
+        "Noise bounds: each point is the fastest of {REPS} batches of at least \
+         1 ms (the statistic of every `solver` bench point too). That \
+         filters noise within a run but not drift of a shared machine \
+         between runs, where the same point has read up to 2x apart, so \
+         compare points of one run only; within a run, adjacent points of \
+         any sweep closer than about 5% are unordered noise. The bench's \
+         `max_moves` sweep therefore uses a case large enough that every \
+         cap truncates the climb — a converged case makes the top caps \
+         equal-work and their ordering a coin flip."
+    ));
     result.notes.push(if headline_speedup >= SPEEDUP_FLOOR {
         format!(
             "Shape check: incremental >= {SPEEDUP_FLOOR:.0}x reference on 100h_200v \
@@ -158,8 +151,9 @@ mod tests {
     fn both_paths_agree_on_a_small_case() {
         let cfg = ScoreConfig::sb();
         let (cluster, cols) = solver_case(10, 10, 10);
-        let a = run_reference(&cluster, &cols, &cfg);
-        let b = run_incremental(&cluster, &cols, &cfg);
+        let mut buf = EvalBuffers::default();
+        let a = run_reference(&cluster, &cols, &cfg, &mut buf);
+        let b = run_incremental(&cluster, &cols, &cfg, &mut buf);
         assert_eq!(a, b);
         assert!(!a.moves.is_empty(), "queued VMs must be placed");
     }

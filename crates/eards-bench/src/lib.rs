@@ -21,8 +21,9 @@
 //! | [`exp_obs`] | engine: observability overhead + bit-identity gate |
 //!
 //! Binaries under `src/bin/` wrap these one-to-one; `run_all` regenerates
-//! everything and rebuilds `EXPERIMENTS.md`. Criterion microbenches of the
-//! engine/solver live under `benches/`.
+//! everything and rebuilds `EXPERIMENTS.md`. Microbenches of the
+//! engine/solver live under `benches/`; they and the timing experiments
+//! read the wall clock only through [`timing`].
 
 #![warn(missing_docs)]
 
@@ -44,5 +45,6 @@ pub mod exp_table2;
 pub mod exp_table3;
 pub mod exp_table4;
 pub mod exp_table5;
+pub mod timing;
 
 pub use common::{emit, make_policy, paper_trace, ExperimentResult, TRACE_SEED};

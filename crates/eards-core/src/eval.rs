@@ -42,7 +42,7 @@ use crate::shard::CellStore;
 /// alive across rounds and recycles every vector through it instead of
 /// reallocating.
 #[derive(Debug, Default, Clone)]
-pub(crate) struct EvalBuffers {
+pub struct EvalBuffers {
     pub(crate) vms: Vec<VmId>,
     original: Vec<Option<usize>>,
     placement: Vec<Option<usize>>,
@@ -177,7 +177,7 @@ impl<'a> Eval<'a> {
     /// Like [`Eval::new`], but recycling the vectors held in `buf` instead
     /// of allocating. Pair with [`Eval::recycle`] at the end of the round
     /// to hand them back.
-    pub(crate) fn new_in(
+    pub fn new_in(
         cluster: &'a Cluster,
         cfg: &'a ScoreConfig,
         now: SimTime,
@@ -236,7 +236,7 @@ impl<'a> Eval<'a> {
 
     /// Hands the evaluator's allocations (including the VM column vector)
     /// back for reuse in a later round.
-    pub(crate) fn recycle(self, buf: &mut EvalBuffers) {
+    pub fn recycle(self, buf: &mut EvalBuffers) {
         buf.vms = self.vms;
         buf.original = self.original;
         buf.placement = self.placement;
