@@ -73,21 +73,27 @@ fn bench_paper_shape(rec: &mut Recorder) {
 }
 
 /// The acceptance case of the incremental engine: one 100-host / 200-VM
-/// hill-climbing round, full-rescan reference vs the cached engine.
-/// `reference` and `incremental` must stay ≥ 3× apart (the `run_all`
-/// solver-timing section shape-checks this with the same statistic;
-/// here the two results land side by side in `BENCH_solver.json`).
+/// hill-climbing round, full-rescan reference vs the cached engine, in
+/// alternating batches so that the derived speedup compares the two
+/// under the same machine speed. `reference` and `incremental` must
+/// stay ≥ 3× apart (the `run_all` solver-timing section shape-checks
+/// this with the same statistic; here the two results land side by side
+/// in `BENCH_solver.json`).
 fn bench_cold_vs_incremental(rec: &mut Recorder) {
     let (cluster, cols) = solver_case(100, 100, 100);
     let cfg = ScoreConfig::sb();
     let cap = 256usize;
-    let mut buf = EvalBuffers::default();
-    rec.bench("solver/cold_vs_incremental/reference_100h_200v", || {
-        recycled_round(&cluster, &cfg, &cols, &mut buf, |e| solve_reference(e, cap))
-    });
-    rec.bench("solver/cold_vs_incremental/incremental_100h_200v", || {
-        recycled_round(&cluster, &cfg, &cols, &mut buf, |e| solve(e, cap))
-    });
+    let (mut buf_ref, mut buf_inc) = (EvalBuffers::default(), EvalBuffers::default());
+    rec.bench_pair(
+        "solver/cold_vs_incremental/reference_100h_200v",
+        || {
+            recycled_round(&cluster, &cfg, &cols, &mut buf_ref, |e| {
+                solve_reference(e, cap)
+            })
+        },
+        "solver/cold_vs_incremental/incremental_100h_200v",
+        || recycled_round(&cluster, &cfg, &cols, &mut buf_inc, |e| solve(e, cap)),
+    );
 }
 
 /// Runs every case, then merges the results into `BENCH_solver.json`

@@ -19,7 +19,7 @@ use eards_metrics::Table;
 use eards_model::{Cluster, VmId};
 
 use crate::common::{recycled_round, solver_case, ExperimentResult};
-use crate::timing::{per_iter, REPS};
+use crate::timing::{per_iter_pair, REPS};
 
 /// Move cap for the timed climbs: high enough that the 200-VM case runs
 /// its full placement cascade rather than stopping at the paper's
@@ -76,9 +76,12 @@ pub fn run() -> ExperimentResult {
         let (cluster, cols) = solver_case(hosts, running, queued);
 
         // The `solver` bench's statistic for its cold_vs_incremental pair.
-        let mut buf = EvalBuffers::default();
-        let (t_ref, sol_ref) = per_iter(REPS, || run_reference(&cluster, &cols, &cfg, &mut buf));
-        let (t_inc, sol_inc) = per_iter(REPS, || run_incremental(&cluster, &cols, &cfg, &mut buf));
+        let (mut buf_ref, mut buf_inc) = (EvalBuffers::default(), EvalBuffers::default());
+        let ((t_ref, sol_ref), (t_inc, sol_inc)) = per_iter_pair(
+            REPS,
+            || run_reference(&cluster, &cols, &cfg, &mut buf_ref),
+            || run_incremental(&cluster, &cols, &cfg, &mut buf_inc),
+        );
 
         all_identical &= sol_ref == sol_inc;
         let speedup = t_ref / t_inc;
@@ -107,7 +110,7 @@ pub fn run() -> ExperimentResult {
     result.tables.push((
         format!(
             "One scheduling round (matrix build + hill climb), recycled buffers, \
-             best of {REPS} batches"
+             best of {REPS} interleaved batches per side"
         ),
         table,
     ));
@@ -120,11 +123,16 @@ pub fn run() -> ExperimentResult {
     });
     result.notes.push(format!(
         "Noise bounds: each point is the fastest of {REPS} batches of at least \
-         1 ms (the statistic of every `solver` bench point too). That \
-         filters noise within a run but not drift of a shared machine \
-         between runs, where the same point has read up to 2x apart, so \
-         compare points of one run only; within a run, adjacent points of \
-         any sweep closer than about 5% are unordered noise. The bench's \
+         1 ms (the statistic of every `solver` bench point too), and a \
+         case's reference and incremental batches alternate, so a change \
+         of machine speed during the run slows both sides: on a 2-vCPU \
+         shared VM the 100h_200v speedup read 26.9x to 31.9x over six \
+         runs, against 16.4x to 31.0x with one side timed after the \
+         other. That filters noise within a run but not drift of a \
+         shared machine between runs, where the same point has read up \
+         to 2x apart, so compare points of one run only; within a run, \
+         adjacent points of any sweep closer than about 5% are unordered \
+         noise. The bench's \
          `max_moves` sweep therefore uses a case large enough that every \
          cap truncates the climb — a converged case makes the top caps \
          equal-work and their ordering a coin flip."

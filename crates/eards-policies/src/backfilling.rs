@@ -7,7 +7,9 @@
 //! never overcommits, which is why it reaches 98% satisfaction at a
 //! fraction of RD/RR's power in Table II.
 
-use eards_model::{Action, Cluster, HostId, Policy, ScheduleContext, VmId};
+use eards_model::{
+    Action, Cluster, HostId, Policy, Requirements, Resources, ScheduleContext, VmId,
+};
 
 use crate::common::{ready_hosts, Planner};
 
@@ -48,12 +50,21 @@ pub(crate) fn best_fit(planner: &Planner<'_>, ready: &[HostId], vm: VmId) -> Opt
 /// `ready`; a VM that fits nowhere waits — never overcommit. Shared by BF
 /// and DBF phase 1.
 ///
-/// With `quick_reject`, a VM whose request exceeds the round's
-/// [`Cluster::max_free_on`] bound is skipped without probing any host.
-/// The bound is taken once, before the first commit, over the On hosts
-/// (exactly the `ready` set, as `is_ready()` is `== On`), and stays
-/// valid all round because commits only shrink free capacity, so the
-/// actions are the same either way (a differential test checks this).
+/// `quick_reject` turns on two skips, each of a VM no host could take,
+/// so the actions are the same either way (a differential test checks
+/// this; `false` is the exhaustive reference):
+///
+/// - *Bound.* A VM whose request exceeds the round's
+///   [`Cluster::max_free_on`] bound is skipped without probing any host.
+///   The bound is taken once, before the first commit, over the On hosts
+///   (exactly the `ready` set, as `is_ready()` is `== On`), and stays
+///   valid all round because commits only shrink free capacity.
+/// - *Failure frontier.* Each VM [`best_fit`] places nowhere records its
+///   `(request, requirements)`. A later VM with equal requirements and a
+///   request at least as large in both CPU and memory is skipped: commits
+///   only add load, a queued VM has no current host, and a strict fit is
+///   monotone in the request, so it would fail on every host too. Debug
+///   builds re-probe every such skip and assert that it finds no host.
 pub(crate) fn place_queue(
     planner: &mut Planner<'_>,
     ready: &[HostId],
@@ -61,14 +72,31 @@ pub(crate) fn place_queue(
 ) -> Vec<Action> {
     let cluster = planner.cluster();
     let room = quick_reject.then(|| cluster.max_free_on());
+    let mut failed: Vec<(Resources, Requirements)> = Vec::new();
     let mut actions = Vec::new();
     for &vm in cluster.queue() {
-        if room.is_some_and(|room| !cluster.vm(vm).requested.fits_in(room)) {
+        let requested = cluster.vm(vm).requested;
+        if room.is_some_and(|room| !requested.fits_in(room)) {
             continue;
         }
-        if let Some(host) = best_fit(planner, ready, vm) {
-            planner.commit(host, vm);
-            actions.push(Action::Create { vm, host });
+        let requirements = cluster.job(vm).requirements;
+        let dominated = failed
+            .iter()
+            .any(|&(f, r)| r == requirements && f.fits_in(requested));
+        if dominated {
+            debug_assert!(
+                best_fit(planner, ready, vm).is_none(),
+                "frontier skipped {vm}, which fits"
+            );
+            continue;
+        }
+        match best_fit(planner, ready, vm) {
+            Some(host) => {
+                planner.commit(host, vm);
+                actions.push(Action::Create { vm, host });
+            }
+            None if quick_reject => failed.push((requested, requirements)),
+            None => {}
         }
     }
     actions
@@ -87,7 +115,9 @@ impl Policy for BackfillingPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eards_model::{Cpu, HostClass, HostSpec, Job, JobId, Mem, PowerState, ScheduleReason};
+    use eards_model::{
+        Arch, Cpu, HostClass, HostSpec, Hypervisor, Job, JobId, Mem, PowerState, ScheduleReason,
+    };
     use eards_sim::{SimDuration, SimTime};
     use proptest::collection::vec;
     use proptest::prelude::*;
@@ -109,14 +139,7 @@ mod tests {
     }
 
     fn add_job(c: &mut Cluster, id: u64, cpu: u32) -> VmId {
-        c.submit_job(Job::new(
-            JobId(id),
-            SimTime::ZERO,
-            Cpu(cpu),
-            Mem::gib(1),
-            SimDuration::from_secs(600),
-            1.5,
-        ))
+        add_sized(c, id, cpu, 1, Requirements::ANY)
     }
 
     #[test]
@@ -187,12 +210,107 @@ mod tests {
         assert_eq!(actions.len(), 1, "only one 300% VM fits a 400% node");
     }
 
+    /// Two 4-way, 16 GiB hosts: host 0 keeps 300 CPU and 2 GiB free,
+    /// host 1 keeps 100 CPU and 12 GiB. `max_free_on` is (300, 12 GiB), so
+    /// a (200, 4 GiB) VM passes the bound yet fits neither host.
+    fn lopsided() -> Cluster {
+        let mut c = cluster(2);
+        for (id, host, cpu, gib) in [(0, 0, 100, 14), (1, 1, 300, 4)] {
+            let vm = add_sized(&mut c, id, cpu, gib, Requirements::ANY);
+            c.start_creation(vm, HostId(host), SimTime::ZERO, SimTime::from_secs(40));
+        }
+        c
+    }
+
+    fn add_sized(c: &mut Cluster, id: u64, cpu: u32, gib: u32, req: Requirements) -> VmId {
+        let mut job = Job::new(
+            JobId(id),
+            SimTime::ZERO,
+            Cpu(cpu),
+            Mem::gib(gib),
+            SimDuration::from_secs(600),
+            1.5,
+        );
+        job.requirements = req;
+        c.submit_job(job)
+    }
+
+    /// BF's actions, checked against the exhaustive reference.
+    fn plan(c: &Cluster) -> Vec<Action> {
+        let actions = BackfillingPolicy::new().schedule(c, &ctx());
+        let exhaustive = place_queue(&mut Planner::new(c), &ready_hosts(c), false);
+        assert_eq!(actions, exhaustive);
+        actions
+    }
+
+    #[test]
+    fn frontier_probes_a_vm_smaller_in_one_component() {
+        let mut c = lopsided();
+        add_sized(&mut c, 2, 200, 4, Requirements::ANY); // fits nowhere
+        let less_mem = add_sized(&mut c, 3, 200, 2, Requirements::ANY);
+        let less_cpu = add_sized(&mut c, 4, 100, 4, Requirements::ANY);
+        assert_eq!(
+            plan(&c),
+            vec![
+                Action::Create {
+                    vm: less_mem,
+                    host: HostId(0)
+                },
+                Action::Create {
+                    vm: less_cpu,
+                    host: HostId(1)
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn frontier_probes_the_same_shape_with_other_requirements() {
+        let mut c = cluster(2);
+        let eight_way = Requirements {
+            min_host_cpus: 8,
+            ..Requirements::ANY
+        };
+        add_sized(&mut c, 0, 100, 1, eight_way); // no 8-way host
+        let any = add_sized(&mut c, 1, 100, 1, Requirements::ANY);
+        assert_eq!(
+            plan(&c),
+            vec![Action::Create {
+                vm: any,
+                host: HostId(0)
+            }]
+        );
+    }
+
+    #[test]
+    fn frontier_skips_equal_and_larger_shapes() {
+        let mut c = lopsided();
+        // This fits nowhere. Each VM of the loop is at least as large and
+        // passes the (300, 12 GiB) bound, so only the frontier skips it;
+        // debug builds re-probe each skip and assert it finds no host.
+        add_sized(&mut c, 2, 200, 4, Requirements::ANY);
+        for (id, cpu, gib) in [(3, 200, 4), (4, 250, 4), (5, 200, 12), (6, 300, 12)] {
+            add_sized(&mut c, id, cpu, gib, Requirements::ANY);
+        }
+        let fits = add_sized(&mut c, 7, 100, 2, Requirements::ANY);
+        assert_eq!(
+            plan(&c),
+            vec![Action::Create {
+                vm: fits,
+                host: HostId(0)
+            }]
+        );
+    }
+
     /// A random saturated world for the quick-reject differential test.
-    /// Hosts come in three CPU and three memory sizes; some are shutting
-    /// down. `load` VMs are created on a picked host while its memory
-    /// lasts (CPU may be overcommitted, as escalated requests leave it);
-    /// most finish creating, some get escalated, some start migrating.
-    /// `queue` VMs wait, a few requiring 8-way hosts.
+    /// Hosts come in three CPU and three memory sizes, two architectures
+    /// and two hypervisors; some are shutting down. `load` VMs are created
+    /// on a picked host while its memory lasts (CPU may be overcommitted,
+    /// as escalated requests leave it); most finish creating, some get
+    /// escalated, some start migrating. `queue` VMs wait. About one in
+    /// three repeats an earlier queued VM's shape and requirements, as the
+    /// tasks of a bag do, and about three in eight require an 8-way host,
+    /// the 32-bit architecture or KVM.
     fn saturated(
         hosts: &[(u8, u8, bool)],
         load: &[(u8, u8, u8)],
@@ -206,6 +324,16 @@ mod tests {
             .map(|(i, &(cores, gib, _))| HostSpec {
                 cpu: Cpu::cores(2 << (cores % 3)),
                 mem: Mem::gib(8 << (gib % 3)),
+                arch: if cores & 8 == 0 {
+                    Arch::X86_64
+                } else {
+                    Arch::X86
+                },
+                hypervisor: if gib & 8 == 0 {
+                    Hypervisor::Xen
+                } else {
+                    Hypervisor::Kvm
+                },
                 ..HostSpec::standard(HostId(i as u32), HostClass::Medium)
             })
             .collect();
@@ -240,11 +368,29 @@ mod tests {
                 c.start_migration(vm, to, t40, SimTime::from_secs(100));
             }
         }
-        for (k, &(cpu, gib, wide)) in queue.iter().enumerate() {
+        let mut shapes: Vec<(u8, u8, u8)> = Vec::new();
+        for (k, &drawn) in queue.iter().enumerate() {
+            let (cpu, gib, kind) = match shapes.len() {
+                n if n > 0 && drawn.2 % 3 == 0 => shapes[usize::from(drawn.0) % n],
+                _ => drawn,
+            };
+            shapes.push((cpu, gib, kind));
             let mut j = job(load.len() + k, cpu, gib);
-            if wide % 8 == 0 {
-                j.requirements.min_host_cpus = 8;
-            }
+            j.requirements = match kind / 3 % 8 {
+                0 => Requirements {
+                    min_host_cpus: 8,
+                    ..Requirements::ANY
+                },
+                1 => Requirements {
+                    arch: Some(Arch::X86),
+                    ..Requirements::ANY
+                },
+                2 => Requirements {
+                    hypervisor: Some(Hypervisor::Kvm),
+                    ..Requirements::ANY
+                },
+                _ => Requirements::ANY,
+            };
             c.submit_job(j);
         }
         for (i, &(_, _, off)) in hosts.iter().enumerate() {

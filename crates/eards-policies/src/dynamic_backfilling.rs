@@ -47,7 +47,8 @@ impl DynamicBackfillingPolicy {
         Self::default()
     }
 
-    /// One round; `quick_reject` as in [`place_queue`].
+    /// One round; `quick_reject` turns on the bound and the failure
+    /// frontier of [`place_queue`] for phase 1 (phase 2 probes every VM).
     pub(crate) fn plan(
         &self,
         cluster: &Cluster,
