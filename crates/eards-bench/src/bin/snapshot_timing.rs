@@ -12,7 +12,10 @@
 //!   policy and chaos faults at intensity 2, snapshotted after the last
 //!   batch of the Grid5000-like week. The VM table then holds every VM
 //!   the week admitted, so this is the largest snapshot a week-long run
-//!   writes; it reports the codec's throughput in MB/s.
+//!   writes; it reports the codec's throughput in MB/s. Its size is
+//!   gated too, and deterministically: more than [`WEEK_MAX_BYTES`] and
+//!   this bin exits non-zero. A finished VM is a 20-byte record, so the
+//!   week's 6 943 jobs leave room for only a few kilobytes of live state.
 //!
 //! At both points the restored runner must re-serialize to the identical
 //! byte stream (the codec's fixed-point property) — a mismatch is a
@@ -31,6 +34,9 @@ use eards_workload::{generate, SynthConfig, Trace};
 
 /// Wall-time budget for one snapshot + restore round trip (gated point).
 const BUDGET_MS: f64 = 50.0;
+
+/// Size budget of the week-end snapshot.
+const WEEK_MAX_BYTES: usize = 170_000;
 
 const HOSTS: u32 = 400;
 const VMS: u64 = 320;
@@ -148,8 +154,9 @@ fn gated_point() -> (String, bool) {
     (json, within)
 }
 
-/// The week point: returns its JSON object.
-fn week_point() -> String {
+/// The week point: returns its JSON object and whether the snapshot is
+/// within [`WEEK_MAX_BYTES`].
+fn week_point() -> (String, bool) {
     let (hosts, trace, policy, cfg) = week_world();
     let jobs = trace.len();
     let mut runner = Runner::new(hosts, trace, policy, cfg);
@@ -172,32 +179,40 @@ fn week_point() -> String {
     .0 * 1e3;
     assert_fixed_point(week_world(), &bytes);
 
+    let within = bytes.len() <= WEEK_MAX_BYTES;
     let mb = bytes.len() as f64 / 1e6;
     let snapshot_mb_s = mb / (snapshot_ms / 1e3);
     let restore_mb_s = mb / (restore_ms / 1e3);
     eprintln!(
         "week (100 hosts, SB, chaos 2.0, {jobs} jobs): snapshot {snapshot_ms:.3} ms \
          ({snapshot_mb_s:.0} MB/s) + restore {restore_ms:.3} ms ({restore_mb_s:.0} MB/s) \
-         over {} bytes",
+         over {} bytes (budget {WEEK_MAX_BYTES})",
         bytes.len()
     );
-    format!(
+    let json = format!(
         "{{\"hosts\":100,\"policy\":\"sb\",\"chaos\":2.0,\"jobs\":{jobs},\
-         \"snapshot_bytes\":{},\"snapshot_ms\":{snapshot_ms:.3},\"restore_ms\":{restore_ms:.3},\
+         \"snapshot_bytes\":{},\"max_bytes\":{WEEK_MAX_BYTES},\"within_byte_budget\":{within},\
+         \"snapshot_ms\":{snapshot_ms:.3},\"restore_ms\":{restore_ms:.3},\
          \"snapshot_mb_s\":{snapshot_mb_s:.1},\"restore_mb_s\":{restore_mb_s:.1}}}",
         bytes.len()
-    )
+    );
+    (json, within)
 }
 
 fn main() -> std::io::Result<()> {
     let (gated, within) = gated_point();
-    let week = week_point();
+    let (week, week_within) = week_point();
     write_baseline(
         "BENCH_snapshot.json",
         &format!("{{{gated},\"week\":{week}}}\n"),
     )?;
     if !within {
         eprintln!("!! snapshot round trip exceeds budget");
+    }
+    if !week_within {
+        eprintln!("!! week-end snapshot exceeds {WEEK_MAX_BYTES} bytes");
+    }
+    if !(within && week_within) {
         std::process::exit(1);
     }
     Ok(())

@@ -195,3 +195,45 @@ fn corrupt_checkpoint_resume_exits_3() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A checkpoint written under snapshot version 5 (finished VMs as full
+/// records) is refused with the dedicated exit code 3 and a one-line
+/// error naming the version, not misread.
+#[test]
+fn version_5_checkpoint_resume_exits_3() {
+    let dir = tmpdir("v5");
+    let ckdir = dir.join("ckpts");
+    let run = eards(&format!(
+        "run --hosts 4 --hours 3 --checkpoint-every 1 --checkpoint-out {}",
+        ckdir.display()
+    ));
+    assert!(run.status.success());
+    let ckpt = std::fs::read_dir(&ckdir)
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    let mut bytes = std::fs::read(&ckpt).unwrap();
+    // The file's own header and the runner snapshot's both carry the
+    // version byte after the magic.
+    let headers: Vec<usize> = bytes
+        .windows(8)
+        .enumerate()
+        .filter(|(_, w)| w == b"EARDSNAP")
+        .map(|(at, _)| at)
+        .collect();
+    assert_eq!(headers.len(), 2, "file header and snapshot header");
+    for at in headers {
+        assert_eq!(bytes[at + 8], 6, "written as version 6");
+        bytes[at + 8] = 5;
+    }
+    let v5 = dir.join("v5.bin");
+    std::fs::write(&v5, &bytes).unwrap();
+    let out = eards(&format!("resume {}", v5.display()));
+    assert_eq!(out.status.code(), Some(3), "version 5 checkpoint");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "one-line error, got:\n{err}");
+    assert!(err.contains("unsupported snapshot version 5"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -104,7 +104,7 @@ impl InvariantAuditor {
 
     /// Runs one audit pass after an event batch, before the driver clears
     /// the cluster's dirty set. `finished` is the number of VMs the driver
-    /// has completed (they stay in the cluster's VM table but reside
+    /// has completed (the cluster keeps them as finished records, resident
     /// nowhere). Returns true if the pass was deep, so the driver can
     /// check its own caches at the same cadence.
     pub fn check(&mut self, cluster: &Cluster, finished: u64, at: SimTime) -> bool {
@@ -196,7 +196,7 @@ fn check_host(cluster: &Cluster, id: HostId) -> Result<(), String> {
         if vm.raw() >= cluster.num_vms() as u64 {
             return Err(format!("{id} hosts {vm}, beyond the VM table"));
         }
-        let state = cluster.vm(vm).state;
+        let state = cluster.vm_state(vm);
         if state.host() != Some(id) {
             return Err(format!("{vm} resident on {id} in state {state:?}"));
         }

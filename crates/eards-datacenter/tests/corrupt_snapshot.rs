@@ -125,8 +125,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// The snapshot format is a contract: checkpoints written by earlier
 /// builds must restore. The mid-flight snapshot is pinned by length and
 /// hash; a deliberate format change updates both and says why.
-const PINNED_LEN: usize = 1_707;
-const PINNED_FNV: u64 = 16_762_694_417_780_796_786;
+const PINNED_LEN: usize = 1_696;
+const PINNED_FNV: u64 = 11_451_719_597_536_481_363;
 
 #[test]
 fn snapshot_bytes_match_the_pinned_format() {
@@ -214,11 +214,30 @@ fn vm_table_longer_than_the_trace_is_corrupt() {
     }
 }
 
-/// The runner's completion order must list every finished VM once and
-/// nothing else: a list that names a VM twice, or leaves one out, is
-/// corrupt rather than a report with a missing or doubled job.
+/// One finished-column record as the snapshot writes it: the id as a
+/// `u32`, then the start and completion instants in milliseconds.
+fn finished_record(vm: VmId, started: SimTime, completed: SimTime) -> Vec<u8> {
+    let mut b = (vm.raw() as u32).to_le_bytes().to_vec();
+    b.extend(started.as_millis().to_le_bytes());
+    b.extend(completed.as_millis().to_le_bytes());
+    b
+}
+
+/// A run of finished records behind its `u32` count.
+fn finished_run(records: &[Vec<u8>]) -> Vec<u8> {
+    let mut b = (records.len() as u32).to_le_bytes().to_vec();
+    for r in records {
+        b.extend(r);
+    }
+    b
+}
+
+/// The finished column is the completion order: a column that names a VM
+/// twice, leaves one out or has it complete before it started is corrupt
+/// rather than a report with a missing, doubled or negative-length job.
+/// The column is rebuilt from the audit log, which also pins its layout.
 #[test]
-fn completion_order_that_disagrees_with_the_cluster_is_corrupt() {
+fn finished_column_that_disagrees_with_the_cluster_is_corrupt() {
     let cfg = RunConfig {
         audit: true,
         ..config()
@@ -230,43 +249,56 @@ fn completion_order_that_disagrees_with_the_cluster_is_corrupt() {
     }
     let bytes = run.snapshot().unwrap();
     let (_, audit) = run.finish();
-    let completed: Vec<VmId> = audit
-        .iter()
-        .filter_map(|e| match e.kind {
-            AuditKind::JobCompleted { vm, .. } => Some(vm),
-            _ => None,
-        })
-        .collect();
-    assert!(completed.len() >= 2, "the run must finish two jobs");
-    let encode = |ids: &Vec<VmId>| {
-        let mut w = Writer::new();
-        ids.persist(&mut w);
-        w.into_bytes().unwrap()
-    };
-    let list = encode(&completed);
-    let at = bytes
-        .windows(list.len())
-        .position(|w| w == &list[..])
-        .expect("the snapshot holds the completion order");
-    let mut doubled = completed.clone();
-    doubled[1] = doubled[0];
-    let short = completed[1..].to_vec();
-    for forged in [doubled, short] {
-        let mut b = bytes.clone();
-        b.splice(at..at + list.len(), encode(&forged));
-        match Runner::restore(hosts.clone(), trace.clone(), policy(), cfg.clone(), &b) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("completion order"), "{msg}"),
-            Err(e) => panic!("expected a Corrupt error, got {e:?}"),
-            Ok(_) => panic!("a forged completion order restored"),
+    let mut started = std::collections::BTreeMap::new();
+    let mut records = Vec::new();
+    for e in &audit {
+        match e.kind {
+            AuditKind::VmStarted { vm, .. } => {
+                started.insert(vm, e.at);
+            }
+            AuditKind::JobCompleted { vm, .. } => {
+                records.push(finished_record(vm, started[&vm], e.at));
+            }
+            _ => {}
         }
     }
+    assert!(records.len() >= 2, "the run must finish two jobs");
+    let column = finished_run(&records);
+    let at = bytes
+        .windows(column.len())
+        .position(|w| w == &column[..])
+        .expect("the snapshot holds the finished column");
+    let restore = |forged: Vec<u8>| {
+        let mut b = bytes.clone();
+        b.splice(at..at + column.len(), forged);
+        match Runner::restore(hosts.clone(), trace.clone(), policy(), cfg.clone(), &b) {
+            Err(PersistError::Corrupt(msg)) => msg,
+            Err(e) => panic!("expected a Corrupt error, got {e:?}"),
+            Ok(_) => panic!("a forged finished column restored"),
+        }
+    };
+    let mut doubled = records.clone();
+    doubled[1] = doubled[0].clone();
+    let msg = restore(finished_run(&doubled));
+    assert!(msg.contains("listed twice"), "{msg}");
+    let msg = restore(finished_run(&records[1..]));
+    assert!(msg.contains("finished VMs, but"), "{msg}");
+    let mut backwards = records.clone();
+    let (s, c) = (backwards[0][4..12].to_vec(), backwards[0][12..].to_vec());
+    backwards[0] = [&backwards[0][..4], &c[..], &s[..]].concat();
+    assert_ne!(
+        s, c,
+        "a job that starts and completes at once cannot run backwards"
+    );
+    let msg = restore(finished_run(&backwards));
+    assert!(msg.contains("after its completion"), "{msg}");
 }
 
-/// Bytes written under snapshot versions 3 and 4 get a typed version
-/// error.
+/// Bytes written under snapshot versions 3, 4 and 5 get a typed version
+/// error: v5 wrote every finished VM as a full record.
 #[test]
-fn version_3_snapshots_are_unsupported() {
-    for version in [3, 4] {
+fn earlier_snapshot_versions_are_unsupported() {
+    for version in [3, 4, 5] {
         let mut bytes = baseline_snapshot();
         bytes[8] = version;
         let (_, trace) = world();
@@ -313,8 +345,8 @@ fn queued_arrival_tag_is_corrupt() {
     }
 }
 
-/// A small cluster with a finished, a running, a migrating, a creating and
-/// a queued VM.
+/// A small cluster with two finished VMs (0 and 5), a running (1), a
+/// migrating (2), a creating (3) and a queued (4) one.
 fn mid_flight_cluster() -> Cluster {
     let t = SimTime::from_secs;
     let submit = |c: &mut Cluster, id: u64| {
@@ -338,33 +370,61 @@ fn mid_flight_cluster() -> Cluster {
     let creating = submit(&mut c, 3);
     c.start_creation(creating, HostId(1), t(100), t(140));
     submit(&mut c, 4);
+    let short = submit(&mut c, 5);
+    c.start_creation(short, HostId(2), t(100), t(120));
+    c.finish_creation(short, t(120));
+    c.finish_vm(short, t(130));
     c.check_invariants();
     c
 }
 
-/// The cluster codec's layout, written field by field so each test can
-/// corrupt one of them: hosts, VM table, queue, next VM id, next
-/// operation sequence number.
-fn cluster_bytes(hosts: Vec<Host>, vms: Vec<Vm>, queue: Vec<VmId>, next_vm_id: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    hosts.persist(&mut w);
-    vms.persist(&mut w);
-    queue.persist(&mut w);
-    w.put_u64(next_vm_id);
-    w.put_u64(1_000);
-    w.into_bytes().unwrap()
+/// The cluster codec's layout, field by field, so each test can corrupt
+/// one of them: hosts; the VM table (admitted count, live VMs in id order,
+/// the finished column); the queue; the next operation sequence number.
+#[derive(Clone)]
+struct Parts {
+    hosts: Vec<Host>,
+    admitted: usize,
+    live: Vec<Vm>,
+    finished: Vec<Vec<u8>>,
+    queue: Vec<VmId>,
 }
 
-fn parts(c: &Cluster) -> (Vec<Host>, Vec<Vm>, Vec<VmId>) {
-    (
-        c.hosts().to_vec(),
-        c.vms().cloned().collect(),
-        c.queue().to_vec(),
-    )
+impl Parts {
+    fn of(c: &Cluster) -> Self {
+        Parts {
+            hosts: c.hosts().to_vec(),
+            admitted: c.num_vms(),
+            live: c.live_vms().cloned().collect(),
+            finished: c
+                .finished_vms()
+                .map(|f| finished_record(f.id, f.started_at, f.completed_at))
+                .collect(),
+            queue: c.queue().to_vec(),
+        }
+    }
+
+    fn bytes(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.hosts.persist(&mut w);
+        w.put_u32(self.admitted as u32);
+        self.live.persist(&mut w);
+        let mut bytes = w.into_bytes().unwrap();
+        bytes.extend(finished_run(&self.finished));
+        let mut w = Writer::new();
+        self.queue.persist(&mut w);
+        w.put_u64(1_000);
+        bytes.extend(w.into_bytes().unwrap());
+        bytes
+    }
+
+    fn live_mut(&mut self, id: u64) -> &mut Vm {
+        self.live.iter_mut().find(|v| v.id == VmId(id)).unwrap()
+    }
 }
 
-fn corrupt_message(bytes: &[u8]) -> String {
-    match Cluster::restore(&mut Reader::new(bytes)) {
+fn corrupt_message(parts: &Parts) -> String {
+    match Cluster::restore(&mut Reader::new(&parts.bytes())) {
         Err(PersistError::Corrupt(msg)) => msg,
         Err(e) => panic!("expected a Corrupt error, got {e:?}"),
         Ok(_) => panic!("a corrupt VM table restored"),
@@ -374,76 +434,124 @@ fn corrupt_message(bytes: &[u8]) -> String {
 #[test]
 fn hand_built_cluster_bytes_restore() {
     let c = mid_flight_cluster();
-    let (hosts, vms, queue) = parts(&c);
-    let n = vms.len() as u64;
-    let back = Cluster::restore(&mut Reader::new(&cluster_bytes(hosts, vms, queue, n))).unwrap();
+    let bytes = Parts::of(&c).bytes();
+    let mut w = Writer::new();
+    c.persist(&mut w);
+    // All but the next operation sequence number, which the parts fix.
+    let real = w.into_bytes().unwrap();
+    assert_eq!(bytes[..bytes.len() - 8], real[..real.len() - 8]);
+    let back = Cluster::restore(&mut Reader::new(&bytes)).unwrap();
     assert_eq!(back.committed_by_host(), c.committed_by_host());
+    assert!(back.finished_vms().eq(c.finished_vms()));
 }
 
 #[test]
-fn vm_out_of_its_table_slot_is_corrupt() {
-    let (hosts, mut vms, queue) = parts(&mid_flight_cluster());
-    let n = vms.len() as u64;
-    vms.swap(1, 2);
-    let msg = corrupt_message(&cluster_bytes(hosts, vms, queue, n));
-    assert!(msg.contains("slot 1"), "{msg}");
+fn live_ids_out_of_order_are_corrupt() {
+    let mut parts = Parts::of(&mid_flight_cluster());
+    parts.live.swap(0, 1);
+    let msg = corrupt_message(&parts);
+    assert!(msg.contains("live ids must increase"), "{msg}");
 }
 
 #[test]
-fn vm_count_other_than_next_vm_id_is_corrupt() {
-    let (hosts, vms, queue) = parts(&mid_flight_cluster());
-    let n = vms.len() as u64;
-    for next in [n - 1, n + 1] {
-        let msg = corrupt_message(&cluster_bytes(
-            hosts.clone(),
-            vms.clone(),
-            queue.clone(),
-            next,
-        ));
-        assert!(msg.contains("next_vm_id"), "{msg}");
+fn admitted_count_that_disagrees_with_the_table_is_corrupt() {
+    let parts = Parts::of(&mid_flight_cluster());
+    for admitted in [parts.admitted - 1, parts.admitted + 1] {
+        let msg = corrupt_message(&Parts {
+            admitted,
+            ..parts.clone()
+        });
+        assert!(msg.contains("admitted"), "{msg}");
     }
-    // A table cut short of the ids the hosts name.
-    let mut short = vms.clone();
-    short.truncate(2);
-    let msg = corrupt_message(&cluster_bytes(hosts, short, queue, 2));
+    // A consistent table cut short of the ids the hosts name: VMs 0–2
+    // only, while VM 3 is creating on host 1.
+    let mut short = parts;
+    short.live.retain(|v| v.id.raw() < 3);
+    short.finished.truncate(1);
+    short.admitted = 3;
+    let msg = corrupt_message(&short);
     assert!(msg.contains("not in the VM table"), "{msg}");
 }
 
 #[test]
 fn residency_naming_unknown_vms_is_corrupt() {
-    let (hosts, vms, queue) = parts(&mid_flight_cluster());
-    let n = vms.len() as u64;
-    let beyond = VmId(n + 7);
+    let parts = Parts::of(&mid_flight_cluster());
+    let beyond = VmId(parts.admitted as u64 + 7);
     for incoming in [false, true] {
-        let mut hosts = hosts.clone();
-        let h = &mut hosts[0];
+        let mut parts = parts.clone();
+        let h = &mut parts.hosts[0];
         let list = if incoming {
             &mut h.incoming
         } else {
             &mut h.resident
         };
         list.push(beyond);
-        let msg = corrupt_message(&cluster_bytes(hosts, vms.clone(), queue.clone(), n));
+        let msg = corrupt_message(&parts);
         assert!(
             msg.contains("not in the VM table"),
             "incoming {incoming}: {msg}"
         );
     }
-    let mut queue = queue;
-    queue.push(beyond);
-    let msg = corrupt_message(&cluster_bytes(hosts, vms, queue, n));
+    let mut parts = parts;
+    parts.queue.push(beyond);
+    let msg = corrupt_message(&parts);
     assert!(msg.contains("not in the VM table"), "queue: {msg}");
+}
+
+/// A finished VM resides nowhere: a record whose VM a host lists as
+/// resident or incoming, or that the queue holds, is corrupt.
+#[test]
+fn finished_vm_that_is_resident_incoming_or_queued_is_corrupt() {
+    let parts = Parts::of(&mid_flight_cluster());
+    for (where_, host) in [("resident on", 0), ("incoming on", 2)] {
+        let mut forged = parts.clone();
+        let h = &mut forged.hosts[host];
+        if host == 0 {
+            h.resident.push(VmId(5));
+        } else {
+            h.incoming.push(VmId(5));
+        }
+        let msg = corrupt_message(&forged);
+        assert!(msg.contains("finished") && msg.contains(where_), "{msg}");
+    }
+    let mut forged = parts;
+    forged.queue.push(VmId(0));
+    let msg = corrupt_message(&forged);
+    assert!(msg.contains("finished") && msg.contains("queued"), "{msg}");
+}
+
+/// The finished column lists each finished VM once, none of them live,
+/// and never a completion before its start.
+#[test]
+fn finished_column_records_must_be_a_permutation_and_run_forwards() {
+    let parts = Parts::of(&mid_flight_cluster());
+    assert_eq!(parts.finished.len(), 2);
+    let mut doubled = parts.clone();
+    doubled.finished[1] = doubled.finished[0].clone();
+    let msg = corrupt_message(&doubled);
+    assert!(msg.contains("listed twice"), "{msg}");
+    let mut missing = parts.clone();
+    missing.finished.pop();
+    let msg = corrupt_message(&missing);
+    assert!(msg.contains("1 finished VMs, but 6 admitted"), "{msg}");
+    let mut live_too = parts.clone();
+    live_too.finished[1] = finished_record(VmId(1), SimTime::ZERO, SimTime::ZERO);
+    let msg = corrupt_message(&live_too);
+    assert!(msg.contains("also live"), "{msg}");
+    let mut backwards = parts;
+    backwards.finished[1] = finished_record(VmId(5), SimTime::from_secs(9), SimTime::from_secs(8));
+    let msg = corrupt_message(&backwards);
+    assert!(msg.contains("after its completion"), "{msg}");
 }
 
 #[test]
 fn migration_to_a_host_not_expecting_it_is_corrupt() {
-    let (hosts, mut vms, queue) = parts(&mid_flight_cluster());
-    let n = vms.len() as u64;
-    vms[1].state = VmState::Migrating {
+    let mut parts = Parts::of(&mid_flight_cluster());
+    parts.live_mut(1).state = VmState::Migrating {
         from: HostId(0),
         to: HostId(99),
     };
-    let msg = corrupt_message(&cluster_bytes(hosts, vms, queue, n));
+    let msg = corrupt_message(&parts);
     assert!(msg.contains("not incoming anywhere"), "{msg}");
 }
 
@@ -452,9 +560,8 @@ fn running_tag_without_a_host_is_corrupt() {
     // VM 1 runs on host 0. Its record is the id and request, then the
     // state tag and the host as an `Option`; forge `Running` with `None`
     // in place of the host.
-    let (hosts, vms, queue) = parts(&mid_flight_cluster());
-    let n = vms.len() as u64;
-    let vm = &vms[1];
+    let parts = Parts::of(&mid_flight_cluster());
+    let vm = parts.live.iter().find(|v| v.id == VmId(1)).unwrap();
     assert_eq!(vm.state, VmState::Running { host: HostId(0) });
     let encode = |f: &dyn Fn(&mut Writer)| {
         let mut w = Writer::new();
@@ -475,12 +582,14 @@ fn running_tag_without_a_host_is_corrupt() {
     assert_eq!(&record[head.len()..tail], &state[..]);
     let forged = [&head[..], &forged_state[..], &record[tail..]].concat();
 
-    let mut bytes = cluster_bytes(hosts, vms.clone(), queue, n);
+    let mut bytes = parts.bytes();
     let at = bytes
         .windows(record.len())
         .position(|w| w == &record[..])
         .unwrap();
     bytes.splice(at..at + record.len(), forged);
-    let msg = corrupt_message(&bytes);
-    assert!(msg.contains("tag 2 with host None"), "{msg}");
+    match Cluster::restore(&mut Reader::new(&bytes)) {
+        Err(PersistError::Corrupt(msg)) => assert!(msg.contains("tag 2 with host None"), "{msg}"),
+        other => panic!("expected a Corrupt error, got {:?}", other.err()),
+    }
 }

@@ -21,8 +21,9 @@
 //! A change that reorders progress accrual — for example touching a host
 //! whose executing residents are all migrating away or checkpointing —
 //! moves VM progress bits. Those rarely reach the report, which is why
-//! the fingerprint also hashes mid-run snapshots: they carry every VM's
-//! progress and last-update instant.
+//! the fingerprint also hashes mid-run snapshots: they carry every live
+//! VM's progress and last-update instant. (The snapshot hashes were
+//! re-recorded for snapshot format v6, whose report bits are unchanged.)
 
 use eards_core::{ScoreConfig, ScoreScheduler};
 use eards_datacenter::{small_datacenter, RunConfig, Runner};
@@ -114,7 +115,7 @@ fn backfilling_on_a_saturated_cluster() {
             creations: 515,
             jobs_completed: 515,
             host_failures: 0,
-            snapshots: 9098997960681429244,
+            snapshots: 13574350314816766019,
         }
     );
 }
@@ -142,7 +143,7 @@ fn sb_with_dynamic_sla_escalation() {
             creations: 515,
             jobs_completed: 515,
             host_failures: 0,
-            snapshots: 6539010790672383326,
+            snapshots: 930730146432855938,
         }
     );
     // The case must exercise escalation: without it the run differs.
@@ -177,7 +178,7 @@ fn sb_with_checkpoints_and_crashes() {
             creations: 540,
             jobs_completed: 515,
             host_failures: 10,
-            snapshots: 7048063490128545051,
+            snapshots: 16980676262445851431,
         }
     );
 }
@@ -198,7 +199,7 @@ fn sb_under_chaos_in_degrade_mode() {
             creations: 592,
             jobs_completed: 515,
             host_failures: 18,
-            snapshots: 5521075210339844480,
+            snapshots: 6435251580500205218,
         }
     );
 }

@@ -13,7 +13,7 @@ use crate::ids::{HostId, VmId};
 use crate::job::Job;
 use crate::power::PowerModel;
 use crate::units::{Cpu, Mem, Resources};
-use crate::vm::{Vm, VmState};
+use crate::vm::{FinishedVm, Vm, VmState};
 use crate::vm_table::VmTable;
 use crate::xen::{self, CpuContender};
 
@@ -115,8 +115,9 @@ pub struct Cluster {
     /// [`Cluster::admit_next`]).
     // lint:allow(SNAP001): trace data; the runner hands it back on restore (Cluster::restore_world)
     jobs: Vec<Job>,
-    /// Every VM ever admitted, indexed by [`VmId`]; the next id is
-    /// `vms.len()`.
+    /// Every VM ever admitted, indexed by [`VmId`]: the live ones in
+    /// full, the finished ones as records in completion order. The next
+    /// id is `vms.len()`.
     vms: VmTable,
     /// Per-host committed resources (the requested bundles of resident
     /// plus incoming VMs), indexed by [`HostId`]. Every transition that
@@ -145,6 +146,18 @@ pub struct Cluster {
     /// Hosts whose power state is online; [`Cluster::verify`] recounts.
     // lint:allow(SNAP001): derived from the hosts; rebuilt on restore
     online: usize,
+    /// Working space of [`Cluster::reallocate_host`], kept so a
+    /// reallocation allocates nothing once it has grown.
+    // lint:allow(SNAP001): scratch buffers, emptied by every use; nothing carries over
+    xen_scratch: XenScratch,
+}
+
+/// The buffers [`Cluster::reallocate_host`] hands the credit scheduler.
+#[derive(Debug, Default)]
+struct XenScratch {
+    contenders: Vec<CpuContender>,
+    alloc: Vec<f64>,
+    active: Vec<usize>,
 }
 
 /// What [`Cluster::touched`] last recorded about one host.
@@ -186,6 +199,7 @@ impl Cluster {
             marks: Vec::new(),
             working: 0,
             online: 0,
+            xen_scratch: XenScratch::default(),
         };
         c.touch_all();
         c
@@ -282,9 +296,24 @@ impl Cluster {
         &self.hosts
     }
 
-    /// A VM by id. Panics on unknown ids (ids are never invented).
+    /// A live VM by id. Panics on a finished or unknown id: a finished
+    /// VM is only a record ([`Cluster::finished_vm`]); ask
+    /// [`Cluster::vm_state`] when the VM may have finished.
+    #[inline]
     pub fn vm(&self, id: VmId) -> &Vm {
         &self.vms[id]
+    }
+
+    /// The state of any admitted VM, [`VmState::Finished`] included: what
+    /// a stale event asks of the VM it names. Panics on unknown ids.
+    #[inline]
+    pub fn vm_state(&self, id: VmId) -> VmState {
+        self.vms.state(id)
+    }
+
+    /// The record of a finished VM; `None` while it is live.
+    pub fn finished_vm(&self, id: VmId) -> Option<FinishedVm> {
+        self.vms.finished_record(id)
     }
 
     /// The job `vm` runs. Panics on ids outside the job table.
@@ -297,9 +326,20 @@ impl Cluster {
         &self.jobs
     }
 
-    /// All VMs ever admitted, in id order.
-    pub fn vms(&self) -> impl Iterator<Item = &Vm> {
-        self.vms.iter()
+    /// The live VMs (every admitted VM not yet finished), in id order.
+    pub fn live_vms(&self) -> impl Iterator<Item = &Vm> {
+        self.vms.iter_live()
+    }
+
+    /// The finished VMs, in completion order: the order a report lists
+    /// their jobs in.
+    pub fn finished_vms(&self) -> impl ExactSizeIterator<Item = FinishedVm> + '_ {
+        self.vms.finished()
+    }
+
+    /// Number of finished VMs.
+    pub fn num_finished(&self) -> usize {
+        self.vms.finished().len()
     }
 
     /// Total VMs ever admitted (including finished ones).
@@ -319,7 +359,7 @@ impl Cluster {
     /// the number alone names the operation; the VM's state names the
     /// host holding it (a migration's destination).
     pub fn op_is_live(&self, vm: VmId, seq: u64) -> bool {
-        let host = match self.vms[vm].state {
+        let host = match self.vms.state(vm) {
             VmState::Creating { host }
             | VmState::Checkpointing { host }
             | VmState::Migrating { to: host, .. } => host,
@@ -730,18 +770,17 @@ impl Cluster {
     }
 
     /// Completes a job: the VM is destroyed and its resources released.
+    /// What remains of it is a [`FinishedVm`] record at the end of
+    /// [`Cluster::finished_vms`].
     pub fn finish_vm(&mut self, vm: VmId, now: SimTime) {
-        let v = &mut self.vms[vm];
+        let v = &self.vms[vm];
         let host = match v.state {
             VmState::Running { host } => host,
             // lint:allow(P001): state-machine misuse is a caller bug; failing loud beats silently corrupting placement
             s => panic!("finish_vm on VM in state {s:?}"),
         };
-        v.advance_progress(&self.jobs[vm.raw() as usize], now);
-        v.state = VmState::Finished;
-        v.completed_at = Some(now);
-        v.alloc = 0.0;
         let requested = v.requested;
+        self.vms.finish(vm, now);
         self.release(host, requested);
         self.hosts[host.raw() as usize]
             .resident
@@ -825,13 +864,10 @@ impl Cluster {
 
         let mut requeued = Vec::new();
         for vm in displaced {
-            let v = &mut self.vms[vm];
-            if v.state == VmState::Finished {
-                continue;
-            }
             if requeued.contains(&vm) {
                 continue; // migrating VM appears on both endpoints
             }
+            let v = &mut self.vms[vm];
             v.advance_progress(&self.jobs[vm.raw() as usize], now);
             // Lose uncheckpointed work.
             v.progress = v.checkpoint.unwrap_or(0.0);
@@ -894,35 +930,39 @@ impl Cluster {
     pub fn reallocate_host(&mut self, host: HostId, now: SimTime) {
         // Progress first — under the allocations that held until `now`.
         self.touch_host(host, now);
-        let h = &self.hosts[host.raw() as usize];
+        let Cluster {
+            hosts,
+            jobs,
+            vms,
+            xen_scratch: x,
+            ..
+        } = self;
+        let h = &hosts[host.raw() as usize];
         // `cpu_factor` is exactly 1.0 outside slowdown episodes, and
         // `x * 1.0 == x` bit-for-bit, so the fault layer costs nothing here
         // when disabled.
         let capacity = (h.spec.cpu.as_f64() * h.cpu_factor - h.op_cpu_overhead().as_f64()).max(0.0);
-        let contenders: Vec<CpuContender> = h
-            .resident
-            .iter()
-            .map(|&id| {
-                let v = self.vm(id);
-                if v.state.is_executing() {
-                    CpuContender {
-                        demand: self.job(id).cpu.as_f64(),
-                        weight: 256.0,
-                        cap: v.req_cpu().as_f64(),
-                    }
-                } else {
-                    // Creating VMs reserve resources but consume none yet.
-                    CpuContender {
-                        demand: 0.0,
-                        weight: 256.0,
-                        cap: 0.0,
-                    }
+        x.contenders.clear();
+        x.contenders.extend(h.resident.iter().map(|&id| {
+            let v = &vms[id];
+            if v.state.is_executing() {
+                CpuContender {
+                    demand: jobs[id.raw() as usize].cpu.as_f64(),
+                    weight: 256.0,
+                    cap: v.req_cpu().as_f64(),
                 }
-            })
-            .collect();
-        let allocs = xen::allocate(capacity, &contenders);
-        for (&id, alloc) in h.resident.iter().zip(allocs) {
-            self.vms[id].alloc = alloc;
+            } else {
+                // Creating VMs reserve resources but consume none yet.
+                CpuContender {
+                    demand: 0.0,
+                    weight: 256.0,
+                    cap: 0.0,
+                }
+            }
+        }));
+        xen::allocate_into(capacity, &x.contenders, &mut x.alloc, &mut x.active);
+        for (&id, &alloc) in h.resident.iter().zip(&x.alloc) {
+            vms[id].alloc = alloc;
         }
         self.touched(host);
     }
@@ -966,19 +1006,30 @@ impl Cluster {
         }
     }
 
-    /// Deep structural verification, the auditor's workhorse: every VM's
-    /// state (and the host it names) agrees with the hosts' resident/incoming
-    /// lists, no VM is accounted twice, queued VMs are exactly the queue,
-    /// every host's committed cache equals the fold over its VMs'
-    /// requests, committed memory never exceeds capacity, non-ready
-    /// hosts carry no VMs, and the cached working and online counts
-    /// equal a recount ([`Cluster::verify_counts`]). Returns the first
-    /// violation found.
+    /// Deep structural verification, the auditor's workhorse: the VM
+    /// table's live and finished ids are a permutation of the admitted
+    /// ones and no finished VM completed before it started; every live
+    /// VM's state (and the host it names) agrees with the hosts'
+    /// resident/incoming lists, no finished VM is resident, incoming or
+    /// queued, no VM is accounted twice, queued VMs are exactly the
+    /// queue, every host's committed cache equals the fold over its VMs'
+    /// requests, committed memory never exceeds capacity, non-ready hosts
+    /// carry no VMs, and the cached working and online counts equal a
+    /// recount ([`Cluster::verify_counts`]). Returns the first violation
+    /// found. A finished VM costs O(1): one slot check, one instant
+    /// comparison and one byte of the flag table.
     ///
     /// Every id is range-checked before it is looked up: `verify` also
     /// gates snapshot restore, where corrupt bytes can name VMs absent
     /// from the table — that must be a reported violation, not a panic.
     pub fn verify(&self) -> Result<(), String> {
+        self.vms.verify()?;
+        self.verify_placement()
+    }
+
+    /// [`Cluster::verify`] past the VM table's own checks, which restore
+    /// makes while it decodes the table.
+    fn verify_placement(&self) -> Result<(), String> {
         // Where each VM is accounted, gathered from the hosts and queue:
         // one byte of flags per VM.
         const RESIDENT: u8 = 1;
@@ -996,7 +1047,11 @@ impl Cluster {
                     return Err(format!("{vm} resident on two hosts"));
                 }
                 *s |= RESIDENT;
-                if self.vm(vm).state.host() != Some(id) {
+                let state = self.vms.state(vm);
+                if state == VmState::Finished {
+                    return Err(format!("finished {vm} resident on {id}"));
+                }
+                if state.host() != Some(id) {
                     return Err(format!("{vm} state's host disagrees with {id} residency"));
                 }
             }
@@ -1008,7 +1063,10 @@ impl Cluster {
                     return Err(format!("{vm} incoming on two hosts"));
                 }
                 *s |= INCOMING;
-                let state = self.vm(vm).state;
+                let state = self.vms.state(vm);
+                if state == VmState::Finished {
+                    return Err(format!("finished {vm} incoming on {id}"));
+                }
                 if !matches!(state, VmState::Migrating { to, .. } if to == id) {
                     return Err(format!(
                         "incoming {vm} on {id} not migrating there (state {state:?})"
@@ -1052,20 +1110,24 @@ impl Cluster {
                 return Err(format!("{vm} queued twice"));
             }
             *s |= QUEUED;
-            let v = self.vm(vm);
-            if v.state != VmState::Queued {
-                return Err(format!("{vm} in queue but in state {:?}", v.state));
+            let state = self.vms.state(vm);
+            if state == VmState::Finished {
+                return Err(format!("finished {vm} queued"));
+            }
+            if state != VmState::Queued {
+                return Err(format!("{vm} in queue but in state {state:?}"));
             }
         }
-        for (v, &s) in self.vms.iter().zip(&seen) {
+        // Finished VMs were rejected above wherever they were listed, and
+        // `VmTable::verify` keeps every live id inside the flag table.
+        for v in self.vms.live() {
+            let s = seen[v.id.raw() as usize];
             match v.state {
                 VmState::Queued => {
                     if s & QUEUED == 0 {
                         return Err(format!("{} Queued but missing from the queue", v.id));
                     }
                 }
-                // A resident VM names its host, so the residency check
-                // above already rejected a finished one.
                 VmState::Finished => {}
                 _ => {
                     if s & RESIDENT == 0 {
@@ -1116,14 +1178,14 @@ impl Persist for Host {
     }
 }
 
-/// The VM table is serialized in table order, which is id order, followed
-/// by the queue, the next VM id (the table length) and the next operation
-/// sequence number. Restore rejects a table whose ids are not their
-/// positions or whose length is not the next id, rebuilds the committed
-/// cache, the working and online counts and an all-hosts dirty set from
-/// the hosts, and then runs the full structural
-/// [`Cluster::verify`] pass, so a corrupt or hand-edited snapshot cannot
-/// smuggle in an inconsistent world state.
+/// The hosts, then the VM table (its admitted count, the live VMs in id
+/// order, then the finished column as one run of fixed-width records in
+/// completion order), the queue and the next operation sequence number.
+/// Restore rejects a table whose ids are not a permutation of the
+/// admitted ones, rebuilds the committed cache, the working and online
+/// counts and an all-hosts dirty set from the hosts, and then runs the
+/// rest of the structural [`Cluster::verify`] pass, so a corrupt or
+/// hand-edited snapshot cannot smuggle in an inconsistent world state.
 ///
 /// The job table is trace data and is not written: `restore` yields an
 /// empty one, [`Cluster::restore_world`] keeps the table it restores onto.
@@ -1133,7 +1195,6 @@ impl Persist for Cluster {
         self.hosts.persist(w);
         self.vms.persist(w);
         self.queue.persist(w);
-        w.put_u64(self.vms.len() as u64);
         w.put_u64(self.next_op_seq);
     }
     #[inline]
@@ -1149,13 +1210,6 @@ impl Persist for Cluster {
         }
         let vms = VmTable::restore(r)?;
         let queue: Vec<VmId> = Vec::restore(r)?;
-        let next_vm_id = r.get_u64()?;
-        if next_vm_id != vms.len() as u64 {
-            return Err(PersistError::Corrupt(format!(
-                "VM table holds {} VMs but next_vm_id is {next_vm_id}",
-                vms.len()
-            )));
-        }
         let next_op_seq = r.get_u64()?;
         let mut c = Cluster {
             hosts,
@@ -1168,10 +1222,11 @@ impl Persist for Cluster {
             marks: Vec::new(),
             working: 0,
             online: 0,
+            xen_scratch: XenScratch::default(),
         };
         c.committed = c.hosts.iter().map(|h| c.fold_committed(h)).collect();
         c.touch_all();
-        c.verify().map_err(PersistError::Corrupt)?;
+        c.verify_placement().map_err(PersistError::Corrupt)?;
         Ok(c)
     }
 }
@@ -1496,12 +1551,16 @@ mod tests {
         c.start_creation(vm, HostId(0), t(0), t(40));
         c.finish_creation(vm, t(40));
         c.reallocate_host(HostId(0), t(40));
+        // A finished VM keeps no progress: read it at the finishing instant.
+        c.touch_host(HostId(0), t(140));
+        assert_eq!(c.vm(vm).progress, 40_000.0, "100 s at 400 cpu");
         c.finish_vm(vm, t(140));
-        assert_eq!(c.vm(vm).state, VmState::Finished);
-        assert_eq!(c.vm(vm).completed_at, Some(t(140)));
+        assert_eq!(c.vm_state(vm), VmState::Finished);
+        let done = c.finished_vm(vm).unwrap();
+        assert_eq!((done.started_at, done.completed_at), (t(40), t(140)));
+        assert!(c.finished_vms().eq([done]));
         assert!(c.host(HostId(0)).is_idle());
         assert_eq!(c.occupation(HostId(0)), 0.0);
-        assert_eq!(c.vm(vm).progress, 40_000.0, "100 s at 400 cpu");
         c.check_invariants();
     }
 

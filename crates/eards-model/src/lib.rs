@@ -47,7 +47,7 @@ pub use power::{
 };
 pub use shard::{ShardMap, ShardSpec};
 pub use units::{Cpu, Mem, Resources};
-pub use vm::{Vm, VmState, MIGRATION_SLOWDOWN};
+pub use vm::{FinishedVm, Vm, VmState, MIGRATION_SLOWDOWN};
 
 // The snapshot codec, re-exported so policy implementations and the
 // datacenter driver speak one `Persist` vocabulary without a direct

@@ -84,6 +84,52 @@ impl VmState {
     }
 }
 
+/// What the cluster keeps of a VM once its job has finished: the two
+/// instants a job outcome reads. [`crate::Cluster::finish_vm`] turns a
+/// live [`Vm`] into this record; nothing else of the VM is read after.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FinishedVm {
+    /// The VM's id.
+    pub id: VmId,
+    /// When the job began executing (its last start, after any restart
+    /// from the queue).
+    pub started_at: SimTime,
+    /// When the job completed.
+    pub completed_at: SimTime,
+}
+
+impl FinishedVm {
+    /// Bytes of one record on the wire.
+    pub const ENCODED_LEN: usize = 20;
+
+    /// The record on the wire: a `u32` id (the cluster writes its VM count
+    /// as a `u32` length first, so every id fits), then the two instants
+    /// in milliseconds, little-endian.
+    #[inline]
+    pub(crate) fn encode(&self) -> [u8; Self::ENCODED_LEN] {
+        let mut b = [0; Self::ENCODED_LEN];
+        b[..4].copy_from_slice(&(self.id.raw() as u32).to_le_bytes());
+        b[4..12].copy_from_slice(&self.started_at.as_millis().to_le_bytes());
+        b[12..].copy_from_slice(&self.completed_at.as_millis().to_le_bytes());
+        b
+    }
+
+    /// Inverse of [`FinishedVm::encode`].
+    #[inline]
+    pub(crate) fn decode(b: &[u8; Self::ENCODED_LEN]) -> Self {
+        let mut id = [0; 4];
+        let (mut started, mut completed) = ([0; 8], [0; 8]);
+        id.copy_from_slice(&b[..4]);
+        started.copy_from_slice(&b[4..12]);
+        completed.copy_from_slice(&b[12..]);
+        FinishedVm {
+            id: VmId(u64::from(u32::from_le_bytes(id))),
+            started_at: SimTime::from_millis(u64::from_le_bytes(started)),
+            completed_at: SimTime::from_millis(u64::from_le_bytes(completed)),
+        }
+    }
+}
+
 /// A virtual machine and its execution bookkeeping. The job it executes
 /// lives in the cluster's job table: `VmId(n)` runs job `n`, read through
 /// [`crate::Cluster::job`]. The methods that need the job take it.
@@ -106,8 +152,6 @@ pub struct Vm {
     pub last_update: SimTime,
     /// When the VM finished creation and began executing, if it has.
     pub started_at: Option<SimTime>,
-    /// When the job completed, if it has.
-    pub completed_at: Option<SimTime>,
     /// Number of completed migrations.
     pub migrations: u32,
     /// Progress stored by the most recent completed checkpoint, if any
@@ -126,7 +170,6 @@ impl Vm {
             alloc: 0.0,
             last_update: job.submit,
             started_at: None,
-            completed_at: None,
             migrations: 0,
             checkpoint: None,
         }
@@ -262,7 +305,6 @@ impl Persist for Vm {
         w.put_f64(self.alloc);
         self.last_update.persist(w);
         w.put_opt(&self.started_at);
-        w.put_opt(&self.completed_at);
         w.put_u32(self.migrations);
         w.put_opt(&self.checkpoint);
     }
@@ -276,7 +318,6 @@ impl Persist for Vm {
             alloc: r.get_f64()?,
             last_update: SimTime::restore(r)?,
             started_at: r.get_opt()?,
-            completed_at: r.get_opt()?,
             migrations: r.get_u32()?,
             checkpoint: r.get_opt()?,
         })

@@ -121,6 +121,79 @@ pub fn allocate(capacity: f64, contenders: &[CpuContender]) -> Vec<f64> {
     alloc
 }
 
+/// [`allocate`] into caller buffers: `alloc` receives one allocation per
+/// contender, in order, and `active` is working space; both are cleared
+/// first. The arithmetic runs in `allocate`'s order, so the results are
+/// bit for bit the same (property-tested), and nothing is allocated once
+/// the buffers have grown to the contender count. The simulator's
+/// per-host reallocation calls this; `allocate` stays as its reference.
+pub fn allocate_into(
+    capacity: f64,
+    contenders: &[CpuContender],
+    alloc: &mut Vec<f64>,
+    active: &mut Vec<usize>,
+) {
+    let n = contenders.len();
+    alloc.clear();
+    alloc.resize(n, 0.0);
+    active.clear();
+    if n == 0 || capacity <= 0.0 {
+        return;
+    }
+
+    let mut remaining = capacity;
+    active.extend((0..n).filter(|&i| contenders[i].bound() > 0.0));
+
+    // The same water-filling as `allocate`; `retain` visits the active
+    // contenders in order and keeps the unsatisfied ones in order, which
+    // is the list `allocate` rebuilds each round.
+    while !active.is_empty() && remaining > 1e-9 {
+        let total_weight: f64 = active.iter().map(|&i| contenders[i].weight).sum();
+        if total_weight <= 0.0 {
+            let share = remaining / active.len() as f64;
+            let mut progressed = false;
+            active.retain(|&i| {
+                let want = contenders[i].bound() - alloc[i];
+                let give = want.min(share);
+                alloc[i] += give;
+                remaining -= give;
+                if give < want {
+                    true
+                } else {
+                    progressed = true;
+                    false
+                }
+            });
+            if !progressed {
+                break;
+            }
+            continue;
+        }
+
+        let mut satisfied_any = false;
+        let round_remaining = remaining;
+        active.retain(|&i| {
+            let share = round_remaining * contenders[i].weight / total_weight;
+            let want = contenders[i].bound() - alloc[i];
+            if want <= share + 1e-12 {
+                alloc[i] += want;
+                remaining -= want;
+                satisfied_any = true;
+                false
+            } else {
+                true
+            }
+        });
+        if !satisfied_any {
+            for &i in active.iter() {
+                let share = round_remaining * contenders[i].weight / total_weight;
+                alloc[i] += share;
+            }
+            break;
+        }
+    }
+}
+
 /// Convenience: allocation when all contenders use default weights and
 /// caps equal to their demands (the common case in this model).
 pub fn allocate_simple(capacity: f64, demands: &[f64]) -> Vec<f64> {

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use eards_model::xen::{allocate, CpuContender};
+use eards_model::xen::{allocate, allocate_into, CpuContender};
 use eards_model::{
     CalibratedPowerModel, Cluster, Cpu, HostClass, HostId, HostSpec, InFlightOp, Job, JobId, Mem,
     PowerModel, PowerState, Resources, ShardMap, VmId, VmState,
@@ -46,6 +46,28 @@ proptest! {
             // Unconstrained: everyone gets their bound.
             prop_assert!((total - total_bound).abs() < 1e-6);
         }
+    }
+
+    /// `allocate_into` is `allocate` bit for bit, whatever its buffers
+    /// held before, zero weights (the equal-split branch) included.
+    #[test]
+    fn xen_allocate_into_matches_allocate_bit_for_bit(
+        capacity in 0.0f64..1600.0,
+        contenders in proptest::collection::vec(
+            (contender_strategy(), any::<bool>()).prop_map(|(c, zero)| CpuContender {
+                weight: if zero { 0.0 } else { c.weight },
+                ..c
+            }),
+            0..12,
+        ),
+        stale in proptest::collection::vec(0.0f64..500.0, 0..16),
+    ) {
+        let expected = allocate(capacity, &contenders);
+        let mut alloc = stale.clone();
+        let mut active: Vec<usize> = (0..stale.len()).collect();
+        allocate_into(capacity, &contenders, &mut alloc, &mut active);
+        let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&alloc), bits(&expected));
     }
 
     /// Adding a contender never increases anyone else's allocation.
@@ -159,7 +181,7 @@ fn cluster_op_strategy() -> impl Strategy<Value = ClusterOp> {
 /// The VMs whose state satisfies `pred`, in id order.
 fn in_state(cluster: &Cluster, pred: impl Fn(VmState) -> bool) -> Vec<VmId> {
     cluster
-        .vms()
+        .live_vms()
         .filter(|v| pred(v.state))
         .map(|v| v.id)
         .collect()
