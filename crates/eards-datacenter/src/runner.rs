@@ -357,7 +357,7 @@ impl Runner {
         let trace_digest = trace.digest();
         let queue = EventQueue::new();
         Runner {
-            cluster: Cluster::with_jobs(hosts, PowerState::Off, trace.into_jobs()),
+            cluster: Cluster::with_jobs(hosts, PowerState::Off, trace.into_shared_jobs()),
             policy,
             cfg,
             model,

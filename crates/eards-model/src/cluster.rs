@@ -6,6 +6,8 @@
 //! preconditions — an illegal transition is a simulator bug, not a
 //! recoverable condition.
 
+use std::sync::Arc;
+
 use eards_sim::{Persist, PersistError, Reader, SimTime, Writer};
 
 use crate::host::{HostSpec, InFlightOp, OpKind, PowerState};
@@ -112,9 +114,10 @@ pub struct Cluster {
     hosts: Vec<Host>,
     /// The job table: job `n` is the one `VmId(n)` runs. It holds the
     /// whole trace from the start, ahead of the admitted VMs (see
-    /// [`Cluster::admit_next`]).
+    /// [`Cluster::admit_next`]). Shared with the trace it came from, so
+    /// building a cluster, or a runner restoring onto it, copies no job.
     // lint:allow(SNAP001): trace data; the runner hands it back on restore (Cluster::restore_world)
-    jobs: Vec<Job>,
+    jobs: Arc<Vec<Job>>,
     /// Every VM ever admitted, indexed by [`VmId`]: the live ones in
     /// full, the finished ones as records in completion order. The next
     /// id is `vms.len()`.
@@ -176,8 +179,14 @@ impl Cluster {
     }
 
     /// Builds a cluster over a whole job table, none of it admitted yet:
-    /// [`Cluster::admit_next`] admits the jobs in table order.
-    pub fn with_jobs(specs: Vec<HostSpec>, initial_power: PowerState, jobs: Vec<Job>) -> Self {
+    /// [`Cluster::admit_next`] admits the jobs in table order. A shared
+    /// table (`Arc`) is kept as it is, not copied.
+    pub fn with_jobs(
+        specs: Vec<HostSpec>,
+        initial_power: PowerState,
+        jobs: impl Into<Arc<Vec<Job>>>,
+    ) -> Self {
+        let jobs = jobs.into();
         for (i, s) in specs.iter().enumerate() {
             assert_eq!(
                 s.id.raw() as usize,
@@ -529,10 +538,11 @@ impl Cluster {
     // ----- job / VM lifecycle ---------------------------------------------
 
     /// Appends `job` to the job table and admits it. The table must hold
-    /// no job still waiting for [`Cluster::admit_next`].
+    /// no job still waiting for [`Cluster::admit_next`]. A table shared
+    /// with another owner is copied first.
     pub fn submit_job(&mut self, job: Job) -> VmId {
         assert_eq!(self.jobs.len(), self.vms.len(), "unadmitted jobs");
-        self.jobs.push(job);
+        Arc::make_mut(&mut self.jobs).push(job);
         self.admit_next()
     }
 
@@ -1213,7 +1223,7 @@ impl Persist for Cluster {
         let next_op_seq = r.get_u64()?;
         let mut c = Cluster {
             hosts,
-            jobs: Vec::new(),
+            jobs: Arc::default(),
             vms,
             committed: Vec::new(),
             queue,

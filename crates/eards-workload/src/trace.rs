@@ -1,12 +1,16 @@
 //! Workload traces: ordered job arrival sequences plus summary statistics.
 
+use std::sync::Arc;
+
 use eards_model::{Job, Requirements};
 use eards_sim::{SimDuration, SimTime};
 
-/// A workload trace: jobs ordered by submission time.
+/// A workload trace: jobs ordered by submission time. The job list is
+/// shared, so a clone copies no job: a driver that restores a run every
+/// simulated hour hands each new runner a clone of the same trace.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    jobs: Vec<Job>,
+    jobs: Arc<Vec<Job>>,
     /// [`Trace::digest`], computed once by [`Trace::new`]. An empty list
     /// hashes to 0, so the derived `Default` agrees.
     digest: u64,
@@ -35,7 +39,10 @@ impl Trace {
     pub fn new(mut jobs: Vec<Job>) -> Self {
         jobs.sort_by_key(|j| j.submit);
         let digest = digest(&jobs);
-        Trace { jobs, digest }
+        Trace {
+            jobs: Arc::new(jobs),
+            digest,
+        }
     }
 
     /// A 64-bit digest of every field of every job, in trace order. A
@@ -59,8 +66,14 @@ impl Trace {
         self.jobs.is_empty()
     }
 
-    /// Consumes the trace, yielding its jobs.
+    /// Consumes the trace, yielding its jobs (copied only if a clone of
+    /// the trace still shares them).
     pub fn into_jobs(self) -> Vec<Job> {
+        Arc::unwrap_or_clone(self.jobs)
+    }
+
+    /// Consumes the trace, yielding its job table without copying it.
+    pub fn into_shared_jobs(self) -> Arc<Vec<Job>> {
         self.jobs
     }
 
