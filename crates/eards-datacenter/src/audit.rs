@@ -319,126 +319,37 @@ impl AuditEvent {
 }
 
 impl Persist for AuditKind {
+    /// The tag byte, then the variant's fields in order.
     #[inline]
     fn persist(&self, w: &mut Writer) {
-        match self {
-            AuditKind::JobArrived { vm } => {
-                w.put_u8(0);
-                vm.persist(w);
-            }
-            AuditKind::CreationStarted { vm, host } => {
-                w.put_u8(1);
-                vm.persist(w);
-                host.persist(w);
-            }
-            AuditKind::VmStarted { vm, host } => {
-                w.put_u8(2);
-                vm.persist(w);
-                host.persist(w);
-            }
-            AuditKind::MigrationStarted { vm, from, to } => {
-                w.put_u8(3);
-                vm.persist(w);
-                from.persist(w);
-                to.persist(w);
-            }
-            AuditKind::JobCompleted { vm, satisfaction } => {
-                w.put_u8(5);
-                vm.persist(w);
-                w.put_f64(*satisfaction);
-            }
-            AuditKind::CheckpointTaken { vm } => {
-                w.put_u8(6);
-                vm.persist(w);
-            }
-            AuditKind::HostPoweringOn { host } => {
-                w.put_u8(7);
-                host.persist(w);
-            }
-            AuditKind::HostOn { host } => {
-                w.put_u8(8);
-                host.persist(w);
-            }
-            AuditKind::HostPoweringOff { host } => {
-                w.put_u8(9);
-                host.persist(w);
-            }
-            AuditKind::CreationFailed { vm, host } => {
-                w.put_u8(10);
-                vm.persist(w);
-                host.persist(w);
-            }
-            AuditKind::MigrationAborted { vm, from, to } => {
-                w.put_u8(11);
-                vm.persist(w);
-                from.persist(w);
-                to.persist(w);
-            }
-            AuditKind::HostFailed { host, displaced } => {
-                w.put_u8(12);
-                host.persist(w);
-                w.put_usize(*displaced);
-            }
-            AuditKind::BootFailed { host } => {
-                w.put_u8(13);
-                host.persist(w);
-            }
-            AuditKind::SlowdownStarted { host, factor } => {
-                w.put_u8(14);
-                host.persist(w);
-                w.put_f64(*factor);
-            }
-            AuditKind::SlowdownEnded { host } => {
-                w.put_u8(15);
-                host.persist(w);
-            }
-            AuditKind::RackOutage { rack, failed } => {
-                w.put_u8(16);
-                w.put_usize(*rack);
-                w.put_usize(*failed);
-            }
-            AuditKind::HostBlacklisted { host, crashes } => {
-                w.put_u8(17);
-                host.persist(w);
-                w.put_u32(*crashes);
-            }
-            AuditKind::HostRepaired { host } => {
-                w.put_u8(18);
-                host.persist(w);
-            }
-            AuditKind::LambdaAdjusted { lambda_min } => {
-                w.put_u8(19);
-                w.put_f64(*lambda_min);
-            }
-            AuditKind::VmParked { vm, attempts } => {
-                w.put_u8(20);
-                vm.persist(w);
-                w.put_u32(*attempts);
-            }
-            AuditKind::VmUnparked { vm } => {
-                w.put_u8(21);
-                vm.persist(w);
-            }
-            AuditKind::BlacklistCleared { host } => {
-                w.put_u8(22);
-                host.persist(w);
-            }
+        match *self {
+            AuditKind::JobArrived { vm } => (0u8, vm).persist(w),
+            AuditKind::CreationStarted { vm, host } => (1u8, (vm, host)).persist(w),
+            AuditKind::VmStarted { vm, host } => (2u8, (vm, host)).persist(w),
+            AuditKind::MigrationStarted { vm, from, to } => (3u8, (vm, (from, to))).persist(w),
+            AuditKind::JobCompleted { vm, satisfaction } => (5u8, (vm, satisfaction)).persist(w),
+            AuditKind::CheckpointTaken { vm } => (6u8, vm).persist(w),
+            AuditKind::HostPoweringOn { host } => (7u8, host).persist(w),
+            AuditKind::HostOn { host } => (8u8, host).persist(w),
+            AuditKind::HostPoweringOff { host } => (9u8, host).persist(w),
+            AuditKind::CreationFailed { vm, host } => (10u8, (vm, host)).persist(w),
+            AuditKind::MigrationAborted { vm, from, to } => (11u8, (vm, (from, to))).persist(w),
+            AuditKind::HostFailed { host, displaced } => (12u8, (host, displaced)).persist(w),
+            AuditKind::BootFailed { host } => (13u8, host).persist(w),
+            AuditKind::SlowdownStarted { host, factor } => (14u8, (host, factor)).persist(w),
+            AuditKind::SlowdownEnded { host } => (15u8, host).persist(w),
+            AuditKind::RackOutage { rack, failed } => (16u8, (rack, failed)).persist(w),
+            AuditKind::HostBlacklisted { host, crashes } => (17u8, (host, crashes)).persist(w),
+            AuditKind::HostRepaired { host } => (18u8, host).persist(w),
+            AuditKind::LambdaAdjusted { lambda_min } => (19u8, lambda_min).persist(w),
+            AuditKind::VmParked { vm, attempts } => (20u8, (vm, attempts)).persist(w),
+            AuditKind::VmUnparked { vm } => (21u8, vm).persist(w),
+            AuditKind::BlacklistCleared { host } => (22u8, host).persist(w),
             // Tag 4 carried a `MigrationFinished` without `from`; it is
             // retired, never reused.
-            AuditKind::MigrationFinished { vm, from, to } => {
-                w.put_u8(23);
-                vm.persist(w);
-                from.persist(w);
-                to.persist(w);
-            }
-            AuditKind::HostOff { host } => {
-                w.put_u8(24);
-                host.persist(w);
-            }
-            AuditKind::VmRecovered { vm } => {
-                w.put_u8(25);
-                vm.persist(w);
-            }
+            AuditKind::MigrationFinished { vm, from, to } => (23u8, (vm, (from, to))).persist(w),
+            AuditKind::HostOff { host } => (24u8, host).persist(w),
+            AuditKind::VmRecovered { vm } => (25u8, vm).persist(w),
         }
     }
     #[inline]

@@ -131,6 +131,8 @@ proptest! {
             &bytes,
         )
         .expect("snapshot restores against its own world");
+        // A state decoded from bytes is complete: it encodes back to them.
+        prop_assert_eq!(resumed.snapshot().unwrap(), bytes);
         while resumed.step_batch() {}
         let (r1, a1) = resumed.finish();
 
@@ -199,6 +201,8 @@ proptest! {
             &bytes,
         )
         .expect("snapshot restores against its own world");
+        // A state decoded from bytes is complete: it encodes back to them.
+        prop_assert_eq!(resumed.snapshot().unwrap(), bytes);
         while resumed.step_batch() {}
         let (r1, a1) = resumed.finish();
 

@@ -116,7 +116,7 @@ pub struct Cluster {
     /// whole trace from the start, ahead of the admitted VMs (see
     /// [`Cluster::admit_next`]). Shared with the trace it came from, so
     /// building a cluster, or a runner restoring onto it, copies no job.
-    // lint:allow(SNAP001): trace data; the runner hands it back on restore (Cluster::restore_world)
+    // lint:allow(SNAP001): trace data; the runner hands it back on restore (Cluster::attach_jobs)
     jobs: Arc<Vec<Job>>,
     /// Every VM ever admitted, indexed by [`VmId`]: the live ones in
     /// full, the finished ones as records in completion order. The next
@@ -987,21 +987,18 @@ impl Cluster {
 
     // ----- snapshot ---------------------------------------------------------
 
-    /// Replaces everything but the job table with the cluster `r` holds
-    /// (see [`Cluster`]'s `Persist` impl). Fails as
+    /// Hands a cluster decoded by [`Cluster`]'s `Persist` impl, which
+    /// holds no job table, the table it runs. Fails as
     /// [`PersistError::Corrupt`] if the snapshot admitted more VMs than
     /// the table has jobs.
-    pub fn restore_world(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
-        let c = Cluster::restore(r)?;
-        let (vms, jobs) = (c.vms.len(), self.jobs.len());
-        if vms > jobs {
-            let msg = format!("snapshot admitted {vms} VMs, the job table holds {jobs} jobs");
+    pub fn attach_jobs(&mut self, jobs: impl Into<Arc<Vec<Job>>>) -> Result<(), PersistError> {
+        let jobs = jobs.into();
+        let (vms, n) = (self.vms.len(), jobs.len());
+        if vms > n {
+            let msg = format!("snapshot admitted {vms} VMs, the job table holds {n} jobs");
             return Err(PersistError::Corrupt(msg));
         }
-        *self = Cluster {
-            jobs: std::mem::take(&mut self.jobs),
-            ..c
-        };
+        self.jobs = jobs;
         Ok(())
     }
 
@@ -1198,7 +1195,7 @@ impl Persist for Host {
 /// hand-edited snapshot cannot smuggle in an inconsistent world state.
 ///
 /// The job table is trace data and is not written: `restore` yields an
-/// empty one, [`Cluster::restore_world`] keeps the table it restores onto.
+/// empty one, and [`Cluster::attach_jobs`] hands it the trace's.
 impl Persist for Cluster {
     #[inline]
     fn persist(&self, w: &mut Writer) {
@@ -1310,8 +1307,8 @@ mod tests {
         c.persist(&mut w);
         let bytes = w.into_bytes().unwrap();
         let mut r = Reader::new(&bytes);
-        let mut restored = Cluster::with_jobs(Vec::new(), PowerState::Off, c.jobs().to_vec());
-        restored.restore_world(&mut r).unwrap();
+        let mut restored = Cluster::restore(&mut r).unwrap();
+        restored.attach_jobs(c.jobs().to_vec()).unwrap();
         r.finish().unwrap();
         assert_eq!(restored.jobs(), c.jobs());
 
@@ -1350,7 +1347,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_world_rejects_more_vms_than_jobs() {
+    fn attach_jobs_rejects_more_vms_than_jobs() {
         use eards_sim::{Reader, Writer};
 
         let mut c = cluster(1);
@@ -1359,14 +1356,14 @@ mod tests {
         let mut w = Writer::new();
         c.persist(&mut w);
         let bytes = w.into_bytes().unwrap();
-        let mut short = Cluster::with_jobs(Vec::new(), PowerState::Off, c.jobs()[..1].to_vec());
-        let err = short.restore_world(&mut Reader::new(&bytes)).unwrap_err();
+        let mut short = Cluster::restore(&mut Reader::new(&bytes)).unwrap();
+        let err = short.attach_jobs(c.jobs()[..1].to_vec()).unwrap_err();
         assert!(
             matches!(err, PersistError::Corrupt(ref m) if m.contains("2 VMs")),
             "{err:?}"
         );
-        let mut exact = Cluster::with_jobs(Vec::new(), PowerState::Off, c.jobs().to_vec());
-        assert!(exact.restore_world(&mut Reader::new(&bytes)).is_ok());
+        let mut exact = Cluster::restore(&mut Reader::new(&bytes)).unwrap();
+        assert!(exact.attach_jobs(c.jobs().to_vec()).is_ok());
     }
 
     #[test]

@@ -298,7 +298,9 @@ proptest! {
                     cluster.persist(&mut w);
                     let bytes = w.into_bytes().expect("small cluster fits the budget");
                     let mut r = Reader::new(&bytes);
-                    cluster.restore_world(&mut r).expect("round trip");
+                    let jobs = cluster.jobs().to_vec();
+                    cluster = Cluster::restore(&mut r).expect("round trip");
+                    cluster.attach_jobs(jobs).expect("the same table");
                     r.finish().expect("fully consumed");
                     let mut again = Writer::default();
                     cluster.persist(&mut again);
@@ -560,7 +562,9 @@ proptest! {
                     let mut w = Writer::default();
                     cluster.persist(&mut w);
                     let bytes = w.into_bytes().expect("small cluster fits the budget");
-                    cluster.restore_world(&mut Reader::new(&bytes)).expect("round trip");
+                    let jobs = cluster.jobs().to_vec();
+                    cluster = Cluster::restore(&mut Reader::new(&bytes)).expect("round trip");
+                    cluster.attach_jobs(jobs).expect("the same table");
                     prop_assert_eq!(cluster.dirty_hosts().len(), N as usize, "a restored cluster is all dirty");
                 }
             }

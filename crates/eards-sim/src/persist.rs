@@ -31,6 +31,7 @@
 //! deterministic: no wall-clock reads, no ambient RNGs (lint rule `D005`
 //! enforces this inside `impl Persist` blocks).
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::time::{SimDuration, SimTime};
@@ -583,6 +584,31 @@ impl<T: Persist> Persist for Option<T> {
     #[inline]
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         r.get_opt()
+    }
+}
+
+/// The key-sorted pair list a `Vec<(K, V)>` of the entries writes.
+/// Restore rejects keys that do not strictly increase.
+impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
+    #[inline]
+    fn persist(&self, w: &mut Writer) {
+        w.put_len(self.len());
+        for (k, v) in self {
+            k.persist(w);
+            v.persist(w);
+        }
+    }
+    #[inline]
+    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        let mut map = BTreeMap::new();
+        for _ in 0..r.get_len()? {
+            let (k, v) = (K::restore(r)?, V::restore(r)?);
+            if map.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(PersistError::Corrupt("map keys must increase".into()));
+            }
+            map.insert(k, v);
+        }
+        Ok(map)
     }
 }
 

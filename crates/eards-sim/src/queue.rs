@@ -113,6 +113,14 @@ impl<E> EventQueue<E> {
         EventHandle(self.next_seq)
     }
 
+    /// The payloads of the live events, in no particular order.
+    pub fn payloads(&self) -> impl Iterator<Item = &E> {
+        self.heap
+            .iter()
+            .filter(|e| self.pending.contains(&e.seq))
+            .map(|e| &e.payload)
+    }
+
     /// Removes and returns the next live event as `(time, handle, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, EventHandle, E)> {
         self.skim();
