@@ -1,46 +1,34 @@
-use eards_core::{ScoreConfig, ScoreScheduler};
-use eards_datacenter::{paper_datacenter, RunConfig, Runner};
+use eards_bench::common::{make_policy, paper_trace};
+use eards_datacenter::{paper_datacenter, run_sweep, RunConfig, SweepPoint};
 use eards_metrics::RunReport;
-use eards_policies::{BackfillingPolicy, DynamicBackfillingPolicy, RandomPolicy, RoundRobinPolicy};
-use eards_workload::{generate, SynthConfig};
 
 fn main() {
-    let trace = generate(&SynthConfig::grid5000_week(), 7);
+    let trace = paper_trace();
     let stats = trace.stats();
     eprintln!(
         "trace: {} jobs, {:.0} cpu-h, {:.1} avg cores",
         stats.jobs, stats.total_cpu_hours, stats.avg_offered_cores
     );
-    let mut reports = Vec::new();
-    for (name, mk) in [
-        ("RD", 0usize),
-        ("RR", 1),
-        ("BF", 2),
-        ("SB0", 3),
-        ("SB", 4),
-        ("DBF", 5),
-        ("SB 40-90", 6),
-    ] {
-        #[allow(clippy::disallowed_methods)] // smoke run reports wall time
-        let t0 = std::time::Instant::now();
-        let policy: Box<dyn eards_model::Policy> = match mk {
-            0 => Box::new(RandomPolicy::new(1)),
-            1 => Box::new(RoundRobinPolicy::new()),
-            2 => Box::new(BackfillingPolicy::new()),
-            3 => Box::new(ScoreScheduler::new(ScoreConfig::sb0())),
-            4 | 6 => Box::new(ScoreScheduler::new(ScoreConfig::sb())),
-            _ => Box::new(DynamicBackfillingPolicy::new()),
-        };
-        let cfg = if mk == 6 {
-            RunConfig::default().with_lambdas(40, 90)
-        } else {
-            RunConfig::default()
-        };
-        let r = Runner::new(paper_datacenter(), trace.clone(), policy, cfg)
-            .labeled(name)
-            .run();
-        eprintln!("{name}: {:?} wall", t0.elapsed());
-        reports.push(r);
-    }
+    let rows = [
+        ("RD", "RD", 30),
+        ("RR", "RR", 30),
+        ("BF", "BF", 30),
+        ("SB0", "SB0", 30),
+        ("SB", "SB", 30),
+        ("DBF", "DBF", 30),
+        ("SB 40-90", "SB", 40),
+    ];
+    let points = rows
+        .into_iter()
+        .map(|(label, name, lo)| SweepPoint {
+            label: label.into(),
+            config: RunConfig::default().with_lambdas(lo, 90),
+            policy: Box::new(move || make_policy(name)),
+        })
+        .collect();
+    #[allow(clippy::disallowed_methods)] // smoke run reports wall time
+    let t0 = std::time::Instant::now();
+    let reports = run_sweep(&paper_datacenter(), &trace, points, None);
+    eprintln!("{} runs: {:?} wall", reports.len(), t0.elapsed());
     println!("{}", RunReport::table(&reports).to_markdown());
 }

@@ -10,6 +10,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use eards_core::{Eval, EvalBuffers, ScoreConfig, ScoreScheduler};
+use eards_datacenter::{RunConfig, SweepPoint};
 use eards_metrics::Table;
 use eards_model::{
     Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, Policy, PowerState, VmId,
@@ -40,6 +41,25 @@ pub fn make_policy(name: &str) -> Box<dyn Policy> {
         "SB2" => Box::new(ScoreScheduler::new(ScoreConfig::sb2())),
         "SB" => Box::new(ScoreScheduler::new(ScoreConfig::sb())),
         other => panic!("unknown policy name {other:?}"),
+    }
+}
+
+/// A run of the default configuration at λ `lo`–`hi` under the table row
+/// `name` (see [`make_policy`]), labelled `label`.
+pub(crate) fn point(label: String, name: &'static str, lo: u32, hi: u32) -> SweepPoint {
+    SweepPoint {
+        label,
+        config: RunConfig::default().with_lambdas(lo, hi),
+        policy: Box::new(move || make_policy(name)),
+    }
+}
+
+/// The verdict a shape check prints after its note.
+pub(crate) fn verdict(holds: bool) -> &'static str {
+    if holds {
+        "HOLDS"
+    } else {
+        "VIOLATED"
     }
 }
 

@@ -12,21 +12,22 @@
 use eards_core::{ScoreConfig, ScoreScheduler};
 use eards_datacenter::{paper_datacenter, run_sweep, AdaptiveLambda, RunConfig, SweepPoint};
 use eards_metrics::{RunReport, Table};
+use eards_model::Policy;
 
-use crate::common::{paper_trace, ExperimentResult};
+use crate::common::{paper_trace, verdict, ExperimentResult};
 
 /// Satisfaction target the adaptive controller holds.
 pub const TARGET_S: f64 = 99.0;
 
 /// Runs static λ ∈ {20, 30, 40, 50}–90 plus the adaptive controller.
 pub fn reports() -> Vec<RunReport> {
-    let trace = paper_trace();
-    let hosts = paper_datacenter();
+    let sb = || -> Box<dyn Policy> { Box::new(ScoreScheduler::new(ScoreConfig::sb())) };
     let mut points: Vec<SweepPoint> = [20u32, 30, 40, 50]
         .iter()
         .map(|&lo| SweepPoint {
             label: format!("static λ{lo}-90"),
             config: RunConfig::default().with_lambdas(lo, 90),
+            policy: Box::new(sb),
         })
         .collect();
     points.push(SweepPoint {
@@ -38,13 +39,9 @@ pub fn reports() -> Vec<RunReport> {
             }),
             ..RunConfig::default()
         },
+        policy: Box::new(sb),
     });
-    run_sweep(
-        &hosts,
-        &trace,
-        || Box::new(ScoreScheduler::new(ScoreConfig::sb())),
-        points,
-    )
+    run_sweep(&paper_datacenter(), &paper_trace(), points, None)
 }
 
 /// Runs the dynamic-threshold ablation.
@@ -80,7 +77,7 @@ pub fn run() -> ExperimentResult {
     result.notes.push(format!(
         "adaptive holds the satisfaction target ({:.2}% vs target {TARGET_S}%): {}",
         adaptive.satisfaction_pct,
-        ok(adaptive.satisfaction_pct >= TARGET_S - 0.5)
+        verdict(adaptive.satisfaction_pct >= TARGET_S - 0.5)
     ));
     if let Some(best) = best_static_ok {
         result.notes.push(format!(
@@ -89,7 +86,7 @@ pub fn run() -> ExperimentResult {
             adaptive.energy_kwh,
             best.label,
             best.energy_kwh,
-            ok(adaptive.energy_kwh <= best.energy_kwh * 1.10)
+            verdict(adaptive.energy_kwh <= best.energy_kwh * 1.10)
         ));
     }
     result.notes.push(format!(
@@ -98,14 +95,6 @@ pub fn run() -> ExperimentResult {
         most_frugal.label, most_frugal.energy_kwh, most_frugal.satisfaction_pct
     ));
     result
-}
-
-fn ok(b: bool) -> &'static str {
-    if b {
-        "HOLDS"
-    } else {
-        "VIOLATED"
-    }
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use eards_model::{
 };
 use eards_policies::BackfillingPolicy;
 
-use crate::common::{paper_trace, ExperimentResult};
+use crate::common::{paper_trace, verdict, ExperimentResult};
 
 fn model(name: &str) -> Box<dyn PowerModel> {
     match name {
@@ -116,29 +116,21 @@ pub fn run() -> ExperimentResult {
     result.notes.push(format!(
         "savings persist on constant-draw machines ({con:.1}%) because they \
          come from turning nodes off, not from the load curve: {}",
-        ok(con < -8.0)
+        verdict(con < -8.0)
     ));
     result.notes.push(format!(
         "on energy-proportional machines the gap collapses \
          ({pro:.1}% vs {cal:.1}% calibrated): consolidation's energy case \
          rests on idle draw, exactly the paper's §IV-A argument: {}",
-        ok(pro > cal + 2.0)
+        verdict(pro > cal + 2.0)
     ));
     result.notes.push(format!(
         "an explicit stepped-DVFS governor behaves like the smooth calibrated \
          curve ({dvfs:.1}% vs {cal:.1}%) — Table I already *is* the governor, \
          seen through its envelope: {}",
-        ok((dvfs - cal).abs() < 5.0)
+        verdict((dvfs - cal).abs() < 5.0)
     ));
     result
-}
-
-fn ok(b: bool) -> &'static str {
-    if b {
-        "HOLDS"
-    } else {
-        "VIOLATED"
-    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use eards_model::{FaultPlan, HostClass, HostId, HostSpec};
 use eards_sim::SimDuration;
 use eards_workload::{generate, SynthConfig};
 
-use crate::common::ExperimentResult;
+use crate::common::{verdict, ExperimentResult};
 
 /// A 40-node datacenter where every fourth node is flaky. Interleaving
 /// (rather than clustering the flaky nodes at the high ids) matters: a
@@ -39,7 +39,7 @@ pub fn flaky_datacenter() -> Vec<HostSpec> {
         .collect()
 }
 
-fn variant(fault: bool, ckpt: bool) -> (String, ScoreConfig, RunConfig) {
+fn variant(fault: bool, ckpt: bool) -> SweepPoint {
     let mut cfg = ScoreConfig::sb();
     cfg.fault_penalty = fault;
     let name = match (fault, ckpt) {
@@ -47,13 +47,17 @@ fn variant(fault: bool, ckpt: bool) -> (String, ScoreConfig, RunConfig) {
         (true, false) => "SB+fault",
         (true, true) => "SB+fault+ckpt",
     };
-    let run = RunConfig {
-        checkpoint_period: ckpt.then(|| SimDuration::from_mins(10)),
-        ..RunConfig::default()
+    let score = cfg.named(name);
+    SweepPoint {
+        label: name.to_string(),
+        config: RunConfig {
+            checkpoint_period: ckpt.then(|| SimDuration::from_mins(10)),
+            ..RunConfig::default()
+        }
+        // Reliability-driven crashes with the default 30-minute repair.
+        .with_faults(FaultPlan::crashes()),
+        policy: Box::new(move || Box::new(ScoreScheduler::new(score.clone()))),
     }
-    // Reliability-driven crashes with the default 30-minute repair.
-    .with_faults(FaultPlan::crashes());
-    (name.to_string(), cfg.named(name), run)
 }
 
 /// Runs the three variants over a 3-day trace.
@@ -65,23 +69,11 @@ pub fn reports() -> Vec<RunReport> {
         },
         crate::common::TRACE_SEED,
     );
-    let hosts = flaky_datacenter();
-    [(false, false), (true, false), (true, true)]
+    let points = [(false, false), (true, false), (true, true)]
         .into_iter()
-        .map(|(fault, ckpt)| {
-            let (label, score_cfg, run_cfg) = variant(fault, ckpt);
-            run_sweep(
-                &hosts,
-                &trace,
-                move || Box::new(ScoreScheduler::new(score_cfg.clone())),
-                vec![SweepPoint {
-                    label,
-                    config: run_cfg.clone(),
-                }],
-            )
-            .remove(0)
-        })
-        .collect()
+        .map(|(fault, ckpt)| variant(fault, ckpt))
+        .collect();
+    run_sweep(&flaky_datacenter(), &trace, points, None)
 }
 
 /// Runs the reliability ablation.
@@ -129,14 +121,14 @@ pub fn run() -> ExperimentResult {
          (blind) vs {} (fault-aware): {}",
         blind.vms_displaced,
         fault.vms_displaced,
-        ok(fault.vms_displaced <= blind.vms_displaced)
+        verdict(fault.vms_displaced <= blind.vms_displaced)
     ));
     result.notes.push(format!(
         "fault awareness preserves satisfaction under failures ({:.1}% vs \
          blind {:.1}%): {}",
         fault.satisfaction_pct,
         blind.satisfaction_pct,
-        ok(fault.satisfaction_pct >= blind.satisfaction_pct - 0.2)
+        verdict(fault.satisfaction_pct >= blind.satisfaction_pct - 0.2)
     ));
     result.notes.push(format!(
         "checkpointing bounds lost work (S {:.1}% vs {:.1}%, delay {:.1}% vs \
@@ -145,17 +137,9 @@ pub fn run() -> ExperimentResult {
         fault.satisfaction_pct,
         ckpt.delay_pct,
         fault.delay_pct,
-        ok(ckpt.satisfaction_pct >= fault.satisfaction_pct - 0.3)
+        verdict(ckpt.satisfaction_pct >= fault.satisfaction_pct - 0.3)
     ));
     result
-}
-
-fn ok(b: bool) -> &'static str {
-    if b {
-        "HOLDS"
-    } else {
-        "VIOLATED"
-    }
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use eards_model::HostClass;
 use eards_sim::SimDuration;
 use eards_workload::{generate, SynthConfig};
 
-use crate::common::ExperimentResult;
+use crate::common::{verdict, ExperimentResult};
 
 /// Runs both variants over a 3-day, 1.5×-load trace on 25 nodes.
 pub fn reports() -> Vec<RunReport> {
@@ -37,38 +37,30 @@ pub fn reports() -> Vec<RunReport> {
         .with_load_factor(1.5),
         crate::common::TRACE_SEED,
     );
-    let hosts = small_datacenter(25, HostClass::Medium);
-    let variants: Vec<(String, ScoreConfig, bool)> = vec![
-        ("SB".into(), ScoreConfig::sb(), false),
-        (
-            "SB+SLA".into(),
-            {
-                let mut c = ScoreConfig::sb();
-                c.sla_penalty = true;
-                c.named("SB+SLA")
-            },
-            true,
-        ),
-    ];
-    variants
-        .into_iter()
-        .map(|(label, score_cfg, dynamic)| {
-            let run_cfg = RunConfig {
-                dynamic_sla: dynamic,
+    let mut sla = ScoreConfig::sb();
+    sla.sla_penalty = true;
+    let sla = sla.named("SB+SLA");
+    let points = vec![
+        SweepPoint {
+            label: "SB".into(),
+            config: RunConfig::default(),
+            policy: Box::new(|| Box::new(ScoreScheduler::new(ScoreConfig::sb()))),
+        },
+        SweepPoint {
+            label: "SB+SLA".into(),
+            config: RunConfig {
+                dynamic_sla: true,
                 ..RunConfig::default()
-            };
-            run_sweep(
-                &hosts,
-                &trace,
-                move || Box::new(ScoreScheduler::new(score_cfg.clone())),
-                vec![SweepPoint {
-                    label,
-                    config: run_cfg.clone(),
-                }],
-            )
-            .remove(0)
-        })
-        .collect()
+            },
+            policy: Box::new(move || Box::new(ScoreScheduler::new(sla.clone()))),
+        },
+    ];
+    run_sweep(
+        &small_datacenter(25, HostClass::Medium),
+        &trace,
+        points,
+        None,
+    )
 }
 
 /// Runs the SLA-enforcement ablation.
@@ -96,7 +88,7 @@ pub fn run() -> ExperimentResult {
         "SLA awareness does not hurt satisfaction ({:.2}% vs {:.2}%): {}",
         sla.satisfaction_pct,
         plain.satisfaction_pct,
-        ok(sla.satisfaction_pct >= plain.satisfaction_pct - 0.3)
+        verdict(sla.satisfaction_pct >= plain.satisfaction_pct - 0.3)
     ));
     result.notes.push(format!(
         "measured SLA-awareness delta: ΔS = {:+.2} points, Δdelay = {:+.2} \
@@ -109,14 +101,6 @@ pub fn run() -> ExperimentResult {
         sla.energy_kwh - plain.energy_kwh
     ));
     result
-}
-
-fn ok(b: bool) -> &'static str {
-    if b {
-        "HOLDS"
-    } else {
-        "VIOLATED"
-    }
 }
 
 #[cfg(test)]

@@ -55,28 +55,35 @@ fn two_day_trace() -> Trace {
     )
 }
 
-/// Runs one policy across all intensities (one parallel sweep).
-fn sweep_policy(name: &str, hosts: &[eards_model::HostSpec], trace: &Trace) -> Vec<RunReport> {
-    let points = INTENSITIES
-        .iter()
-        .map(|&x| SweepPoint {
-            label: format!("{name} x{x:.1}"),
-            config: RunConfig::default()
-                .with_faults(FaultPlan::chaos(x))
-                .with_auditor(AuditorMode::On),
-        })
-        .collect();
-    run_sweep(hosts, trace, || chaos_policy(name), points)
+/// The point that runs policy `name` under `config`.
+fn chaos_point(name: &'static str, label: String, config: RunConfig) -> SweepPoint {
+    SweepPoint {
+        label,
+        config,
+        policy: Box::new(move || chaos_policy(name)),
+    }
 }
 
 /// Runs the chaos comparison: 3 policies × 4 intensities over a 2-day
-/// trace on 40 medium nodes.
+/// trace on 40 medium nodes, in one parallel sweep. One row of reports
+/// per policy, in intensity order.
 pub fn reports() -> Vec<Vec<RunReport>> {
+    let points = POLICIES
+        .iter()
+        .flat_map(|&name| {
+            INTENSITIES.iter().map(move |&x| {
+                let config = RunConfig::default()
+                    .with_faults(FaultPlan::chaos(x))
+                    .with_auditor(AuditorMode::On);
+                chaos_point(name, format!("{name} x{x:.1}"), config)
+            })
+        })
+        .collect();
     let hosts = small_datacenter(40, HostClass::Medium);
-    let trace = two_day_trace();
+    let mut runs = run_sweep(&hosts, &two_day_trace(), points, None).into_iter();
     POLICIES
         .iter()
-        .map(|name| sweep_policy(name, &hosts, &trace))
+        .map(|_| runs.by_ref().take(INTENSITIES.len()).collect())
         .collect()
 }
 
@@ -91,18 +98,16 @@ pub fn smoke() -> Vec<RunReport> {
         },
         TRACE_SEED,
     );
-    ["SB", "BF"]
-        .iter()
+    let points = ["SB", "BF"]
+        .into_iter()
         .map(|name| {
-            let points = vec![SweepPoint {
-                label: format!("{name} smoke"),
-                config: RunConfig::default()
-                    .with_faults(FaultPlan::chaos(1.5))
-                    .with_auditor(AuditorMode::Strict),
-            }];
-            run_sweep(&hosts, &trace, || chaos_policy(name), points).remove(0)
+            let config = RunConfig::default()
+                .with_faults(FaultPlan::chaos(1.5))
+                .with_auditor(AuditorMode::Strict);
+            chaos_point(name, format!("{name} smoke"), config)
         })
-        .collect()
+        .collect();
+    run_sweep(&hosts, &trace, points, None)
 }
 
 /// Renders the per-run fault/recovery numbers as a JSON object keyed by
@@ -305,15 +310,8 @@ mod tests {
             },
             TRACE_SEED,
         );
-        let runs = run_sweep(
-            &hosts,
-            &trace,
-            || chaos_policy("BF"),
-            vec![SweepPoint {
-                label: "BF x0.0".into(),
-                config: RunConfig::default(),
-            }],
-        );
+        let point = chaos_point("BF", "BF x0.0".into(), RunConfig::default());
+        let runs = run_sweep(&hosts, &trace, vec![point], None);
         let json = to_json(&[runs]);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"BF x0.0\""));

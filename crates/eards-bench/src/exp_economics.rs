@@ -8,10 +8,10 @@
 //! them by profit — collapsing the power-vs-SLA trade-off into the number
 //! a provider actually optimizes.
 
-use eards_datacenter::{paper_datacenter, run_sweep, RunConfig, SweepPoint};
+use eards_datacenter::{paper_datacenter, run_sweep};
 use eards_metrics::{fnum, PricingModel, RunReport};
 
-use crate::common::{make_policy, paper_trace, ExperimentResult};
+use crate::common::{paper_trace, point, verdict, ExperimentResult};
 
 /// The priced policies: every contender from Tables II and IV.
 pub const POLICIES: &[(&str, u32, u32)] = &[
@@ -25,23 +25,11 @@ pub const POLICIES: &[(&str, u32, u32)] = &[
 
 /// Runs every policy and returns the raw reports.
 pub fn reports() -> Vec<RunReport> {
-    let trace = paper_trace();
-    let hosts = paper_datacenter();
-    POLICIES
+    let points = POLICIES
         .iter()
-        .map(|&(name, lo, hi)| {
-            run_sweep(
-                &hosts,
-                &trace,
-                || make_policy(name),
-                vec![SweepPoint {
-                    label: format!("{name} λ{lo}-{hi}"),
-                    config: RunConfig::default().with_lambdas(lo, hi),
-                }],
-            )
-            .remove(0)
-        })
-        .collect()
+        .map(|&(name, lo, hi)| point(format!("{name} λ{lo}-{hi}"), name, lo, hi))
+        .collect();
+    run_sweep(&paper_datacenter(), &paper_trace(), points, None)
 }
 
 /// Runs the economics extension.
@@ -81,7 +69,7 @@ pub fn run() -> ExperimentResult {
         "the tuned score-based policy is the most profitable ({} at {}): {}",
         best.label,
         fnum(best.profit, 2),
-        ok(best.label.starts_with("SB"))
+        verdict(best.label.starts_with("SB"))
     ));
     result.notes.push(format!(
         "naive policies pay twice — RD refunds {} in SLA credits, RR burns {} \
@@ -90,23 +78,15 @@ pub fn run() -> ExperimentResult {
         fnum(rr.energy_cost, 2),
         fnum(bf.sla_credits, 2),
         fnum(bf.energy_cost, 2),
-        ok(rd.sla_credits > 3.0 * bf.sla_credits && rr.energy_cost > bf.energy_cost)
+        verdict(rd.sla_credits > 3.0 * bf.sla_credits && rr.energy_cost > bf.energy_cost)
     ));
     result.notes.push(format!(
         "energy-awareness converts directly into margin: SB λ40-90 keeps {} \
          more profit than BF on identical revenue: {}",
         fnum(sb.profit - bf.profit, 2),
-        ok(sb.profit > bf.profit)
+        verdict(sb.profit > bf.profit)
     ));
     result
-}
-
-fn ok(b: bool) -> &'static str {
-    if b {
-        "HOLDS"
-    } else {
-        "VIOLATED"
-    }
 }
 
 #[cfg(test)]

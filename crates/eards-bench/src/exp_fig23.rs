@@ -8,6 +8,7 @@
 use eards_core::{ScoreConfig, ScoreScheduler};
 use eards_datacenter::{lambda_grid, paper_datacenter, run_sweep, RunConfig};
 use eards_metrics::{fnum, RunReport, Table};
+use eards_model::Policy;
 
 use crate::common::{paper_trace, ExperimentResult};
 
@@ -16,22 +17,16 @@ pub const MIN_GRID: &[u32] = &[10, 20, 30, 40, 50, 60, 70, 80];
 /// λ_max values of the grid (percent).
 pub const MAX_GRID: &[u32] = &[30, 40, 50, 60, 70, 80, 90, 100];
 
-/// Runs the sweep; `(label, λ_min, λ_max, report)` per valid grid point.
+/// Runs the sweep; `(λ_min, λ_max, report)` per valid grid point.
 pub fn sweep(min_grid: &[u32], max_grid: &[u32]) -> Vec<(u32, u32, RunReport)> {
-    let trace = paper_trace();
-    let hosts = paper_datacenter();
-    let points = lambda_grid(&RunConfig::default(), min_grid, max_grid);
-    let pairs: Vec<(u32, u32)> = min_grid
+    let sb = || -> Box<dyn Policy> { Box::new(ScoreScheduler::new(ScoreConfig::sb())) };
+    let points = lambda_grid(&RunConfig::default(), sb, min_grid, max_grid);
+    let pct = |fraction: f64| (fraction * 100.0).round() as u32;
+    let pairs: Vec<(u32, u32)> = points
         .iter()
-        .flat_map(|&lo| max_grid.iter().map(move |&hi| (lo, hi)))
-        .filter(|&(lo, hi)| lo < hi)
+        .map(|p| (pct(p.config.lambda_min), pct(p.config.lambda_max)))
         .collect();
-    let reports = run_sweep(
-        &hosts,
-        &trace,
-        || Box::new(ScoreScheduler::new(ScoreConfig::sb())),
-        points,
-    );
+    let reports = run_sweep(&paper_datacenter(), &paper_trace(), points, None);
     pairs
         .into_iter()
         .zip(reports)

@@ -7,11 +7,11 @@
 //! seeds and reports the distribution of the SB-vs-BF and SB-vs-DBF
 //! savings.
 
-use eards_datacenter::{paper_datacenter, run_sweep, RunConfig, SweepPoint};
+use eards_datacenter::{paper_datacenter, run_sweep};
 use eards_metrics::{fnum, pct_change, Summary, Table};
 use eards_workload::{generate, SynthConfig};
 
-use crate::common::{make_policy, ExperimentResult};
+use crate::common::{point, verdict, ExperimentResult};
 
 /// The workload seeds evaluated.
 pub const SEEDS: &[u64] = &[7, 11, 23, 42, 101];
@@ -23,21 +23,12 @@ pub fn savings() -> Vec<(u64, f64, f64, f64)> {
         .iter()
         .map(|&seed| {
             let trace = generate(&SynthConfig::grid5000_week(), seed);
-            let run = |name: &str, lo: u32, hi: u32| {
-                run_sweep(
-                    &hosts,
-                    &trace,
-                    || make_policy(name),
-                    vec![SweepPoint {
-                        label: format!("{name} λ{lo}-{hi}"),
-                        config: RunConfig::default().with_lambdas(lo, hi),
-                    }],
-                )
-                .remove(0)
-            };
-            let bf = run("BF", 30, 90);
-            let dbf = run("DBF", 30, 90);
-            let sb = run("SB", 40, 90);
+            let points = [("BF", 30, 90), ("DBF", 30, 90), ("SB", 40, 90)]
+                .into_iter()
+                .map(|(name, lo, hi)| point(format!("{name} λ{lo}-{hi}"), name, lo, hi))
+                .collect();
+            let reports = run_sweep(&hosts, &trace, points, None);
+            let (bf, dbf, sb) = (&reports[0], &reports[1], &reports[2]);
             (
                 seed,
                 pct_change(bf.energy_kwh, sb.energy_kwh),
@@ -87,27 +78,19 @@ pub fn run() -> ExperimentResult {
         "SB saves energy vs BF on every seed (mean {:+.1}%, worst {:+.1}%): {}",
         vs_bf.mean(),
         vs_bf.max().unwrap_or(0.0),
-        ok(all_negative)
+        verdict(all_negative)
     ));
     result.notes.push(format!(
         "the mean saving brackets the paper's −15% (ours {:+.1}% ± {:.1}): {}",
         vs_bf.mean(),
         vs_bf.std_dev(),
-        ok((-25.0..=-10.0).contains(&vs_bf.mean()))
+        verdict((-25.0..=-10.0).contains(&vs_bf.mean()))
     ));
     result.notes.push(format!(
         "SB also beats DBF on every seed: {}",
-        ok(rows.iter().all(|&(_, _, dbf, _)| dbf < 0.0))
+        verdict(rows.iter().all(|&(_, _, dbf, _)| dbf < 0.0))
     ));
     result
-}
-
-fn ok(b: bool) -> &'static str {
-    if b {
-        "HOLDS"
-    } else {
-        "VIOLATED"
-    }
 }
 
 #[cfg(test)]

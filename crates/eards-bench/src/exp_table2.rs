@@ -6,32 +6,18 @@
 //! violate many SLAs; BF consolidates well; SB0 behaves "very similar" to
 //! BF.
 
-use eards_datacenter::{paper_datacenter, run_sweep, RunConfig, SweepPoint};
+use eards_datacenter::{paper_datacenter, run_sweep};
 use eards_metrics::{pct_change, RunReport};
 
-use crate::common::{make_policy, paper_trace, ExperimentResult};
+use crate::common::{paper_trace, point, verdict, ExperimentResult};
 
 /// Runs the four static policies over the canonical week.
 pub fn reports() -> Vec<RunReport> {
-    let trace = paper_trace();
-    let hosts = paper_datacenter();
-    ["RD", "RR", "BF", "SB0"]
-        .iter()
-        .map(|name| {
-            // One point per policy; run_sweep parallelizes across policies
-            // through repeated single-point calls — simpler to fan out here.
-            run_sweep(
-                &hosts,
-                &trace,
-                || make_policy(name),
-                vec![SweepPoint {
-                    label: name.to_string(),
-                    config: RunConfig::default(),
-                }],
-            )
-            .remove(0)
-        })
-        .collect()
+    let points = ["RD", "RR", "BF", "SB0"]
+        .into_iter()
+        .map(|name| point(name.to_string(), name, 30, 90))
+        .collect();
+    run_sweep(&paper_datacenter(), &paper_trace(), points, None)
 }
 
 /// Regenerates Table II.
@@ -60,16 +46,16 @@ pub fn run() -> ExperimentResult {
 
     result.notes.push(format!(
         "naive policies lose on both axes (power AND satisfaction): {}",
-        ok(shape_naive_power && shape_naive_sla)
+        verdict(shape_naive_power && shape_naive_sla)
     ));
     result.notes.push(format!(
         "RR burns more power than RD but satisfies more clients (its spread \
          avoids collisions): {}",
-        ok(shape_rd_vs_rr)
+        verdict(shape_rd_vs_rr)
     ));
     result.notes.push(format!(
         "SB0 behaves like BF (within 3% power, 2 points of S): {}",
-        ok(shape_sb0_like_bf)
+        verdict(shape_sb0_like_bf)
     ));
     result.notes.push(format!(
         "RD/RR satisfaction penalties are milder here than the paper's 33/60% \
@@ -79,14 +65,6 @@ pub fn run() -> ExperimentResult {
         rd.delay_pct, rr.delay_pct, bf.delay_pct
     ));
     result
-}
-
-fn ok(b: bool) -> &'static str {
-    if b {
-        "HOLDS"
-    } else {
-        "VIOLATED"
-    }
 }
 
 #[cfg(test)]

@@ -8,10 +8,10 @@
 //! "a reduction of more than 12% with regard to the Backfilling policy
 //! while getting a similar SLA fulfillment".
 
-use eards_datacenter::{paper_datacenter, run_sweep, RunConfig, SweepPoint};
+use eards_datacenter::{paper_datacenter, run_sweep};
 use eards_metrics::{pct_change, RunReport, Table};
 
-use crate::common::{make_policy, paper_trace, ExperimentResult};
+use crate::common::{paper_trace, point, verdict, ExperimentResult};
 
 /// The Table III rows: (policy, λ_min, λ_max).
 pub const ROWS: &[(&str, u32, u32)] = &[
@@ -23,37 +23,12 @@ pub const ROWS: &[(&str, u32, u32)] = &[
 
 /// Runs the Table III configurations (plus BF as the comparison base).
 pub fn reports() -> Vec<RunReport> {
-    let trace = paper_trace();
-    let hosts = paper_datacenter();
-    let mut out = Vec::new();
-    for &(name, lo, hi) in ROWS {
-        let label = format!("{name} λ{lo}-{hi}");
-        out.push(
-            run_sweep(
-                &hosts,
-                &trace,
-                || make_policy(name),
-                vec![SweepPoint {
-                    label,
-                    config: RunConfig::default().with_lambdas(lo, hi),
-                }],
-            )
-            .remove(0),
-        );
-    }
-    out.push(
-        run_sweep(
-            &hosts,
-            &trace,
-            || make_policy("BF"),
-            vec![SweepPoint {
-                label: "BF λ30-90 (ref)".into(),
-                config: RunConfig::default(),
-            }],
-        )
-        .remove(0),
-    );
-    out
+    let mut points: Vec<_> = ROWS
+        .iter()
+        .map(|&(name, lo, hi)| point(format!("{name} λ{lo}-{hi}"), name, lo, hi))
+        .collect();
+    points.push(point("BF λ30-90 (ref)".into(), "BF", 30, 90));
+    run_sweep(&paper_datacenter(), &paper_trace(), points, None)
 }
 
 /// Regenerates Table III.
@@ -83,22 +58,14 @@ pub fn run() -> ExperimentResult {
 
     result.notes.push(format!(
         "SB2's concurrency awareness preserves/recovers SLA relative to SB0: {}",
-        ok(sb2_sla_edge)
+        verdict(sb2_sla_edge)
     ));
     result.notes.push(format!(
         "SB2 at λ40-90 vs BF: {tightened_gain:.1}% power (paper: −12%) at similar \
          SLA: {}",
-        ok(tightened_gain < -8.0 && sla_preserved)
+        verdict(tightened_gain < -8.0 && sla_preserved)
     ));
     result
-}
-
-fn ok(b: bool) -> &'static str {
-    if b {
-        "HOLDS"
-    } else {
-        "VIOLATED"
-    }
 }
 
 #[cfg(test)]

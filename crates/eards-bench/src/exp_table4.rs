@@ -8,44 +8,22 @@
 //! in the datacenter power consumption of 15% with regard to Backfilling
 //! and 12% compared with the dynamic variant" — the paper's headline.
 
-use eards_datacenter::{paper_datacenter, run_sweep, RunConfig, SweepPoint};
+use eards_datacenter::{paper_datacenter, run_sweep};
 use eards_metrics::{pct_change, RunReport, Table};
 
-use crate::common::{make_policy, paper_trace, ExperimentResult};
+use crate::common::{paper_trace, point, verdict, ExperimentResult};
 
 /// The Table IV rows: (policy, λ_min, λ_max).
 pub const ROWS: &[(&str, u32, u32)] = &[("DBF", 30, 90), ("SB", 30, 90), ("SB", 40, 90)];
 
 /// Runs the Table IV configurations plus the BF reference.
 pub fn reports() -> Vec<RunReport> {
-    let trace = paper_trace();
-    let hosts = paper_datacenter();
-    let mut out = vec![run_sweep(
-        &hosts,
-        &trace,
-        || make_policy("BF"),
-        vec![SweepPoint {
-            label: "BF λ30-90 (ref)".into(),
-            config: RunConfig::default(),
-        }],
-    )
-    .remove(0)];
-    for &(name, lo, hi) in ROWS {
-        let label = format!("{name} λ{lo}-{hi}");
-        out.push(
-            run_sweep(
-                &hosts,
-                &trace,
-                || make_policy(name),
-                vec![SweepPoint {
-                    label,
-                    config: RunConfig::default().with_lambdas(lo, hi),
-                }],
-            )
-            .remove(0),
-        );
-    }
-    out
+    let reference = point("BF λ30-90 (ref)".into(), "BF", 30, 90);
+    let rows = ROWS
+        .iter()
+        .map(|&(name, lo, hi)| point(format!("{name} λ{lo}-{hi}"), name, lo, hi));
+    let points = std::iter::once(reference).chain(rows).collect();
+    run_sweep(&paper_datacenter(), &paper_trace(), points, None)
 }
 
 /// Regenerates Table IV.
@@ -76,19 +54,21 @@ pub fn run() -> ExperimentResult {
         "migration improves on BF (DBF {:.1}%, SB {:.1}% at λ30-90): {}",
         pct_change(bf.energy_kwh, dbf.energy_kwh),
         pct_change(bf.energy_kwh, sb.energy_kwh),
-        ok(dbf.energy_kwh < bf.energy_kwh && sb.energy_kwh < bf.energy_kwh)
+        verdict(dbf.energy_kwh < bf.energy_kwh && sb.energy_kwh < bf.energy_kwh)
     ));
     result.notes.push(format!(
         "SB beats DBF on power at equal λ while migrating less ({} vs {} \
          migrations): {}",
         sb.migrations,
         dbf.migrations,
-        ok(sb.energy_kwh < dbf.energy_kwh && sb.migrations < dbf.migrations)
+        verdict(sb.energy_kwh < dbf.energy_kwh && sb.migrations < dbf.migrations)
     ));
     result.notes.push(format!(
         "HEADLINE — SB λ40-90 vs BF: {headline_vs_bf:.1}% (paper: −15%); vs DBF: \
          {headline_vs_dbf:.1}% (paper: −12%) at similar SLA: {}",
-        ok(headline_vs_bf <= -10.0 && (sbt.satisfaction_pct - bf.satisfaction_pct).abs() < 2.0)
+        verdict(
+            headline_vs_bf <= -10.0 && (sbt.satisfaction_pct - bf.satisfaction_pct).abs() < 2.0
+        )
     ));
     result.notes.push(
         "absolute migration counts are higher than the paper's 87/124 — our \
@@ -97,14 +77,6 @@ pub fn run() -> ExperimentResult {
             .into(),
     );
     result
-}
-
-fn ok(b: bool) -> &'static str {
-    if b {
-        "HOLDS"
-    } else {
-        "VIOLATED"
-    }
 }
 
 #[cfg(test)]

@@ -11,34 +11,25 @@ use eards_core::{ScoreConfig, ScoreScheduler};
 use eards_datacenter::{paper_datacenter, run_sweep, RunConfig, SweepPoint};
 use eards_metrics::{RunReport, Table};
 
-use crate::common::{paper_trace, ExperimentResult};
+use crate::common::{paper_trace, verdict, ExperimentResult};
 
 /// The Table V cost pairs.
 pub const COST_PAIRS: &[(f64, f64)] = &[(0.0, 40.0), (20.0, 40.0), (60.0, 100.0)];
 
 /// Runs SB with each consolidation-cost pair.
 pub fn reports() -> Vec<RunReport> {
-    let trace = paper_trace();
-    let hosts = paper_datacenter();
-    COST_PAIRS
+    let points = COST_PAIRS
         .iter()
-        .map(|&(ce, cf)| {
-            run_sweep(
-                &hosts,
-                &trace,
-                move || {
-                    Box::new(ScoreScheduler::new(
-                        ScoreConfig::sb().with_consolidation_costs(ce, cf),
-                    ))
-                },
-                vec![SweepPoint {
-                    label: format!("Ce={ce:.0} Cf={cf:.0}"),
-                    config: RunConfig::default(),
-                }],
-            )
-            .remove(0)
+        .map(|&(ce, cf)| SweepPoint {
+            label: format!("Ce={ce:.0} Cf={cf:.0}"),
+            config: RunConfig::default(),
+            policy: Box::new(move || {
+                let cfg = ScoreConfig::sb().with_consolidation_costs(ce, cf);
+                Box::new(ScoreScheduler::new(cfg))
+            }),
         })
-        .collect()
+        .collect();
+    run_sweep(&paper_datacenter(), &paper_trace(), points, None)
 }
 
 /// Regenerates Table V.
@@ -68,25 +59,25 @@ pub fn run() -> ExperimentResult {
         "Ce = 0 migrates rarely ({} migrations; paper: 0) and consolidates \
          least: {}",
         zero.migrations,
-        ok(zero.migrations < balanced.migrations / 4 && zero.energy_kwh > balanced.energy_kwh)
+        verdict(zero.migrations < balanced.migrations / 4 && zero.energy_kwh > balanced.energy_kwh)
     ));
     result.notes.push(format!(
         "aggressive costs migrate most ({} vs {}): {}",
         aggressive.migrations,
         balanced.migrations,
-        ok(aggressive.migrations > balanced.migrations)
+        verdict(aggressive.migrations > balanced.migrations)
     ));
     result.notes.push(format!(
         "consolidation costs pay: balanced (20,40) beats C_e = 0 by {:.0} kWh: {}",
         zero.energy_kwh - balanced.energy_kwh,
-        ok(balanced.energy_kwh < zero.energy_kwh - 10.0)
+        verdict(balanced.energy_kwh < zero.energy_kwh - 10.0)
     ));
     result.notes.push(format!(
         "aggressive consolidation costs satisfaction ({:.2}% vs balanced \
          {:.2}%): {}",
         aggressive.satisfaction_pct,
         balanced.satisfaction_pct,
-        ok(aggressive.satisfaction_pct <= balanced.satisfaction_pct + 0.05)
+        verdict(aggressive.satisfaction_pct <= balanced.satisfaction_pct + 0.05)
     ));
     result.notes.push(format!(
         "DEVIATION — the paper's energy *upturn* at (60,100) (999 vs 956 kWh) \
@@ -101,14 +92,6 @@ pub fn run() -> ExperimentResult {
         aggressive.energy_kwh, balanced.energy_kwh, aggressive.migrations,
     ));
     result
-}
-
-fn ok(b: bool) -> &'static str {
-    if b {
-        "HOLDS"
-    } else {
-        "VIOLATED"
-    }
 }
 
 #[cfg(test)]

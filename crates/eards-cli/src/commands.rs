@@ -1,6 +1,8 @@
 //! The CLI commands: `run`, `resume`, `compare`, `sweep`, `trace`.
 
-use eards_datacenter::{lambda_grid, run_sweep, Runner};
+use std::sync::Arc;
+
+use eards_datacenter::{lambda_grid, run_sweep, SweepPoint};
 use eards_metrics::{fnum, heatmap, sparkline_fit, PricingModel, RunReport, Table};
 use eards_obs::{validate, Obs};
 use eards_sim::{SimDuration, SimTime};
@@ -300,13 +302,18 @@ fn compare_cmd(tokens: &[String]) -> Result<String, CliError> {
     let hosts = build_hosts(&args)?;
     let trace = build_trace(&args)?;
     let cfg = build_run_config(&args)?;
-    let mut reports = Vec::new();
-    for name in &names {
-        let policy = make_policy(name, &args, &cfg)?;
-        let report = Runner::new(hosts.clone(), trace.clone(), policy, cfg.clone()).run();
-        reports.push(report);
-    }
-    report_output(&args, &reports)
+    let points = names
+        .iter()
+        .map(|name| {
+            let policy = make_policy(name, &args, &cfg)?;
+            Ok(SweepPoint {
+                label: policy().name(),
+                config: cfg.clone(),
+                policy,
+            })
+        })
+        .collect::<Result<_, CliError>>()?;
+    report_output(&args, &run_sweep(&hosts, &trace, points, None))
 }
 
 fn parse_grid(args: &Args, flag: &str, default: &[u32]) -> Result<Vec<u32>, CliError> {
@@ -329,27 +336,25 @@ fn sweep_cmd(tokens: &[String]) -> Result<String, CliError> {
     let hosts = build_hosts(&args)?;
     let trace = build_trace(&args)?;
     let base = build_run_config(&args)?;
-    // Reject a bad policy name or solver flag here, not in a sweep thread.
-    make_policy(&policy_name, &args, &base)?;
+    let policy = Arc::new(make_policy(&policy_name, &args, &base)?);
     let min_grid = parse_grid(&args, "lambda-min-grid", &[10, 30, 50, 70])?;
     let max_grid = parse_grid(&args, "lambda-max-grid", &[50, 70, 90])?;
-    let points = lambda_grid(&base, &min_grid, &max_grid);
+    let points = lambda_grid(&base, move || policy(), &min_grid, &max_grid);
     if points.is_empty() {
         return Err(CliError::Usage(
             "the λ grids produced no valid (min < max) pairs".into(),
         ));
     }
-    let labels: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
-    let reports = run_sweep(
-        &hosts,
-        &trace,
-        || make_policy(&policy_name, &args, &base).expect("validated above"),
-        points,
-    );
+    let pct = |fraction: f64| (fraction * 100.0).round() as u32;
+    let lambdas: Vec<(u32, u32)> = points
+        .iter()
+        .map(|p| (pct(p.config.lambda_min), pct(p.config.lambda_max)))
+        .collect();
+    let reports = run_sweep(&hosts, &trace, points, None);
     let mut t = Table::new(["setting", "Pwr (kWh)", "S (%)", "delay (%)", "Mig"]);
-    for (label, r) in labels.iter().zip(&reports) {
+    for r in &reports {
         t.row([
-            label.clone(),
+            r.label.clone(),
             fnum(r.energy_kwh, 1),
             fnum(r.satisfaction_pct, 2),
             fnum(r.delay_pct, 2),
@@ -359,17 +364,15 @@ fn sweep_cmd(tokens: &[String]) -> Result<String, CliError> {
     let mut out = render(&t, args.switch("csv"));
     if !args.switch("csv") && min_grid.len() > 1 && max_grid.len() > 1 {
         // Shade the λ surface (darker = more energy), like Fig. 2.
-        let by_label: std::collections::HashMap<&str, f64> = labels
-            .iter()
-            .map(String::as_str)
-            .zip(reports.iter().map(|r| r.energy_kwh))
-            .collect();
         let cells: Vec<Vec<Option<f64>>> = min_grid
             .iter()
-            .map(|lo| {
+            .map(|&lo| {
                 max_grid
                     .iter()
-                    .map(|hi| by_label.get(format!("λ{lo}-{hi}").as_str()).copied())
+                    .map(|&hi| {
+                        let at = lambdas.iter().position(|&l| l == (lo, hi));
+                        at.map(|i| reports[i].energy_kwh)
+                    })
                     .collect()
             })
             .collect();

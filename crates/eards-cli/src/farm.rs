@@ -17,6 +17,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use eards_datacenter::{run_sweep, RunConfig, SweepPoint};
 use eards_model::FaultPlan;
 use eards_obs::Obs;
 use eards_sim::SimDuration;
@@ -27,8 +28,8 @@ use eards_sweep::{
 
 use crate::args::{ArgSpec, Args};
 use crate::setup::{
-    build_run_config, make_policy, obs_requested, CliError, World, COMMON_SWITCHES, COMMON_VALUED,
-    OBS_CAPACITY, OBS_FLAGS,
+    build_hosts, build_run_config, build_trace, make_policy, obs_requested, CliError, World,
+    COMMON_SWITCHES, COMMON_VALUED, OBS_CAPACITY, OBS_FLAGS,
 };
 
 /// Farm-only valued flags. Flags in [`FORWARDED_VALUED`] are passed on
@@ -153,7 +154,7 @@ fn build_grid(args: &Args) -> Result<SweepGrid, CliError> {
         }
         let cfg = build_run_config(args)?;
         for name in &names {
-            make_policy(name, args, &cfg)?;
+            let _ = make_policy(name, args, &cfg)?;
         }
         names
     };
@@ -179,22 +180,26 @@ fn build_grid(args: &Args) -> Result<SweepGrid, CliError> {
     })
 }
 
-/// Builds one shard's world. The serial path and the worker (fresh or
-/// resuming a checkpoint) all build through this — one source of truth
-/// for how a grid cell becomes a simulation, which is what the
+/// Turns a grid cell into its run configuration: `cfg` comes from the
+/// common flags. The serial path and the worker (fresh or resuming a
+/// checkpoint) both configure their runs through this — one source of
+/// truth for how a grid cell becomes a simulation, which is what the
 /// byte-identity guarantee rests on.
 ///
 /// A chaos intensity of 0 keeps the base fault configuration from the
 /// common flags (`--failures`/`--chaos`); a positive intensity replaces
 /// it with `FaultPlan::chaos(x)`.
+fn configure_shard(cfg: &mut RunConfig, spec: &ShardSpec, obs: &Obs) {
+    cfg.seed = spec.seed;
+    if spec.chaos > 0.0 {
+        cfg.faults = FaultPlan::chaos(spec.chaos);
+    }
+    cfg.obs = obs.clone();
+}
+
+/// Builds one shard's world for the worker.
 fn shard_world(args: &Args, spec: &ShardSpec, obs: &Obs) -> Result<World, CliError> {
-    World::build(args, &spec.policy, |cfg| {
-        cfg.seed = spec.seed;
-        if spec.chaos > 0.0 {
-            cfg.faults = FaultPlan::chaos(spec.chaos);
-        }
-        cfg.obs = obs.clone();
-    })
+    World::build(args, &spec.policy, |cfg| configure_shard(cfg, spec, obs))
 }
 
 fn shard_obs(args: &Args) -> Obs {
@@ -214,22 +219,35 @@ fn write_shard_metrics(workdir: &Path, key: &str, obs: &Obs) -> Result<(), CliEr
     Ok(())
 }
 
-/// Runs the whole grid in-process, one shard after another. The
-/// reference implementation the farm is compared against.
+/// Runs the whole grid in-process, one shard after another, over one
+/// datacenter and trace. The reference implementation the farm is
+/// compared against.
 fn run_serial(
     args: &Args,
     shards: &[ShardSpec],
     workdir: &Path,
 ) -> Result<Vec<MergeEntry>, CliError> {
-    let mut entries = Vec::with_capacity(shards.len());
+    let base = build_run_config(args)?;
+    let mut obs = Vec::with_capacity(shards.len());
+    let mut points = Vec::with_capacity(shards.len());
     for spec in shards {
-        let obs = shard_obs(args);
-        let report = shard_world(args, spec, &obs)?.runner().run();
-        write_shard_metrics(workdir, &spec.key(), &obs)?;
+        let mut config = base.clone();
+        configure_shard(&mut config, spec, &shard_obs(args));
+        obs.push(config.obs.clone());
+        points.push(SweepPoint {
+            label: spec.key(),
+            policy: make_policy(&spec.policy, args, &config)?,
+            config,
+        });
+    }
+    let reports = run_sweep(&build_hosts(args)?, &build_trace(args)?, points, Some(1));
+    let mut entries = Vec::with_capacity(shards.len());
+    for ((spec, obs), report) in shards.iter().zip(&obs).zip(&reports) {
+        write_shard_metrics(workdir, &spec.key(), obs)?;
         entries.push(MergeEntry {
             spec: spec.clone(),
             status: ShardStatus::Ok,
-            rendered: render(spec, &report),
+            rendered: render(spec, report),
         });
     }
     Ok(entries)

@@ -134,28 +134,36 @@ fn solver_arming(
     Ok((budget.map(OverloadControl::with_budget), shards))
 }
 
-/// Builds a policy by CLI name for a run under `cfg`. Score-based
-/// policies are handed a clone of `cfg.obs`, so solver spans and score
+/// A constructor of fresh policy instances, as a sweep point carries one.
+type PolicyCtor = Box<dyn Fn() -> Box<dyn Policy> + Send + Sync>;
+
+/// Checks a CLI policy name and the solver flags, and returns the
+/// constructor of that policy for runs under `cfg`. Score-based policies
+/// are handed a clone of `cfg.obs`, so solver spans and score
 /// attributions land in the same trace as the runner's events (a disabled
 /// handle keeps every hook a no-op), and are armed by `solver_arming`;
 /// non-score policies ignore its flags.
-pub fn make_policy(name: &str, args: &Args, cfg: &RunConfig) -> Result<Box<dyn Policy>, CliError> {
+pub fn make_policy(name: &str, args: &Args, cfg: &RunConfig) -> Result<PolicyCtor, CliError> {
     let (ctl, shards) = solver_arming(args, cfg)?;
-    let score = |score: ScoreConfig| -> Box<dyn Policy> {
-        let mut sched = ScoreScheduler::with_obs(score, cfg.obs.clone());
-        if let Some(c) = ctl {
-            sched = sched.with_overload(c);
-        }
-        if let Some(s) = shards {
-            sched = sched.with_shards(s);
-        }
-        Box::new(sched)
+    let seed = cfg.seed;
+    let score = |score: ScoreConfig| -> PolicyCtor {
+        let obs = cfg.obs.clone();
+        Box::new(move || {
+            let mut sched = ScoreScheduler::with_obs(score.clone(), obs.clone());
+            if let Some(c) = ctl {
+                sched = sched.with_overload(c);
+            }
+            if let Some(s) = shards {
+                sched = sched.with_shards(s);
+            }
+            Box::new(sched)
+        })
     };
     Ok(match name.to_ascii_lowercase().as_str() {
-        "rd" | "random" => Box::new(RandomPolicy::new(cfg.seed)),
-        "rr" | "round-robin" => Box::new(RoundRobinPolicy::new()),
-        "bf" | "backfilling" => Box::new(BackfillingPolicy::new()),
-        "dbf" => Box::new(DynamicBackfillingPolicy::new()),
+        "rd" | "random" => Box::new(move || Box::new(RandomPolicy::new(seed))),
+        "rr" | "round-robin" => Box::new(|| Box::new(RoundRobinPolicy::new())),
+        "bf" | "backfilling" => Box::new(|| Box::new(BackfillingPolicy::new())),
+        "dbf" => Box::new(|| Box::new(DynamicBackfillingPolicy::new())),
         "sb0" => score(ScoreConfig::sb0()),
         "sb1" => score(ScoreConfig::sb1()),
         "sb2" => score(ScoreConfig::sb2()),
@@ -191,7 +199,7 @@ impl World {
         let trace = build_trace(args)?;
         let mut cfg = build_run_config(args)?;
         adjust(&mut cfg);
-        let policy = make_policy(policy, args, &cfg)?;
+        let policy = make_policy(policy, args, &cfg)?();
         Ok(World {
             hosts,
             trace,
@@ -352,7 +360,7 @@ mod tests {
 
     fn policy(flags: &str, name: &str) -> Result<Box<dyn Policy>, CliError> {
         let args = parse(flags);
-        make_policy(name, &args, &build_run_config(&args)?)
+        make_policy(name, &args, &build_run_config(&args)?).map(|ctor| ctor())
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * [`FaultEngine`] / [`InvariantAuditor`] — the chaos layer: pluggable
 //!   fault injection ([`eards_model::FaultPlan`]) with per-host, per-class
 //!   RNG streams, and an always-on conservation auditor.
-//! * [`run_sweep`] / [`lambda_grid`] — thread-parallel parameter
-//!   sweeps for the Figure 2/3 threshold surfaces.
+//! * [`run_sweep`] / [`lambda_grid`] — the thread-parallel executor of
+//!   independent runs (each [`SweepPoint`] carries its policy), and the
+//!   Figure 2/3 threshold grid.
 
 #![warn(missing_docs)]
 

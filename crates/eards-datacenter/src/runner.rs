@@ -534,7 +534,8 @@ impl RunState {
     /// count (which the header, the cluster and the crash counts agree
     /// on) and each rack below the rack count, so no handler indexes past
     /// a table. A `VmId` of a finished VM stays legal: the stale-event
-    /// guards answer it through `vm_state`.
+    /// guards answer it through `vm_state`. A run that has not started
+    /// must also be the t = 0 world.
     fn check_ids(&self, hosts: usize) -> Result<(), PersistError> {
         let vms = self.cluster.num_vms();
         let corrupt = |what: String| Err(PersistError::Corrupt(what));
@@ -570,6 +571,22 @@ impl RunState {
         let mut timers = self.failure_timer.iter().chain(self.slowdown_timer.iter());
         if let Some((h, _)) = timers.find(|(h, _)| h.index() >= hosts) {
             return corrupt(format!("fault timer on {h}, but only {hosts} hosts"));
+        }
+        // `Runner::start` arms a run that has not started, booting its
+        // hosts and scheduling its timers, so that run must be the world
+        // `RunState::new` builds: handle 0 is the first a queue hands out.
+        if !self.started
+            && (self.now != SimTime::ZERO
+                || !self.queue.is_empty()
+                || self.queue.next_handle() != EventQueue::<Event>::new().next_handle()
+                || vms != 0
+                || self
+                    .cluster
+                    .hosts()
+                    .iter()
+                    .any(|h| h.power != PowerState::Off))
+        {
+            return corrupt("a run that has not started holds a mid-run world".into());
         }
         Ok(())
     }
@@ -1990,12 +2007,14 @@ mod restored_id_tests {
         (hosts, Trace::new(vec![job(0), job(1)]))
     }
 
-    /// A run with one of its two jobs admitted (so `VmId(0)` is in range
-    /// and `VmId(1)` is not), armed by `arm`, snapshotted and restored.
+    /// A started run with one of its two jobs admitted (so `VmId(0)` is in
+    /// range and `VmId(1)` is not), armed by `arm`, snapshotted and
+    /// restored.
     fn restored_after(arm: impl FnOnce(&mut RunState)) -> Result<Runner, PersistError> {
         let (hosts, trace) = world();
         let policy = || Box::new(RandomPolicy::new(1));
         let mut r = Runner::new(hosts, trace, policy(), RunConfig::default());
+        r.state.started = true;
         r.state.cluster.admit_next();
         arm(&mut r.state);
         let bytes = r.snapshot().unwrap();

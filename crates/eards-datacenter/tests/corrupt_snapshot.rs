@@ -309,6 +309,27 @@ fn earlier_snapshot_versions_are_unsupported() {
     }
 }
 
+/// A snapshot that claims its run has not started must hold the t = 0
+/// world: restoring a mid-run world as not started would re-run the start
+/// and boot hosts that are already on. A fresh run's snapshot restores.
+#[test]
+fn mid_run_world_marked_not_started_is_corrupt() {
+    let (hosts, trace) = world();
+    let fresh = Runner::new(hosts, trace.clone(), policy(), config())
+        .snapshot()
+        .unwrap();
+    assert!(restore_onto(trace.clone(), &fresh).is_ok());
+    let mut bytes = baseline_snapshot();
+    // The `started` flag follows the 9-byte header.
+    assert_eq!(bytes[9], 1);
+    bytes[9] ^= 1;
+    match restore_onto(trace, &bytes) {
+        Err(PersistError::Corrupt(msg)) => assert!(msg.contains("not started"), "{msg}"),
+        Err(e) => panic!("expected a Corrupt error, got {e:?}"),
+        Ok(_) => panic!("a mid-run world restored as not started"),
+    }
+}
+
 /// Job arrivals are not queued: the job table is the arrival schedule, so
 /// the retired arrival tag 0 in the event list is corrupt. (While arrivals
 /// were queued, one forged extra arrival restored and then panicked,

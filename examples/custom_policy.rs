@@ -57,18 +57,18 @@ fn main() {
     );
     let hosts = eards::datacenter::paper_datacenter();
 
-    let mut reports = Vec::new();
-    let contenders: [(&str, Box<dyn Policy>); 3] = [
-        ("FirstFit", Box::new(FirstFitPolicy)),
-        ("BF", Box::new(BackfillingPolicy::new())),
-        ("SB", Box::new(ScoreScheduler::new(ScoreConfig::sb()))),
+    // Each point builds its policy inside the sweep's worker thread.
+    let point = |label: &str, policy: fn() -> Box<dyn Policy>| SweepPoint {
+        label: label.into(),
+        config: RunConfig::default(),
+        policy: Box::new(policy),
+    };
+    let contenders = vec![
+        point("FirstFit", || Box::new(FirstFitPolicy)),
+        point("BF", || Box::new(BackfillingPolicy::new())),
+        point("SB", || Box::new(ScoreScheduler::new(ScoreConfig::sb()))),
     ];
-    for (label, policy) in contenders {
-        let report = Runner::new(hosts.clone(), trace.clone(), policy, RunConfig::default())
-            .labeled(label)
-            .run();
-        reports.push(report);
-    }
+    let reports = run_sweep(&hosts, &trace, contenders, None);
     println!("{}", RunReport::table(&reports).to_markdown());
     println!(
         "first-fit fills the lowest-numbered hosts but ignores how full each \

@@ -19,29 +19,20 @@ fn flaky_hosts() -> Vec<HostSpec> {
         .collect()
 }
 
-fn run_variant(label: &str, fault_penalty: bool, checkpoints: bool) -> RunReport {
-    let trace = eards::workload::generate(
-        &SynthConfig {
-            span: SimDuration::from_days(1),
-            ..SynthConfig::grid5000_week()
-        },
-        11,
-    );
+fn variant(label: &str, fault_penalty: bool, checkpoints: bool) -> SweepPoint {
     let mut score_cfg = ScoreConfig::sb().named(label);
     score_cfg.fault_penalty = fault_penalty;
-    let cfg = RunConfig {
+    let config = RunConfig {
         checkpoint_period: checkpoints.then(|| SimDuration::from_mins(10)),
         ..RunConfig::default()
     }
     // Reliability-driven host crashes, repaired after the default 30 min.
     .with_faults(FaultPlan::crashes());
-    Runner::new(
-        flaky_hosts(),
-        trace,
-        Box::new(ScoreScheduler::new(score_cfg)),
-        cfg,
-    )
-    .run()
+    SweepPoint {
+        label: label.into(),
+        config,
+        policy: Box::new(move || Box::new(ScoreScheduler::new(score_cfg.clone()))),
+    }
 }
 
 fn main() {
@@ -63,10 +54,20 @@ fn main() {
         "delay (%)",
         "Pwr (kWh)",
     ]);
-    for (label, fault, ckpt) in variants {
-        let r = run_variant(label, fault, ckpt);
+    let trace = eards::workload::generate(
+        &SynthConfig {
+            span: SimDuration::from_days(1),
+            ..SynthConfig::grid5000_week()
+        },
+        11,
+    );
+    let points = variants
+        .into_iter()
+        .map(|(label, fault, ckpt)| variant(label, fault, ckpt))
+        .collect();
+    for r in run_sweep(&flaky_hosts(), &trace, points, None) {
         table.row([
-            label.to_string(),
+            r.label.clone(),
             r.host_failures.to_string(),
             r.vms_displaced.to_string(),
             format!("{}/{}", r.jobs_completed, r.jobs_total),

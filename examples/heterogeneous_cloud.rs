@@ -69,22 +69,16 @@ fn main() {
         trace.len()
     );
 
-    let mut reports = Vec::new();
-    let contenders: [(&str, Box<dyn Policy>); 2] = [
-        ("BF", Box::new(BackfillingPolicy::new())),
-        ("SB", Box::new(ScoreScheduler::new(ScoreConfig::sb()))),
+    let point = |label: &str, policy: fn() -> Box<dyn Policy>| SweepPoint {
+        label: label.into(),
+        config: RunConfig::default(),
+        policy: Box::new(policy),
+    };
+    let contenders = vec![
+        point("BF", || Box::new(BackfillingPolicy::new())),
+        point("SB", || Box::new(ScoreScheduler::new(ScoreConfig::sb()))),
     ];
-    for (label, policy) in contenders {
-        let report = Runner::new(
-            heterogeneous_hosts(),
-            trace.clone(),
-            policy,
-            RunConfig::default(),
-        )
-        .labeled(label)
-        .run();
-        reports.push(report);
-    }
+    let reports = run_sweep(&heterogeneous_hosts(), &trace, contenders, None);
     println!("{}", RunReport::table(&reports).to_markdown());
     println!(
         "all placements respected the hypervisor requirements (the drivers \

@@ -25,12 +25,13 @@ fn main() {
         7,
     );
     let hosts = paper_datacenter();
+    let sb = || -> Box<dyn Policy> { Box::new(ScoreScheduler::new(ScoreConfig::sb())) };
     let points = lambda_grid(
         &RunConfig::default(),
+        sb,
         &[10, 20, 30, 40, 50, 60],
         &[50, 60, 70, 80, 90, 100],
     );
-    let labels: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
     println!(
         "sweeping {} (λ_min, λ_max) settings in parallel ...",
         points.len()
@@ -39,20 +40,15 @@ fn main() {
     #[allow(clippy::disallowed_methods)]
     // lint:allow(D002): example times its own wall-clock run, not sim state
     let t0 = std::time::Instant::now();
-    let reports = run_sweep(
-        &hosts,
-        &trace,
-        || Box::new(ScoreScheduler::new(ScoreConfig::sb())),
-        points,
-    );
+    let reports = run_sweep(&hosts, &trace, points, None);
     println!("swept in {:.1?}\n", t0.elapsed());
 
     let mut table = Table::new(["setting", "Pwr (kWh)", "S (%)", "meets floor"]);
     let mut best: Option<&RunReport> = None;
-    for (label, r) in labels.iter().zip(&reports) {
+    for r in &reports {
         let meets = r.satisfaction_pct >= sla_floor;
         table.row([
-            label.clone(),
+            r.label.clone(),
             format!("{:.1}", r.energy_kwh),
             format!("{:.2}", r.satisfaction_pct),
             if meets { "yes" } else { "no" }.to_string(),

@@ -17,35 +17,34 @@ fn main() {
         stats.jobs, stats.total_cpu_hours, stats.avg_offered_cores
     );
 
-    let mut reports = Vec::new();
-    let runs: [(&str, Box<dyn Policy>, RunConfig); 3] = [
-        (
-            "BF λ30-90",
-            Box::new(BackfillingPolicy::new()),
-            RunConfig::default(),
-        ),
-        (
-            "SB λ30-90",
-            Box::new(ScoreScheduler::new(ScoreConfig::sb())),
-            RunConfig::default(),
-        ),
-        (
-            "SB λ40-90",
-            Box::new(ScoreScheduler::new(ScoreConfig::sb())),
-            RunConfig::default().with_lambdas(40, 90),
-        ),
+    let bf = || -> Box<dyn Policy> { Box::new(BackfillingPolicy::new()) };
+    let sb = || -> Box<dyn Policy> { Box::new(ScoreScheduler::new(ScoreConfig::sb())) };
+    let runs = vec![
+        SweepPoint {
+            label: "BF λ30-90".into(),
+            config: RunConfig::default(),
+            policy: Box::new(bf),
+        },
+        SweepPoint {
+            label: "SB λ30-90".into(),
+            config: RunConfig::default(),
+            policy: Box::new(sb),
+        },
+        SweepPoint {
+            label: "SB λ40-90".into(),
+            config: RunConfig::default().with_lambdas(40, 90),
+            policy: Box::new(sb),
+        },
     ];
-    for (label, policy, cfg) in runs {
-        #[allow(clippy::disallowed_methods)]
-        // lint:allow(D002): example times its own wall-clock run, not sim state
-        let t0 = std::time::Instant::now();
-        let report = Runner::new(paper_datacenter(), trace.clone(), policy, cfg)
-            .labeled(label)
-            .run();
-        println!("{label}: simulated the week in {:.1?}", t0.elapsed());
-        reports.push(report);
-    }
-
+    #[allow(clippy::disallowed_methods)]
+    // lint:allow(D002): example times its own wall-clock run, not sim state
+    let t0 = std::time::Instant::now();
+    let reports = run_sweep(&paper_datacenter(), &trace, runs, None);
+    println!(
+        "simulated {} weeks side by side in {:.1?}",
+        reports.len(),
+        t0.elapsed()
+    );
     println!("\n{}", RunReport::table(&reports).to_markdown());
 
     let bf = &reports[0];
