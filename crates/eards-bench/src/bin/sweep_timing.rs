@@ -9,6 +9,10 @@
 //! the identity check still runs but the speedup gate is reported
 //! ungated — single-core CI containers can't demonstrate parallelism.
 //!
+//! Each side runs [`REPS`] times, the two taking turns at going first;
+//! the speedup is the ratio of the medians, kept beside the smallest and
+//! largest per-repetition ratio.
+//!
 //! Unlike the other bench bins this one drives the real `eards` binary
 //! (the farm is a multi-process design; there is nothing meaningful to
 //! time in-process). The binary is found via `$EARDS_BIN` or next to the
@@ -16,7 +20,7 @@
 //! `cargo build --release -p eards-cli`.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use eards_bench::common::write_baseline;
 use eards_bench::timing::best_of;
@@ -30,6 +34,9 @@ const SPEEDUP_FLOOR: f64 = 2.0;
 
 /// Cores needed before the speedup floor is enforced.
 const MIN_CORES: usize = 4;
+
+/// Timed runs per side.
+const REPS: usize = 5;
 
 fn eards_bin() -> PathBuf {
     if let Ok(p) = std::env::var("EARDS_BIN") {
@@ -59,6 +66,7 @@ fn timed_sweep(bin: &Path, out_dir: &Path, mode: &[&str]) -> f64 {
                 .arg(SEEDS)
                 .args(["--sweep-out", &out_dir.display().to_string()])
                 .args(mode)
+                .stdout(Stdio::null())
                 .status()
                 .expect("spawn eards sweep")
         },
@@ -71,23 +79,34 @@ fn main() -> std::io::Result<()> {
     let bin = eards_bin();
     let root = std::env::temp_dir().join(format!("eards-bench-sweep-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let serial_dir = root.join("serial");
-    let farm_dir = root.join("farm");
+    let modes: [&[&str]; 2] = [&["--serial"], &["--jobs", "4"]];
+    let dirs = [root.join("serial"), root.join("farm")];
 
-    let serial_ms = timed_sweep(&bin, &serial_dir, &["--serial"]);
-    let jobs4_ms = timed_sweep(&bin, &farm_dir, &["--jobs", "4"]);
-
-    // Identity first: a fast farm that changes the bytes is worthless.
-    for name in ["report.csv", "report.jsonl"] {
-        let a = std::fs::read(serial_dir.join(name)).expect("serial report");
-        let b = std::fs::read(farm_dir.join(name)).expect("farm report");
-        assert_eq!(
-            a, b,
-            "{name}: --jobs 4 output differs from --serial — determinism broken"
-        );
+    // Wall times in ms per side: serial, then --jobs 4.
+    let mut ms = [Vec::new(), Vec::new()];
+    for rep in 0..REPS {
+        for side in [rep % 2, 1 - rep % 2] {
+            ms[side].push(timed_sweep(&bin, &dirs[side], modes[side]));
+        }
+        // Identity first: a fast farm that changes the bytes is worthless.
+        for name in ["report.csv", "report.jsonl"] {
+            let a = std::fs::read(dirs[0].join(name)).expect("serial report");
+            let b = std::fs::read(dirs[1].join(name)).expect("farm report");
+            assert_eq!(
+                a, b,
+                "{name}: --jobs 4 output differs from --serial — determinism broken"
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&root);
 
+    let ratios: Vec<f64> = ms[0].iter().zip(&ms[1]).map(|(s, j)| s / j).collect();
+    let [serial_ms, jobs4_ms] = ms.map(|mut side| {
+        side.sort_unstable_by(f64::total_cmp);
+        side[REPS / 2] // the median
+    });
+    let ratio_min = ratios.iter().copied().fold(f64::INFINITY, f64::min);
+    let ratio_max = ratios.iter().copied().fold(0.0, f64::max);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let speedup = serial_ms / jobs4_ms;
     let gated = cores >= MIN_CORES;
@@ -95,14 +114,16 @@ fn main() -> std::io::Result<()> {
 
     let shards = SEEDS.split(',').count();
     let json = format!(
-        "{{\"shards\":{shards},\"serial_ms\":{serial_ms:.1},\"jobs4_ms\":{jobs4_ms:.1},\
-         \"speedup\":{speedup:.2},\"cores\":{cores},\"floor\":{SPEEDUP_FLOOR},\
+        "{{\"shards\":{shards},\"reps\":{REPS},\"serial_ms\":{serial_ms:.1},\
+         \"jobs4_ms\":{jobs4_ms:.1},\"speedup\":{speedup:.2},\"ratio_min\":{ratio_min:.2},\
+         \"ratio_max\":{ratio_max:.2},\"cores\":{cores},\"floor\":{SPEEDUP_FLOOR},\
          \"gated\":{gated},\"within_budget\":{within}}}\n"
     );
     write_baseline("BENCH_sweep.json", &json)?;
     eprintln!(
-        "{shards} shards: serial {serial_ms:.0} ms, --jobs 4 {jobs4_ms:.0} ms \
-         ({speedup:.2}x, floor {SPEEDUP_FLOOR}x, {cores} cores, gate {})",
+        "{shards} shards, median of {REPS}: serial {serial_ms:.0} ms, --jobs 4 {jobs4_ms:.0} ms \
+         ({speedup:.2}x, per-rep {ratio_min:.2}–{ratio_max:.2}x, floor {SPEEDUP_FLOOR}x, \
+         {cores} cores, gate {})",
         if gated {
             "enforced"
         } else {

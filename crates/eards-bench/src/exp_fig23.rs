@@ -6,7 +6,7 @@
 //! trade-off resolved at λ_min = 30%, λ_max = 90%.
 
 use eards_core::{ScoreConfig, ScoreScheduler};
-use eards_datacenter::{lambda_grid, paper_datacenter, run_sweep, RunConfig};
+use eards_datacenter::{lambda_grid, lambda_pairs, paper_datacenter, run_sweep, RunConfig};
 use eards_metrics::{fnum, RunReport, Table};
 use eards_model::Policy;
 
@@ -21,11 +21,7 @@ pub const MAX_GRID: &[u32] = &[30, 40, 50, 60, 70, 80, 90, 100];
 pub fn sweep(min_grid: &[u32], max_grid: &[u32]) -> Vec<(u32, u32, RunReport)> {
     let sb = || -> Box<dyn Policy> { Box::new(ScoreScheduler::new(ScoreConfig::sb())) };
     let points = lambda_grid(&RunConfig::default(), sb, min_grid, max_grid);
-    let pct = |fraction: f64| (fraction * 100.0).round() as u32;
-    let pairs: Vec<(u32, u32)> = points
-        .iter()
-        .map(|p| (pct(p.config.lambda_min), pct(p.config.lambda_max)))
-        .collect();
+    let pairs = lambda_pairs(min_grid, max_grid);
     let reports = run_sweep(&paper_datacenter(), &paper_trace(), points, None);
     pairs
         .into_iter()

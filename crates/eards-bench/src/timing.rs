@@ -7,9 +7,10 @@
 //! routine, [`per_iter_pair`] to alternating batches of two routines
 //! whose ratio is reported, and [`Recorder`] prints and keeps one
 //! `bench:` line per measured routine for the `BENCH_*.json`
-//! baselines. The exceptions are the observability gate, whose
-//! statistic is a median of interleaved runs, and the progress timers
-//! of `run_all` and `smoke`.
+//! baselines. The exceptions are the observability gate and
+//! `sweep_timing`, whose statistic is a median of interleaved runs (each
+//! run timed by one [`best_of`] call), and the progress timers of
+//! `run_all` and `smoke`.
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -1,17 +1,15 @@
 //! The CLI commands: `run`, `resume`, `compare`, `sweep`, `trace`.
 
-use std::sync::Arc;
-
-use eards_datacenter::{lambda_grid, run_sweep, SweepPoint};
-use eards_metrics::{fnum, heatmap, sparkline_fit, PricingModel, RunReport, Table};
+use eards_datacenter::{run_sweep, SweepPoint};
+use eards_metrics::{fnum, sparkline_fit, PricingModel, RunReport, Table};
 use eards_obs::{validate, Obs};
 use eards_sim::{SimDuration, SimTime};
-use eards_workload::{analyze, generate, parse_swf, write_swf, SwfOptions, SynthConfig};
+use eards_workload::{analyze, parse_swf, write_swf, SwfOptions};
 
 use crate::args::{ArgSpec, Args};
 use crate::setup::{
-    build_hosts, build_run_config, build_trace, make_policy, obs_requested, CliError, World,
-    COMMON_SWITCHES, COMMON_VALUED, OBS_FLAGS,
+    build_hosts, build_run_config, build_trace, make_policy, obs_requested, synth_trace, CliError,
+    World, COMMON_SWITCHES, COMMON_VALUED, OBS_FLAGS,
 };
 
 /// Usage text.
@@ -22,19 +20,20 @@ USAGE:
   eards run      [--policy sb] [common flags]      simulate one policy
   eards resume   <FILE>                            resume a checkpointed run to the end
   eards compare  [--policies bf,dbf,sb] [...]      simulate several policies
-  eards sweep    [--policy sb] [--lambda-min-grid 10,30,50]
-                 [--lambda-max-grid 50,70,90] [...]  λ threshold sweep (parallel)
-  eards sweep    --seeds 1,2,3 [--policies bf,sb] [--chaos-grid 0,1,2]
-                 --sweep-out DIR [--jobs N | --serial] [common flags]
-                 crash-tolerant what-if farm: one supervised worker process
-                 per seed×policy×chaos shard, with per-shard heartbeat
-                 timeouts (--shard-timeout-secs S), retry with exponential
-                 backoff (--max-retries R, --backoff-ms B), checkpoint/resume
-                 (--ckpt-every-hours H), and a deterministic merge: DIR gets
-                 report.csv + report.jsonl, byte-identical to --serial.
-                 --shard-metrics additionally rolls per-shard metrics up
-                 into DIR/metrics.json. Quarantined shards stay in the
-                 report (status=quarantined) and mark it partial.
+  eards sweep    [--seeds 1,2] [--policies bf,sb] [--chaos-grid 0,1]
+                 [--lambda-min-grid 10,30] [--lambda-max-grid 70,90]
+                 [--serial | --jobs N] [--sweep-out DIR] [common flags]
+                 one run per seed × policy × chaos × λ shard; each axis
+                 defaults to its single-run flag. In-process on every core
+                 (--serial: one at a time), or on N supervised worker
+                 processes (--jobs N, needs --sweep-out) with heartbeat
+                 timeouts (--shard-timeout-secs S), retries with backoff
+                 (--max-retries R, --backoff-ms B) and checkpoint/resume
+                 (--ckpt-every-hours H). Prints the merged rows (--csv: the
+                 merged CSV) and, when only λ varies, the energy surface.
+                 DIR gets report.csv + report.jsonl, byte-identical in
+                 every mode; --shard-metrics adds DIR/metrics.json.
+                 Quarantined shards stay in the report and mark it partial.
   eards trace generate [--days D] [--trace-seed S] [--load-factor F] [--out FILE.swf]
   eards trace info <FILE.swf>                      summarize an SWF trace
   eards trace check [--jsonl F] [--chrome F] [--metrics F]
@@ -96,13 +95,7 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
         "run" => run_cmd(rest),
         "resume" => resume_cmd(rest),
         "compare" => compare_cmd(rest),
-        "sweep" => {
-            if crate::farm::farm_requested(rest) {
-                crate::farm::farm_cmd(rest)
-            } else {
-                sweep_cmd(rest)
-            }
-        }
+        "sweep" => crate::farm::farm_cmd(rest),
         "sweep-worker" => crate::farm::worker_cmd(rest),
         "trace" => trace_cmd(rest),
         "lint" => crate::lint::lint_cmd(rest),
@@ -196,7 +189,7 @@ fn export_obs(args: &Args, obs: &Obs) -> Result<String, CliError> {
 
 /// Rejects observability flags on commands that run several simulations:
 /// the exports would silently hold only interleaved or last-run data.
-fn reject_obs_flags(args: &Args, cmd: &str) -> Result<(), CliError> {
+pub(crate) fn reject_obs_flags(args: &Args, cmd: &str) -> Result<(), CliError> {
     if obs_requested(args) {
         return Err(CliError::Usage(format!(
             "--{} are only supported by `eards run` (a {cmd} would mix \
@@ -316,74 +309,6 @@ fn compare_cmd(tokens: &[String]) -> Result<String, CliError> {
     report_output(&args, &run_sweep(&hosts, &trace, points, None))
 }
 
-fn parse_grid(args: &Args, flag: &str, default: &[u32]) -> Result<Vec<u32>, CliError> {
-    let raw = args.list(flag);
-    if raw.is_empty() {
-        return Ok(default.to_vec());
-    }
-    raw.iter()
-        .map(|s| {
-            s.parse::<u32>()
-                .map_err(|_| CliError::Usage(format!("--{flag}: {s:?} is not a percent")))
-        })
-        .collect()
-}
-
-fn sweep_cmd(tokens: &[String]) -> Result<String, CliError> {
-    let args = parse_common(tokens)?;
-    reject_obs_flags(&args, "sweep")?;
-    let policy_name = args.value("policy").unwrap_or("sb").to_string();
-    let hosts = build_hosts(&args)?;
-    let trace = build_trace(&args)?;
-    let base = build_run_config(&args)?;
-    let policy = Arc::new(make_policy(&policy_name, &args, &base)?);
-    let min_grid = parse_grid(&args, "lambda-min-grid", &[10, 30, 50, 70])?;
-    let max_grid = parse_grid(&args, "lambda-max-grid", &[50, 70, 90])?;
-    let points = lambda_grid(&base, move || policy(), &min_grid, &max_grid);
-    if points.is_empty() {
-        return Err(CliError::Usage(
-            "the λ grids produced no valid (min < max) pairs".into(),
-        ));
-    }
-    let pct = |fraction: f64| (fraction * 100.0).round() as u32;
-    let lambdas: Vec<(u32, u32)> = points
-        .iter()
-        .map(|p| (pct(p.config.lambda_min), pct(p.config.lambda_max)))
-        .collect();
-    let reports = run_sweep(&hosts, &trace, points, None);
-    let mut t = Table::new(["setting", "Pwr (kWh)", "S (%)", "delay (%)", "Mig"]);
-    for r in &reports {
-        t.row([
-            r.label.clone(),
-            fnum(r.energy_kwh, 1),
-            fnum(r.satisfaction_pct, 2),
-            fnum(r.delay_pct, 2),
-            r.migrations.to_string(),
-        ]);
-    }
-    let mut out = render(&t, args.switch("csv"));
-    if !args.switch("csv") && min_grid.len() > 1 && max_grid.len() > 1 {
-        // Shade the λ surface (darker = more energy), like Fig. 2.
-        let cells: Vec<Vec<Option<f64>>> = min_grid
-            .iter()
-            .map(|&lo| {
-                max_grid
-                    .iter()
-                    .map(|&hi| {
-                        let at = lambdas.iter().position(|&l| l == (lo, hi));
-                        at.map(|i| reports[i].energy_kwh)
-                    })
-                    .collect()
-            })
-            .collect();
-        let row_labels: Vec<String> = min_grid.iter().map(|v| format!("λmin {v}")).collect();
-        let col_labels: Vec<String> = max_grid.iter().map(|v| v.to_string()).collect();
-        out.push_str("\nenergy surface (kWh):\n");
-        out.push_str(&heatmap(&row_labels, &col_labels, &cells));
-    }
-    Ok(out)
-}
-
 /// Validates exported observability files against the schemas the exporters
 /// promise (`eards trace check --jsonl F --chrome F --metrics F`). Each
 /// given file is parsed and schema-checked; the first problem is an error.
@@ -432,17 +357,7 @@ fn trace_cmd(tokens: &[String]) -> Result<String, CliError> {
     let args = parse_common(rest)?;
     match sub.as_str() {
         "generate" => {
-            let span = if let Some(h) = args.get_opt::<u64>("hours")? {
-                SimDuration::from_hours(h)
-            } else {
-                SimDuration::from_days(args.get::<u64>("days", 7)?)
-            };
-            let cfg = SynthConfig {
-                span,
-                ..SynthConfig::grid5000_week()
-            }
-            .with_load_factor(args.get::<f64>("load-factor", 1.0)?);
-            let trace = generate(&cfg, args.get::<u64>("trace-seed", 7)?);
+            let trace = synth_trace(&args, 7)?;
             let text = write_swf(&trace);
             match args.value("out") {
                 Some(path) => {
@@ -553,7 +468,13 @@ mod tests {
             "sweep --hosts 4 --hours 2 --lambda-min-grid 20,40 --lambda-max-grid 80",
         ))
         .unwrap();
-        assert!(out.contains("λ20-80") && out.contains("λ40-80"), "{out}");
+        assert!(
+            out.contains("-l20-80 ") && out.contains("-l40-80 "),
+            "{out}"
+        );
+        // The λ grids belong to `sweep`: the single-run commands reject them.
+        assert!(dispatch(&toks("run --hours 1 --lambda-min-grid 10")).is_err());
+        assert!(dispatch(&toks("compare --hours 1 --lambda-max-grid 90")).is_err());
     }
 
     #[test]
@@ -576,6 +497,7 @@ mod tests {
     fn bad_flags_are_reported() {
         assert!(dispatch(&toks("run --lambda-min 95 --lambda-max 90")).is_err());
         assert!(dispatch(&toks("run --policy warp9")).is_err());
+        assert!(dispatch(&toks("trace generate --hours 1 --load-factor -1")).is_err());
         assert!(dispatch(&toks("trace info /nonexistent/x.swf")).is_err());
     }
 

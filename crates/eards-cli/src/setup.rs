@@ -2,7 +2,9 @@
 //! configuration from common flags.
 
 use eards_core::{OverloadControl, ScoreConfig, ScoreScheduler};
-use eards_datacenter::{paper_datacenter, small_datacenter, AdaptiveLambda, RunConfig, Runner};
+use eards_datacenter::{
+    lambda_pairs, paper_datacenter, small_datacenter, AdaptiveLambda, RunConfig, Runner,
+};
 use eards_model::{FaultPlan, HostClass, HostSpec, Policy, ShardSpec};
 use eards_obs::Obs;
 use eards_policies::{BackfillingPolicy, DynamicBackfillingPolicy, RandomPolicy, RoundRobinPolicy};
@@ -74,8 +76,6 @@ pub const COMMON_VALUED: &[&str] = &[
     "policies",
     "power-series",
     "out",
-    "lambda-min-grid",
-    "lambda-max-grid",
     "chaos",
     "trace-out",
     "chrome-out",
@@ -244,14 +244,22 @@ pub fn build_trace(args: &Args) -> Result<Trace, CliError> {
         return parse_swf(&text, &SwfOptions::default())
             .map_err(|e| CliError::Usage(format!("{path}: {e}")));
     }
+    synth_trace(args, 1)
+}
+
+/// Generates the synthetic workload of `--hours`, else `--days` (default
+/// `default_days`), `--trace-seed` and `--load-factor`.
+pub(crate) fn synth_trace(args: &Args, default_days: u64) -> Result<Trace, CliError> {
     let span = if let Some(h) = args.get_opt::<u64>("hours")? {
         SimDuration::from_hours(h)
     } else {
-        SimDuration::from_days(args.get::<u64>("days", 1)?)
+        SimDuration::from_days(args.get::<u64>("days", default_days)?)
     };
     let factor = args.get::<f64>("load-factor", 1.0)?;
-    if factor <= 0.0 {
-        return Err(CliError::Usage("--load-factor must be positive".into()));
+    if !(factor.is_finite() && factor > 0.0) {
+        return Err(CliError::Usage(
+            "--load-factor must be finite and positive".into(),
+        ));
     }
     let cfg = SynthConfig {
         span,
@@ -261,11 +269,43 @@ pub fn build_trace(args: &Args) -> Result<Trace, CliError> {
     Ok(generate(&cfg, args.get::<u64>("trace-seed", 7)?))
 }
 
+/// Parses the value `raw` of `--flag` as a fault intensity: finite and
+/// ≥ 0. Every intensity flag goes through this one check.
+pub(crate) fn intensity(flag: &str, raw: &str) -> Result<f64, CliError> {
+    match raw.parse::<f64>() {
+        Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+        _ => Err(CliError::Usage(format!(
+            "--{flag}: {raw:?} is not a finite intensity ≥ 0"
+        ))),
+    }
+}
+
+/// Parses the value `raw` of `--flag` as a λ threshold: a whole percent,
+/// at most 100. Every λ flag goes through this one check.
+pub(crate) fn percent(flag: &str, raw: &str) -> Result<u32, CliError> {
+    match raw.parse::<u32>() {
+        Ok(p) if p <= 100 => Ok(p),
+        _ => Err(CliError::Usage(format!(
+            "--{flag}: {raw:?} is not a percent from 0 to 100"
+        ))),
+    }
+}
+
+/// The `--lambda-min`/`--lambda-max` percents (default 30 and 90).
+pub(crate) fn lambda_flags(args: &Args) -> Result<(u32, u32), CliError> {
+    let lo = args
+        .value("lambda-min")
+        .map_or(Ok(30), |s| percent("lambda-min", s))?;
+    let hi = args
+        .value("lambda-max")
+        .map_or(Ok(90), |s| percent("lambda-max", s))?;
+    Ok((lo, hi))
+}
+
 /// Builds the run configuration from the λ/failure/checkpoint flags.
 pub fn build_run_config(args: &Args) -> Result<RunConfig, CliError> {
-    let lo = args.get::<u32>("lambda-min", 30)?;
-    let hi = args.get::<u32>("lambda-max", 90)?;
-    if lo >= hi {
+    let (lo, hi) = lambda_flags(args)?;
+    if lambda_pairs(&[lo], &[hi]).is_empty() {
         return Err(CliError::Usage(format!(
             "--lambda-min {lo} must be below --lambda-max {hi}"
         )));
@@ -275,11 +315,8 @@ pub fn build_run_config(args: &Args) -> Result<RunConfig, CliError> {
     if args.switch("failures") {
         cfg = cfg.with_faults(FaultPlan::crashes());
     }
-    if let Some(x) = args.get_opt::<f64>("chaos")? {
-        if x < 0.0 {
-            return Err(CliError::Usage("--chaos intensity must be ≥ 0".into()));
-        }
-        cfg = cfg.with_faults(FaultPlan::chaos(x));
+    if let Some(raw) = args.value("chaos") {
+        cfg = cfg.with_faults(FaultPlan::chaos(intensity("chaos", raw)?));
     }
     if let Some(mins) = args.get_opt::<u64>("checkpoint-mins")? {
         cfg.checkpoint_period = Some(SimDuration::from_mins(mins));
@@ -366,8 +403,18 @@ mod tests {
     #[test]
     fn rejects_bad_inputs() {
         assert!(build_run_config(&parse("--lambda-min 90 --lambda-max 30")).is_err());
+        for bad in [
+            "--chaos nan",
+            "--chaos inf",
+            "--chaos -1",
+            "--lambda-max 150",
+        ] {
+            assert!(build_run_config(&parse(bad)).is_err(), "{bad}");
+        }
+        assert!(build_run_config(&parse("--chaos 0 --lambda-max 100")).is_ok());
         assert!(build_hosts(&parse("--hosts 0")).is_err());
         assert!(build_trace(&parse("--load-factor -1")).is_err());
+        assert!(build_trace(&parse("--load-factor nan")).is_err());
         assert!(policy("", "quantum").is_err());
     }
 

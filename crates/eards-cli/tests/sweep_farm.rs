@@ -1,9 +1,11 @@
 //! End-to-end sweep-farm tests against the real `eards` binary: the
 //! supervised multi-process farm must survive an injected SIGKILL
 //! mid-shard (retrying from the last checkpoint) and still produce a
-//! merged report **byte-identical** to a serial in-process run; hung
-//! workers must be quarantined, not dropped; and a corrupt checkpoint
-//! handed to `eards resume` must exit with the dedicated code 3.
+//! merged report **byte-identical** to the in-process runs, serial and
+//! parallel; hung workers must be quarantined, not dropped; a worker
+//! told a shard index outside the grid must exit with a usage error; and
+//! a corrupt checkpoint handed to `eards resume` must exit with the
+//! dedicated code 3.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -28,30 +30,35 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// The acceptance scenario: a 4-shard grid run with `--jobs 2` while the
-/// supervisor SIGKILLs one shard's first attempt mid-run. The retry
+/// The acceptance scenario: an 8-shard grid run with `--jobs 2` while
+/// the supervisor SIGKILLs one shard's first attempt mid-run. The retry
 /// resumes from the shard's last checkpoint, and the merged report is
-/// byte-identical to a serial run of the same grid — completion order,
-/// the kill, and the resume leave no trace in the output bytes.
+/// byte-identical to the in-process runs of the same grid, serial and
+/// one thread per core — completion order, the kill, and the resume
+/// leave no trace in the output bytes.
 #[test]
 fn injected_sigkill_retries_from_checkpoint_and_merge_is_bit_identical() {
     let serial_dir = tmpdir("serial");
+    let parallel_dir = tmpdir("parallel");
     let farm_dir = tmpdir("farm");
-    let world = "--hosts 6 --hours 6 --trace-seed 3 --seeds 3,4 --policies sb --chaos-grid 0,1";
+    let world = "--hosts 6 --hours 6 --trace-seed 3 --seeds 3,4 --policies sb --chaos-grid 0,1 \
+                 --lambda-min-grid 30,50";
 
-    let serial = eards(&format!(
-        "sweep {world} --serial --sweep-out {}",
-        serial_dir.display()
-    ));
-    assert!(
-        serial.status.success(),
-        "serial sweep failed: {}",
-        String::from_utf8_lossy(&serial.stderr)
-    );
+    for (mode, dir) in [("--serial", &serial_dir), ("", &parallel_dir)] {
+        let run = eards(&format!(
+            "sweep {world} {mode} --sweep-out {}",
+            dir.display()
+        ));
+        assert!(
+            run.status.success(),
+            "in-process sweep {mode:?} failed: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+    }
 
     let farm = eards(&format!(
         "sweep {world} --jobs 2 --sweep-out {} --ckpt-every-hours 1 \
-         --inject-kill s3-sb-x1 --kill-after-hours 2 --dawdle-ms 5 \
+         --inject-kill s3-sb-x1-l30-90 --kill-after-hours 2 --dawdle-ms 5 \
          --shard-timeout-secs 120 --max-retries 2",
         farm_dir.display()
     ));
@@ -75,22 +82,25 @@ fn injected_sigkill_retries_from_checkpoint_and_merge_is_bit_identical() {
         stdout.contains("resumed: 1 shard(s)"),
         "expected the retry to resume from a checkpoint:\n{stdout}"
     );
-    assert!(stdout.contains("ok: 4, quarantined: 0"), "{stdout}");
+    assert!(stdout.contains("ok: 8, quarantined: 0"), "{stdout}");
 
     // The headline guarantee: merged bytes identical to the serial run.
-    assert_eq!(
-        read(&serial_dir.join("report.csv")),
-        read(&farm_dir.join("report.csv")),
-        "parallel report.csv diverged from serial"
-    );
-    assert_eq!(
-        read(&serial_dir.join("report.jsonl")),
-        read(&farm_dir.join("report.jsonl")),
-        "parallel report.jsonl diverged from serial"
-    );
+    for name in ["report.csv", "report.jsonl"] {
+        let serial = read(&serial_dir.join(name));
+        assert_eq!(serial.lines().count(), 9, "{serial}");
+        for dir in [&parallel_dir, &farm_dir] {
+            assert_eq!(
+                serial,
+                read(&dir.join(name)),
+                "{} diverged from serial",
+                dir.join(name).display()
+            );
+        }
+    }
 
-    let _ = std::fs::remove_dir_all(&serial_dir);
-    let _ = std::fs::remove_dir_all(&farm_dir);
+    for dir in [&serial_dir, &parallel_dir, &farm_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// A worker that stops heartbeating is killed on the shard timeout and,
@@ -102,7 +112,7 @@ fn hung_worker_is_quarantined_and_report_is_partial() {
     let dir = tmpdir("hang");
     let out = eards(&format!(
         "sweep --hosts 4 --hours 3 --seeds 5,6 --policies sb --jobs 2 \
-         --sweep-out {} --inject-hang s5-sb-x0 --hang-after-hours 1 \
+         --sweep-out {} --inject-hang s5-sb-x0-l30-90 --hang-after-hours 1 \
          --shard-timeout-secs 1 --max-retries 0",
         dir.display()
     ));
@@ -115,8 +125,11 @@ fn hung_worker_is_quarantined_and_report_is_partial() {
 
     let csv = read(&dir.join("report.csv"));
     assert_eq!(csv.lines().count(), 3, "both shards present:\n{csv}");
-    assert!(csv.contains("s5-sb-x0,5,sb,0,quarantined,"), "{csv}");
-    assert!(csv.contains("s6-sb-x0,6,sb,0,ok,"), "{csv}");
+    assert!(
+        csv.contains("s5-sb-x0-l30-90,5,sb,0,30,90,quarantined,"),
+        "{csv}"
+    );
+    assert!(csv.contains("s6-sb-x0-l30-90,6,sb,0,30,90,ok,"), "{csv}");
     let jsonl = read(&dir.join("report.jsonl"));
     assert!(
         jsonl.starts_with(
@@ -126,6 +139,25 @@ fn hung_worker_is_quarantined_and_report_is_partial() {
     );
     assert!(jsonl.contains("\"status\":\"quarantined\""), "{jsonl}");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker rebuilds the grid from the sweep's flags and is told only
+/// its shard's index; an index outside that grid is an invocation error
+/// (exit 2), not a shard of some other grid.
+#[test]
+fn out_of_range_shard_index_is_a_usage_error() {
+    let dir = tmpdir("index");
+    let out = eards(&format!(
+        "sweep-worker --hosts 4 --hours 1 --seeds 1,2 --shard-index 2 --workdir {}",
+        dir.display()
+    ));
+    assert_eq!(out.status.code(), Some(2), "index 2 of a 2-shard grid");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--shard-index 2 is outside the 2-shard grid"),
+        "{err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

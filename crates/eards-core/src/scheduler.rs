@@ -19,7 +19,7 @@ use eards_model::{
     Action, Cluster, DegradeStats, HostId, Policy, ScheduleContext, ScheduleReason, ShardMap,
     ShardSpec, VmId, VmState,
 };
-use eards_obs::{Obs, ObsEvent};
+use eards_obs::{CounterId, HistId, Obs, ObsEvent};
 use eards_sim::{Persist, PersistError, Reader, Writer};
 
 use crate::budget::{DegradeLevel, OverloadControl, WorkMeter};
@@ -87,6 +87,8 @@ pub struct ScoreScheduler {
     buffers: EvalBuffers,
     /// Observability handle; disabled by default (every call is a no-op).
     obs: Obs,
+    /// The metrics this scheduler records, registered once with `obs`.
+    metrics: SchedMetrics,
     /// Overload control (work budget + degradation ladder). `None` keeps
     /// the legacy always-full-quality path.
     ctl: Option<OverloadControl>,
@@ -104,6 +106,20 @@ pub struct ScoreScheduler {
     /// restore — the bench harness reads it through
     /// [`Policy::degrade_stats`]).
     stats: DegradeStats,
+}
+
+/// The ids of the scheduler's counters and histograms, registered once
+/// in [`ScoreScheduler::with_obs`], so a round records without a by-name
+/// lookup. A disabled handle hands out inert ids.
+#[derive(Debug, Clone, Copy)]
+struct SchedMetrics {
+    solve_us: HistId,
+    solver_rounds: CounterId,
+    rows_rescored: CounterId,
+    rows_per_round: HistId,
+    quick_rejected: CounterId,
+    degraded_rounds: CounterId,
+    budget_pct: HistId,
 }
 
 /// Smoothing factor of the ladder's per-round work EWMA.
@@ -161,10 +177,28 @@ impl ScoreScheduler {
     /// dirty-row-invalidation metrics, and per-penalty score attributions
     /// into `obs`.
     pub fn with_obs(cfg: ScoreConfig, obs: Obs) -> Self {
+        let metrics = SchedMetrics {
+            // Solve latency in µs: sub-ms buckets resolve the common case,
+            // the tail buckets catch pathological rounds.
+            solve_us: obs.histogram("solve_us", &[50.0, 200.0, 1e3, 5e3, 25e3, 1e5]),
+            solver_rounds: obs.counter("solver_rounds"),
+            rows_rescored: obs.counter("matrix_rows_rescored"),
+            rows_per_round: obs.histogram(
+                "rows_rescored_per_round",
+                &[2.0, 8.0, 32.0, 128.0, 512.0, 2048.0],
+            ),
+            quick_rejected: obs.counter("quick_rejected_rounds"),
+            degraded_rounds: obs.counter("degraded_rounds"),
+            budget_pct: obs.histogram(
+                "budget_utilization_pct",
+                &[10.0, 25.0, 50.0, 75.0, 90.0, 100.0],
+            ),
+        };
         ScoreScheduler {
             cfg,
             buffers: EvalBuffers::default(),
             obs,
+            metrics,
             ctl: None,
             state: DegradeState::default(),
             shards: None,
@@ -250,7 +284,7 @@ impl ScoreScheduler {
         }
         if self.obs.is_enabled() {
             if rung != DegradeLevel::L0Full || exhausted {
-                self.obs.inc(self.obs.counter("degraded_rounds"), 1);
+                self.obs.inc(self.metrics.degraded_rounds, 1);
                 self.obs.record(
                     ctx.now,
                     ObsEvent::RoundDegraded {
@@ -262,12 +296,10 @@ impl ScoreScheduler {
                 );
             }
             if ctl.budget != u64::MAX && ctl.budget > 0 {
-                let hist = self.obs.histogram(
-                    "budget_utilization_pct",
-                    &[10.0, 25.0, 50.0, 75.0, 90.0, 100.0],
+                self.obs.observe(
+                    self.metrics.budget_pct,
+                    spent as f64 * 100.0 / ctl.budget as f64,
                 );
-                self.obs
-                    .observe(hist, spent as f64 * 100.0 / ctl.budget as f64);
             }
         }
     }
@@ -374,7 +406,7 @@ impl ScoreScheduler {
         }
         advance_cursor(&mut self.shard_cursor, map, dealt);
         if self.obs.is_enabled() {
-            self.obs.inc(self.obs.counter("quick_rejected_rounds"), 1);
+            self.obs.inc(self.metrics.quick_rejected, 1);
             self.obs.record(
                 ctx.now,
                 ObsEvent::ScheduleRound {
@@ -476,26 +508,19 @@ impl Policy for ScoreScheduler {
             return Vec::new();
         }
         let out = {
-            // Sweep latency in µs: sub-ms buckets resolve the common case,
-            // the tail buckets catch pathological rounds.
-            let hist = self.obs.histogram(
-                "solve_us",
-                &[50.0, 200.0, 1000.0, 5000.0, 25000.0, 100000.0],
-            );
-            let _span = self.obs.span("solve", ctx.now).with_hist(hist);
+            let _span = self
+                .obs
+                .span("solve", ctx.now)
+                .with_hist(self.metrics.solve_us);
             self.solve_round(&mut eval, &map, rung)
         };
         advance_cursor(&mut self.shard_cursor, &map, out.creations_assigned);
         let (sol, rows_rescored, work_spent) = (out.solution, out.rows_rescored, out.work_spent);
         if self.obs.is_enabled() {
-            self.obs.inc(self.obs.counter("solver_rounds"), 1);
+            self.obs.inc(self.metrics.solver_rounds, 1);
+            self.obs.inc(self.metrics.rows_rescored, rows_rescored);
             self.obs
-                .inc(self.obs.counter("matrix_rows_rescored"), rows_rescored);
-            let rows_hist = self.obs.histogram(
-                "rows_rescored_per_round",
-                &[2.0, 8.0, 32.0, 128.0, 512.0, 2048.0],
-            );
-            self.obs.observe(rows_hist, rows_rescored as f64);
+                .observe(self.metrics.rows_per_round, rows_rescored as f64);
             self.obs.record(
                 ctx.now,
                 ObsEvent::ScheduleRound {

@@ -17,7 +17,7 @@
 //!   RNG streams, and an always-on conservation auditor.
 //! * [`run_sweep`] / [`lambda_grid`] — the thread-parallel executor of
 //!   independent runs (each [`SweepPoint`] carries its policy), and the
-//!   Figure 2/3 threshold grid.
+//!   Figure 2/3 threshold grid over the valid [`lambda_pairs`].
 
 #![warn(missing_docs)]
 
@@ -33,4 +33,4 @@ pub use config::{paper_datacenter, small_datacenter, AdaptiveLambda, AuditorMode
 pub use faults::FaultEngine;
 pub use invariants::InvariantAuditor;
 pub use runner::{RunProgress, Runner};
-pub use sweep::{lambda_grid, run_sweep, SweepPoint};
+pub use sweep::{lambda_grid, lambda_pairs, run_sweep, SweepPoint};

@@ -69,9 +69,18 @@ pub fn run_sweep(
     results.into_iter().map(|(_, report)| report).collect()
 }
 
-/// Builds the λ grid of Figures 2–3 under `policy`: `lambda_min` from
-/// `min_values`, `lambda_max` from `max_values` (percent values), keeping
-/// only valid pairs (λ_min < λ_max), each labelled `λ{min}-{max}`.
+/// The valid (λ_min, λ_max) percent pairs of a λ grid: each of
+/// `min_values` with each of `max_values`, min-major, keeping only
+/// λ_min < λ_max. The one place that rule lives.
+pub fn lambda_pairs(min_values: &[u32], max_values: &[u32]) -> Vec<(u32, u32)> {
+    let pairs = min_values
+        .iter()
+        .flat_map(|&lo| max_values.iter().map(move |&hi| (lo, hi)));
+    pairs.filter(|(lo, hi)| lo < hi).collect()
+}
+
+/// Builds the λ grid of Figures 2–3 under `policy`: one point per
+/// [`lambda_pairs`] pair, each labelled `λ{min}-{max}`.
 pub fn lambda_grid<F>(
     base: &RunConfig,
     policy: F,
@@ -81,20 +90,14 @@ pub fn lambda_grid<F>(
 where
     F: Fn() -> Box<dyn Policy> + Clone + Send + Sync + 'static,
 {
-    let mut points = Vec::new();
-    for &lo in min_values {
-        for &hi in max_values {
-            if lo >= hi {
-                continue;
-            }
-            points.push(SweepPoint {
-                label: format!("λ{lo}-{hi}"),
-                config: base.clone().with_lambdas(lo, hi),
-                policy: Box::new(policy.clone()),
-            });
-        }
-    }
-    points
+    lambda_pairs(min_values, max_values)
+        .into_iter()
+        .map(|(lo, hi)| SweepPoint {
+            label: format!("λ{lo}-{hi}"),
+            config: base.clone().with_lambdas(lo, hi),
+            policy: Box::new(policy.clone()),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -116,6 +119,7 @@ mod tests {
         let base = RunConfig::default();
         let grid = lambda_grid(&base, sb, &[30, 90], &[50, 90]);
         // (30,50), (30,90), (90,—): 90 ≥ 50 and 90 ≥ 90 are dropped.
+        assert_eq!(lambda_pairs(&[30, 90], &[50, 90]), [(30, 50), (30, 90)]);
         assert_eq!(grid.len(), 2);
         assert_eq!(grid[0].label, "λ30-50");
         assert_eq!(grid[1].label, "λ30-90");

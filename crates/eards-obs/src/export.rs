@@ -7,7 +7,7 @@
 
 use std::fmt::Write;
 
-use crate::registry::MetricsRegistry;
+use crate::registry::{Histogram, MetricsRegistry};
 use crate::Inner;
 
 /// Appends `v` as a JSON number, or `null` when it is not finite (JSON
@@ -76,40 +76,50 @@ pub(crate) fn chrome(inner: &Inner) -> String {
     out
 }
 
-/// Counters and histograms as one JSON document.
-pub(crate) fn metrics(registry: &MetricsRegistry) -> String {
+/// Counters and histograms as one JSON document, each in the order
+/// given. The one writer of the metrics schema: a run's snapshot and a
+/// sweep's rollup both come through here.
+pub(crate) fn render_metrics<'a>(
+    counters: impl IntoIterator<Item = (&'a str, u64)>,
+    histograms: impl IntoIterator<Item = &'a Histogram>,
+) -> String {
     let mut out = String::from("{\"counters\":{");
-    for (i, (name, v)) in registry.counters().iter().enumerate() {
+    for (i, (name, v)) in counters.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(out, "\"{name}\":{v}");
     }
     out.push_str("},\"histograms\":{");
-    for (i, h) in registry.histograms().iter().enumerate() {
+    for (i, h) in histograms.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":{{\"bounds\":[", h.name());
-        for (j, b) in h.bounds().iter().enumerate() {
+        let _ = write!(out, "\"{}\":{{\"bounds\":[", h.name);
+        for (j, b) in h.bounds.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
             push_f64(&mut out, *b);
         }
         out.push_str("],\"counts\":[");
-        for (j, c) in h.counts().iter().enumerate() {
+        for (j, c) in h.counts.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
             let _ = write!(out, "{c}");
         }
-        let _ = write!(out, "],\"count\":{},\"sum\":", h.count());
-        push_f64(&mut out, h.sum());
+        let _ = write!(out, "],\"count\":{},\"sum\":", h.count);
+        push_f64(&mut out, h.sum);
         out.push('}');
     }
     out.push_str("}}\n");
     out
+}
+
+/// A registry's counters and histograms, in registration order.
+pub(crate) fn metrics(registry: &MetricsRegistry) -> String {
+    render_metrics(registry.counters().iter().copied(), registry.histograms())
 }
 
 #[cfg(test)]

@@ -29,13 +29,13 @@ impl HistId {
 /// implicit overflow bucket, with total count and sum for mean queries.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    name: &'static str,
+    pub(crate) name: String,
     /// Ascending upper bucket bounds.
-    bounds: Vec<f64>,
+    pub(crate) bounds: Vec<f64>,
     /// One count per bound, plus the trailing overflow bucket.
-    counts: Vec<u64>,
-    count: u64,
-    sum: f64,
+    pub(crate) counts: Vec<u64>,
+    pub(crate) count: u64,
+    pub(crate) sum: f64,
 }
 
 impl Histogram {
@@ -45,7 +45,7 @@ impl Histogram {
             "histogram bounds must be strictly ascending"
         );
         Histogram {
-            name,
+            name: name.to_string(),
             bounds: bounds.to_vec(),
             counts: vec![0; bounds.len() + 1],
             count: 0,
@@ -65,8 +65,8 @@ impl Histogram {
     }
 
     /// Histogram name.
-    pub fn name(&self) -> &'static str {
-        self.name
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// The upper bucket bounds.

@@ -12,21 +12,21 @@
 
 use std::collections::BTreeMap;
 
-use crate::export::push_f64;
+use crate::export::render_metrics;
+use crate::registry::Histogram;
 use crate::validate::{parse, Json};
 
-struct Hist {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    count: u64,
-    sum: f64,
-}
-
+/// A count as a snapshot holds it: a whole number from 0 to 2^53, the
+/// range in which a JSON number reads back exactly. Anything else is
+/// `None`, never a truncated count.
 fn get_u64(v: &Json) -> Option<u64> {
-    v.as_f64().map(|n| n as u64)
+    const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+    v.as_f64()
+        .filter(|n| n.fract() == 0.0 && (0.0..=EXACT).contains(n))
+        .map(|n| n as u64)
 }
 
-fn parse_hist(name: &str, v: &Json) -> Result<Hist, String> {
+fn parse_hist(name: &str, v: &Json) -> Result<Histogram, String> {
     let bounds = v
         .get("bounds")
         .and_then(Json::as_arr)
@@ -42,17 +42,18 @@ fn parse_hist(name: &str, v: &Json) -> Result<Hist, String> {
         .and_then(Json::as_arr)
         .ok_or_else(|| format!("histogram {name:?}: missing counts"))?
         .iter()
-        .map(|c| get_u64(c).ok_or_else(|| format!("histogram {name:?}: non-numeric count")))
+        .map(|c| get_u64(c).ok_or_else(|| format!("histogram {name:?}: a bucket is not a count")))
         .collect::<Result<Vec<u64>, String>>()?;
     let count = v
         .get("count")
         .and_then(get_u64)
-        .ok_or_else(|| format!("histogram {name:?}: missing count"))?;
+        .ok_or_else(|| format!("histogram {name:?}: missing or invalid count"))?;
     let sum = v
         .get("sum")
         .and_then(Json::as_f64)
         .ok_or_else(|| format!("histogram {name:?}: missing sum"))?;
-    Ok(Hist {
+    Ok(Histogram {
+        name: name.to_string(),
         bounds,
         counts,
         count,
@@ -65,7 +66,7 @@ fn parse_hist(name: &str, v: &Json) -> Result<Hist, String> {
 /// messages (e.g. the shard key) with the snapshot text.
 pub fn merge_metrics(inputs: &[(String, String)]) -> Result<String, String> {
     let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut hists: BTreeMap<String, Hist> = BTreeMap::new();
+    let mut hists: BTreeMap<String, Histogram> = BTreeMap::new();
     for (label, text) in inputs {
         let root = parse(text).map_err(|e| format!("{label}: {e}"))?;
         let cs = root
@@ -73,8 +74,9 @@ pub fn merge_metrics(inputs: &[(String, String)]) -> Result<String, String> {
             .ok_or_else(|| format!("{label}: missing counters object"))?;
         if let Json::Obj(members) = cs {
             for (name, v) in members {
-                let v =
-                    get_u64(v).ok_or_else(|| format!("{label}: counter {name:?} not a number"))?;
+                let v = get_u64(v).ok_or_else(|| {
+                    format!("{label}: counter {name:?} is not a count (a whole number 0..=2^53)")
+                })?;
                 *counters.entry(name.clone()).or_insert(0) += v;
             }
         } else {
@@ -110,38 +112,10 @@ pub fn merge_metrics(inputs: &[(String, String)]) -> Result<String, String> {
         }
     }
 
-    let mut out = String::from("{\"counters\":{");
-    for (i, (name, v)) in counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{v}"));
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, h)) in hists.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{{\"bounds\":["));
-        for (j, b) in h.bounds.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            push_f64(&mut out, *b);
-        }
-        out.push_str("],\"counts\":[");
-        for (j, c) in h.counts.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&c.to_string());
-        }
-        out.push_str(&format!("],\"count\":{},\"sum\":", h.count));
-        push_f64(&mut out, h.sum);
-        out.push('}');
-    }
-    out.push_str("}}\n");
-    Ok(out)
+    Ok(render_metrics(
+        counters.iter().map(|(name, &v)| (name.as_str(), v)),
+        hists.values(),
+    ))
 }
 
 #[cfg(test)]
@@ -193,6 +167,24 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("bounds differ"), "{err}");
+    }
+
+    #[test]
+    fn counts_that_are_not_whole_exact_numbers_are_refused() {
+        for bad in ["-1", "2.5", "1e300", "18014398509481984"] {
+            let counter = format!("{{\"counters\":{{\"c\":{bad}}},\"histograms\":{{}}}}\n");
+            let err = merge_metrics(&[("s1".to_string(), counter)]).unwrap_err();
+            assert!(err.contains("counter \"c\" is not a count"), "{bad}: {err}");
+            let bucket = format!(
+                "{{\"counters\":{{}},\"histograms\":{{\"h\":{{\"bounds\":[1],\
+                 \"counts\":[{bad},0],\"count\":1,\"sum\":1}}}}}}\n"
+            );
+            let err = merge_metrics(&[("s1".to_string(), bucket)]).unwrap_err();
+            assert!(err.contains("is not a count"), "{bad}: {err}");
+        }
+        let max = "{\"counters\":{\"c\":9007199254740992},\"histograms\":{}}\n";
+        let merged = merge_metrics(&[("s1".to_string(), max.to_string())]).unwrap();
+        assert!(merged.contains("\"c\":9007199254740992"), "{merged}");
     }
 
     #[test]

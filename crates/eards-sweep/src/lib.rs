@@ -1,9 +1,10 @@
 //! Crash-tolerant sweep farm: a supervised multi-process what-if engine.
 //!
-//! This crate turns a seed × policy × chaos grid into a fleet of worker
-//! processes and merges their results deterministically:
+//! This crate turns a seed × policy × chaos × λ grid into a fleet of
+//! worker processes and merges their results deterministically:
 //!
-//! - [`grid`] enumerates the shards in a stable order (= merge order);
+//! - [`grid`] enumerates the shards in a stable order (= merge order),
+//!   so a worker told its shard index rebuilds the same shard;
 //! - [`protocol`] is the worker → supervisor stdout line protocol, where
 //!   every line is also a heartbeat;
 //! - [`supervisor`] spawns workers, SIGKILLs hangs, retries crashes with
@@ -28,4 +29,4 @@ pub mod supervisor;
 pub use grid::{ShardSpec, SweepGrid};
 pub use merge::{merge, MergeEntry, MergedReport, ShardStatus};
 pub use result::{render, render_quarantined, ShardRendered, CSV_HEADER};
-pub use supervisor::{ckpt_path, run_farm, to_merge_entries, FarmConfig, ShardOutcome, WorkerPlan};
+pub use supervisor::{ckpt_path, run_farm, FarmConfig, ShardOutcome, WorkerPlan};

@@ -43,8 +43,8 @@ pub struct MergedReport {
     pub csv: String,
     /// JSONL text: meta line + one object per shard, trailing newline.
     pub jsonl: String,
-    /// True when at least one shard was quarantined.
-    pub partial: bool,
+    /// Quarantined shards; the report is partial when this is not 0.
+    pub quarantined: usize,
 }
 
 /// Merges shard entries into the report. Entries may arrive in any
@@ -94,7 +94,7 @@ pub fn merge(mut entries: Vec<MergeEntry>, expected: usize) -> Result<MergedRepo
     Ok(MergedReport {
         csv,
         jsonl,
-        partial,
+        quarantined,
     })
 }
 
@@ -109,12 +109,17 @@ mod tests {
             seeds: vec![1, 2],
             policies: vec!["sb".into()],
             chaos: vec![0.0],
+            lambdas: vec![(30, 90)],
         };
         grid.shards()
             .into_iter()
             .map(|spec| MergeEntry {
                 rendered: ShardRendered {
-                    csv_row: format!("{},{},sb,0,ok,1,2,3,4,5,6,7,8,9", spec.key(), spec.seed),
+                    csv_row: format!(
+                        "{},{},sb,0,30,90,ok,1,2,3,4,5,6,7,8,9",
+                        spec.key(),
+                        spec.seed
+                    ),
                     json_line: format!("{{\"shard\":\"{}\"}}", spec.key()),
                 },
                 status: ShardStatus::Ok,
@@ -130,11 +135,11 @@ mod tests {
         shuffled.reverse();
         let reversed = merge(shuffled, 2).unwrap();
         assert_eq!(forward, reversed);
-        assert!(!forward.partial);
+        assert_eq!(forward.quarantined, 0);
         let lines: Vec<&str> = forward.csv.lines().collect();
         assert_eq!(lines[0], CSV_HEADER);
-        assert!(lines[1].starts_with("s1-sb-x0,"));
-        assert!(lines[2].starts_with("s2-sb-x0,"));
+        assert!(lines[1].starts_with("s1-sb-x0-l30-90,"));
+        assert!(lines[2].starts_with("s2-sb-x0-l30-90,"));
         assert!(forward.jsonl.starts_with(
             "{\"kind\":\"sweep_report\",\"shards\":2,\"ok\":2,\"quarantined\":0,\"partial\":false}\n"
         ));
@@ -146,7 +151,7 @@ mod tests {
         es[1].status = ShardStatus::Quarantined;
         es[1].rendered = render_quarantined(&es[1].spec, 3, "timeout");
         let merged = merge(es, 2).unwrap();
-        assert!(merged.partial);
+        assert_eq!(merged.quarantined, 1);
         assert!(merged.jsonl.contains("\"quarantined\":1,\"partial\":true"));
         assert!(merged.csv.contains(",quarantined,"));
     }

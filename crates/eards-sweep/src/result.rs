@@ -19,8 +19,9 @@ use crate::grid::ShardSpec;
 /// Header of the merged CSV report. The leading columns identify the
 /// shard; `status` is `ok` or `quarantined`; quarantined rows leave the
 /// metric columns empty rather than inventing numbers.
-pub const CSV_HEADER: &str = "shard,seed,policy,chaos,status,energy_kwh,satisfaction_pct,\
-delay_pct,migrations,creations,host_failures,vms_displaced,jobs_total,jobs_completed";
+pub const CSV_HEADER: &str = "shard,seed,policy,chaos,lambda_min,lambda_max,status,energy_kwh,\
+satisfaction_pct,delay_pct,migrations,creations,host_failures,vms_displaced,jobs_total,\
+jobs_completed";
 
 /// The two rendered lines of one shard result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,64 +45,55 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// The identity columns every row starts with: shard key, seed, policy,
+/// chaos and the λ pair, as CSV cells and as JSON members.
+fn identity(spec: &ShardSpec) -> (String, String) {
+    let (key, seed, policy, chaos) = (spec.key(), spec.seed, &spec.policy, spec.chaos);
+    let (lo, hi) = spec.lambda;
+    let csv = format!("{key},{seed},{policy},{chaos},{lo},{hi}");
+    let json = format!(
+        "\"shard\":\"{}\",\"seed\":{seed},\"policy\":\"{}\",\"chaos\":{chaos},\
+         \"lambda_min\":{lo},\"lambda_max\":{hi}",
+        json_escape(&key),
+        json_escape(policy),
+    );
+    (csv, json)
+}
+
+/// The metric columns of a completed shard, named as in [`CSV_HEADER`].
+fn metric_cells(r: &RunReport) -> [(&'static str, String); 9] {
+    [
+        ("energy_kwh", r.energy_kwh.to_string()),
+        ("satisfaction_pct", r.satisfaction_pct.to_string()),
+        ("delay_pct", r.delay_pct.to_string()),
+        ("migrations", r.migrations.to_string()),
+        ("creations", r.creations.to_string()),
+        ("host_failures", r.host_failures.to_string()),
+        ("vms_displaced", r.vms_displaced.to_string()),
+        ("jobs_total", r.jobs_total.to_string()),
+        ("jobs_completed", r.jobs_completed.to_string()),
+    ]
+}
+
 /// Renders a completed shard's report.
 pub fn render(spec: &ShardSpec, report: &RunReport) -> ShardRendered {
-    let csv_row = format!(
-        "{},{},{},{},ok,{},{},{},{},{},{},{},{},{}",
-        spec.key(),
-        spec.seed,
-        spec.policy,
-        spec.chaos,
-        report.energy_kwh,
-        report.satisfaction_pct,
-        report.delay_pct,
-        report.migrations,
-        report.creations,
-        report.host_failures,
-        report.vms_displaced,
-        report.jobs_total,
-        report.jobs_completed,
-    );
-    let json_line = format!(
-        "{{\"shard\":\"{}\",\"seed\":{},\"policy\":\"{}\",\"chaos\":{},\"status\":\"ok\",\
-         \"energy_kwh\":{},\"satisfaction_pct\":{},\"delay_pct\":{},\"migrations\":{},\
-         \"creations\":{},\"host_failures\":{},\"vms_displaced\":{},\"jobs_total\":{},\
-         \"jobs_completed\":{}}}",
-        json_escape(&spec.key()),
-        spec.seed,
-        json_escape(&spec.policy),
-        spec.chaos,
-        report.energy_kwh,
-        report.satisfaction_pct,
-        report.delay_pct,
-        report.migrations,
-        report.creations,
-        report.host_failures,
-        report.vms_displaced,
-        report.jobs_total,
-        report.jobs_completed,
-    );
-    ShardRendered { csv_row, json_line }
+    let (id_csv, id_json) = identity(spec);
+    let cells = metric_cells(report);
+    let values: Vec<&str> = cells.iter().map(|(_, v)| v.as_str()).collect();
+    let members: Vec<String> = cells.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+    ShardRendered {
+        csv_row: format!("{id_csv},ok,{}", values.join(",")),
+        json_line: format!("{{{id_json},\"status\":\"ok\",{}}}", members.join(",")),
+    }
 }
 
 /// Renders a quarantined shard: identity columns filled, metrics empty,
 /// the failure reason carried in the JSON line.
 pub fn render_quarantined(spec: &ShardSpec, attempts: u32, error: &str) -> ShardRendered {
-    let csv_row = format!(
-        "{},{},{},{},quarantined,,,,,,,,,",
-        spec.key(),
-        spec.seed,
-        spec.policy,
-        spec.chaos,
-    );
+    let (id_csv, id_json) = identity(spec);
+    let csv_row = format!("{id_csv},quarantined,,,,,,,,,");
     let json_line = format!(
-        "{{\"shard\":\"{}\",\"seed\":{},\"policy\":\"{}\",\"chaos\":{},\
-         \"status\":\"quarantined\",\"attempts\":{},\"error\":\"{}\"}}",
-        json_escape(&spec.key()),
-        spec.seed,
-        json_escape(&spec.policy),
-        spec.chaos,
-        attempts,
+        "{{{id_json},\"status\":\"quarantined\",\"attempts\":{attempts},\"error\":\"{}\"}}",
         json_escape(error),
     );
     ShardRendered { csv_row, json_line }
@@ -142,6 +134,7 @@ mod tests {
             seed: 7,
             policy: "sb".into(),
             chaos: 1.5,
+            lambda: (30, 90),
         }
     }
 
@@ -162,8 +155,11 @@ mod tests {
         assert_eq!(a, b);
         assert!(a
             .csv_row
-            .starts_with("s7-sb-x1.5,7,sb,1.5,ok,12.345678,99.5,"));
-        assert!(a.json_line.contains("\"status\":\"ok\""));
+            .starts_with("s7-sb-x1.5-l30-90,7,sb,1.5,30,90,ok,12.345678,99.5,"));
+        assert!(a.json_line.starts_with(
+            "{\"shard\":\"s7-sb-x1.5-l30-90\",\"seed\":7,\"policy\":\"sb\",\"chaos\":1.5,\
+             \"lambda_min\":30,\"lambda_max\":90,\"status\":\"ok\",\"energy_kwh\":12.345678,"
+        ));
         let parsed = from_result_file(&to_result_file(&a)).unwrap();
         assert_eq!(parsed, a);
     }

@@ -2,7 +2,10 @@
 //! keeps them honest.
 //!
 //! Each shard runs in a child process that speaks the [`crate::protocol`]
-//! line protocol on stdout. The supervisor tracks a last-seen wall clock
+//! line protocol on stdout. A worker is told only its shard's index in
+//! the grid; it rebuilds the grid from the same flags and echoes the
+//! shard's key in its `start` line, and an attempt whose key differs from
+//! the supervisor's fails. The supervisor tracks a last-seen wall clock
 //! per worker (every stdout line is a heartbeat), SIGKILLs workers that
 //! go quiet past the shard timeout, retries failed or killed shards with
 //! exponential backoff, and passes `--resume-ckpt` when a checkpoint
@@ -27,7 +30,7 @@ use std::time::{Duration, Instant};
 use crate::grid::ShardSpec;
 use crate::merge::{MergeEntry, ShardStatus};
 use crate::protocol::{parse_line, WorkerMsg};
-use crate::result::{from_result_file, render_quarantined, ShardRendered};
+use crate::result::{from_result_file, render_quarantined};
 
 // Supervision is the one place this workspace legitimately reads the
 // wall clock; clippy.toml bans it everywhere by default.
@@ -47,17 +50,11 @@ pub struct WorkerPlan {
 }
 
 /// Per-shard arguments appended to [`WorkerPlan::base_args`], in a fixed
-/// order the `sweep-worker` subcommand understands.
+/// order: `--shard-index I --workdir DIR [--resume-ckpt PATH]`.
 pub fn shard_args(spec: &ShardSpec, workdir: &Path, resume_ckpt: Option<&Path>) -> Vec<String> {
     let mut args = vec![
-        "--shard-key".to_string(),
-        spec.key(),
-        "--shard-seed".to_string(),
-        spec.seed.to_string(),
-        "--shard-policy".to_string(),
-        spec.policy.clone(),
-        "--shard-chaos".to_string(),
-        spec.chaos.to_string(),
+        "--shard-index".to_string(),
+        spec.index.to_string(),
         "--workdir".to_string(),
         workdir.display().to_string(),
     ];
@@ -111,10 +108,9 @@ impl FarmConfig {
 /// Terminal record of one shard after supervision.
 #[derive(Debug, Clone)]
 pub struct ShardOutcome {
-    /// The grid cell.
-    pub spec: ShardSpec,
-    /// `Ok` or `Quarantined`.
-    pub status: ShardStatus,
+    /// The shard's contribution to the merged report: its grid cell,
+    /// status and rendered rows (worker output, or a quarantine marker).
+    pub entry: MergeEntry,
     /// Attempts consumed (≥ 1).
     pub attempts: u32,
     /// True if any attempt resumed from a checkpoint.
@@ -123,26 +119,13 @@ pub struct ShardOutcome {
     pub injected_kill: bool,
     /// One entry per failed attempt, in order.
     pub errors: Vec<String>,
-    /// Rendered result (worker output, or a quarantine marker).
-    pub rendered: ShardRendered,
-}
-
-/// Converts outcomes into merge entries (outcomes already carry their
-/// rendered rows, so this is a reshape).
-pub fn to_merge_entries(outcomes: &[ShardOutcome]) -> Vec<MergeEntry> {
-    outcomes
-        .iter()
-        .map(|o| MergeEntry {
-            spec: o.spec.clone(),
-            status: o.status,
-            rendered: o.rendered.clone(),
-        })
-        .collect()
 }
 
 /// Live view of one worker, updated by its stdout-reader thread.
 struct View {
     last_seen: Instant,
+    /// The shard key of the worker's `start` line.
+    start_key: Option<String>,
     progress_ms: u64,
     result_path: Option<String>,
     warns: Vec<String>,
@@ -158,6 +141,15 @@ struct Attempt {
     injected_kill: bool,
 }
 
+impl Attempt {
+    /// This attempt, failed with `error`.
+    fn failed(mut self, error: String) -> Self {
+        self.errors.push(error);
+        self.failures += 1;
+        self
+    }
+}
+
 struct Running {
     attempt: Attempt,
     child: Child,
@@ -166,31 +158,23 @@ struct Running {
     started: Instant,
 }
 
-fn shard_dir(cfg: &FarmConfig, spec: &ShardSpec) -> PathBuf {
-    cfg.workdir.join(spec.key())
-}
-
-/// Path the worker is expected to write its checkpoint to (the
-/// supervisor only probes for existence; the worker owns the contents).
+/// Path of a shard's checkpoint: the worker writes it, the supervisor
+/// only probes for it.
 pub fn ckpt_path(workdir: &Path, spec: &ShardSpec) -> PathBuf {
     workdir.join(spec.key()).join("ckpt.bin")
 }
 
-fn spawn_worker(
-    plan: &WorkerPlan,
-    cfg: &FarmConfig,
-    attempt: Attempt,
-) -> Result<Running, (Attempt, String)> {
-    let dir = shard_dir(cfg, &attempt.spec);
+fn spawn_worker(plan: &WorkerPlan, cfg: &FarmConfig, attempt: Attempt) -> Result<Running, Attempt> {
+    let dir = cfg.workdir.join(attempt.spec.key());
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        return Err((attempt, format!("create {}: {e}", dir.display())));
+        return Err(attempt.failed(format!("create {}: {e}", dir.display())));
     }
     let ckpt = ckpt_path(&cfg.workdir, &attempt.spec);
     let resume = ckpt.is_file().then_some(ckpt.as_path());
     let stderr_path = dir.join(format!("attempt_{}.stderr", attempt.failures + 1));
     let stderr = match std::fs::File::create(&stderr_path) {
         Ok(f) => f,
-        Err(e) => return Err((attempt, format!("create {}: {e}", stderr_path.display()))),
+        Err(e) => return Err(attempt.failed(format!("create {}: {e}", stderr_path.display()))),
     };
     let mut cmd = Command::new(&plan.program);
     cmd.args(&plan.base_args)
@@ -200,11 +184,12 @@ fn spawn_worker(
         .stderr(Stdio::from(stderr));
     let mut child = match cmd.spawn() {
         Ok(c) => c,
-        Err(e) => return Err((attempt, format!("spawn {}: {e}", plan.program.display()))),
+        Err(e) => return Err(attempt.failed(format!("spawn {}: {e}", plan.program.display()))),
     };
     let stdout = child.stdout.take().expect("stdout was piped");
     let view = Arc::new(Mutex::new(View {
         last_seen: wall_now(),
+        start_key: None,
         progress_ms: 0,
         result_path: None,
         warns: Vec::new(),
@@ -220,7 +205,8 @@ fn spawn_worker(
                 Some(WorkerMsg::Progress { sim_ms }) => v.progress_ms = sim_ms,
                 Some(WorkerMsg::Result { path }) => v.result_path = Some(path),
                 Some(WorkerMsg::Warn { msg }) => v.warns.push(msg),
-                Some(WorkerMsg::Start { .. }) | Some(WorkerMsg::Checkpoint { .. }) | None => {}
+                Some(WorkerMsg::Start { key }) => v.start_key = Some(key),
+                Some(WorkerMsg::Checkpoint { .. }) | None => {}
             }
         }
     });
@@ -235,16 +221,22 @@ fn spawn_worker(
 }
 
 /// Collects a finished child into either a success or a failed attempt.
-fn reap(mut run: Running, exit: std::process::ExitStatus) -> Result<ShardOutcome, Attempt> {
+fn reap(run: Running, exit: std::process::ExitStatus) -> Result<ShardOutcome, Attempt> {
     let _ = run.reader.join();
     let view = run.view.lock().unwrap();
     let warns: Vec<String> = view.warns.clone();
+    let key = run.attempt.spec.key();
     let result = if exit.success() {
-        match &view.result_path {
-            Some(path) => std::fs::read_to_string(path)
+        match (&view.start_key, &view.result_path) {
+            (Some(started), _) if *started != key => Err(format!(
+                "worker ran shard {started} for index {}, expected {key}",
+                run.attempt.spec.index
+            )),
+            (None, _) => Err("worker exited 0 without a start line".to_string()),
+            (Some(_), Some(path)) => std::fs::read_to_string(path)
                 .map_err(|e| format!("read result {path}: {e}"))
                 .and_then(|text| from_result_file(&text)),
-            None => Err("worker exited 0 without a result line".to_string()),
+            (Some(_), None) => Err("worker exited 0 without a result line".to_string()),
         }
     } else {
         Err(format!("worker exited with {exit}"))
@@ -252,21 +244,21 @@ fn reap(mut run: Running, exit: std::process::ExitStatus) -> Result<ShardOutcome
     drop(view);
     match result {
         Ok(rendered) => Ok(ShardOutcome {
-            spec: run.attempt.spec,
-            status: ShardStatus::Ok,
+            entry: MergeEntry {
+                spec: run.attempt.spec,
+                status: ShardStatus::Ok,
+                rendered,
+            },
             attempts: run.attempt.failures + 1,
             resumed: run.attempt.resumed,
             injected_kill: run.attempt.injected_kill,
             errors: run.attempt.errors,
-            rendered,
         }),
         Err(mut e) => {
             if !warns.is_empty() {
                 e = format!("{e} (warns: {})", warns.join("; "));
             }
-            run.attempt.errors.push(e);
-            run.attempt.failures += 1;
-            Err(run.attempt)
+            Err(run.attempt.failed(e))
         }
     }
 }
@@ -319,9 +311,11 @@ pub fn run_farm(
                 attempt.failures
             ));
             done.push(ShardOutcome {
-                rendered: render_quarantined(&attempt.spec, attempt.failures, &last),
-                spec: attempt.spec,
-                status: ShardStatus::Quarantined,
+                entry: MergeEntry {
+                    rendered: render_quarantined(&attempt.spec, attempt.failures, &last),
+                    spec: attempt.spec,
+                    status: ShardStatus::Quarantined,
+                },
                 attempts: attempt.failures,
                 resumed: attempt.resumed,
                 injected_kill: attempt.injected_kill,
@@ -348,11 +342,7 @@ pub fn run_farm(
             let attempt = queue.remove(pos).expect("position was valid");
             match spawn_worker(plan, cfg, attempt) {
                 Ok(run) => running.push(run),
-                Err((mut attempt, e)) => {
-                    attempt.errors.push(e);
-                    attempt.failures += 1;
-                    requeue(attempt, &mut queue, &mut done, log);
-                }
+                Err(attempt) => requeue(attempt, &mut queue, &mut done, log),
             }
         }
 
@@ -390,13 +380,12 @@ pub fn run_farm(
                 if let Err(e) = run.child.wait() {
                     return Err(format!("wait on hung worker {key}: {e}"));
                 }
-                let mut run = running.swap_remove(idx);
-                run.attempt
-                    .errors
-                    .push(format!("heartbeat timeout after {quiet:?}"));
-                run.attempt.failures += 1;
+                let run = running.swap_remove(idx);
                 let _ = run.reader.join();
-                requeue(run.attempt, &mut queue, &mut done, log);
+                let attempt = run
+                    .attempt
+                    .failed(format!("heartbeat timeout after {quiet:?}"));
+                requeue(attempt, &mut queue, &mut done, log);
                 continue;
             }
 
@@ -420,7 +409,7 @@ pub fn run_farm(
         }
     }
 
-    done.sort_by_key(|o| o.spec.index);
+    done.sort_by_key(|o| o.entry.spec.index);
     Ok(done)
 }
 
@@ -430,13 +419,20 @@ mod tests {
     use crate::grid::SweepGrid;
     use crate::merge::merge;
 
-    /// Builds a plan that runs a shell script as the worker. The script
-    /// sees the per-shard args as `$1..`: `--shard-key KEY … --workdir
-    /// DIR [--resume-ckpt PATH]`, so `KEY=$2` and `DIR=${10}`.
-    fn sh_plan(script: &str) -> WorkerPlan {
+    /// Builds a plan that runs a shell script as the worker of `shards`.
+    /// The script sees the shards' keys in grid order as `$0` and the
+    /// per-shard args as `$1..`: `--shard-index I --workdir DIR
+    /// [--resume-ckpt PATH]`. It starts with `DIR` and the shard's `KEY`
+    /// set, as a real worker rebuilds the key from its index.
+    fn sh_plan(script: &str, shards: &[ShardSpec]) -> WorkerPlan {
+        let keys: Vec<String> = shards.iter().map(ShardSpec::key).collect();
         WorkerPlan {
             program: PathBuf::from("/bin/sh"),
-            base_args: vec!["-c".into(), script.into(), "worker".into()],
+            base_args: vec![
+                "-c".into(),
+                format!("DIR=$4; KEY=$(echo $0 | cut -d' ' -f$(($2 + 1)))\n{script}"),
+                keys.join(" "),
+            ],
         }
     }
 
@@ -452,15 +448,15 @@ mod tests {
             seeds: vec![7],
             policies: vec!["sb".into()],
             chaos: vec![0.0],
+            lambdas: vec![(30, 90)],
         }
         .shards()
     }
 
     const OK_BODY: &str = r#"
-KEY=$2; DIR=${10}
 mkdir -p "$DIR/$KEY"
 echo "SWEEP start $KEY"
-printf '%s\n%s\n' "$KEY,7,sb,0,ok,1,2,3,4,5,6,7,8,9" "{\"shard\":\"$KEY\"}" > "$DIR/$KEY/result.txt"
+printf '%s\n%s\n' "$KEY,7,sb,0,30,90,ok,1,2,3,4,5,6,7,8,9" "{\"shard\":\"$KEY\"}" > "$DIR/$KEY/result.txt"
 echo "SWEEP result $DIR/$KEY/result.txt"
 "#;
 
@@ -478,29 +474,35 @@ echo "SWEEP result $DIR/$KEY/result.txt"
             seeds: vec![1, 2, 3],
             policies: vec!["sb".into()],
             chaos: vec![0.0],
+            lambdas: vec![(30, 90)],
         }
         .shards();
         let mut cfg = quiet_cfg(dir);
         cfg.jobs = 3;
-        let outcomes = run_farm(shards, &sh_plan(OK_BODY), &cfg, &mut |_| {}).unwrap();
+        let plan = sh_plan(OK_BODY, &shards);
+        let outcomes = run_farm(shards, &plan, &cfg, &mut |_| {}).unwrap();
         assert_eq!(outcomes.len(), 3);
         for (i, o) in outcomes.iter().enumerate() {
-            assert_eq!(o.spec.index, i);
-            assert_eq!(o.status, ShardStatus::Ok);
+            assert_eq!(o.entry.spec.index, i);
+            assert_eq!(o.entry.status, ShardStatus::Ok);
             assert_eq!(o.attempts, 1);
             assert!(!o.resumed);
         }
-        let merged = merge(to_merge_entries(&outcomes), outcomes.len()).unwrap();
-        assert!(!merged.partial);
+        let merged = merge(
+            outcomes.iter().map(|o| o.entry.clone()).collect(),
+            outcomes.len(),
+        )
+        .unwrap();
+        assert_eq!(merged.quarantined, 0);
     }
 
     #[test]
     fn crash_is_retried_with_resume_from_checkpoint() {
         let dir = tmpdir("crash");
         // First attempt writes a checkpoint and dies; the retry must be
-        // handed --resume-ckpt (arg 11) and then succeeds.
+        // handed --resume-ckpt (arg 5) and then succeeds.
         let body = r#"
-KEY=$2; DIR=${10}; RESUME=${11:-none}
+RESUME=${5:-none}
 mkdir -p "$DIR/$KEY"
 echo "SWEEP start $KEY"
 if [ ! -f "$DIR/$KEY/ckpt.bin" ]; then
@@ -509,20 +511,20 @@ if [ ! -f "$DIR/$KEY/ckpt.bin" ]; then
   exit 3
 fi
 [ "$RESUME" = "--resume-ckpt" ] || { echo "no resume flag" >&2; exit 4; }
-printf '%s\n%s\n' "$KEY,7,sb,0,ok,1,2,3,4,5,6,7,8,9" "{\"shard\":\"$KEY\"}" > "$DIR/$KEY/result.txt"
+printf '%s\n%s\n' "$KEY,7,sb,0,30,90,ok,1,2,3,4,5,6,7,8,9" "{\"shard\":\"$KEY\"}" > "$DIR/$KEY/result.txt"
 echo "SWEEP result $DIR/$KEY/result.txt"
 "#;
         let mut events = Vec::new();
         let outcomes = run_farm(
             one_shard_grid(),
-            &sh_plan(body),
+            &sh_plan(body, &one_shard_grid()),
             &quiet_cfg(dir),
             &mut |e| events.push(e.to_string()),
         )
         .unwrap();
         assert_eq!(outcomes.len(), 1);
         let o = &outcomes[0];
-        assert_eq!(o.status, ShardStatus::Ok);
+        assert_eq!(o.entry.status, ShardStatus::Ok);
         assert_eq!(o.attempts, 2);
         assert!(o.resumed, "retry should resume from the checkpoint");
         assert_eq!(o.errors.len(), 1);
@@ -536,16 +538,20 @@ echo "SWEEP result $DIR/$KEY/result.txt"
         cfg.max_attempts = 2;
         let outcomes = run_farm(
             one_shard_grid(),
-            &sh_plan("echo \"SWEEP start $2\"; exit 9"),
+            &sh_plan("echo \"SWEEP start $KEY\"; exit 9", &one_shard_grid()),
             &cfg,
             &mut |_| {},
         )
         .unwrap();
         assert_eq!(outcomes.len(), 1);
-        assert_eq!(outcomes[0].status, ShardStatus::Quarantined);
+        assert_eq!(outcomes[0].entry.status, ShardStatus::Quarantined);
         assert_eq!(outcomes[0].attempts, 2);
-        let merged = merge(to_merge_entries(&outcomes), outcomes.len()).unwrap();
-        assert!(merged.partial);
+        let merged = merge(
+            outcomes.iter().map(|o| o.entry.clone()).collect(),
+            outcomes.len(),
+        )
+        .unwrap();
+        assert_eq!(merged.quarantined, 1);
         assert!(merged.csv.contains(",quarantined,"));
     }
 
@@ -558,12 +564,15 @@ echo "SWEEP result $DIR/$KEY/result.txt"
         // `exec` replaces the shell so the SIGKILL lands on the sleeper.
         let outcomes = run_farm(
             one_shard_grid(),
-            &sh_plan("echo \"SWEEP start $2\"; exec sleep 60"),
+            &sh_plan(
+                "echo \"SWEEP start $KEY\"; exec sleep 60",
+                &one_shard_grid(),
+            ),
             &cfg,
             &mut |_| {},
         )
         .unwrap();
-        assert_eq!(outcomes[0].status, ShardStatus::Quarantined);
+        assert_eq!(outcomes[0].entry.status, ShardStatus::Quarantined);
         assert!(outcomes[0].errors[0].contains("heartbeat timeout"));
     }
 
@@ -577,7 +586,6 @@ echo "SWEEP result $DIR/$KEY/result.txt"
         // First attempt reports progress then lingers so the supervisor
         // can kill it; the retry (ckpt present) completes immediately.
         let body = r#"
-KEY=$2; DIR=${10}
 mkdir -p "$DIR/$KEY"
 echo "SWEEP start $KEY"
 if [ ! -f "$DIR/$KEY/ckpt.bin" ]; then
@@ -586,15 +594,38 @@ if [ ! -f "$DIR/$KEY/ckpt.bin" ]; then
   echo "SWEEP progress 3600000"
   exec sleep 60
 fi
-printf '%s\n%s\n' "$KEY,7,sb,0,ok,1,2,3,4,5,6,7,8,9" "{\"shard\":\"$KEY\"}" > "$DIR/$KEY/result.txt"
+printf '%s\n%s\n' "$KEY,7,sb,0,30,90,ok,1,2,3,4,5,6,7,8,9" "{\"shard\":\"$KEY\"}" > "$DIR/$KEY/result.txt"
 echo "SWEEP result $DIR/$KEY/result.txt"
 "#;
-        let outcomes = run_farm(shards, &sh_plan(body), &cfg, &mut |_| {}).unwrap();
+        let plan = sh_plan(body, &shards);
+        let outcomes = run_farm(shards, &plan, &cfg, &mut |_| {}).unwrap();
         let o = &outcomes[0];
-        assert_eq!(o.status, ShardStatus::Ok);
+        assert_eq!(o.entry.status, ShardStatus::Ok);
         assert!(o.injected_kill);
         assert_eq!(o.attempts, 2);
         assert!(o.resumed);
+    }
+
+    #[test]
+    fn worker_that_rebuilds_another_shard_fails_the_attempt() {
+        let dir = tmpdir("mismatch");
+        let mut cfg = quiet_cfg(dir);
+        cfg.max_attempts = 1;
+        let body = format!("KEY=s9-sb-x0-l30-90\n{OK_BODY}");
+        let outcomes = run_farm(
+            one_shard_grid(),
+            &sh_plan(&body, &one_shard_grid()),
+            &cfg,
+            &mut |_| {},
+        )
+        .unwrap();
+        assert_eq!(outcomes[0].entry.status, ShardStatus::Quarantined);
+        assert!(
+            outcomes[0].errors[0]
+                .contains("ran shard s9-sb-x0-l30-90 for index 0, expected s7-sb-x0-l30-90"),
+            "{:?}",
+            outcomes[0].errors
+        );
     }
 
     #[test]
@@ -607,7 +638,7 @@ echo "SWEEP result $DIR/$KEY/result.txt"
         let mut cfg = quiet_cfg(dir);
         cfg.max_attempts = 2;
         let outcomes = run_farm(one_shard_grid(), &plan, &cfg, &mut |_| {}).unwrap();
-        assert_eq!(outcomes[0].status, ShardStatus::Quarantined);
+        assert_eq!(outcomes[0].entry.status, ShardStatus::Quarantined);
         assert_eq!(outcomes[0].attempts, 2);
         assert!(outcomes[0].errors[0].contains("spawn"));
     }
