@@ -13,7 +13,7 @@
 //! the speedup is the ratio of the medians, kept beside the smallest and
 //! largest per-repetition ratio.
 //!
-//! Unlike the other bench bins this one drives the real `eards` binary
+//! Unlike the experiments of `run_all`, this bin drives the real `eards` binary
 //! (the farm is a multi-process design; there is nothing meaningful to
 //! time in-process). The binary is found via `$EARDS_BIN` or next to the
 //! workspace's target directory — build it first with

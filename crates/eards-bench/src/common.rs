@@ -1,9 +1,8 @@
-//! Shared infrastructure for the experiment binaries.
+//! Shared infrastructure for the experiments.
 //!
 //! Every table and figure of the paper's evaluation has one experiment
-//! function in this crate returning an [`ExperimentResult`]; the thin
-//! binaries print it and `run_all` stitches all of them into
-//! `EXPERIMENTS.md`.
+//! function in this crate returning an [`ExperimentResult`]; the driver
+//! ([`crate::driver`]) prints, writes and gates them.
 
 use std::fs;
 use std::io;
@@ -79,6 +78,10 @@ pub struct ExperimentResult {
     /// Extra machine-readable artifacts `(file name, contents)` — CSV
     /// series for plotting, etc.
     pub artifacts: Vec<(String, String)>,
+    /// The committed baseline `(file name, contents)`, e.g.
+    /// `BENCH_chaos.json`, that the driver writes to the workspace root
+    /// through [`write_baseline`], whether or not the checks hold.
+    pub baseline: Option<(&'static str, String)>,
 }
 
 impl ExperimentResult {
@@ -91,7 +94,13 @@ impl ExperimentResult {
             tables: Vec::new(),
             notes: Vec::new(),
             artifacts: Vec::new(),
+            baseline: None,
         }
+    }
+
+    /// How many notes read `VIOLATED`: the shape checks that fail.
+    pub fn violations(&self) -> usize {
+        self.notes.iter().filter(|n| n.contains("VIOLATED")).count()
     }
 
     /// Renders the result as a Markdown section.
@@ -112,15 +121,21 @@ impl ExperimentResult {
         out
     }
 
-    /// Writes the section and its artifacts under `dir` (created if
-    /// needed). Returns the list of files written.
+    /// Writes the section, its artifacts and a copy of its baseline
+    /// under `dir` (created if needed). Returns the list of files
+    /// written.
     pub fn write_to(&self, dir: &Path) -> std::io::Result<Vec<String>> {
         fs::create_dir_all(dir)?;
         let mut written = Vec::new();
         let md = dir.join(format!("{}.md", self.id));
         fs::write(&md, self.to_markdown())?;
         written.push(md.display().to_string());
-        for (name, contents) in &self.artifacts {
+        let baseline = self.baseline.iter().map(|(name, json)| (*name, json));
+        let artifacts = self
+            .artifacts
+            .iter()
+            .map(|(name, csv)| (name.as_str(), csv));
+        for (name, contents) in artifacts.chain(baseline) {
             let p = dir.join(name);
             fs::write(&p, contents)?;
             written.push(p.display().to_string());
@@ -301,8 +316,8 @@ pub const WORKSPACE_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
 /// Writes the baseline file `name` under [`WORKSPACE_ROOT`], whatever
 /// the working directory, reports it on stderr and returns its path.
-/// The error names the path, so a bin can return it from `main` and
-/// exit non-zero.
+/// The error names the path, so a caller can report it and exit
+/// non-zero.
 pub fn write_baseline(name: &str, contents: &str) -> io::Result<PathBuf> {
     let path = Path::new(WORKSPACE_ROOT).join(name);
     fs::write(&path, contents)
@@ -371,20 +386,6 @@ pub fn merge_solver_baseline(new: &[(String, f64)]) -> io::Result<PathBuf> {
     }
     json.push_str("\n}\n");
     write_baseline(NAME, &json)
-}
-
-/// Prints a result to stdout and writes it (plus artifacts) to
-/// `results/`; the standard tail of every experiment binary.
-pub fn emit(result: &ExperimentResult) {
-    print!("{}", result.to_markdown());
-    match result.write_to(Path::new("results")) {
-        Ok(files) => {
-            for f in files {
-                eprintln!("wrote {f}");
-            }
-        }
-        Err(e) => eprintln!("warning: could not write results/: {e}"),
-    }
 }
 
 #[cfg(test)]

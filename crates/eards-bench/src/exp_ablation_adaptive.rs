@@ -16,6 +16,9 @@ use eards_model::Policy;
 
 use crate::common::{paper_trace, verdict, ExperimentResult};
 
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "ablation_adaptive_lambda";
+
 /// Satisfaction target the adaptive controller holds.
 pub const TARGET_S: f64 = 99.0;
 
@@ -48,7 +51,7 @@ pub fn reports() -> Vec<RunReport> {
 pub fn run() -> ExperimentResult {
     let reports = reports();
     let mut result = ExperimentResult::new(
-        "ablation_adaptive_lambda",
+        ID,
         "Extension — dynamic λ thresholds (feedback controller)",
         "not evaluated in the paper (future work, §V-A): static thresholds \
          trade power against SLA; a dynamic controller should track the \

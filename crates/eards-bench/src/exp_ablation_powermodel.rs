@@ -26,6 +26,9 @@ use eards_policies::BackfillingPolicy;
 
 use crate::common::{paper_trace, verdict, ExperimentResult};
 
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "ablation_power_model";
+
 fn model(name: &str) -> Box<dyn PowerModel> {
     match name {
         "calibrated" => Box::new(CalibratedPowerModel::paper_4way()),
@@ -69,7 +72,7 @@ pub fn reports() -> Vec<(String, String, RunReport)> {
 pub fn run() -> ExperimentResult {
     let rows = reports();
     let mut result = ExperimentResult::new(
-        "ablation_power_model",
+        ID,
         "Ablation — SB's savings under different machine power curves",
         "§IV-A: constant-draw machines defeat load-based savings (only \
          turn-off helps); energy-proportional machines (the cited ideal) \

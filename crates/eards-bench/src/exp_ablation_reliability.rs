@@ -22,6 +22,9 @@ use eards_workload::{generate, SynthConfig};
 
 use crate::common::{verdict, ExperimentResult};
 
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "ablation_reliability";
+
 /// A 40-node datacenter where every fourth node is flaky. Interleaving
 /// (rather than clustering the flaky nodes at the high ids) matters: a
 /// blind policy's id-order tiebreaks must not dodge them by accident.
@@ -80,7 +83,7 @@ pub fn reports() -> Vec<RunReport> {
 pub fn run() -> ExperimentResult {
     let reports = reports();
     let mut result = ExperimentResult::new(
-        "ablation_reliability",
+        ID,
         "Extension — reliability-aware scheduling under failures",
         "not evaluated in the paper (future work, §VI); §III-A.6 predicts \
          that nodes with a failure probability get penalized so VMs prefer \

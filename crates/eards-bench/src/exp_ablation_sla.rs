@@ -27,6 +27,9 @@ use eards_workload::{generate, SynthConfig};
 
 use crate::common::{verdict, ExperimentResult};
 
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "ablation_sla";
+
 /// Runs both variants over a 3-day, 1.5×-load trace on 25 nodes.
 pub fn reports() -> Vec<RunReport> {
     let trace = generate(
@@ -67,7 +70,7 @@ pub fn reports() -> Vec<RunReport> {
 pub fn run() -> ExperimentResult {
     let reports = reports();
     let mut result = ExperimentResult::new(
-        "ablation_sla",
+        ID,
         "Extension — dynamic SLA enforcement under overload",
         "not evaluated in the paper (future work, §VI); §III-A.5 predicts \
          violated VMs get rescheduled with escalated resource requests, \

@@ -21,6 +21,9 @@ use eards_workload::{generate, SynthConfig, Trace};
 
 use crate::common::{make_policy, ExperimentResult, TRACE_SEED};
 
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "chaos";
+
 /// Fault intensities swept (multipliers on [`FaultPlan::chaos`]'s nominal
 /// rates; 0 = fault-free control).
 pub const INTENSITIES: [f64; 4] = [0.0, 0.5, 1.0, 2.0];
@@ -87,29 +90,6 @@ pub fn reports() -> Vec<Vec<RunReport>> {
         .collect()
 }
 
-/// A short, strict-auditor chaos run for CI: any invariant violation
-/// panics the process. Returns the reports (SB then BF) for inspection.
-pub fn smoke() -> Vec<RunReport> {
-    let hosts = small_datacenter(16, HostClass::Medium);
-    let trace = generate(
-        &SynthConfig {
-            span: SimDuration::from_hours(6),
-            ..SynthConfig::grid5000_week()
-        },
-        TRACE_SEED,
-    );
-    let points = ["SB", "BF"]
-        .into_iter()
-        .map(|name| {
-            let config = RunConfig::default()
-                .with_faults(FaultPlan::chaos(1.5))
-                .with_auditor(AuditorMode::Strict);
-            chaos_point(name, format!("{name} smoke"), config)
-        })
-        .collect();
-    run_sweep(&hosts, &trace, points, None)
-}
-
 /// Renders the per-run fault/recovery numbers as a JSON object keyed by
 /// run label — the `BENCH_chaos.json` regression baseline.
 pub fn to_json(all: &[Vec<RunReport>]) -> String {
@@ -154,7 +134,7 @@ pub fn to_json(all: &[Vec<RunReport>]) -> String {
 pub fn run() -> ExperimentResult {
     let all = reports();
     let mut result = ExperimentResult::new(
-        "chaos",
+        ID,
         "Chaos engine — degradation under escalating fault rates",
         "not evaluated in the paper (failure-free evaluation; §VI defers \
          fault tolerance to future work). The fault model follows the \
@@ -262,15 +242,36 @@ pub fn run() -> ExperimentResult {
         if stressed { "holds" } else { "VIOLATED" }
     ));
 
-    result
-        .artifacts
-        .push(("BENCH_chaos.json".into(), to_json(&all)));
+    result.baseline = Some(("BENCH_chaos.json", to_json(&all)));
     result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A short chaos run (SB then BF) under the strict auditor, which
+    /// panics on the first invariant violation.
+    fn smoke() -> Vec<RunReport> {
+        let hosts = small_datacenter(16, HostClass::Medium);
+        let trace = generate(
+            &SynthConfig {
+                span: SimDuration::from_hours(6),
+                ..SynthConfig::grid5000_week()
+            },
+            TRACE_SEED,
+        );
+        let points = ["SB", "BF"]
+            .into_iter()
+            .map(|name| {
+                let config = RunConfig::default()
+                    .with_faults(FaultPlan::chaos(1.5))
+                    .with_auditor(AuditorMode::Strict);
+                chaos_point(name, format!("{name} smoke"), config)
+            })
+            .collect();
+        run_sweep(&hosts, &trace, points, None)
+    }
 
     #[test]
     fn smoke_runs_clean_under_strict_auditing() {

@@ -26,6 +26,9 @@ use eards_workload::{generate, SynthConfig, Trace};
 
 use crate::common::{solver_case, ExperimentResult, TRACE_SEED};
 
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "degrade";
+
 /// Work budgets swept by the boundedness check (units per round).
 pub const BUDGETS: [u64; 3] = [20_000, 100_000, 500_000];
 
@@ -218,7 +221,7 @@ pub fn to_json(bound: &[(u64, DegradeStats)], rows: &[QualityRow]) -> String {
 /// Runs the degradation-ladder experiment.
 pub fn run() -> ExperimentResult {
     let mut result = ExperimentResult::new(
-        "degrade",
+        ID,
         "Degradation ladder — bounded work and per-rung quality loss",
         "not evaluated in the paper (its scheduler always optimises to \
          quiescence). The overload-control framing follows the SLA \
@@ -353,47 +356,8 @@ pub fn run() -> ExperimentResult {
         if deferred { "holds" } else { "VIOLATED" }
     ));
 
+    result.baseline = Some(("BENCH_degrade.json", to_json(&bound, &rows)));
     result
-        .artifacts
-        .push(("BENCH_degrade.json".into(), to_json(&bound, &rows)));
-    result
-}
-
-/// A short strict-mode degradation run for CI: tiny budget, heavy chaos,
-/// Strict auditor (panics on the first invariant violation). Returns the
-/// ladder stats and the parked count for the caller to print; panics if
-/// the work bound is broken.
-pub fn smoke() -> (DegradeStats, u64, RunReport) {
-    const BUDGET: u64 = 2_000;
-    let hosts = small_datacenter(8, HostClass::Medium);
-    let trace = generate(
-        &SynthConfig {
-            span: SimDuration::from_hours(6),
-            ..SynthConfig::grid5000_week()
-        },
-        TRACE_SEED,
-    );
-    let policy = ScoreScheduler::new(ScoreConfig::full())
-        .with_overload(OverloadControl::with_budget(BUDGET));
-    let mut cfg = quality_config(true);
-    cfg.park_after = Some(2);
-    let mut runner = Runner::new(hosts, trace, Box::new(policy), cfg);
-    while runner.step_batch() {}
-    let stats = runner
-        .policy()
-        .degrade_stats()
-        .expect("armed policy reports stats");
-    let vms_parked = runner.vms_parked();
-    let (report, _audit) = runner.finish();
-    // The queue never exceeds the trace's job count; bound the sweep
-    // slack generously by the fleet and a 256-VM round.
-    let bound = BUDGET + slack(8, 256);
-    assert!(
-        stats.max_round_work <= bound,
-        "smoke: round work {} exceeds bound {bound}",
-        stats.max_round_work
-    );
-    (stats, vms_parked, report)
 }
 
 #[cfg(test)]
@@ -427,6 +391,44 @@ mod tests {
             s.exhausted_rounds > 0 || s.degraded_rounds > 0,
             "a 20k budget must pressure a 400h/320v matrix"
         );
+    }
+
+    /// A short degradation run: a tiny budget, heavy chaos and the
+    /// strict auditor, which panics on the first invariant violation.
+    /// The ladder must keep every round's work within its bound.
+    #[test]
+    fn smoke_runs_clean_and_bounded_under_strict_auditing() {
+        const BUDGET: u64 = 2_000;
+        let hosts = small_datacenter(8, HostClass::Medium);
+        let trace = generate(
+            &SynthConfig {
+                span: SimDuration::from_hours(6),
+                ..SynthConfig::grid5000_week()
+            },
+            TRACE_SEED,
+        );
+        let policy = ScoreScheduler::new(ScoreConfig::full())
+            .with_overload(OverloadControl::with_budget(BUDGET));
+        let mut cfg = quality_config(true);
+        cfg.park_after = Some(2);
+        let mut runner = Runner::new(hosts, trace, Box::new(policy), cfg);
+        while runner.step_batch() {}
+        let stats = runner
+            .policy()
+            .degrade_stats()
+            .expect("armed policy reports stats");
+        let (report, _audit) = runner.finish();
+        // The queue never exceeds the trace's job count; bound the sweep
+        // slack generously by the fleet and a 256-VM round.
+        let bound = BUDGET + slack(8, 256);
+        assert!(
+            stats.max_round_work <= bound,
+            "round work {} exceeds bound {bound}",
+            stats.max_round_work
+        );
+        assert!(stats.rounds > 0, "the ladder never ran");
+        assert!(report.faults.invariant_checks > 0, "auditor never ran");
+        assert_eq!(report.faults.invariant_violations, 0);
     }
 
     #[test]

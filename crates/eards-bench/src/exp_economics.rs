@@ -13,6 +13,9 @@ use eards_metrics::{fnum, PricingModel, RunReport};
 
 use crate::common::{paper_trace, point, verdict, ExperimentResult};
 
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "economics";
+
 /// The priced policies: every contender from Tables II and IV.
 pub const POLICIES: &[(&str, u32, u32)] = &[
     ("RD", 30, 90),
@@ -37,7 +40,7 @@ pub fn run() -> ExperimentResult {
     let reports = reports();
     let pricing = PricingModel::default();
     let mut result = ExperimentResult::new(
-        "economics",
+        ID,
         "Extension — provider economics (revenue / SLA credits / energy / profit)",
         "not quantified in the paper; it argues consolidation must be \
          weighed against \"QoS, reliability, and global revenue\" (§I–III). \

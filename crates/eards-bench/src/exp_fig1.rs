@@ -22,6 +22,9 @@ use eards_workload::{validation_workload, VALIDATION_SPAN};
 
 use crate::common::ExperimentResult;
 
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "fig1_validation";
+
 /// Unmodeled baseline draw of the reference machine (W): disk and chipset
 /// activity that §IV-A's CPU-only model does not capture. Chosen so the
 /// simulator *underestimates* totals by roughly the paper's 2.4%.
@@ -102,7 +105,7 @@ pub fn validate(seed: u64) -> Validation {
 pub fn run() -> ExperimentResult {
     let v = validate(42);
     let mut result = ExperimentResult::new(
-        "fig1_validation",
+        ID,
         "Figure 1 — simulator validation (1300 s, 7 tasks, one 4-way node)",
         "real 99.9 ± 1.8 Wh vs simulated 97.5 Wh (−2.4%); instantaneous \
          error 8.62 W, σ = 8.06 W (§IV-B).",

@@ -12,6 +12,9 @@ use eards_model::Policy;
 
 use crate::common::{paper_trace, ExperimentResult};
 
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "fig2_3_threshold_sweep";
+
 /// λ_min values of the grid (percent).
 pub const MIN_GRID: &[u32] = &[10, 20, 30, 40, 50, 60, 70, 80];
 /// λ_max values of the grid (percent).
@@ -115,7 +118,7 @@ pub fn run() -> ExperimentResult {
 pub fn run_with_grid(min_grid: &[u32], max_grid: &[u32]) -> ExperimentResult {
     let results = sweep(min_grid, max_grid);
     let mut result = ExperimentResult::new(
-        "fig2_3_threshold_sweep",
+        ID,
         "Figures 2 & 3 — power and satisfaction vs (λ_min, λ_max)",
         "power falls monotonically as λ_min or λ_max rises (more aggressive \
          on/off); satisfaction falls as the mechanism gets more aggressive; \
@@ -177,7 +180,7 @@ mod tests {
     use super::*;
 
     /// Full-grid sweeps take ~a minute; the unit test uses a 2×2 corner
-    /// (the full surface is exercised by the experiment binary itself).
+    /// (the full surface is exercised by `run_all fig2_3_threshold_sweep`).
     #[test]
     fn small_sweep_shows_the_tradeoff() {
         let results = sweep(&[20, 60], &[50, 90]);

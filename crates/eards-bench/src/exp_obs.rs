@@ -11,7 +11,7 @@
 //!    event, span and histogram sample, wall-clock time stays within 5%
 //!    of the untraced run.
 //!
-//! The artifact `BENCH_obs.json` records both, plus a schema validation
+//! The baseline `BENCH_obs.json` records both, plus a schema validation
 //! of the three export formats, so CI catches a hook that starts
 //! perturbing the simulation or a recorder that got slow.
 
@@ -26,6 +26,9 @@ use eards_sim::SimDuration;
 use eards_workload::{generate, SynthConfig, Trace};
 
 use crate::common::{ExperimentResult, TRACE_SEED};
+
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "obs_overhead";
 
 /// Ring capacity used by the enabled runs (matches the CLI default).
 pub const RING_CAPACITY: usize = 1 << 16;
@@ -163,7 +166,7 @@ pub fn compare(n_hosts: u32, hours: u64) -> ObsComparison {
     }
 }
 
-/// Renders the comparison as the `BENCH_obs.json` artifact.
+/// Renders the comparison as the `BENCH_obs.json` baseline.
 pub fn to_json(c: &ObsComparison) -> String {
     format!(
         "{{\n  \"disabled_ms\": {:.2},\n  \"enabled_ms\": {:.2},\n  \
@@ -199,7 +202,7 @@ pub fn to_json(c: &ObsComparison) -> String {
 pub fn run() -> ExperimentResult {
     let c = compare(20, 24);
     let mut result = ExperimentResult::new(
-        "obs_overhead",
+        ID,
         "Observability layer — overhead and bit-identity",
         "not a paper result: an engineering gate for the eards-obs tracing \
          layer (event ring, metrics registry, profiling spans) wired \
@@ -264,9 +267,7 @@ pub fn run() -> ExperimentResult {
         }
     ));
 
-    result
-        .artifacts
-        .push(("BENCH_obs.json".into(), to_json(&c)));
+    result.baseline = Some(("BENCH_obs.json", to_json(&c)));
     result
 }
 

@@ -13,6 +13,9 @@ use eards_workload::{generate, SynthConfig};
 
 use crate::common::{point, verdict, ExperimentResult};
 
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "robustness_seeds";
+
 /// The workload seeds evaluated.
 pub const SEEDS: &[u64] = &[7, 11, 23, 42, 101];
 
@@ -43,7 +46,7 @@ pub fn savings() -> Vec<(u64, f64, f64, f64)> {
 pub fn run() -> ExperimentResult {
     let rows = savings();
     let mut result = ExperimentResult::new(
-        "robustness_seeds",
+        ID,
         "Robustness — the Table IV headline across workload seeds",
         "the paper reports one trace (−15% vs BF, −12% vs DBF); a credible \
          reproduction must show the saving is stable across independent \

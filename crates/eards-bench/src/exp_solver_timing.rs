@@ -21,6 +21,9 @@ use eards_model::{Cluster, VmId};
 use crate::common::{recycled_round, solver_case, ExperimentResult};
 use crate::timing::{per_iter_pair, REPS};
 
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "solver_timing";
+
 /// Move cap for the timed climbs: high enough that the 200-VM case runs
 /// its full placement cascade rather than stopping at the paper's
 /// per-round default.
@@ -50,7 +53,7 @@ fn run_incremental(
 /// Regenerates the solver-timing section.
 pub fn run() -> ExperimentResult {
     let mut result = ExperimentResult::new(
-        "solver_timing",
+        ID,
         "Solver timing — incremental engine vs full rescan",
         "§III-B bounds one round by O(#Hosts · #VMs) · C; the incremental \
          engine drops the per-sweep cost from M·N rescored cells to the two \

@@ -15,6 +15,9 @@ use eards_sim::{SimDuration, SimTime};
 
 use crate::common::ExperimentResult;
 
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "table1_power_model";
+
 /// One measured configuration of Table I: the per-VM virtual-CPU loads.
 struct Config {
     /// Display label, e.g. `1+2`.
@@ -95,7 +98,7 @@ fn measure(vm_loads: &[u32]) -> f64 {
 /// Regenerates Table I.
 pub fn run() -> ExperimentResult {
     let mut result = ExperimentResult::new(
-        "table1_power_model",
+        ID,
         "Table I — virtualized server power usage",
         "230 W idle → 304 W at 400% CPU; draw depends only on total CPU, \
          not on the number or shape of VMs (§IV-A).",

@@ -11,6 +11,9 @@ use eards_metrics::{pct_change, RunReport};
 
 use crate::common::{paper_trace, point, verdict, ExperimentResult};
 
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "table2_static";
+
 /// Runs the four static policies over the canonical week.
 pub fn reports() -> Vec<RunReport> {
     let points = ["RD", "RR", "BF", "SB0"]
@@ -24,7 +27,7 @@ pub fn reports() -> Vec<RunReport> {
 pub fn run() -> ExperimentResult {
     let reports = reports();
     let mut result = ExperimentResult::new(
-        "table2_static",
+        ID,
         "Table II — scheduling results of policies without migration",
         "RD 1952 kWh / S 33% / delay 475%; RR 2321 kWh / S 60% / delay \
          338%; BF 1007 kWh / S 98%; SB0 1016 kWh / S 98% — RD/RR are worst \

@@ -13,6 +13,9 @@ use eards_metrics::{pct_change, RunReport, Table};
 
 use crate::common::{paper_trace, point, verdict, ExperimentResult};
 
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "table3_virt_overheads";
+
 /// The Table III rows: (policy, λ_min, λ_max).
 pub const ROWS: &[(&str, u32, u32)] = &[
     ("SB0", 30, 90),
@@ -35,7 +38,7 @@ pub fn reports() -> Vec<RunReport> {
 pub fn run() -> ExperimentResult {
     let reports = reports();
     let mut result = ExperimentResult::new(
-        "table3_virt_overheads",
+        ID,
         "Table III — score-based policies without migration",
         "SB0 1016 kWh / S 98.2; SB1 1007 / 97.9; SB2 1038 / 99.2; \
          SB2 λ40-90: 880 kWh / S 98.1 — >12% below Backfilling at equal SLA.",

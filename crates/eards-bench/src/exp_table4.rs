@@ -13,6 +13,9 @@ use eards_metrics::{pct_change, RunReport, Table};
 
 use crate::common::{paper_trace, point, verdict, ExperimentResult};
 
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "table4_migration";
+
 /// The Table IV rows: (policy, λ_min, λ_max).
 pub const ROWS: &[(&str, u32, u32)] = &[("DBF", 30, 90), ("SB", 30, 90), ("SB", 40, 90)];
 
@@ -30,7 +33,7 @@ pub fn reports() -> Vec<RunReport> {
 pub fn run() -> ExperimentResult {
     let reports = reports();
     let mut result = ExperimentResult::new(
-        "table4_migration",
+        ID,
         "Table IV — scheduling results of policies with migration",
         "DBF 970.6 kWh / S 98.1 / 124 mig; SB 956.4 / 99.1 / 87 mig; \
          SB λ40-90: 850.2 kWh / S 98.4 — −15% vs BF, −12% vs DBF.",

@@ -13,6 +13,9 @@ use eards_metrics::{RunReport, Table};
 
 use crate::common::{paper_trace, verdict, ExperimentResult};
 
+/// The experiment's id: its `run_all` argument and results file stem.
+pub const ID: &str = "table5_consolidation";
+
 /// The Table V cost pairs.
 pub const COST_PAIRS: &[(f64, f64)] = &[(0.0, 40.0), (20.0, 40.0), (60.0, 100.0)];
 
@@ -36,7 +39,7 @@ pub fn reports() -> Vec<RunReport> {
 pub fn run() -> ExperimentResult {
     let reports = reports();
     let mut result = ExperimentResult::new(
-        "table5_consolidation",
+        ID,
         "Table V — score-based scheduling with different consolidation costs",
         "(0,40): 1036 kWh / S 99.3 / 0 mig; (20,40): 956 kWh / S 99.1 / 87 \
          mig; (60,100): 999 kWh / S 97.7 / 432 mig — balanced costs win; \

@@ -9,8 +9,8 @@
 //! `bench:` line per measured routine for the `BENCH_*.json`
 //! baselines. The exceptions are the observability gate and
 //! `sweep_timing`, whose statistic is a median of interleaved runs (each
-//! run timed by one [`best_of`] call), and the progress timers of
-//! `run_all` and `smoke`.
+//! run timed by one [`best_of`] call), and the per-experiment progress
+//! timers of the `run_all` driver.
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -28,8 +28,8 @@ use eards_sweep::{
 use crate::args::{ArgSpec, Args};
 use crate::commands::reject_obs_flags;
 use crate::setup::{
-    build_hosts, build_run_config, build_trace, intensity, lambda_flags, make_policy, percent,
-    CliError, World, COMMON_SWITCHES, COMMON_VALUED, OBS_CAPACITY,
+    build_hosts, build_run_config, build_trace, hours, intensity, lambda_flags, make_policy,
+    percent, CliError, World, COMMON_SWITCHES, COMMON_VALUED, OBS_CAPACITY,
 };
 
 /// The sweep's own valued flags: the grid axes, the execution mode, and
@@ -59,6 +59,31 @@ const SWEEP_SWITCHES: &[&str] = &["serial", "shard-metrics"];
 /// What the supervisor appends to a worker's command line (see
 /// `eards_sweep::supervisor::shard_args`).
 const WORKER_VALUED: &[&str] = &["shard-index", "workdir", "resume-ckpt"];
+
+/// The sweep's hour flags, each checked by [`hours`]: the worker's
+/// checkpoint period, and the simulated instants at which the kill and
+/// hang test hooks fire (default one hour).
+struct HourFlags {
+    ckpt_every: Option<SimDuration>,
+    kill_after: SimDuration,
+    hang_after: SimDuration,
+}
+
+fn hour_flags(args: &Args) -> Result<HourFlags, CliError> {
+    let hook = |flag| {
+        args.value(flag)
+            .map_or(Ok(SimDuration::from_hours(1)), |raw| {
+                hours(flag, raw, false)
+            })
+    };
+    Ok(HourFlags {
+        ckpt_every: (args.value("ckpt-every-hours"))
+            .map(|raw| hours("ckpt-every-hours", raw, true))
+            .transpose()?,
+        kill_after: hook("kill-after-hours")?,
+        hang_after: hook("hang-after-hours")?,
+    })
+}
 
 /// Parses a sweep command line, accepting `extra` valued flags too.
 fn parse_sweep(tokens: &[String], extra: &[&'static str]) -> Result<Args, CliError> {
@@ -223,7 +248,7 @@ fn run_workers(
     cfg.max_attempts = args.get::<u32>("max-retries", 2)? + 1;
     cfg.backoff_base = Duration::from_millis(args.get::<u64>("backoff-ms", 100)?);
     cfg.inject_kill = args.list("inject-kill");
-    cfg.inject_kill_after_ms = (args.get::<f64>("kill-after-hours", 1.0)? * 3_600_000.0) as u64;
+    cfg.inject_kill_after_ms = hour_flags(args)?.kill_after.as_millis();
     let plan = WorkerPlan {
         program: std::env::current_exe()?,
         base_args: std::iter::once("sweep-worker".to_string())
@@ -353,6 +378,8 @@ fn energy_surface(grid: &SweepGrid, min: &[u32], max: &[u32], csv: &str) -> Stri
 pub fn farm_cmd(tokens: &[String]) -> Result<String, CliError> {
     let args = parse_sweep(tokens, &[])?;
     reject_obs_flags(&args, "sweep")?;
+    // Checked here too, so a bad hour flag exits 2 before any worker spawns.
+    hour_flags(&args)?;
     let grid = build_grid(&args)?;
     let shards = grid.shards();
     let out_dir = args.value("sweep-out").map(PathBuf::from);
@@ -440,6 +467,11 @@ pub fn farm_cmd(tokens: &[String]) -> Result<String, CliError> {
 /// and echoes its shard's key, which the supervisor checks.
 pub fn worker_cmd(tokens: &[String]) -> Result<String, CliError> {
     let args = parse_sweep(tokens, WORKER_VALUED)?;
+    let HourFlags {
+        ckpt_every,
+        hang_after,
+        ..
+    } = hour_flags(&args)?;
     let (Some(index), Some(workdir)) =
         (args.get_opt::<usize>("shard-index")?, args.value("workdir"))
     else {
@@ -487,23 +519,19 @@ pub fn worker_cmd(tokens: &[String]) -> Result<String, CliError> {
         None => shard_world(&args, spec, &obs)?.runner(),
     };
 
-    let ckpt_period = args
-        .get_opt::<f64>("ckpt-every-hours")?
-        .map(|h| SimDuration::from_secs((h * 3600.0) as u64));
     let ckpt_file = eards_sweep::ckpt_path(&workdir, spec);
-    let mut next_ckpt = ckpt_period.map(|p| runner.now() + p);
+    let mut next_ckpt = ckpt_every.map(|p| runner.now() + p);
 
     // Test hooks, used by the integration suite and CI smoke:
     // `--inject-hang` makes the matching shards stop heartbeating at a
     // given simulated hour; `--dawdle-ms` slows every batch so the
     // supervisor has a window to observe and kill the worker.
     let hang = args.list("inject-hang").iter().any(|k| k == key);
-    let hang_after_ms = (args.get::<f64>("hang-after-hours", 1.0)? * 3_600_000.0) as u64;
     let dawdle = Duration::from_millis(args.get::<u64>("dawdle-ms", 0)?);
 
     while runner.step_batch() {
         let now = runner.now();
-        if let (Some(period), Some(next)) = (ckpt_period, next_ckpt) {
+        if let (Some(period), Some(next)) = (ckpt_every, next_ckpt) {
             if now >= next {
                 let bytes = runner
                     .snapshot()
@@ -522,7 +550,7 @@ pub fn worker_cmd(tokens: &[String]) -> Result<String, CliError> {
         say(&protocol::WorkerMsg::Progress {
             sim_ms: now.as_millis(),
         });
-        if hang && now.as_millis() >= hang_after_ms {
+        if hang && now.as_millis() >= hang_after.as_millis() {
             loop {
                 std::thread::sleep(Duration::from_secs(60));
             }

@@ -280,6 +280,25 @@ pub(crate) fn intensity(flag: &str, raw: &str) -> Result<f64, CliError> {
     }
 }
 
+/// Parses the value `raw` of `--flag` as a span of simulated hours,
+/// rounded to the millisecond: finite and ≥ 0, and at least a
+/// millisecond when `positive`. Every hour flag goes through this one
+/// check.
+pub(crate) fn hours(flag: &str, raw: &str, positive: bool) -> Result<SimDuration, CliError> {
+    let span = raw
+        .parse::<f64>()
+        .ok()
+        .filter(|h| h.is_finite() && *h >= 0.0)
+        .map(|h| SimDuration::from_secs_f64(h * 3600.0));
+    match span {
+        Some(d) if !(positive && d.is_zero()) => Ok(d),
+        _ => Err(CliError::Usage(format!(
+            "--{flag}: {raw:?} is not a finite number of hours {}",
+            if positive { "> 0" } else { "≥ 0" }
+        ))),
+    }
+}
+
 /// Parses the value `raw` of `--flag` as a λ threshold: a whole percent,
 /// at most 100. Every λ flag goes through this one check.
 pub(crate) fn percent(flag: &str, raw: &str) -> Result<u32, CliError> {

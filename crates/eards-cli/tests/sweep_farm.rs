@@ -142,6 +142,57 @@ fn hung_worker_is_quarantined_and_report_is_partial() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The checkpoint period must be above 0 hours and the kill and hang
+/// hooks at 0 hours or later, all finite: a bad value is a usage error
+/// (exit 2) before any worker spawns. A zero period once sent every
+/// worker into an endless checkpoint loop that only the heartbeat
+/// timeout ended.
+#[test]
+fn bad_hour_flags_exit_2_before_any_worker_spawns() {
+    let dir = tmpdir("hours");
+    let cases = [
+        ("ckpt-every-hours", "0"),
+        ("ckpt-every-hours", "-1"),
+        ("ckpt-every-hours", "nan"),
+        ("kill-after-hours", "-1"),
+        ("kill-after-hours", "nan"),
+        ("hang-after-hours", "-1"),
+        ("hang-after-hours", "nan"),
+    ];
+    for (flag, value) in cases {
+        let mut child = Command::new(BIN)
+            .args(["sweep", "--hosts", "4", "--hours", "2", "--jobs", "1"])
+            .args(["--sweep-out", &dir.display().to_string()])
+            .args([format!("--{flag}"), value.to_string()])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn eards");
+        // Poll for at most a minute (3 000 × 20 ms).
+        let mut polls = 0;
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            polls += 1;
+            if polls > 3_000 {
+                let _ = child.kill();
+                panic!("--{flag} {value} still running after a minute");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
+        let mut err = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut err).unwrap();
+        assert_eq!(status.code(), Some(2), "--{flag} {value}: {err}");
+        assert!(err.contains(&format!("--{flag}")), "{err}");
+        assert!(
+            !dir.join("work").exists(),
+            "--{flag} {value} spawned a worker"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A worker rebuilds the grid from the sweep's flags and is told only
 /// its shard's index; an index outside that grid is an invocation error
 /// (exit 2), not a shard of some other grid.

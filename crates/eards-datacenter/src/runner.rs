@@ -451,7 +451,7 @@ impl Persist for RunState {
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let started = r.get_bool()?;
         let hosts = r.get_u32()? as usize;
-        let state = RunState {
+        let mut state = RunState {
             started,
             trace_digest: r.get_u64()?,
             seed: r.get_u64()?,
@@ -535,8 +535,9 @@ impl RunState {
     /// on) and each rack below the rack count, so no handler indexes past
     /// a table. A `VmId` of a finished VM stays legal: the stale-event
     /// guards answer it through `vm_state`. A run that has not started
-    /// must also be the t = 0 world.
-    fn check_ids(&self, hosts: usize) -> Result<(), PersistError> {
+    /// must also be the t = 0 world, and every instant must sit on its
+    /// side of the clock.
+    fn check_ids(&mut self, hosts: usize) -> Result<(), PersistError> {
         let vms = self.cluster.num_vms();
         let corrupt = |what: String| Err(PersistError::Corrupt(what));
         let (cluster, crashes) = (self.cluster.num_hosts(), self.crash_counts.len());
@@ -587,6 +588,21 @@ impl RunState {
                     .any(|h| h.power != PowerState::Off))
         {
             return corrupt("a run that has not started holds a mid-run world".into());
+        }
+        // Handlers integrate from the instants the state was last brought
+        // up to to the next event's, so no pending event may lie before
+        // the clock and no stamp after it.
+        let now = self.now;
+        if let Some((at, _)) = self.queue.peek().filter(|&(at, _)| at < now) {
+            return corrupt(format!("event pending at {at}, before the clock {now}"));
+        }
+        let tracked =
+            [&self.power_tw, &self.working_tw, &self.online_tw].map(|tw| tw.last_change());
+        let series = self.power_series.points().last().map(|p| p.at);
+        let progress = self.cluster.live_vms().map(|v| v.last_update);
+        let mut stamps = tracked.into_iter().chain(series).chain(progress);
+        if let Some(at) = stamps.find(|&at| at > now) {
+            return corrupt(format!("state stamped {at}, after the clock {now}"));
         }
         Ok(())
     }

@@ -107,6 +107,45 @@ proptest! {
     }
 }
 
+/// Every single-bit flip of the pinned snapshot either fails restore or
+/// restores a world that runs to its end: an accepted snapshot is as
+/// safe as a fresh run. Release builds flip all 13 568 bits. Debug
+/// builds, where each run also checks the model's debug assertions,
+/// flip all 8 bits of every 8th byte (1 696 flips).
+#[test]
+fn every_single_bit_flip_fails_restore_or_runs_to_the_end() {
+    let bytes = baseline_snapshot();
+    assert_eq!(
+        bytes.len(),
+        PINNED_LEN,
+        "the pinned snapshot is the one flipped"
+    );
+    let stride = if cfg!(debug_assertions) { 8 } else { 1 };
+    let (hosts, trace) = world();
+    let mut panics = Vec::new();
+    for at in (0..bytes.len()).step_by(stride) {
+        for bit in 0..8 {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << bit;
+            let world = (hosts.clone(), trace.clone());
+            let run = std::panic::catch_unwind(move || {
+                let (hosts, trace) = world;
+                if let Ok(mut run) = Runner::restore(hosts, trace, policy(), config(), &flipped) {
+                    while run.step_batch() {}
+                    run.finish();
+                }
+            });
+            if run.is_err() {
+                panics.push((at, bit));
+            }
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "(byte, bit) flips that panic: {panics:?}"
+    );
+}
+
 #[test]
 fn empty_and_tiny_inputs_error_cleanly() {
     for bytes in [&[][..], &[0x45][..], &baseline_snapshot()[..3]] {
@@ -327,6 +366,26 @@ fn mid_run_world_marked_not_started_is_corrupt() {
         Err(PersistError::Corrupt(msg)) => assert!(msg.contains("not started"), "{msg}"),
         Err(e) => panic!("expected a Corrupt error, got {e:?}"),
         Ok(_) => panic!("a mid-run world restored as not started"),
+    }
+}
+
+/// The clock must sit between the state's stamps and the pending events:
+/// a clock moved past the next event, or back before the instant the
+/// state was last brought up to, is corrupt rather than a run whose time
+/// goes backwards.
+#[test]
+fn clock_on_the_wrong_side_of_the_state_is_corrupt() {
+    // Header, `started`, host count, trace digest and seed; then the clock.
+    let clock = 9 + 1 + 4 + 8 + 8;
+    for (forged, what) in [(u64::MAX, "before the clock"), (0, "after the clock")] {
+        let mut bytes = baseline_snapshot();
+        bytes[clock..clock + 8].copy_from_slice(&forged.to_le_bytes());
+        let (_, trace) = world();
+        match restore_onto(trace, &bytes) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+            Err(e) => panic!("expected a Corrupt error, got {e:?}"),
+            Ok(_) => panic!("a clock at {forged} ms restored"),
+        }
     }
 }
 

@@ -180,6 +180,11 @@ impl TimeWeighted {
         self.value
     }
 
+    /// The instant the value last changed (or was integrated up to).
+    pub fn last_change(&self) -> SimTime {
+        self.last_change
+    }
+
     /// Updates the value at time `now`.
     pub fn set(&mut self, now: SimTime, value: f64) {
         self.advance(now);
