@@ -12,10 +12,10 @@
 //! scheduler does.
 //!
 //! Besides the per-benchmark stdout lines, the run writes every result
-//! to `BENCH_solver.json` at the workspace root: a machine-readable
-//! baseline future PRs diff against for a perf trajectory.
+//! to the `wall` part of `BENCH_solver.json` at the workspace root, a
+//! machine-readable record of the solver's speed over time.
 
-use eards_bench::common::{merge_solver_baseline, paper_shape_case, recycled_round, solver_case};
+use eards_bench::common::{paper_shape_case, recycled_round, solver_case, write_baseline};
 use eards_bench::timing::Recorder;
 use eards_core::{solve, solve_reference, EvalBuffers, ScoreConfig};
 
@@ -72,40 +72,62 @@ fn bench_paper_shape(rec: &mut Recorder) {
     });
 }
 
+/// Minimum reference/incremental speedup the 100h_200v pair must show.
+const SPEEDUP_FLOOR: f64 = 3.0;
+
 /// The acceptance case of the incremental engine: one 100-host / 200-VM
 /// hill-climbing round, full-rescan reference vs the cached engine, in
 /// alternating batches so that the derived speedup compares the two
-/// under the same machine speed. `reference` and `incremental` must
-/// stay ≥ 3× apart (the `run_all` solver-timing section shape-checks
-/// this with the same statistic; here the two results land side by side
-/// in `BENCH_solver.json`).
-fn bench_cold_vs_incremental(rec: &mut Recorder) {
+/// under the same machine speed. Before timing, both must return the
+/// identical solution (the differential contract the `shard_oracle`
+/// proptests pin down). Returns the speedup.
+fn bench_cold_vs_incremental(rec: &mut Recorder) -> f64 {
     let (cluster, cols) = solver_case(100, 100, 100);
     let cfg = ScoreConfig::sb();
     let cap = 256usize;
     let (mut buf_ref, mut buf_inc) = (EvalBuffers::default(), EvalBuffers::default());
-    rec.bench_pair(
-        "solver/cold_vs_incremental/reference_100h_200v",
-        || {
-            recycled_round(&cluster, &cfg, &cols, &mut buf_ref, |e| {
-                solve_reference(e, cap)
-            })
-        },
-        "solver/cold_vs_incremental/incremental_100h_200v",
-        || recycled_round(&cluster, &cfg, &cols, &mut buf_inc, |e| solve(e, cap)),
+    let mut reference = || {
+        recycled_round(&cluster, &cfg, &cols, &mut buf_ref, |e| {
+            solve_reference(e, cap)
+        })
+    };
+    let mut incremental = || recycled_round(&cluster, &cfg, &cols, &mut buf_inc, |e| solve(e, cap));
+    assert_eq!(
+        reference(),
+        incremental(),
+        "reference and incremental climbs differ on 100h_200v"
     );
+    let (secs_ref, secs_inc) = rec.bench_pair(
+        "solver/cold_vs_incremental/reference_100h_200v",
+        reference,
+        "solver/cold_vs_incremental/incremental_100h_200v",
+        incremental,
+    );
+    secs_ref / secs_inc
 }
 
-/// Runs every case, then merges the results into `BENCH_solver.json`
-/// (preserving the `solver_scale` bench's points, recomputing the
-/// derived reference/incremental speedup).
+/// Runs every case, then writes the results to `BENCH_solver.json`.
+/// Exits 1 if the speedup is below [`SPEEDUP_FLOOR`] or the baseline
+/// drifted.
 fn main() -> std::io::Result<()> {
     let mut rec = Recorder::default();
     bench_matrix_scaling(&mut rec);
     bench_iteration_cap(&mut rec);
     bench_penalty_sets(&mut rec);
     bench_paper_shape(&mut rec);
-    bench_cold_vs_incremental(&mut rec);
-    merge_solver_baseline(rec.results())?;
+    let speedup = bench_cold_vs_incremental(&mut rec);
+    let baseline = rec.baseline("solver").wall("speedup_100h_200v", speedup);
+    let drift = write_baseline(&baseline)?;
+    println!(
+        "speedup_100h_200v: {speedup:.1}x (floor {SPEEDUP_FLOOR}x) — {}",
+        if speedup >= SPEEDUP_FLOOR {
+            "ok"
+        } else {
+            "BELOW FLOOR"
+        }
+    );
+    if speedup < SPEEDUP_FLOOR || drift.is_some() {
+        std::process::exit(1);
+    }
     Ok(())
 }

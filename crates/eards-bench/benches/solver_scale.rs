@@ -4,16 +4,15 @@
 //! thousand hosts (10⁹ cells). This bench times one full scheduling
 //! round of `solve_sharded` on big direct-placement cases
 //! ([`scale_case`]), headline point **10 000 hosts / 100 000 VMs**, and
-//! merges the results into the workspace-root `BENCH_solver.json` next to
-//! the `solver` bench's points (the acceptance bar is < 250 ms per round
-//! on the headline point).
+//! writes the results to the workspace-root `BENCH_solver_scale.json`
+//! (the acceptance bar is < 250 ms per round on the headline point).
 //!
 //! `--smoke` runs in seconds for the CI test job: a shard-count grid on
 //! a 400-host case plus the single-shard differential oracle (sharded
 //! must be move-for-move identical to the full-rescan reference climb),
-//! and does NOT touch `BENCH_solver.json`.
+//! and does NOT touch `BENCH_solver_scale.json`.
 
-use eards_bench::common::{merge_solver_baseline, recycled_round, scale_case};
+use eards_bench::common::{recycled_round, scale_case, write_baseline};
 use eards_bench::timing::Recorder;
 use eards_core::{solve_reference, solve_sharded, DegradeLevel, EvalBuffers, ScoreConfig};
 use eards_model::{Cluster, ShardMap, VmId};
@@ -120,6 +119,8 @@ fn main() -> std::io::Result<()> {
         return Ok(());
     }
     scale_points(&mut rec);
-    merge_solver_baseline(rec.results())?;
+    if write_baseline(&rec.baseline("solver_scale"))?.is_some() {
+        std::process::exit(1);
+    }
     Ok(())
 }

@@ -1,14 +1,17 @@
 //! The experiment driver: `run_all [ID…]` runs the named experiments,
 //! every one when no id is given. Each section is printed, written to
 //! `results/`, and its `BENCH_*.json` baseline, if it has one, written
-//! to the workspace root. Only a full run rewrites `EXPERIMENTS.md` with
-//! the full paper-vs-measured record. Exits 1 if any shape check reads
-//! VIOLATED (or a baseline cannot be written), 2 on an unknown id.
+//! to the workspace root. Only a full run rewrites `EXPERIMENTS.md`,
+//! also at the workspace root, with every section that reads no clock.
+//! Exits 1 if any shape check reads VIOLATED, a baseline's deterministic
+//! part differs from the committed file, or a file cannot be written;
+//! 2 on an unknown id.
 
-use std::fmt::Write as _;
+use std::path::Path;
 use std::time::Instant;
 
-use eards_bench::driver::{exit_status, publish, select};
+use eards_bench::common::WORKSPACE_ROOT;
+use eards_bench::driver::{exit_status, experiments_md, publish, select};
 
 #[allow(clippy::disallowed_methods)] // harness reports wall time per experiment
 fn main() {
@@ -19,15 +22,18 @@ fn main() {
     });
     let t0 = Instant::now();
     let mut results = Vec::with_capacity(experiments.len());
-    let mut unwritten = false;
+    let mut failed = false;
     for (id, run) in experiments {
         eprintln!("running {id} ...");
         let t = Instant::now();
         let result = run();
         eprintln!("  done in {:.1?}", t.elapsed());
-        if let Err(e) = publish(&result) {
-            eprintln!("error: {e}");
-            unwritten = true;
+        match publish(&result) {
+            Ok(drift) => failed |= drift.is_some(),
+            Err(e) => {
+                eprintln!("error: {e}");
+                failed = true;
+            }
         }
         let violated = result.violations();
         if violated > 0 {
@@ -37,30 +43,16 @@ fn main() {
     }
 
     if ids.is_empty() {
-        let mut doc = String::from(
-            "# EXPERIMENTS — paper vs measured\n\n\
-             Regenerated by `cargo run --release -p eards-bench --bin run_all`;\n\
-             append `-- ID…` to rerun only the named sections, which leaves this file alone.\n\
-             Every table and figure of the paper's evaluation (§IV–V) appears \
-             below with the paper's reported numbers quoted and our measured \
-             values next to them. Absolute joules differ (our substrate is a \
-             calibrated simulator over a synthetic Grid5000-like trace — see \
-             DESIGN.md §3); the *shape* checks in each section's notes state \
-             which qualitative findings hold.\n\n",
-        );
-        for result in &results {
-            doc.push_str(&result.to_markdown());
-        }
-        let failures: usize = results.iter().map(|r| r.violations()).sum();
-        let _ = write!(
-            doc,
-            "---\n\nTotal shape-check violations across all experiments: {failures}\n"
-        );
-        match std::fs::write("EXPERIMENTS.md", &doc) {
-            Ok(()) => eprintln!("wrote EXPERIMENTS.md ({} bytes)", doc.len()),
-            Err(e) => eprintln!("could not write EXPERIMENTS.md: {e}"),
+        let doc = experiments_md(&results);
+        let path = Path::new(WORKSPACE_ROOT).join("EXPERIMENTS.md");
+        match eards_sim::write_atomic(&path, doc.as_bytes()) {
+            Ok(()) => eprintln!("wrote {} ({} bytes)", path.display(), doc.len()),
+            Err(e) => {
+                eprintln!("error: {}: {e}", path.display());
+                failed = true;
+            }
         }
     }
     eprintln!("experiments done in {:.1?}", t0.elapsed());
-    std::process::exit(exit_status(&results).max(i32::from(unwritten)));
+    std::process::exit(exit_status(&results).max(i32::from(failed)));
 }

@@ -1,5 +1,7 @@
 //! Times the sweep farm against its own serial reference and writes
-//! `BENCH_sweep.json` at the workspace root.
+//! `BENCH_sweep.json` at the workspace root. Exits 1 below the speedup
+//! floor (where it is enforced) or when the baseline's deterministic part
+//! differs from the committed file.
 //!
 //! The farm's whole value proposition is "same bytes, less wall clock":
 //! a parallel `eards sweep --jobs 4` must produce a merged report
@@ -22,8 +24,9 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-use eards_bench::common::write_baseline;
+use eards_bench::common::{write_baseline, Baseline};
 use eards_bench::timing::best_of;
+use eards_obs::validate::Json;
 
 /// Grid: 8 seeds × 1 policy × 1 chaos = 8 shards.
 const SEEDS: &str = "1,2,3,4,5,6,7,8";
@@ -113,13 +116,18 @@ fn main() -> std::io::Result<()> {
     let within = !gated || speedup >= SPEEDUP_FLOOR;
 
     let shards = SEEDS.split(',').count();
-    let json = format!(
-        "{{\"shards\":{shards},\"reps\":{REPS},\"serial_ms\":{serial_ms:.1},\
-         \"jobs4_ms\":{jobs4_ms:.1},\"speedup\":{speedup:.2},\"ratio_min\":{ratio_min:.2},\
-         \"ratio_max\":{ratio_max:.2},\"cores\":{cores},\"floor\":{SPEEDUP_FLOOR},\
-         \"gated\":{gated},\"within_budget\":{within}}}\n"
-    );
-    write_baseline("BENCH_sweep.json", &json)?;
+    let baseline = Baseline::new("sweep")
+        .det("shards", shards)
+        .det("reps", REPS)
+        .det("floor", SPEEDUP_FLOOR)
+        .wall("serial_ms", serial_ms)
+        .wall("jobs4_ms", jobs4_ms)
+        .wall("speedup", speedup)
+        .wall("ratio_min", ratio_min)
+        .wall("ratio_max", ratio_max)
+        .wall("gated", Json::Bool(gated))
+        .wall("within_budget", Json::Bool(within));
+    let drift = write_baseline(&baseline)?;
     eprintln!(
         "{shards} shards, median of {REPS}: serial {serial_ms:.0} ms, --jobs 4 {jobs4_ms:.0} ms \
          ({speedup:.2}x, per-rep {ratio_min:.2}–{ratio_max:.2}x, floor {SPEEDUP_FLOOR}x, \
@@ -132,6 +140,8 @@ fn main() -> std::io::Result<()> {
     );
     if !within {
         eprintln!("!! sweep farm speedup below floor");
+    }
+    if drift.is_some() || !within {
         std::process::exit(1);
     }
     Ok(())

@@ -6,7 +6,7 @@
 
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use eards_core::{Eval, EvalBuffers, ScoreConfig, ScoreScheduler};
 use eards_datacenter::{RunConfig, SweepPoint};
@@ -14,8 +14,9 @@ use eards_metrics::Table;
 use eards_model::{
     Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, Policy, PowerState, VmId,
 };
+use eards_obs::validate::{self, Json};
 use eards_policies::{BackfillingPolicy, DynamicBackfillingPolicy, RandomPolicy, RoundRobinPolicy};
-use eards_sim::{SimDuration, SimRng, SimTime};
+use eards_sim::{write_atomic, SimDuration, SimRng, SimTime};
 use eards_workload::{generate, SynthConfig, Trace};
 
 /// Seed of the canonical week-long trace used by all table experiments
@@ -78,10 +79,11 @@ pub struct ExperimentResult {
     /// Extra machine-readable artifacts `(file name, contents)` — CSV
     /// series for plotting, etc.
     pub artifacts: Vec<(String, String)>,
-    /// The committed baseline `(file name, contents)`, e.g.
-    /// `BENCH_chaos.json`, that the driver writes to the workspace root
-    /// through [`write_baseline`], whether or not the checks hold.
-    pub baseline: Option<(&'static str, String)>,
+    /// The committed baseline, e.g. `BENCH_chaos.json`, that the driver
+    /// writes through [`write_baseline`], whether or not the checks hold.
+    /// When it has wall-clock members the section is left out of
+    /// `EXPERIMENTS.md`, which regenerates byte-identical.
+    pub baseline: Option<Baseline>,
 }
 
 impl ExperimentResult {
@@ -121,33 +123,23 @@ impl ExperimentResult {
         out
     }
 
-    /// Writes the section, its artifacts and a copy of its baseline
-    /// under `dir` (created if needed). Returns the list of files
-    /// written.
-    pub fn write_to(&self, dir: &Path) -> std::io::Result<Vec<String>> {
+    /// Writes the section and its artifacts under `dir` (created if
+    /// needed), naming each file on stderr.
+    pub fn write_to(&self, dir: &Path) -> std::io::Result<()> {
         fs::create_dir_all(dir)?;
-        let mut written = Vec::new();
-        let md = dir.join(format!("{}.md", self.id));
-        fs::write(&md, self.to_markdown())?;
-        written.push(md.display().to_string());
-        let baseline = self.baseline.iter().map(|(name, json)| (*name, json));
-        let artifacts = self
-            .artifacts
-            .iter()
-            .map(|(name, csv)| (name.as_str(), csv));
-        for (name, contents) in artifacts.chain(baseline) {
-            let p = dir.join(name);
-            fs::write(&p, contents)?;
-            written.push(p.display().to_string());
+        let md = (format!("{}.md", self.id), self.to_markdown());
+        for (name, contents) in std::iter::once(&md).chain(&self.artifacts) {
+            fs::write(dir.join(name), contents)?;
+            eprintln!("wrote {}", dir.join(name).display());
         }
-        Ok(written)
+        Ok(())
     }
 }
 
 /// A deterministic solver workload: `hosts` Medium nodes, `running`
 /// placed VMs of mixed 100/200-point sizes and `queued` 100-point VMs.
 /// Shared by the solver microbenches (`benches/solver.rs`) and the
-/// solver-timing experiment so both measure the exact same matrix.
+/// degradation experiment's boundedness check.
 pub fn solver_case(hosts: u32, running: u64, queued: u64) -> (Cluster, Vec<VmId>) {
     let mut rng = SimRng::seed_from_u64(1);
     let specs = (0..hosts)
@@ -295,9 +287,8 @@ pub fn scale_case(hosts: u32, per_host: u32, queued: u64) -> (Cluster, Vec<VmId>
 
 /// One scheduling round as [`ScoreScheduler`] runs it: an evaluator
 /// over `cols` built in the recycled `buf`, handed to `solve`, and its
-/// allocations handed back. The solver benches and the solver-timing
-/// experiment time rounds through this, so they pay what a simulated
-/// round pays.
+/// allocations handed back. The solver benches time rounds through
+/// this, so they pay what a simulated round pays.
 pub fn recycled_round<R>(
     cluster: &Cluster,
     cfg: &ScoreConfig,
@@ -311,81 +302,153 @@ pub fn recycled_round<R>(
     out
 }
 
-/// The workspace root, where the committed `BENCH_*.json` baselines live.
+/// The workspace root, where the committed `BENCH_*.json` baselines and
+/// `EXPERIMENTS.md` live.
 pub const WORKSPACE_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
-/// Writes the baseline file `name` under [`WORKSPACE_ROOT`], whatever
-/// the working directory, reports it on stderr and returns its path.
-/// The error names the path, so a caller can report it and exit
-/// non-zero.
-pub fn write_baseline(name: &str, contents: &str) -> io::Result<PathBuf> {
-    let path = Path::new(WORKSPACE_ROOT).join(name);
-    fs::write(&path, contents)
-        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
-    eprintln!("wrote {} ({} bytes)", path.display(), contents.len());
-    Ok(path)
+/// A committed baseline, `BENCH_{bench}.json` at [`WORKSPACE_ROOT`], in
+/// the one envelope every baseline shares:
+/// `{"bench": …, "deterministic": {…}, "wall": {…}}`. `deterministic`
+/// holds what the seeds and the source fix (counts, simulated kWh, byte
+/// sizes, the checks' limits), unrounded; [`write_baseline`] reports a
+/// change to it down to one bit. `wall` holds clock readings, which no
+/// check compares: a shared machine drifts more than any useful band.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Baseline {
+    /// The name between `BENCH_` and `.json`.
+    pub bench: String,
+    /// Members fixed by the seeds and the source, in order.
+    pub deterministic: Vec<(String, Json)>,
+    /// Wall-clock members, in order; `cores` first when there are any.
+    pub wall: Vec<(String, Json)>,
 }
 
-/// Merges `(label, seconds per iteration)` results into the
-/// workspace-root `BENCH_solver.json` baseline: existing entries with
-/// other labels are preserved, colliding labels are overwritten, and the
-/// derived reference/incremental speedup is recomputed from the merged
-/// set. Lets the `solver` and `solver_scale` benches extend one baseline
-/// file without clobbering each other's points.
-pub fn merge_solver_baseline(new: &[(String, f64)]) -> io::Result<PathBuf> {
-    const NAME: &str = "BENCH_solver.json";
-    let mut merged: Vec<(String, f64)> = Vec::new();
-    if let Ok(text) = fs::read_to_string(Path::new(WORKSPACE_ROOT).join(NAME)) {
-        for line in text.lines() {
-            // Result entries look like `    "label": 1.234e-3,` — other
-            // lines fail the prefix strip or the f64 parse and are
-            // skipped (the speedup is derived, so it is skipped by name
-            // and recomputed below).
-            let Some(rest) = line.trim().strip_prefix('"') else {
-                continue;
-            };
-            let Some((label, value)) = rest.split_once("\": ") else {
-                continue;
-            };
-            if label.starts_with("speedup") {
-                continue;
-            }
-            if let Ok(v) = value.trim_end_matches(',').parse::<f64>() {
-                merged.push((label.to_string(), v));
-            }
+impl Baseline {
+    /// An empty baseline for `BENCH_{bench}.json`.
+    pub fn new(bench: &str) -> Self {
+        let bench = bench.into();
+        Baseline {
+            bench,
+            ..Self::default()
         }
     }
-    for (label, secs) in new {
-        if let Some(entry) = merged.iter_mut().find(|(l, _)| l == label) {
-            entry.1 = *secs;
-        } else {
-            merged.push((label.clone(), *secs));
+
+    /// Adds a deterministic member.
+    pub fn det(mut self, key: &str, value: impl Into<Json>) -> Self {
+        self.deterministic.push((key.into(), value.into()));
+        self
+    }
+
+    /// Adds a wall-clock member; the first is preceded by `cores`, the
+    /// parallelism the readings were taken with.
+    pub fn wall(mut self, key: &str, value: impl Into<Json>) -> Self {
+        if self.wall.is_empty() {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            self.wall.push(("cores".into(), cores.into()));
+        }
+        self.wall.push((key.into(), value.into()));
+        self
+    }
+
+    /// The file the baseline is committed as.
+    pub fn file_name(&self) -> String {
+        format!("BENCH_{}.json", self.bench)
+    }
+
+    /// The envelope as one JSON object.
+    pub fn to_json(&self) -> Json {
+        obj([
+            ("bench", Json::Str(self.bench.clone())),
+            ("deterministic", Json::Obj(self.deterministic.clone())),
+            ("wall", Json::Obj(self.wall.clone())),
+        ])
+    }
+
+    /// Reads a baseline back from its file's text: exactly the members
+    /// `bench` (a string), `deterministic` and `wall` (objects), in order.
+    pub fn parse(text: &str) -> Result<Baseline, String> {
+        let members = match validate::parse(text)? {
+            Json::Obj(members) => <[(String, Json); 3]>::try_from(members).ok(),
+            _ => None,
+        };
+        match members {
+            Some([(b, Json::Str(bench)), (d, Json::Obj(deterministic)), (w, Json::Obj(wall))])
+                if (b.as_str(), d.as_str(), w.as_str()) == ("bench", "deterministic", "wall") =>
+            {
+                Ok(Baseline {
+                    bench,
+                    deterministic,
+                    wall,
+                })
+            }
+            _ => Err("expected {\"bench\", \"deterministic\", \"wall\"}".into()),
         }
     }
-    let mut json = String::from(
-        "{\n  \"bench\": \"solver\",\n  \"unit\": \"min_batch_seconds_per_iter\",\n  \"results\": {\n",
-    );
-    for (i, (label, secs)) in merged.iter().enumerate() {
-        let comma = if i + 1 < merged.len() { "," } else { "" };
-        json.push_str(&format!("    \"{label}\": {secs:e}{comma}\n"));
+
+    /// How `self.deterministic` first differs from the committed
+    /// baseline text `committed`, as `key.path: old -> new`; `None` when
+    /// the two are equal bit for bit. `wall` is not compared.
+    pub fn drift(&self, committed: &str) -> Option<String> {
+        match Baseline::parse(committed) {
+            Ok(old) => first_difference(
+                "",
+                &Json::Obj(old.deterministic),
+                &Json::Obj(self.deterministic.clone()),
+            ),
+            Err(e) => Some(format!("the committed file is not a baseline ({e})")),
+        }
     }
-    json.push_str("  }");
-    let find = |suffix: &str| {
-        merged
-            .iter()
-            .find(|(label, _)| label.ends_with(suffix))
-            .map(|&(_, secs)| secs)
+}
+
+/// A JSON object of `members`, in order.
+pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+    Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// The first difference between `old` and `new` under `path`: objects
+/// compare by key, anything else by its rendered text, which for a
+/// number is its shortest round-trip form and so its bits. A key is
+/// quoted unless it is a plain identifier:
+/// `quality."baseline (unarmed)".energy_kwh`.
+fn first_difference(path: &str, old: &Json, new: &Json) -> Option<String> {
+    let (Json::Obj(a), Json::Obj(b)) = (old, new) else {
+        let (old, new) = (old.to_string(), new.to_string());
+        return (old != new).then(|| format!("{path}: {old} -> {new}"));
     };
-    if let (Some(reference), Some(incremental)) =
-        (find("/reference_100h_200v"), find("/incremental_100h_200v"))
-    {
-        json.push_str(&format!(
-            ",\n  \"speedup_100h_200v\": {:.2}",
-            reference / incremental
-        ));
+    let at = |key: &str| {
+        let plain = !key.is_empty() && key.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_');
+        let quoted = format!("{key:?}");
+        let key = if plain { key } else { &quoted };
+        format!("{path}{}{key}", if path.is_empty() { "" } else { "." })
+    };
+    b.iter()
+        .find_map(|(key, value)| match old.get(key) {
+            Some(was) => first_difference(&at(key), was, value),
+            None => Some(format!("{}: added", at(key))),
+        })
+        .or_else(|| {
+            let (key, _) = a.iter().find(|(key, _)| new.get(key).is_none())?;
+            Some(format!("{}: removed", at(key)))
+        })
+}
+
+/// Writes `baseline` to its file under [`WORKSPACE_ROOT`] through
+/// [`write_atomic`], whatever the working directory. Returns the drift:
+/// how the fresh `deterministic` part first differs from the file it
+/// replaces (a missing file counts), which the caller turns into a
+/// non-zero exit. The file is rewritten either way, so committing it is
+/// how an intended change is accepted. The error names the path.
+pub fn write_baseline(baseline: &Baseline) -> io::Result<Option<String>> {
+    let path = Path::new(WORKSPACE_ROOT).join(baseline.file_name());
+    let drift = baseline.drift(&fs::read_to_string(&path).unwrap_or_default());
+    let text = format!("{}\n", baseline.to_json());
+    write_atomic(&path, text.as_bytes())
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+    eprintln!("wrote {} ({} bytes)", path.display(), text.len());
+    if let Some(drift) = &drift {
+        eprintln!("!! {} drifted: {drift}", path.display());
     }
-    json.push_str("\n}\n");
-    write_baseline(NAME, &json)
+    Ok(drift)
 }
 
 #[cfg(test)]
@@ -416,8 +479,127 @@ mod tests {
 
     #[test]
     fn baseline_write_under_a_missing_directory_fails() {
-        let err = write_baseline("no-such-dir/BENCH_x.json", "{}").unwrap_err();
+        let err = write_baseline(&Baseline::new("x/no-such-dir")).unwrap_err();
         assert!(err.to_string().contains("no-such-dir"), "{err}");
+    }
+
+    #[test]
+    fn both_paths_agree_on_a_small_case() {
+        let cfg = ScoreConfig::sb();
+        let (cluster, cols) = solver_case(10, 10, 10);
+        let mut buf = EvalBuffers::default();
+        let a = recycled_round(&cluster, &cfg, &cols, &mut buf, |e| {
+            eards_core::solve_reference(e, 256)
+        });
+        let b = recycled_round(&cluster, &cfg, &cols, &mut buf, |e| {
+            eards_core::solve(e, 256)
+        });
+        assert_eq!(a, b);
+        assert!(!a.moves.is_empty(), "queued VMs must be placed");
+    }
+
+    /// An envelope with every shape the baselines use, and the floats
+    /// whose shortest form is easy to get wrong.
+    fn sample() -> Baseline {
+        Baseline::new("sample")
+            .det(
+                "quality",
+                obj([
+                    (
+                        "baseline (unarmed)",
+                        obj([
+                            ("energy_kwh", 131.392_123_456_789.into()),
+                            ("parked", 0u64.into()),
+                        ]),
+                    ),
+                    (
+                        "L0 \u{221e} \"budget\"",
+                        obj([("rounds_at", Json::Arr(vec![1u32.into(), 2u32.into()]))]),
+                    ),
+                ]),
+            )
+            .det("neg_zero", -0.0)
+            .det("small", 1e-5)
+            .det("two_53", 9_007_199_254_740_992.0)
+            .det("holds", Json::Bool(true))
+            .wall("secs", 0.1 + 0.2)
+    }
+
+    #[test]
+    fn envelope_round_trips_key_order_and_f64_bits() {
+        let b = sample();
+        let text = format!("{:#}\n", b.to_json());
+        let back = Baseline::parse(&text).unwrap();
+        assert_eq!(back, b);
+        let keys = |m: &[(String, Json)]| m.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+        assert_eq!(keys(&back.deterministic), keys(&b.deterministic));
+        assert_eq!(keys(&back.wall), ["cores", "secs"]);
+        for (key, want) in [
+            ("neg_zero", -0.0f64),
+            ("small", 1e-5),
+            ("two_53", 2f64.powi(53)),
+        ] {
+            let got = back
+                .deterministic
+                .iter()
+                .find(|(k, _)| k == key)
+                .unwrap()
+                .1
+                .as_f64();
+            assert_eq!(got.map(f64::to_bits), Some(want.to_bits()), "{key}");
+        }
+        assert!(text.contains("\"neg_zero\": -0,"), "{text}");
+        assert!(text.contains("\"two_53\": 9007199254740992,"), "{text}");
+        assert!(Baseline::parse("{\"bench\": \"x\", \"deterministic\": {}}").is_err());
+    }
+
+    #[test]
+    fn drift_names_the_first_moved_deterministic_key_and_ignores_wall() {
+        let committed = format!("{:#}", sample().to_json());
+        assert_eq!(sample().drift(&committed), None);
+
+        let mut wall_only = sample();
+        wall_only.wall[1].1 = Json::Num(99.0);
+        assert_eq!(wall_only.drift(&committed), None);
+
+        let mut ulp = sample();
+        let Json::Obj(quality) = &mut ulp.deterministic[0].1 else {
+            unreachable!()
+        };
+        let Json::Obj(run) = &mut quality[0].1 else {
+            unreachable!()
+        };
+        let kwh = run[0].1.as_f64().unwrap();
+        run[0].1 = Json::Num(f64::from_bits(kwh.to_bits() + 1));
+        let drift = ulp.drift(&committed).expect("a one-ULP change drifts");
+        assert!(
+            drift.starts_with("quality.\"baseline (unarmed)\".energy_kwh: "),
+            "{drift}"
+        );
+
+        let missing = Baseline::new("sample").det("holds", Json::Bool(true));
+        assert!(missing.drift(&committed).unwrap().ends_with(": removed"));
+        assert!(sample().drift("").is_some(), "no committed file is drift");
+    }
+
+    #[test]
+    fn every_committed_baseline_is_an_envelope_named_after_its_file() {
+        let mut seen = 0;
+        for entry in fs::read_dir(WORKSPACE_ROOT).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            let Some(bench) = name
+                .strip_prefix("BENCH_")
+                .and_then(|n| n.strip_suffix(".json"))
+            else {
+                continue;
+            };
+            let text = fs::read_to_string(Path::new(WORKSPACE_ROOT).join(&name)).unwrap();
+            let b = Baseline::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(b.bench, bench, "{name}");
+            assert_eq!(b.file_name(), name);
+            seen += 1;
+        }
+        assert!(seen >= 7, "only {seen} baselines found");
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! The experiment driver behind `run_all`: the table of every
 //! experiment by id, and what is done with each result — printed,
-//! written to `results/`, its baseline written to the workspace root,
-//! and its shape checks turned into the exit status.
+//! written to `results/`, its baseline written to the workspace root and
+//! checked for drift, its shape checks turned into the exit status, and
+//! the untimed sections gathered into `EXPERIMENTS.md`.
 
+use std::fmt::Write as _;
 use std::path::Path;
 
 use crate::common::{write_baseline, ExperimentResult};
 use crate::{
     exp_ablation_adaptive, exp_ablation_powermodel, exp_ablation_reliability, exp_ablation_sla,
     exp_chaos, exp_degrade, exp_economics, exp_fig1, exp_fig23, exp_lint, exp_obs, exp_robustness,
-    exp_snapshot, exp_solver_timing, exp_table1, exp_table2, exp_table3, exp_table4, exp_table5,
+    exp_snapshot, exp_table1, exp_table2, exp_table3, exp_table4, exp_table5,
 };
 
 /// An experiment's entry point.
@@ -33,7 +35,6 @@ pub const EXPERIMENTS: &[(&str, Experiment)] = &[
     (exp_ablation_powermodel::ID, exp_ablation_powermodel::run),
     (exp_economics::ID, exp_economics::run),
     (exp_robustness::ID, exp_robustness::run),
-    (exp_solver_timing::ID, exp_solver_timing::run),
     (exp_obs::ID, exp_obs::run),
     (exp_lint::ID, exp_lint::run),
     (exp_snapshot::ID, exp_snapshot::run),
@@ -61,22 +62,15 @@ pub fn select(ids: &[String]) -> Result<Vec<(&'static str, Experiment)>, String>
 }
 
 /// Prints `result`'s section to stdout, writes it to `results/` and its
-/// baseline, if any, to the workspace root. A baseline that cannot be
+/// baseline, if any, to the workspace root. Returns the baseline's drift,
+/// which [`write_baseline`] has reported. A baseline that cannot be
 /// written is an error; `results/` is best effort.
-pub fn publish(result: &ExperimentResult) -> std::io::Result<()> {
+pub fn publish(result: &ExperimentResult) -> std::io::Result<Option<String>> {
     print!("{}", result.to_markdown());
-    match result.write_to(Path::new("results")) {
-        Ok(files) => {
-            for f in files {
-                eprintln!("wrote {f}");
-            }
-        }
-        Err(e) => eprintln!("warning: could not write results/: {e}"),
+    if let Err(e) = result.write_to(Path::new("results")) {
+        eprintln!("warning: could not write results/: {e}");
     }
-    if let Some((name, contents)) = &result.baseline {
-        write_baseline(name, contents)?;
-    }
-    Ok(())
+    result.baseline.as_ref().map_or(Ok(None), write_baseline)
 }
 
 /// The status `run_all` exits with once `results` are in: 1 if any note
@@ -85,9 +79,46 @@ pub fn exit_status(results: &[ExperimentResult]) -> i32 {
     i32::from(results.iter().any(|r| r.violations() > 0))
 }
 
+/// `EXPERIMENTS.md` for a full run: every section that reads no clock,
+/// then one line naming the baselines of the timed sections left out, so
+/// that two runs of one source tree write the same bytes.
+pub fn experiments_md(results: &[ExperimentResult]) -> String {
+    let mut doc = String::from(
+        "# EXPERIMENTS — paper vs measured\n\n\
+         Regenerated by `cargo run --release -p eards-bench --bin run_all`;\n\
+         append `-- ID…` to rerun only the named sections, which leaves this file alone.\n\
+         Every table and figure of the paper's evaluation (§IV–V) appears \
+         below with the paper's reported numbers quoted and our measured \
+         values next to them. Absolute joules differ (our substrate is a \
+         calibrated simulator over a synthetic Grid5000-like trace — see \
+         DESIGN.md §3); the *shape* checks in each section's notes state \
+         which qualitative findings hold.\n\n",
+    );
+    let mut timed = Vec::new();
+    let mut failures = 0;
+    for result in results {
+        match result.baseline.as_ref().filter(|b| !b.wall.is_empty()) {
+            Some(baseline) => timed.push(format!("`{}`", baseline.file_name())),
+            None => {
+                doc.push_str(&result.to_markdown());
+                failures += result.violations();
+            }
+        }
+    }
+    let _ = write!(
+        doc,
+        "---\n\nTotal shape-check violations across the sections above: {failures}\n\n\
+         Timed sections, printed by `run_all` but kept out of this file, keep their \
+         clock readings in the `wall` part of {}.\n",
+        timed.join(", ")
+    );
+    doc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Baseline;
 
     #[test]
     fn ids_are_unique() {
@@ -115,6 +146,29 @@ mod tests {
         let mut r = ExperimentResult::new("x", "X", "-");
         r.notes = notes.iter().map(|n| n.to_string()).collect();
         r
+    }
+
+    #[test]
+    fn experiments_md_keeps_untimed_sections_and_names_the_timed_baselines() {
+        let mut table = with_notes(&["Shape check: a — VIOLATED."]);
+        table.title = "Table".into();
+        table.baseline = Some(Baseline::new("table").det("kwh", 1.5));
+        let mut timed = with_notes(&["Shape check: b — VIOLATED."]);
+        timed.title = "Timed".into();
+        timed.baseline = Some(Baseline::new("timed").det("n", 1u64).wall("ms", 2.0));
+        let doc = experiments_md(&[table, timed]);
+        assert!(
+            doc.contains("## Table") && !doc.contains("## Timed"),
+            "{doc}"
+        );
+        assert!(
+            doc.contains("violations across the sections above: 1\n"),
+            "{doc}"
+        );
+        assert!(
+            doc.ends_with("`wall` part of `BENCH_timed.json`.\n"),
+            "{doc}"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use eards_model::{FaultPlan, HostClass, Policy};
 use eards_sim::SimDuration;
 use eards_workload::{generate, SynthConfig, Trace};
 
-use crate::common::{make_policy, ExperimentResult, TRACE_SEED};
+use crate::common::{make_policy, obj, Baseline, ExperimentResult, TRACE_SEED};
 
 /// The experiment's id: its `run_all` argument and results file stem.
 pub const ID: &str = "chaos";
@@ -90,44 +90,30 @@ pub fn reports() -> Vec<Vec<RunReport>> {
         .collect()
 }
 
-/// Renders the per-run fault/recovery numbers as a JSON object keyed by
-/// run label — the `BENCH_chaos.json` regression baseline.
-pub fn to_json(all: &[Vec<RunReport>]) -> String {
-    let mut out = String::from("{\n");
-    let mut first = true;
-    for runs in all {
-        for r in runs {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let f = &r.faults;
-            out.push_str(&format!(
-                "  \"{}\": {{\"energy_kwh\": {:.3}, \"satisfaction_pct\": {:.2}, \
-                 \"delay_pct\": {:.2}, \"host_failures\": {}, \"vms_displaced\": {}, \
-                 \"creation_failures\": {}, \"migration_aborts\": {}, \
-                 \"boot_failures\": {}, \"rack_outages\": {}, \"recoveries\": {}, \
-                 \"mean_recovery_secs\": {:.1}, \"invariant_checks\": {}, \
-                 \"invariant_violations\": {}}}",
-                r.label,
-                r.energy_kwh,
-                r.satisfaction_pct,
-                r.delay_pct,
-                r.host_failures,
-                r.vms_displaced,
-                f.creation_failures,
-                f.migration_aborts,
-                f.boot_failures,
-                f.rack_outages,
-                f.recoveries,
-                f.mean_recovery_secs,
-                f.invariant_checks,
-                f.invariant_violations,
-            ));
-        }
-    }
-    out.push_str("\n}\n");
-    out
+/// The per-run fault/recovery numbers keyed by run label: the
+/// `BENCH_chaos.json` baseline.
+pub fn baseline(all: &[Vec<RunReport>]) -> Baseline {
+    all.iter().flatten().fold(Baseline::new("chaos"), |b, r| {
+        let f = &r.faults;
+        b.det(
+            &r.label,
+            obj([
+                ("energy_kwh", r.energy_kwh.into()),
+                ("satisfaction_pct", r.satisfaction_pct.into()),
+                ("delay_pct", r.delay_pct.into()),
+                ("host_failures", r.host_failures.into()),
+                ("vms_displaced", r.vms_displaced.into()),
+                ("creation_failures", f.creation_failures.into()),
+                ("migration_aborts", f.migration_aborts.into()),
+                ("boot_failures", f.boot_failures.into()),
+                ("rack_outages", f.rack_outages.into()),
+                ("recoveries", f.recoveries.into()),
+                ("mean_recovery_secs", f.mean_recovery_secs.into()),
+                ("invariant_checks", f.invariant_checks.into()),
+                ("invariant_violations", f.invariant_violations.into()),
+            ]),
+        )
+    })
 }
 
 /// Runs the chaos experiment.
@@ -242,7 +228,7 @@ pub fn run() -> ExperimentResult {
         if stressed { "holds" } else { "VIOLATED" }
     ));
 
-    result.baseline = Some(("BENCH_chaos.json", to_json(&all)));
+    result.baseline = Some(baseline(&all));
     result
 }
 
@@ -302,7 +288,7 @@ mod tests {
     }
 
     #[test]
-    fn json_artifact_is_parseable_shape() {
+    fn baseline_is_keyed_by_run_label() {
         let hosts = small_datacenter(4, HostClass::Medium);
         let trace = generate(
             &SynthConfig {
@@ -313,9 +299,13 @@ mod tests {
         );
         let point = chaos_point("BF", "BF x0.0".into(), RunConfig::default());
         let runs = run_sweep(&hosts, &trace, vec![point], None);
-        let json = to_json(&[runs]);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"BF x0.0\""));
-        assert!(json.contains("\"invariant_violations\": 0"));
+        let b = baseline(&[runs]);
+        assert!(b.wall.is_empty(), "chaos reads no clock");
+        let run = &b.deterministic[0];
+        assert_eq!(run.0, "BF x0.0");
+        assert_eq!(
+            run.1.get("invariant_violations").and_then(|v| v.as_f64()),
+            Some(0.0)
+        );
     }
 }

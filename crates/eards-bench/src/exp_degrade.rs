@@ -24,7 +24,9 @@ use eards_model::{DegradeStats, FaultPlan, HostClass, Policy, ScheduleContext, S
 use eards_sim::{SimDuration, SimTime};
 use eards_workload::{generate, SynthConfig, Trace};
 
-use crate::common::{solver_case, ExperimentResult, TRACE_SEED};
+use eards_obs::validate::Json;
+
+use crate::common::{obj, solver_case, Baseline, ExperimentResult, TRACE_SEED};
 
 /// The experiment's id: its `run_all` argument and results file stem.
 pub const ID: &str = "degrade";
@@ -168,54 +170,45 @@ pub fn quality() -> Vec<QualityRow> {
     rows
 }
 
-/// Renders both parts as the `BENCH_degrade.json` regression baseline.
-pub fn to_json(bound: &[(u64, DegradeStats)], rows: &[QualityRow]) -> String {
-    let mut out = String::from("{\n  \"boundedness\": {\n");
-    out.push_str(&format!(
-        "    \"hosts\": {BOUND_HOSTS}, \"vms\": {}, \"rounds_per_budget\": {BOUND_ROUNDS}, \
-         \"slack\": {},\n    \"runs\": {{\n",
-        BOUND_PLACED + BOUND_QUEUED,
-        slack(BOUND_HOSTS as u64, BOUND_PLACED + BOUND_QUEUED),
-    ));
+/// Both parts: the `BENCH_degrade.json` baseline.
+pub fn baseline(bound: &[(u64, DegradeStats)], rows: &[QualityRow]) -> Baseline {
     let slack_b = slack(BOUND_HOSTS as u64, BOUND_PLACED + BOUND_QUEUED);
-    for (i, (budget, s)) in bound.iter().enumerate() {
-        out.push_str(&format!(
-            "      \"{budget}\": {{\"max_round_work\": {}, \"total_work\": {}, \
-             \"exhausted_rounds\": {}, \"rounds_at\": [{}, {}, {}, {}], \"holds\": {}}}{}\n",
-            s.max_round_work,
-            s.total_work,
-            s.exhausted_rounds,
-            s.rounds_at[0],
-            s.rounds_at[1],
-            s.rounds_at[2],
-            s.rounds_at[3],
-            s.max_round_work <= budget + slack_b,
-            if i + 1 < bound.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("    }\n  },\n  \"quality\": {\n");
-    for (i, row) in rows.iter().enumerate() {
-        let r = &row.report;
-        let (degraded, exhausted, max_work) = row
-            .stats
-            .map(|s| (s.degraded_rounds, s.exhausted_rounds, s.max_round_work))
-            .unwrap_or((0, 0, 0));
-        out.push_str(&format!(
-            "    \"{}\": {{\"energy_kwh\": {:.3}, \"satisfaction_pct\": {:.2}, \
-             \"delay_pct\": {:.2}, \"degraded_rounds\": {degraded}, \
-             \"exhausted_rounds\": {exhausted}, \"max_round_work\": {max_work}, \
-             \"vms_parked\": {}, \"invariant_violations\": {}}}{}\n",
-            row.label,
-            r.energy_kwh,
-            r.satisfaction_pct,
-            r.delay_pct,
-            row.vms_parked,
-            r.faults.invariant_violations,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  }\n}\n");
-    out
+    let runs = bound.iter().map(|(budget, s)| {
+        let run = obj([
+            ("max_round_work", s.max_round_work.into()),
+            ("total_work", s.total_work.into()),
+            ("exhausted_rounds", s.exhausted_rounds.into()),
+            ("rounds_at", Json::Arr(s.rounds_at.map(Json::from).to_vec())),
+            ("holds", Json::Bool(s.max_round_work <= budget + slack_b)),
+        ]);
+        (budget.to_string(), run)
+    });
+    let quality = rows.iter().map(|row| {
+        let (r, s) = (&row.report, row.stats.unwrap_or_default());
+        let run = obj([
+            ("energy_kwh", r.energy_kwh.into()),
+            ("satisfaction_pct", r.satisfaction_pct.into()),
+            ("delay_pct", r.delay_pct.into()),
+            ("degraded_rounds", s.degraded_rounds.into()),
+            ("exhausted_rounds", s.exhausted_rounds.into()),
+            ("max_round_work", s.max_round_work.into()),
+            ("vms_parked", row.vms_parked.into()),
+            ("invariant_violations", r.faults.invariant_violations.into()),
+        ]);
+        (row.label.clone(), run)
+    });
+    Baseline::new("degrade")
+        .det(
+            "boundedness",
+            obj([
+                ("hosts", BOUND_HOSTS.into()),
+                ("vms", (BOUND_PLACED + BOUND_QUEUED).into()),
+                ("rounds_per_budget", BOUND_ROUNDS.into()),
+                ("slack", slack_b.into()),
+                ("runs", Json::Obj(runs.collect())),
+            ]),
+        )
+        .det("quality", Json::Obj(quality.collect()))
 }
 
 /// Runs the degradation-ladder experiment.
@@ -297,19 +290,15 @@ pub fn run() -> ExperimentResult {
         "Audit viol",
     ]);
     for row in &rows {
-        let r = &row.report;
-        let (degraded, exhausted, max_work) = row
-            .stats
-            .map(|s| (s.degraded_rounds, s.exhausted_rounds, s.max_round_work))
-            .unwrap_or((0, 0, 0));
+        let (r, s) = (&row.report, row.stats.unwrap_or_default());
         t.row([
             row.label.clone(),
             fnum(r.energy_kwh, 1),
             fnum(r.satisfaction_pct, 1),
             fnum(r.delay_pct, 1),
-            degraded.to_string(),
-            exhausted.to_string(),
-            max_work.to_string(),
+            s.degraded_rounds.to_string(),
+            s.exhausted_rounds.to_string(),
+            s.max_round_work.to_string(),
             row.vms_parked.to_string(),
             r.faults.invariant_violations.to_string(),
         ]);
@@ -356,7 +345,7 @@ pub fn run() -> ExperimentResult {
         if deferred { "holds" } else { "VIOLATED" }
     ));
 
-    result.baseline = Some(("BENCH_degrade.json", to_json(&bound, &rows)));
+    result.baseline = Some(baseline(&bound, &rows));
     result
 }
 
@@ -432,14 +421,18 @@ mod tests {
     }
 
     #[test]
-    fn json_artifact_shape() {
+    fn baseline_shape() {
         let bound = vec![(1_000u64, DegradeStats::default())];
-        let rows = Vec::new();
-        let json = to_json(&bound, &rows);
-        assert!(json.contains("\"boundedness\""));
-        assert!(json.contains("\"slack\""));
-        assert!(json.contains("\"1000\""));
-        assert!(json.contains("\"holds\": true"));
-        assert!(json.contains("\"quality\""));
+        let b = baseline(&bound, &[]);
+        assert!(b.wall.is_empty(), "the ladder's work is counted, not timed");
+        let runs = b.deterministic[0].1.get("runs").unwrap();
+        assert_eq!(
+            runs.get("1000").and_then(|r| r.get("holds")),
+            Some(&Json::Bool(true))
+        );
+        assert_eq!(
+            b.deterministic[1],
+            ("quality".into(), Json::Obj(Vec::new()))
+        );
     }
 }

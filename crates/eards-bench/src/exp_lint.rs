@@ -8,8 +8,9 @@
 use std::path::Path;
 
 use eards_metrics::Table;
+use eards_obs::validate::Json;
 
-use crate::common::{verdict, ExperimentResult, WORKSPACE_ROOT};
+use crate::common::{verdict, Baseline, ExperimentResult, WORKSPACE_ROOT};
 use crate::timing::best_of;
 
 /// The experiment's id: its `run_all` argument and results file stem.
@@ -47,12 +48,13 @@ pub fn run() -> ExperimentResult {
         "Shape check: the pass takes {wall_ms} ms, within the {BUDGET_MS} ms budget — {}.",
         verdict(within)
     ));
-    let json = format!(
-        "{{\"files\":{},\"findings\":{},\"wall_ms\":{wall_ms},\"budget_ms\":{BUDGET_MS},\
-         \"within_budget\":{within}}}\n",
-        run.files,
-        run.findings.len(),
+    result.baseline = Some(
+        Baseline::new("lint")
+            .det("files", run.files)
+            .det("findings", run.findings.len())
+            .det("budget_ms", BUDGET_MS)
+            .wall("wall_ms", wall_ms)
+            .wall("within_budget", Json::Bool(within)),
     );
-    result.baseline = Some(("BENCH_lint.json", json));
     result
 }

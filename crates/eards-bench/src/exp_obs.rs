@@ -13,7 +13,8 @@
 //!
 //! The baseline `BENCH_obs.json` records both, plus a schema validation
 //! of the three export formats, so CI catches a hook that starts
-//! perturbing the simulation or a recorder that got slow.
+//! perturbing the simulation or a recorder that got slow. Its timings are
+//! wall-clock members, so this section stays out of `EXPERIMENTS.md`.
 
 use std::time::{Duration, Instant};
 
@@ -21,11 +22,12 @@ use eards_core::{ScoreConfig, ScoreScheduler};
 use eards_datacenter::{small_datacenter, AuditEvent, RunConfig, Runner};
 use eards_metrics::{fnum, RunReport, Table};
 use eards_model::{HostClass, HostSpec};
-use eards_obs::{validate, Obs};
+use eards_obs::validate::{self, Json};
+use eards_obs::Obs;
 use eards_sim::SimDuration;
 use eards_workload::{generate, SynthConfig, Trace};
 
-use crate::common::{ExperimentResult, TRACE_SEED};
+use crate::common::{Baseline, ExperimentResult, TRACE_SEED};
 
 /// The experiment's id: its `run_all` argument and results file stem.
 pub const ID: &str = "obs_overhead";
@@ -166,35 +168,23 @@ pub fn compare(n_hosts: u32, hours: u64) -> ObsComparison {
     }
 }
 
-/// Renders the comparison as the `BENCH_obs.json` baseline.
-pub fn to_json(c: &ObsComparison) -> String {
-    format!(
-        "{{\n  \"disabled_ms\": {:.2},\n  \"enabled_ms\": {:.2},\n  \
-         \"overhead_pct\": {:.2},\n  \"overhead_budget_pct\": {:.1},\n  \
-         \"overhead_gate_enforced\": {},\n  \
-         \"bit_identical\": {},\n  \"events_recorded\": {},\n  \
-         \"events_dropped\": {},\n  \"spans_recorded\": {},\n  \
-         \"jsonl_events_valid\": {},\n  \"chrome_entries_valid\": {},\n  \
-         \"metrics_valid\": {}\n}}\n",
-        c.disabled.as_secs_f64() * 1e3,
-        c.enabled.as_secs_f64() * 1e3,
-        c.overhead_pct,
-        OVERHEAD_BUDGET_PCT,
-        c.gate_enforced,
-        c.bit_identical,
-        c.events_recorded,
-        c.events_dropped,
-        c.spans_recorded,
-        c.jsonl
-            .as_ref()
-            .map(|n| n.to_string())
-            .unwrap_or_else(|_| "-1".into()),
-        c.chrome
-            .as_ref()
-            .map(|n| n.to_string())
-            .unwrap_or_else(|_| "-1".into()),
-        c.metrics.is_ok(),
-    )
+/// The comparison as the `BENCH_obs.json` baseline; an export that fails
+/// validation counts -1.
+pub fn baseline(c: &ObsComparison) -> Baseline {
+    let count = |r: &Result<usize, String>| r.as_ref().map_or(Json::Num(-1.0), |&n| n.into());
+    Baseline::new("obs")
+        .det("overhead_budget_pct", OVERHEAD_BUDGET_PCT)
+        .det("bit_identical", Json::Bool(c.bit_identical))
+        .det("events_recorded", c.events_recorded)
+        .det("events_dropped", c.events_dropped)
+        .det("spans_recorded", c.spans_recorded)
+        .det("jsonl_events_valid", count(&c.jsonl))
+        .det("chrome_entries_valid", count(&c.chrome))
+        .det("metrics_valid", Json::Bool(c.metrics.is_ok()))
+        .wall("disabled_ms", c.disabled.as_secs_f64() * 1e3)
+        .wall("enabled_ms", c.enabled.as_secs_f64() * 1e3)
+        .wall("overhead_pct", c.overhead_pct)
+        .wall("overhead_gate_enforced", Json::Bool(c.gate_enforced))
 }
 
 /// Runs the observability-overhead experiment (20 medium nodes, one-day
@@ -267,7 +257,7 @@ pub fn run() -> ExperimentResult {
         }
     ));
 
-    result.baseline = Some(("BENCH_obs.json", to_json(&c)));
+    result.baseline = Some(baseline(&c));
     result
 }
 
@@ -300,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn json_artifact_shape() {
+    fn baseline_keeps_timings_out_of_the_deterministic_part() {
         let c = ObsComparison {
             disabled: Duration::from_millis(100),
             enabled: Duration::from_millis(102),
@@ -311,16 +301,15 @@ mod tests {
             events_dropped: 0,
             spans_recorded: 4,
             jsonl: Ok(10),
-            chrome: Ok(14),
+            chrome: Err("bad".into()),
             metrics: Ok(()),
         };
-        let json = to_json(&c);
-        assert!(json.contains("\"overhead_pct\": 2.00"));
-        assert!(json.contains("\"overhead_gate_enforced\": true"));
-        assert!(json.contains("\"bit_identical\": true"));
-        assert!(json.contains("\"jsonl_events_valid\": 10"));
-        // And it round-trips the crate's own JSON parser.
-        validate::parse(&json).unwrap();
+        let b = baseline(&c);
+        let det = Json::Obj(b.deterministic.clone());
+        assert_eq!(det.get("jsonl_events_valid"), Some(&Json::Num(10.0)));
+        assert_eq!(det.get("chrome_entries_valid"), Some(&Json::Num(-1.0)));
+        assert!(det.get("overhead_pct").is_none());
+        assert_eq!(Json::Obj(b.wall).get("overhead_pct"), Some(&Json::Num(2.0)));
     }
 
     #[test]

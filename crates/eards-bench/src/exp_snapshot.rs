@@ -18,17 +18,19 @@
 //!
 //! At both points the restored runner must re-serialize to the identical
 //! byte stream (the codec's fixed-point property). The baseline
-//! `BENCH_snapshot.json` records both points.
+//! `BENCH_snapshot.json` records both points: sizes in its deterministic
+//! part, timings in its wall-clock part.
 
 use eards_core::{ScoreConfig, ScoreScheduler};
 use eards_datacenter::{paper_datacenter, small_datacenter, RunConfig, Runner};
 use eards_metrics::{fnum, Table};
 use eards_model::{Cpu, FaultPlan, HostClass, HostSpec, Job, JobId, Mem, Policy};
+use eards_obs::validate::Json;
 use eards_policies::RoundRobinPolicy;
 use eards_sim::{SimDuration, SimTime};
 use eards_workload::{generate, SynthConfig, Trace};
 
-use crate::common::{verdict, ExperimentResult, TRACE_SEED};
+use crate::common::{obj, verdict, Baseline, ExperimentResult, TRACE_SEED};
 use crate::timing::best_of;
 
 /// The experiment's id: its `run_all` argument and results file stem.
@@ -96,16 +98,15 @@ fn fixed_point((hosts, trace, policy, cfg): World, bytes: &[u8]) -> bool {
     restored.snapshot().expect("snapshot encodes") == bytes
 }
 
-/// One measured point: its snapshot size and timings, whether it is
-/// within its budget and a fixed point, and its `BENCH_snapshot.json`
-/// fields.
+/// One measured point: its trace's job count, its snapshot size and
+/// timings, and whether it is within its budget and a fixed point.
 struct Point {
+    jobs: usize,
     bytes: usize,
     snapshot_ms: f64,
     restore_ms: f64,
     within: bool,
     fixed_point: bool,
-    json: String,
 }
 
 /// The gated point.
@@ -145,21 +146,13 @@ fn gated_point() -> Point {
     )
     .0 * 1e3;
 
-    let total_ms = snapshot_ms + restore_ms;
-    let within = total_ms <= BUDGET_MS;
-    let json = format!(
-        "\"hosts\":{HOSTS},\"vms\":{VMS},\"snapshot_bytes\":{},\"snapshot_ms\":{snapshot_ms:.3},\
-         \"restore_ms\":{restore_ms:.3},\"total_ms\":{total_ms:.3},\"budget_ms\":{BUDGET_MS},\
-         \"within_budget\":{within}",
-        bytes.len()
-    );
     Point {
+        jobs: VMS as usize,
         bytes: bytes.len(),
         snapshot_ms,
         restore_ms,
-        within,
+        within: snapshot_ms + restore_ms <= BUDGET_MS,
         fixed_point: fixed_point(world(), &bytes),
-        json,
     }
 }
 
@@ -186,24 +179,13 @@ fn week_point() -> Point {
     })
     .0 * 1e3;
 
-    let within = bytes.len() <= WEEK_MAX_BYTES;
-    let mb = bytes.len() as f64 / 1e6;
-    let snapshot_mb_s = mb / (snapshot_ms / 1e3);
-    let restore_mb_s = mb / (restore_ms / 1e3);
-    let json = format!(
-        "{{\"hosts\":100,\"policy\":\"sb\",\"chaos\":2.0,\"jobs\":{jobs},\
-         \"snapshot_bytes\":{},\"max_bytes\":{WEEK_MAX_BYTES},\"within_byte_budget\":{within},\
-         \"snapshot_ms\":{snapshot_ms:.3},\"restore_ms\":{restore_ms:.3},\
-         \"snapshot_mb_s\":{snapshot_mb_s:.1},\"restore_mb_s\":{restore_mb_s:.1}}}",
-        bytes.len()
-    );
     Point {
+        jobs,
         bytes: bytes.len(),
         snapshot_ms,
         restore_ms,
-        within,
+        within: bytes.len() <= WEEK_MAX_BYTES,
         fixed_point: fixed_point(week_world(), &bytes),
-        json,
     }
 }
 
@@ -253,9 +235,38 @@ pub fn run() -> ExperimentResult {
          bytes — {}.",
         verdict(gated.fixed_point && week.fixed_point)
     ));
-    result.baseline = Some((
-        "BENCH_snapshot.json",
-        format!("{{{},\"week\":{}}}\n", gated.json, week.json),
-    ));
+    let mb_s = |ms: f64| week.bytes as f64 / 1e6 / (ms / 1e3);
+    result.baseline = Some(
+        Baseline::new("snapshot")
+            .det("hosts", HOSTS)
+            .det("vms", VMS)
+            .det("snapshot_bytes", gated.bytes)
+            .det("budget_ms", BUDGET_MS)
+            .det(
+                "week",
+                obj([
+                    ("hosts", 100u32.into()),
+                    ("policy", Json::Str("sb".into())),
+                    ("chaos", 2.0.into()),
+                    ("jobs", week.jobs.into()),
+                    ("snapshot_bytes", week.bytes.into()),
+                    ("max_bytes", WEEK_MAX_BYTES.into()),
+                    ("within_byte_budget", Json::Bool(week.within)),
+                ]),
+            )
+            .wall("snapshot_ms", gated.snapshot_ms)
+            .wall("restore_ms", gated.restore_ms)
+            .wall("total_ms", gated.snapshot_ms + gated.restore_ms)
+            .wall("within_budget", Json::Bool(gated.within))
+            .wall(
+                "week",
+                obj([
+                    ("snapshot_ms", week.snapshot_ms.into()),
+                    ("restore_ms", week.restore_ms.into()),
+                    ("snapshot_mb_s", mb_s(week.snapshot_ms).into()),
+                    ("restore_mb_s", mb_s(week.restore_ms).into()),
+                ]),
+            ),
+    );
     result
 }

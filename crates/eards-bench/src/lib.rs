@@ -20,7 +20,6 @@
 //! | [`exp_ablation_powermodel`] | ablation: SB's savings under other power curves |
 //! | [`exp_economics`] | extension: revenue, SLA credits, energy and profit |
 //! | [`exp_robustness`] | the Table IV headline across trace seeds |
-//! | [`exp_solver_timing`] | engine: incremental hill climb vs full-rescan reference |
 //! | [`exp_obs`] | engine: observability overhead + bit-identity gate |
 //! | [`exp_lint`] | engine: wall-time budget of one `eards lint` pass |
 //! | [`exp_snapshot`] | engine: snapshot + restore budget, week-end snapshot size |
@@ -28,7 +27,9 @@
 //! Each module names its id in a `const ID`. The one driver, the
 //! `run_all` binary over [`driver`], runs the experiments named by id
 //! (all of them by default), prints and writes each section, writes its
-//! `BENCH_*.json` baseline and exits non-zero on a violated shape check.
+//! `BENCH_*.json` baseline ([`common::Baseline`], the one envelope every
+//! baseline shares) and exits non-zero on a violated shape check or a
+//! baseline whose deterministic part drifted.
 //! The other binary, `sweep_timing`, times the `eards` executable's
 //! sweep farm. Microbenches of the engine/solver live under `benches/`;
 //! they and the timing experiments read the wall clock only through
@@ -51,7 +52,6 @@ pub mod exp_lint;
 pub mod exp_obs;
 pub mod exp_robustness;
 pub mod exp_snapshot;
-pub mod exp_solver_timing;
 pub mod exp_table1;
 pub mod exp_table2;
 pub mod exp_table3;

@@ -15,8 +15,11 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Timed batches per [`per_iter`] measurement taken by [`Recorder`] and
-/// the solver-timing experiment.
+use eards_obs::validate::Json;
+
+use crate::common::Baseline;
+
+/// Timed batches per [`per_iter`] measurement taken by [`Recorder`].
 pub const REPS: usize = 20;
 
 /// Shortest timed batch [`per_iter`] aims for, in seconds: long enough
@@ -117,22 +120,27 @@ impl Recorder {
 
     /// Measures `a` and `b` together with [`per_iter_pair`] over [`REPS`]
     /// batches each, then prints and keeps both as [`Recorder::bench`]
-    /// does, `a` first.
+    /// does, `a` first. Returns the seconds per call of `a`, then `b`.
     pub fn bench_pair<A, B>(
         &mut self,
         label_a: &str,
         a: impl FnMut() -> A,
         label_b: &str,
         b: impl FnMut() -> B,
-    ) {
+    ) -> (f64, f64) {
         let ((secs_a, _), (secs_b, _)) = per_iter_pair(REPS, a, b);
         self.record(label_a, secs_a, "interleaved batches");
         self.record(label_b, secs_b, "interleaved batches");
+        (secs_a, secs_b)
     }
 
-    /// Every `(label, seconds per iteration)` measured so far.
-    pub fn results(&self) -> &[(String, f64)] {
-        &self.results
+    /// Every `(label, seconds per iteration)` measured so far, in call
+    /// order, as the `wall` part of baseline `bench`.
+    pub fn baseline(&self, bench: &str) -> Baseline {
+        let results = self.results.iter().map(|(l, s)| (l.clone(), Json::Num(*s)));
+        Baseline::new(bench)
+            .wall("unit", Json::Str("min_batch_seconds_per_iter".into()))
+            .wall("results", Json::Obj(results.collect()))
     }
 
     fn record(&mut self, label: &str, secs: f64, batches: &str) {
@@ -218,8 +226,11 @@ mod tests {
             rec.bench(label, || black_box(1 + 1));
         }
         rec.bench_pair("e/5", || black_box(2), "d/4", || black_box(3));
-        let labels: Vec<_> = rec.results().iter().map(|(l, _)| l.as_str()).collect();
+        let Json::Obj(results) = &rec.baseline("x").wall[2].1 else {
+            panic!("no results object")
+        };
+        let labels: Vec<_> = results.iter().map(|(l, _)| l.as_str()).collect();
         assert_eq!(labels, ["b/2", "a/1", "c/3", "e/5", "d/4"]);
-        assert!(rec.results().iter().all(|&(_, s)| s > 0.0));
+        assert!(results.iter().all(|(_, s)| s.as_f64() > Some(0.0)));
     }
 }

@@ -6,6 +6,9 @@
 //! trace is an object with a `traceEvents` array of well-formed entries.
 //! The parser is a small recursive-descent JSON reader — the workspace
 //! carries no serialization dependency, and the subset we emit is tiny.
+//! [`Json`]'s `Display` is the matching writer.
+
+use std::fmt;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,6 +60,74 @@ impl Json {
         }
     }
 }
+
+/// Renders JSON text that [`parse`] reads back to an equal value:
+/// object members keep their order, numbers print in Rust's shortest
+/// round-trip form (so the parsed `f64` has the same bits; a non-finite
+/// number prints as `null`) and strings are escaped. A container holding
+/// another container puts each member on its own indented line, so a
+/// committed document diffs line by line.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&render(self, 0))
+    }
+}
+
+fn render(v: &Json, indent: usize) -> String {
+    let members: Vec<(Option<&str>, &Json)> = match v {
+        Json::Bool(b) => return b.to_string(),
+        Json::Num(n) if n.is_finite() => return n.to_string(),
+        Json::Null | Json::Num(_) => return "null".into(),
+        Json::Str(s) => return escape(s),
+        Json::Arr(items) => items.iter().map(|v| (None, v)).collect(),
+        Json::Obj(members) => members.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+    };
+    let nested = members
+        .iter()
+        .any(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)));
+    let sep = format!("\n{:w$}", "", w = indent + 2);
+    let mut out = String::from(if matches!(v, Json::Arr(_)) { "[" } else { "{" });
+    for (i, (key, value)) in members.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(if nested { "," } else { ", " });
+        }
+        if nested {
+            out.push_str(&sep);
+        }
+        if let Some(key) = key {
+            out += &(escape(key) + ": ");
+        }
+        out += &render(value, indent + 2);
+    }
+    if nested {
+        out.push_str(&sep[..indent + 1]);
+    }
+    out + if matches!(v, Json::Arr(_)) { "]" } else { "}" }
+}
+
+fn escape(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => out.extend(['\\', c]),
+            c if c < ' ' => out += &format!("\\u{:04x}", u32::from(c)),
+            c => out.push(c),
+        }
+    }
+    out + "\""
+}
+
+macro_rules! json_from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+
+json_from_number!(f64, u32, u64, usize);
 
 struct Parser<'a> {
     bytes: &'a [u8],
